@@ -10,7 +10,7 @@ This bench measures both stages under both backends:
 
 * **secondary filter** — the exact-predicate stage of the counties and
   stars-25K self-joins, scalar per-candidate evaluation vs the batch mode
-  that drains first-rowid runs through the kernels.  Result pairs must be
+  that resolves each candidate array with one pair-kernel call.  Result pairs must be
   byte-identical (``json.dumps`` comparison) and simulated charges must
   match exactly; the numpy backend must be at least 2x faster.
 * **tessellation** — fixed-level tile cover of a sample of geometries;

@@ -34,6 +34,11 @@ from repro.storage.heap import RowId
 
 __all__ = ["FetchOrder", "GeometryCache", "SecondaryFilter", "JoinPredicate"]
 
+# A fetched geometry stays referenced until its exact test has run, cached
+# or not.  Resolving a candidate array in groups of this many vertices
+# bounds that by a constant instead of by the array size.
+_GROUP_VERTICES = 1 << 17
+
 
 class FetchOrder(enum.Enum):
     """Candidate processing order for the secondary filter."""
@@ -82,15 +87,6 @@ class GeometryCache:
         while len(self._entries) > self.capacity:
             self._entries.popitem(last=False)
         return geom
-
-    def touch(self, table: Table, rowid: RowId) -> None:
-        """Refresh LRU recency of an entry known to be resident.
-
-        No counters or charges — callers that batch-account a run of
-        guaranteed hits use this to keep the eviction order identical to
-        per-candidate fetching.
-        """
-        self._entries.move_to_end((table.name, rowid))
 
     def clear(self) -> None:
         self._entries.clear()
@@ -143,10 +139,10 @@ class SecondaryFilter:
         # common SORTED path pays nothing for it.
         self.rng_seed = rng_seed
         self._rng = None
-        # Batch mode drains each run of candidates sharing a first rowid
-        # through the vectorized kernels (one probe geometry, many
-        # candidates).  Charges, statistics, result order and results are
-        # identical to per-candidate evaluation on both kernel backends.
+        # Batch mode resolves each candidate array with one call of the
+        # vectorized pair kernel.  Charges, statistics, result order and
+        # results are identical to per-candidate evaluation (the oracle,
+        # ``use_batch=False``) on both kernel backends.
         self.use_batch = use_batch
         self.batched_candidates = 0
         self.candidates_seen = 0
@@ -227,17 +223,7 @@ class SecondaryFilter:
                     ctx.charge("sort_per_item", n * math.log2(n))
             ordered = self.order_candidates(candidates)
             if self.use_batch:
-                # Drain runs of candidates sharing a first rowid: the probe
-                # geometry is fetched once per candidate (identical cache
-                # charges) but the exact predicate is resolved for the whole
-                # run in one kernel call.
-                i, n = 0, len(ordered)
-                while i < n:
-                    j = i + 1
-                    while j < n and ordered[j][0] == ordered[i][0]:
-                        j += 1
-                    self._process_run(ordered[i:j], results, ctx)
-                    i = j
+                self._process_array(ordered, results, ctx)
             else:
                 for cand in ordered:
                     self._process_one(cand, results, ctx)
@@ -270,122 +256,61 @@ class SecondaryFilter:
             if ctx is not None:
                 ctx.charge("result_row")
 
-    def _process_run(
+    def _process_array(
         self,
-        run: List[CandidatePair],
+        ordered: List[CandidatePair],
         results: List[Tuple[RowId, RowId]],
         ctx: Optional[WorkerContext],
     ) -> None:
-        """Evaluate one first-rowid run, batching the exact predicate.
+        """Resolve an ordered candidate array with the pair kernel.
 
-        Result order (and every charge / statistic) matches per-candidate
-        evaluation: fast-accepted and batch-resolved pairs are merged back
-        into candidate order before being appended.
+        Fast-accepts and fetches run candidate by candidate, exactly as in
+        `_process_one`, so cache state, hit/miss counters and every charge
+        match it; only the exact tests are deferred, to the end of the
+        array or of a group of `_GROUP_VERTICES`, whichever comes first.
         """
-        n_run = len(run)
-        # The probe row is shared by the whole run.  When no interior
-        # fast-accept can intervene and the cache is large enough that the
-        # probe cannot be evicted mid-run, its n-1 re-fetches are known
-        # cache hits: account for them (and the per-candidate test charges)
-        # in one step each instead of n-1 lookups and 4n charge calls.
-        # The single recency refresh lands just before the final
-        # candidate's second fetch — exactly where the per-candidate path
-        # leaves the probe in the LRU order — so cache state, counters and
-        # meter counts stay identical to per-candidate evaluation.
-        if (
-            not self.use_interior
-            and n_run > 1
-            and n_run + 2 <= self.cache.capacity
-        ):
-            self._process_run_folded(run, results, ctx)
-            return
-        slots: List[Optional[Tuple[RowId, RowId]]] = [None] * len(run)
-        pending_idx: List[int] = []
-        pending_geoms: List[Geometry] = []
-        g1: Optional[Geometry] = None
-        for k, (rid_a, rid_b, mbr_a, mbr_b) in enumerate(run):
-            self.candidates_seen += 1
+        self.candidates_seen += len(ordered)
+        fetch = self.cache.fetch
+        verdicts = [False] * len(ordered)
+        pending: List[int] = []
+        geoms_a: List[Geometry] = []
+        geoms_b: List[Geometry] = []
+        nv = 0
+        for k, (rid_a, rid_b, mbr_a, mbr_b) in enumerate(ordered):
             if self.use_interior and self._fast_accept(rid_a, rid_b, mbr_a, mbr_b, ctx):
                 self.fast_accepts += 1
-                slots[k] = (rid_a, rid_b)
-                if ctx is not None:
-                    ctx.charge("result_row")
+                verdicts[k] = True
                 continue
-            g1 = self.cache.fetch(self.table_a, rid_a, self._col_a, ctx)
-            g2 = self.cache.fetch(self.table_b, rid_b, self._col_b, ctx)
-            if ctx is not None:
-                ctx.charge("exact_test_base")
-                ctx.charge("exact_test_per_vertex", g1.num_vertices + g2.num_vertices)
-            pending_idx.append(k)
-            pending_geoms.append(g2)
-        if pending_idx:
-            assert g1 is not None
-            verdicts = None
-            if len(pending_geoms) > 1:
-                verdicts = kernels.evaluate_predicate_batch(
-                    g1, pending_geoms, self.predicate.mask, self.predicate.distance
-                )
-                if verdicts is not None:
-                    self.batched_candidates += len(pending_geoms)
-            if verdicts is None:  # unsupported mask: scalar per candidate
-                verdicts = [self.predicate.evaluate(g1, g) for g in pending_geoms]
-            for k, ok in zip(pending_idx, verdicts):
-                if ok:
-                    slots[k] = (run[k][0], run[k][1])
-                    if ctx is not None:
-                        ctx.charge("result_row")
-        for slot in slots:
-            if slot is not None:
-                results.append(slot)
+            g1 = fetch(self.table_a, rid_a, self._col_a, ctx)
+            g2 = fetch(self.table_b, rid_b, self._col_b, ctx)
+            nv += g1.num_vertices + g2.num_vertices
+            pending.append(k)
+            geoms_a.append(g1)
+            geoms_b.append(g2)
+            if nv >= _GROUP_VERTICES:
+                self._resolve_group(pending, geoms_a, geoms_b, nv, verdicts, ctx)
+                pending, geoms_a, geoms_b, nv = [], [], [], 0
+        if pending:
+            self._resolve_group(pending, geoms_a, geoms_b, nv, verdicts, ctx)
+        before = len(results)
+        results.extend((c[0], c[1]) for c, ok in zip(ordered, verdicts) if ok)
+        if ctx is not None and len(results) > before:
+            ctx.charge("result_row", len(results) - before)
 
-    def _process_run_folded(
-        self,
-        run: List[CandidatePair],
-        results: List[Tuple[RowId, RowId]],
-        ctx: Optional[WorkerContext],
-    ) -> None:
-        """`_process_run` with the shared probe fetch folded out of the loop.
-
-        Only entered when every candidate reaches the exact test (no
-        interior fast-accepts) and the probe provably survives the run in
-        the LRU cache, so each of its re-fetches is a certain hit.
-        """
-        n_run = len(run)
-        self.candidates_seen += n_run
-        cache = self.cache
-        rid_a = run[0][0]
-        g1 = cache.fetch(self.table_a, rid_a, self._col_a, ctx)
-        cache.hits += n_run - 1
-        fetch, table_b, col_b = cache.fetch, self.table_b, self._col_b
-        g1_nv = g1.num_vertices
-        geoms: List[Geometry] = []
-        append = geoms.append
-        nv = n_run * g1_nv
-        last = n_run - 1
-        for k, cand in enumerate(run):
-            if k == last:
-                cache.touch(self.table_a, rid_a)
-            g2 = fetch(table_b, cand[1], col_b, ctx)
-            append(g2)
-            nv += g2.num_vertices
+    def _resolve_group(self, pending, geoms_a, geoms_b, nv, verdicts, ctx) -> None:
+        """Exact tests of candidates ``pending`` in one pair-kernel call."""
         if ctx is not None:
-            ctx.charge("buffer_get_hit", n_run - 1)
-            ctx.charge("exact_test_base", n_run)
+            ctx.charge("exact_test_base", len(pending))
             ctx.charge("exact_test_per_vertex", nv)
-        verdicts = kernels.evaluate_predicate_batch(
-            g1, geoms, self.predicate.mask, self.predicate.distance
+        resolved = kernels.evaluate_predicate_pairs(
+            geoms_a, geoms_b, self.predicate.mask, self.predicate.distance
         )
-        if verdicts is not None:
-            self.batched_candidates += n_run
+        if resolved is not None:
+            self.batched_candidates += len(pending)
         else:  # unsupported mask: scalar per candidate
-            verdicts = [self.predicate.evaluate(g1, g) for g in geoms]
-        n_hits = 0
-        for k, ok in enumerate(verdicts):
-            if ok:
-                results.append((run[k][0], run[k][1]))
-                n_hits += 1
-        if n_hits and ctx is not None:
-            ctx.charge("result_row", n_hits)
+            resolved = [self.predicate.evaluate(a, b) for a, b in zip(geoms_a, geoms_b)]
+        for k, ok in zip(pending, resolved):
+            verdicts[k] = ok
 
     def _fast_accept(self, rid_a, rid_b, mbr_a, mbr_b, ctx) -> bool:
         """Sound intersection certificates from interior approximations.

@@ -3,8 +3,8 @@
 The paper's two-stage query pipeline bottoms out in exact geometry tests:
 the secondary filter of the spatial join (§4.2) and tile classification
 during tessellation (§5).  This module evaluates those tests over *batches*
-— many candidate geometries against one probe, many tiles against one
-geometry, all edge pairs of two chains at once — using numpy, with a pure
+— a whole array of candidate pairs, many tiles against one geometry, all
+edge pairs of two chains at once — using numpy, with a pure
 Python fallback so environments without numpy (and CI parity jobs) run the
 same code paths.
 
@@ -78,6 +78,7 @@ __all__ = [
     "within_distance_batch",
     "distance_batch",
     "evaluate_predicate_batch",
+    "evaluate_predicate_pairs",
     "classify_tiles",
     "TILE_OUTSIDE_MBR",
     "TILE_OUTSIDE",
@@ -100,6 +101,14 @@ TILE_INTERIOR = 3  # wholly inside a polygonal geometry
 # batches are processed in row chunks so peak memory stays bounded
 # (~8 MB per float64 temporary at this setting).
 _CHUNK_ELEMS = 1 << 20
+
+# The ragged pair kernel's bound, applied twice: to the edges (both sides)
+# of the candidate pairs resolved per slice, and to the edge pairs expanded
+# per chunk within a slice.  Each expansion holds a dozen index and
+# coordinate temporaries at once, hence the much smaller figure (~64 KB
+# each): larger slices measured no faster, and their temporaries cost the
+# served join ~10 % of peak RSS in allocator retention.
+_PAIR_SLICE_ELEMS = 1 << 13
 
 _BACKENDS = ("numpy", "python")
 
@@ -401,27 +410,6 @@ def _bounds_arr(px, py, ax, ay, bx, by):
     )
 
 
-def _pair_orients_cols(ea, cx, cy, dx, dy):
-    """Orientation matrices of ``ea`` rows vs column arrays ``(cx..dy)``.
-
-    ``ea`` rows broadcast down columns ``(n, 1)``; the ``eb`` operands are
-    already split into flat ``(m,)`` arrays.
-    """
-    ax, ay, bx, by = (ea[:, k : k + 1] for k in range(4))
-    o1 = _orient_arr(ax, ay, bx, by, cx, cy)
-    o2 = _orient_arr(ax, ay, bx, by, dx, dy)
-    o3 = _orient_arr(cx, cy, dx, dy, ax, ay)
-    o4 = _orient_arr(cx, cy, dx, dy, bx, by)
-    return (ax, ay, bx, by), (o1, o2, o3, o4)
-
-
-def _pair_orients(ea, eb):
-    """Broadcast edge-pair operands and the four orientation matrices."""
-    cx, cy, dx, dy = (eb[:, k] for k in range(4))
-    (ax, ay, bx, by), orients = _pair_orients_cols(ea, cx, cy, dx, dy)
-    return (ax, ay, bx, by, cx, cy, dx, dy), orients
-
-
 def _orient_signs(bqx, bqy, b_abs, drx, dry):
     """Strictly-positive / strictly-negative orientation masks against a
     shared base vector (``dq`` and ``|dqx| + |dqy|`` hoisted by the caller).
@@ -436,64 +424,100 @@ def _orient_signs(bqx, bqy, b_abs, drx, dry):
     return cross > tol, cross < -tol
 
 
-def _intersect_matrix_cols(ea, cx, cy, dx, dy, cd_pre=None):
-    """Vectorized ``segments_intersect`` of ``ea`` rows vs edge columns.
+def _edge_boxes_apart(ax, ay, bx, by, cx, cy, dx, dy, tol):
+    """Are the boxes of edges ``ab`` and ``cd`` more than ``tol`` apart?
+
+    The gap form ``lo - hi > tol`` of ``segments_intersect``'s reject, so a
+    prune at ``tol >= EPSILON`` can only drop pairs the definition drops.
+    """
+    return (
+        (np.minimum(cx, dx) - np.maximum(ax, bx) > tol)
+        | (np.minimum(ax, bx) - np.maximum(cx, dx) > tol)
+        | (np.minimum(cy, dy) - np.maximum(ay, by) > tol)
+        | (np.minimum(ay, by) - np.maximum(cy, dy) > tol)
+    )
+
+
+def _pair_operands(operands, idx):
+    """The eight operands of the pairs at ``idx`` (a ``nonzero`` tuple).
+
+    Edge ``ab`` varies along the first axis of the pair layout and edge
+    ``cd`` along the last: rows and columns of the all-pairs matrix, one
+    and the same axis of the flat arrays.
+    """
+    ia, ic = idx[0], idx[-1]
+    return (*(v.ravel()[ia] for v in operands[:4]), *(v[ic] for v in operands[4:]))
+
+
+def _orient_hits(ax, ay, bx, by, cx, cy, dx, dy):
+    """``segments_intersect`` of edges ``ab`` vs ``cd`` past its box reject:
+    the orientation and collinear-bounds terms alone.
+
+    Two operand layouts share this one body: ``(n, 1)`` columns against
+    ``(m,)`` arrays broadcast to the all-pairs matrix, and equal-length
+    flat arrays test edge pair ``k`` only (the ragged pair kernel).
 
     The four orientations share their base-vector differences and abs
     sums (``o1``/``o2`` sit on edge ``ab``, ``o3``/``o4`` on ``cd``), and
     signs stay as bool-mask pairs: ``o_i != o_j`` becomes a pair of mask
     comparisons, ``o_i == 0`` becomes neither-mask.  Kernel-call count is
-    what dominates on small per-run matrices, so every fused op counts.
+    what dominates on small matrices, so every fused op counts.
     """
-    ax, ay, bx, by = (ea[:, k : k + 1] for k in range(4))
     abx, aby = bx - ax, by - ay
     ab_abs = np.abs(abx) + np.abs(aby)
     p1, n1 = _orient_signs(abx, aby, ab_abs, cx - ax, cy - ay)
     p2, n2 = _orient_signs(abx, aby, ab_abs, dx - ax, dy - ay)
-    if cd_pre is None:
-        cdx, cdy = dx - cx, dy - cy
-        cd_abs = np.abs(cdx) + np.abs(cdy)
-    else:  # hoisted by callers that reuse one edge soup across chunks
-        cdx, cdy, cd_abs = cd_pre
+    cdx, cdy = dx - cx, dy - cy
+    cd_abs = np.abs(cdx) + np.abs(cdy)
     p3, n3 = _orient_signs(cdx, cdy, cd_abs, ax - cx, ay - cy)
     p4, n4 = _orient_signs(cdx, cdy, cd_abs, bx - cx, by - cy)
     hit = ((p1 != p2) | (n1 != n2)) & ((p3 != p4) | (n3 != n4))
     # The collinear/bounds terms only matter where some orientation is
-    # exactly zero.  Zeros are sparse but not rare — a self-join's identity
-    # pair and any shared border produce them in every batch — so the four
-    # bounds tests run on the gathered zero entries, not the full matrix.
+    # exactly zero.  Zeros are sparse but not rare — any shared border
+    # produces them — so the four bounds tests run on the gathered zero
+    # entries, not on every pair.
     nz = (p1 | n1) & (p2 | n2) & (p3 | n3) & (p4 | n4)
     if not nz.all():
-        zi, zj = np.nonzero(~nz)
-        axz, ayz = ax[zi, 0], ay[zi, 0]
-        bxz, byz = bx[zi, 0], by[zi, 0]
-        cxz, cyz = cx[zj], cy[zj]
-        dxz, dyz = dx[zj], dy[zj]
-        hz = hit[zi, zj]
-        hz |= ~(p1[zi, zj] | n1[zi, zj]) & _bounds_arr(cxz, cyz, axz, ayz, bxz, byz)
-        hz |= ~(p2[zi, zj] | n2[zi, zj]) & _bounds_arr(dxz, dyz, axz, ayz, bxz, byz)
-        hz |= ~(p3[zi, zj] | n3[zi, zj]) & _bounds_arr(axz, ayz, cxz, cyz, dxz, dyz)
-        hz |= ~(p4[zi, zj] | n4[zi, zj]) & _bounds_arr(bxz, byz, cxz, cyz, dxz, dyz)
-        hit[zi, zj] = hz
+        z = np.nonzero(~nz)
+        axz, ayz, bxz, byz, cxz, cyz, dxz, dyz = _pair_operands(
+            (ax, ay, bx, by, cx, cy, dx, dy), z
+        )
+        hz = hit[z]
+        hz |= ~(p1[z] | n1[z]) & _bounds_arr(cxz, cyz, axz, ayz, bxz, byz)
+        hz |= ~(p2[z] | n2[z]) & _bounds_arr(dxz, dyz, axz, ayz, bxz, byz)
+        hz |= ~(p3[z] | n3[z]) & _bounds_arr(axz, ayz, cxz, cyz, dxz, dyz)
+        hz |= ~(p4[z] | n4[z]) & _bounds_arr(bxz, byz, cxz, cyz, dxz, dyz)
+        hit[z] = hz
+    return hit
+
+
+def _intersect_cols(*operands):
+    """Vectorized ``segments_intersect``; layouts as ``_orient_hits``.
+
+    The definition's box reject can only turn a hit into a miss, and hits
+    are few: the boxes of those entries alone are tested.
+    """
+    hit = _orient_hits(*operands)
+    if hit.any():
+        h = np.nonzero(hit)
+        hit[h] = ~_edge_boxes_apart(*_pair_operands(operands, h), EPSILON)
     return hit
 
 
 def _intersect_matrix(ea, eb):
     """Vectorized ``segments_intersect`` over all edge pairs."""
-    return _intersect_matrix_cols(ea, eb[:, 0], eb[:, 1], eb[:, 2], eb[:, 3])
+    return _intersect_cols(*(ea[:, k : k + 1] for k in range(4)), *(eb[:, k] for k in range(4)))
 
 
 def _proper_matrix(ea, eb):
     """Vectorized ``predicates._proper_crossing`` (transversal crossings only)."""
-    _, (o1, o2, o3, o4) = _pair_orients(ea, eb)
-    return (
-        (o1 != o2)
-        & (o3 != o4)
-        & (o1 != 0)
-        & (o2 != 0)
-        & (o3 != 0)
-        & (o4 != 0)
-    )
+    ax, ay, bx, by = (ea[:, k : k + 1] for k in range(4))
+    cx, cy, dx, dy = (eb[:, k] for k in range(4))
+    o1 = _orient_arr(ax, ay, bx, by, cx, cy)
+    o2 = _orient_arr(ax, ay, bx, by, dx, dy)
+    o3 = _orient_arr(cx, cy, dx, dy, ax, ay)
+    o4 = _orient_arr(cx, cy, dx, dy, bx, by)
+    return (o1 != o2) & (o3 != o4) & (o1 != 0) & (o2 != 0) & (o3 != 0) & (o4 != 0)
 
 
 def _cross_any(ea, eb) -> bool:
@@ -529,11 +553,10 @@ def _point_segment_dist_sq_arr(px, py, ax, ay, bx, by):
     return np.where(denom == 0.0, ap_x * ap_x + ap_y * ap_y, d)
 
 
-def _seg_distance_sq_matrix_cols(ea, cx, cy, dx, dy):
-    """Vectorized ``segment_segment_distance_sq`` vs edge columns."""
-    hit = _intersect_matrix_cols(ea, cx, cy, dx, dy)
-    ax, ay, bx, by = (ea[:, k : k + 1] for k in range(4))
-    d = np.minimum(
+def _endpoint_distance_sq_cols(ax, ay, bx, by, cx, cy, dx, dy):
+    """Least squared distance from an endpoint of either edge to the other
+    edge: ``segment_segment_distance_sq`` of a pair that does not cross."""
+    return np.minimum(
         np.minimum(
             _point_segment_dist_sq_arr(ax, ay, cx, cy, dx, dy),
             _point_segment_dist_sq_arr(bx, by, cx, cy, dx, dy),
@@ -543,12 +566,12 @@ def _seg_distance_sq_matrix_cols(ea, cx, cy, dx, dy):
             _point_segment_dist_sq_arr(dx, dy, ax, ay, bx, by),
         ),
     )
-    return np.where(hit, 0.0, d)
 
 
 def _seg_distance_sq_matrix(ea, eb):
     """Vectorized ``segments.segment_segment_distance_sq`` over all pairs."""
-    return _seg_distance_sq_matrix_cols(ea, eb[:, 0], eb[:, 1], eb[:, 2], eb[:, 3])
+    ends = (*(ea[:, k : k + 1] for k in range(4)), *(eb[:, k] for k in range(4)))
+    return np.where(_intersect_cols(*ends), 0.0, _endpoint_distance_sq_cols(*ends))
 
 
 def _min_seg_distance_sq(ea, eb) -> float:
@@ -885,14 +908,7 @@ def intersects_batch(g1: Geometry, geoms: Sequence[Geometry]) -> List[bool]:
     """Batch ``predicates.intersects(g1, g)`` over candidate geometries."""
     if _active_backend == "python" or np is None:
         return [intersects(g1, g) for g in geoms]
-    pts = _all_points_array(geoms)
-    if pts is not None:
-        return _points_intersect_geometry(g1, pts[:, 0], pts[:, 1]).tolist()
-    if _poly_probe(g1):
-        out = _poly_batch_eval(g1, geoms, _poly_batch_intersects)
-        if out is not None:
-            return out
-    return [_intersects_np(g1, g) for g in geoms]
+    return _pairs_np([g1] * len(geoms), geoms, 0.0)
 
 
 def contains_batch(g1: Geometry, geoms: Sequence[Geometry]) -> List[bool]:
@@ -913,18 +929,9 @@ def within_distance_batch(
     g1: Geometry, geoms: Sequence[Geometry], dist: float
 ) -> List[bool]:
     """Batch ``distance.within_distance(g1, g, dist)``."""
-    if _active_backend == "python" or np is None:
+    if _active_backend == "python" or np is None or dist < 0.0:
         return [within_distance(g1, g, dist) for g in geoms]
-    pts = _all_points_array(geoms)
-    if pts is not None and dist > 0.0 and not _has_point_parts(g1):
-        return _points_within_distance_np(g1, pts, dist)
-    if dist > 0.0 and _poly_probe(g1):
-        out = _poly_batch_eval(
-            g1, geoms, lambda probe, pb: _poly_batch_within(probe, pb, dist)
-        )
-        if out is not None:
-            return out
-    return [_within_distance_np(g1, g, dist) for g in geoms]
+    return _pairs_np([g1] * len(geoms), geoms, dist)
 
 
 def distance_batch(g1: Geometry, geoms: Sequence[Geometry]) -> List[float]:
@@ -933,15 +940,11 @@ def distance_batch(g1: Geometry, geoms: Sequence[Geometry]) -> List[float]:
         from repro.geometry.distance import distance
 
         return [distance(g1, g) for g in geoms]
-    import math
-
     return [math.sqrt(_distance_sq_np(g1, g)) for g in geoms]
 
 
 def _all_points_array(geoms: Sequence[Geometry]):
     """(n, 2) array when every candidate is a simple POINT, else None."""
-    if not geoms:
-        return None
     for g in geoms:
         if g.geom_type is not GeometryType.POINT:
             return None
@@ -971,169 +974,250 @@ def _points_within_distance_np(g1: Geometry, pts, dist: float) -> List[bool]:
 
 
 # ----------------------------------------------------------------------
-# Cross-candidate polygon fast path.
+# Array-at-a-time pair kernel.
 #
-# Per-pair numpy evaluation pays its dispatch overhead once per candidate,
-# which loses to the scalar engine on small polygons (a 20-vertex star
-# costs more to wrap in arrays than to test in pure Python).  When a whole
-# candidate batch consists of single-ring polygons — the shape of every
-# secondary-filter run over the paper's workloads — the batch is instead
-# concatenated into one edge soup with per-ring offsets, and every stage
-# of the intersects / within-distance tests (edge crossings, both
-# representative-point containments, edge-pair distances) runs as a single
-# vectorized pass with per-candidate ``reduceat`` reductions.
+# The secondary filter hands over a whole ordered candidate array — pair k
+# is ``(geoms_a[k], geoms_b[k])`` — and gets one verdict per pair.  Two
+# polygons can only interact where their MBRs overlap, so each pair keeps
+# just the edges whose box meets its clip window ``MBR(a) ∩ MBR(b)``
+# (grown by the tolerance); the surviving ragged a×b edge pairs of many
+# candidates are laid out as flat 1-D arrays, pruned by edge box, and put
+# through the same float expressions as the scalar tests in one pass.
+# Both prunes use ``segments_intersect``'s own gap-form box reject, and
+# float subtraction is monotone, so an edge outside the window is an edge
+# whose every pair the definition rejects: results are bit-identical to
+# ``predicates.intersects`` / ``distance.within_distance`` by construction.
+# Columns are gathered with ``rows.take(idx, axis=1)``: fancy indexing
+# ``rows[:, idx]`` of a C-ordered 2-D array is ~2.5x slower.
 # ----------------------------------------------------------------------
-def _gather_poly_candidates(geoms: Sequence[Geometry]):
-    """Concatenated ring arrays for an all-single-ring-polygon batch.
-
-    Returns ``None`` when any candidate is not a hole-free simple polygon
-    (the caller then uses the per-pair path).
-    """
-    edges = []
-    append = edges.append
+def _pairs_np(geoms_a, geoms_b, dist: float) -> List[bool]:
+    """Intersect (``dist == 0``) or within-distance verdict of every pair."""
+    n = len(geoms_a)
+    if n == 0:
+        return []
+    # Index the array's distinct geometries, by identity.
+    every = (*geoms_a, *geoms_b)
+    distinct = dict(zip(map(id, every), every))
+    rank = dict(zip(distinct, range(len(distinct))))
+    slot = np.fromiter(map(rank.__getitem__, map(id, every)), dtype=np.intp, count=2 * n)
+    ia, ib = slot[:n], slot[n:]
+    # The flat path takes hole-free polygons; each one's cached edge rows
+    # are exactly its ring, vertex i to vertex i + 1.
     poly = GeometryType.POLYGON
-    for g in geoms:
-        if g.geom_type is not poly or g.holes:
-            return None
-        e = g._edges_array
-        append(e if e is not None else g.edges_array())
-    counts = np.asarray([e.shape[0] for e in edges], dtype=np.intp)
-    offsets = np.zeros(len(edges), dtype=np.intp)
-    np.cumsum(counts[:-1], out=offsets[1:])
-    # A hole-free polygon's cached edges array rows are exactly
-    # ``(v_i, v_{i+1 mod n})`` over the exterior ring, so one concatenation
-    # yields the vertex columns and the wrapped edge-end columns at once.
-    vx, vy, ex, ey = np.ascontiguousarray(np.concatenate(edges, axis=0).T)
-    last = offsets + counts - 1
-    # Per-ring bounds; identical floats to each candidate's stored MBR.
-    bx0 = np.minimum.reduceat(vx, offsets)
-    by0 = np.minimum.reduceat(vy, offsets)
-    bx1 = np.maximum.reduceat(vx, offsets)
-    by1 = np.maximum.reduceat(vy, offsets)
-    # Edge difference vectors and their abs sums, hoisted once per batch
-    # for every orientation test against the soup.
-    cdx, cdy = ex - vx, ey - vy
-    cd_abs = np.abs(cdx) + np.abs(cdy)
-    return (
-        vx, vy, ex, ey, offsets, counts, last,
-        bx0, by0, bx1, by1, (cdx, cdy, cd_abs),
-    )
-
-
-def _rings_contain_point(pb, px: float, py: float) -> "np.ndarray":
-    """One point against every candidate ring (batch ``Ring.contains_point``)."""
-    vx, vy, ex, ey, offsets, counts, last, bx0, by0, bx1, by1, cd_pre = pb
-    gate = (bx0 <= px) & (px <= bx1) & (by0 <= py) & (py <= by1)
-    cdx, cdy, cd_abs = cd_pre
-    # Boundary pre-check; bounds tests only on the exactly-zero entries.
-    pos, neg = _orient_signs(cdx, cdy, cd_abs, px - vx, py - vy)
-    nz = pos | neg
-    if nz.all():
-        on_bnd = np.zeros(offsets.size, dtype=bool)
-    else:
-        zj = np.nonzero(~nz)[0]
-        on_edge = ~nz
-        on_edge[zj] = _bounds_arr(px, py, vx[zj], vy[zj], ex[zj], ey[zj])
-        on_bnd = np.logical_or.reduceat(on_edge, offsets)
-    # Ray cast pairs vertex i with its predecessor j = i - 1 (mod n).
-    xj, yj = _shift_fwd(vx), _shift_fwd(vy)
-    xj[offsets] = vx[last]
-    yj[offsets] = vy[last]
-    cond = (vy > py) != (yj > py)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        x_cross = (xj - vx) * (py - vy) / (yj - vy) + vx
-    crossings = np.add.reduceat(
-        (cond & (px < x_cross)).astype(np.int64), offsets
-    )
-    return gate & (on_bnd | (crossings & 1).astype(bool))
-
-
-def _poly_batch_intersects(g1: Geometry, pb) -> "np.ndarray":
-    """Batch ``predicates.intersects`` of one polygon vs gathered candidates."""
-    vx, vy, ex, ey, offsets, counts, last, bx0, by0, bx1, by1, cd_pre = pb
-    m = g1.mbr
-    gate = (m.min_x <= bx1) & (bx0 <= m.max_x) & (m.min_y <= by1) & (by0 <= m.max_y)
-    ea = g1.edges_array()
-    hit_edge = np.zeros(vx.shape[0], dtype=bool)
-    for sl in _row_chunks(len(ea), vx.shape[0]):
-        hit_edge |= _intersect_matrix_cols(
-            ea[sl], vx, vy, ex, ey, cd_pre
-        ).any(axis=0)
-    hit = np.logical_or.reduceat(hit_edge, offsets)
-    # Containment probes only run while some candidate is still undecided
-    # (OR semantics make skipping them sound once everything hit).
-    if not hit.all():
-        # Candidate's first exterior vertex inside g1 ...
-        hit |= _part_contains_points(g1, vx[offsets], vy[offsets])
-        if not hit.all():
-            # ... or g1's first exterior vertex inside the candidate.
-            px, py = g1.exterior.coords[0]  # type: ignore[union-attr]
-            hit |= _rings_contain_point(pb, px, py)
-    return gate & hit
-
-
-def _poly_batch_within(g1: Geometry, pb, dist: float) -> "np.ndarray":
-    """Batch ``within_distance`` of one polygon vs gathered candidates."""
-    vx, vy, ex, ey, offsets, counts, last, bx0, by0, bx1, by1, cd_pre = pb
-    exp = g1.mbr.expand(dist)
-    gate = (
-        (exp.min_x <= bx1) & (bx0 <= exp.max_x)
-        & (exp.min_y <= by1) & (by0 <= exp.max_y)
-    )
-    inter = _poly_batch_intersects(g1, pb)
-    out = gate & inter
-    # Edge-pair distances are only needed for gated candidates that do not
-    # already intersect; compress the edge soup to those columns.
-    need = gate & ~inter
-    if not need.any():
-        return out
-    sub_counts = counts[need]
-    edge_need = np.repeat(need, counts)
-    svx, svy = vx[edge_need], vy[edge_need]
-    sex, sey = ex[edge_need], ey[edge_need]
-    sub_offsets = np.zeros(len(sub_counts), dtype=np.intp)
-    np.cumsum(sub_counts[:-1], out=sub_offsets[1:])
-    ea = g1.edges_array()
-    dmin_edge = np.full(svx.shape[0], np.inf)
-    for sl in _row_chunks(len(ea), svx.shape[0]):
-        np.minimum(
-            dmin_edge,
-            _seg_distance_sq_matrix_cols(ea[sl], svx, svy, sex, sey).min(axis=0),
-            out=dmin_edge,
-        )
-    dmin = np.minimum.reduceat(dmin_edge, sub_offsets)
-    out[need] = dmin <= dist * dist
+    edges = [
+        g.edges_array() if g.geom_type is poly and not g.holes else None
+        for g in distinct.values()
+    ]
+    count = np.asarray([0 if e is None else len(e) for e in edges], dtype=np.intp)
+    flat = (count[ia] > 0) & (count[ib] > 0)
+    # A self-join's identity pair always qualifies, as the scalar path
+    # concludes the long way round; skipping it also keeps exact-zero
+    # orientations (every edge on itself) out of the soup.
+    out = flat & (ia == ib)
+    todo = np.nonzero(flat & (ia != ib))[0]
+    # Slices bound the index temporaries of the ragged expansion.
+    load = (count[ia[todo]] + count[ib[todo]]).cumsum()
+    start = 0
+    while start < len(todo):
+        done = int(load[start - 1]) if start else 0
+        end = max(start + 1, int(np.searchsorted(load, done + _PAIR_SLICE_ELEMS, "right")))
+        ks = todo[start:end]
+        out[ks] = _poly_pairs_slice(edges, ia[ks], ib[ks], dist)
+        start = end
+    out = out.tolist()
+    # Everything else (points, lines, holes, multi-part): runs sharing a
+    # probe keep the all-points batch, the remainder goes pair by pair.
+    rest = np.nonzero(~flat)[0].tolist()
+    i = 0
+    while i < len(rest):
+        a = geoms_a[rest[i]]
+        j = i + 1
+        while j < len(rest) and geoms_a[rest[j]] is a:
+            j += 1
+        others = [geoms_b[k] for k in rest[i:j]]
+        pts = _all_points_array(others)
+        if pts is not None and not dist:
+            verdicts = _points_intersect_geometry(a, pts[:, 0], pts[:, 1]).tolist()
+        elif pts is not None and not _has_point_parts(a):
+            verdicts = _points_within_distance_np(a, pts, dist)
+        elif dist:
+            verdicts = [_within_distance_np(a, b, dist) for b in others]
+        else:
+            verdicts = [_intersects_np(a, b) for b in others]
+        for k, ok in zip(rest[i:j], verdicts):
+            out[k] = ok
+        i = j
     return out
 
 
-def _poly_probe(g1: Geometry) -> bool:
-    """Is ``g1`` a simple polygon (the fast path's probe precondition)?"""
-    return g1.geom_type is GeometryType.POLYGON
+def _ragged_arange(counts):
+    """``arange(c)`` for every ``c`` of ``counts``, concatenated."""
+    starts = counts.cumsum() - counts
+    return np.arange(int(counts.sum()), dtype=np.intp) - starts.repeat(counts)
 
 
-def _poly_batch_eval(g1, geoms, evaluator) -> Optional[List[bool]]:
-    """Run a gathered-batch evaluator, fast-accepting identity candidates.
+def _poly_pairs_slice(edges, ia, ib, dist: float):
+    """One slice of the pair kernel: pair ``k`` is hole-free polygons
+    ``ia[k]`` and ``ib[k]`` of ``edges``, never the same one."""
+    n = len(ia)
+    # Edge soup of the slice's distinct geometries, built once: rows
+    # x1, y1, x2, y2 of ``soup``, edge boxes ``lo`` / ``hi`` (x row, y row).
+    used = np.zeros(len(edges), dtype=bool)
+    used[ia] = used[ib] = True
+    slot = used.cumsum() - 1
+    ia, ib = slot[ia], slot[ib]
+    rings = [edges[g] for g in np.nonzero(used)[0].tolist()]
+    count = np.fromiter(map(len, rings), dtype=np.intp, count=len(rings))
+    first = count.cumsum() - count
+    soup = np.ascontiguousarray(np.concatenate(rings, axis=0).T)
+    lo = np.minimum(soup[:2], soup[2:])
+    hi = np.maximum(soup[:2], soup[2:])
+    # Per-ring bounds: identical floats to each polygon's stored MBR.
+    mbr_lo = np.minimum.reduceat(lo, first, axis=1)
+    mbr_hi = np.maximum.reduceat(hi, first, axis=1)
+    a_lo, a_hi = mbr_lo.take(ia, axis=1), mbr_hi.take(ia, axis=1)
+    b_lo, b_hi = mbr_lo.take(ib, axis=1), mbr_hi.take(ib, axis=1)
+    meet = ((a_lo <= b_hi) & (b_lo <= a_hi)).all(axis=0)
+    if dist:
+        near = ((a_lo - dist <= b_hi) & (b_lo <= a_hi + dist)).all(axis=0)
+        # An edge pair within ``dist`` has boxes within ``dist`` up to the
+        # rounding of the distance expressions; the slack dwarfs that at
+        # any coordinate magnitude.
+        tol = dist + EPSILON * max(1.0, float(np.abs(soup).max()))
+    else:
+        near, tol = meet, EPSILON
+    found = np.zeros(n, dtype=bool)
+    act = np.nonzero(near)[0]
+    if act.size:
+        # Clip both sides at once: entries 0..P-1 are the pairs' a sides,
+        # P..2P-1 their b sides, against the same P windows.
+        w_lo = np.maximum(a_lo, b_lo).take(act, axis=1)
+        w_hi = np.minimum(a_hi, b_hi).take(act, axis=1)
+        side = np.concatenate((ia[act], ib[act]))
+        c = count[side]
+        pid = np.arange(len(side), dtype=np.intp).repeat(c)
+        e = first[side].repeat(c) + _ragged_arange(c)
+        pw = pid % act.size
+        keep = ~(
+            (w_lo.take(pw, axis=1) - hi.take(e, axis=1) > tol)
+            | (lo.take(e, axis=1) - w_hi.take(pw, axis=1) > tol)
+        ).any(axis=0)
+        e = e[keep]
+        kept = np.bincount(pid[keep], minlength=len(side))
+        ka, kb = kept[: act.size], kept[act.size :]
+        n_a = int(ka.sum())
+        found[act] = _edge_pairs_any(soup, lo, hi, e[:n_a], ka, e[n_a:], kb, tol, dist)
+    # Still undecided: one polygon may contain the other outright — a's
+    # first vertex in b, or b's in a (soup column ``first[g]`` starts at
+    # vertex 0).
+    rings_of = (soup, first, count, mbr_lo, mbr_hi)
+    und = np.nonzero(meet & ~found)[0]
+    if und.size:
+        start = soup[:2]
+        found[und] = _soup_rings_contain(rings_of, ib[und], start.take(first[ia[und]], axis=1))
+        und = und[~found[und]]
+        found[und] = _soup_rings_contain(rings_of, ia[und], start.take(first[ib[und]], axis=1))
+    return near & found
 
-    A self-join's identity candidate (``g is g1``) always qualifies for
-    the intersect and within-distance predicates, same as the scalar path
-    concludes the long way round.  Excluding it from the edge soup also
-    keeps exact-zero orientations rare, which the kernels' sparse
-    collinear branches are sized for.  Returns ``None`` when the batch is
-    not all hole-free polygons (caller falls back to the per-pair path).
+
+def _soup_rings_contain(rings_of, gi, pts):
+    """Batch ``Ring.contains_point``: point ``pts[:, k]`` against the ring
+    of soup geometry ``gi[k]`` — MBR gate, boundary pre-check, ray cast."""
+    soup, first, count, mbr_lo, mbr_hi = rings_of
+    res = np.zeros(len(gi), dtype=bool)
+    inside = (mbr_lo.take(gi, axis=1) <= pts) & (pts <= mbr_hi.take(gi, axis=1))
+    sel = np.nonzero(inside.all(axis=0))[0]
+    if not sel.size:
+        return res
+    c = count[gi[sel]]
+    pid = sel.repeat(c)
+    sx, sy = pts.take(pid, axis=1)
+    # A soup edge runs from the ray cast's predecessor vertex j to vertex i.
+    xj, yj, xi, yi = soup.take(first[gi[sel]].repeat(c) + _ragged_arange(c), axis=1)
+    dqx, dqy = xi - xj, yi - yj
+    pos, neg = _orient_signs(dqx, dqy, np.abs(dqx) + np.abs(dqy), sx - xj, sy - yj)
+    z = np.nonzero(~(pos | neg))[0]
+    res[pid[z[_bounds_arr(sx[z], sy[z], xj[z], yj[z], xi[z], yi[z])]]] = True
+    cond = (yi > sy) != (yj > sy)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x_cross = (xj - xi) * (sy - yi) / (yj - yi) + xi
+    crossings = np.bincount(pid[cond & (sx < x_cross)], minlength=len(gi))
+    return res | (crossings & 1).astype(bool)
+
+
+def _edge_pairs_any(soup, lo, hi, ea, ka, eb, kb, tol, dist: float):
+    """Per pair: does any kept a-edge × kept b-edge pair qualify?
+
+    ``ea`` / ``eb`` hold each pair's kept soup edges back to back
+    (``ka`` / ``kb`` of them).  The ragged cross product is expanded in
+    chunks of at most ``_PAIR_SLICE_ELEMS`` edge pairs.
     """
-    sub = [g for g in geoms if g is not g1]
-    if len(sub) == len(geoms):
-        pb = _gather_poly_candidates(geoms)
-        if pb is None:
+    found = np.zeros(len(ka), dtype=bool)
+    pa = np.arange(len(ka), dtype=np.intp).repeat(ka)
+    rep = kb[pa]  # every kept a-edge meets each of its pair's kept b-edges
+    ends = rep.cumsum()
+    b_first = kb.cumsum() - kb
+    start, n_a = 0, len(pa)
+    while start < n_a:
+        done = int(ends[start] - rep[start])
+        end = max(start + 1, int(np.searchsorted(ends, done + _PAIR_SLICE_ELEMS, "right")))
+        r = rep[start:end]
+        pid = pa[start:end].repeat(r)
+        ai = ea[start:end].repeat(r)
+        bi = eb[b_first[pid] + _ragged_arange(r)]
+        start = end
+        # The definition's box reject, at the pair's tolerance.
+        near = ~(
+            (lo.take(bi, axis=1) - hi.take(ai, axis=1) > tol)
+            | (lo.take(ai, axis=1) - hi.take(bi, axis=1) > tol)
+        ).any(axis=0)
+        pid, ai, bi = pid[near], ai[near], bi[near]
+        if not pid.size:
+            continue
+        ends_ab = (*soup.take(ai, axis=1), *soup.take(bi, axis=1))
+        if not dist:
+            found[pid[_orient_hits(*ends_ab)]] = True
+            continue
+        # ``segment_segment_distance_sq <= dist**2``: an endpoint within
+        # ``dist`` settles it, and so the pair; only edge pairs of still
+        # open pairs whose endpoints are all farther can owe it to a crossing.
+        found[pid[_endpoint_distance_sq_cols(*ends_ab) <= dist * dist]] = True
+        far = np.nonzero(~found[pid])[0]
+        if far.size:
+            found[pid[far[_intersect_cols(*(v[far] for v in ends_ab))]]] = True
+    return found
+
+
+def evaluate_predicate_pairs(
+    geoms_a: Sequence[Geometry],
+    geoms_b: Sequence[Geometry],
+    mask: str,
+    distance: float = 0.0,
+) -> Optional[List[bool]]:
+    """Evaluate a join predicate for a whole candidate array at once.
+
+    Pair ``k`` is ``(geoms_a[k], geoms_b[k])``.  Returns ``None`` when the
+    mask is outside the batchable subset (the caller then falls back to
+    scalar evaluation).  Supported: the within-distance predicate
+    (``distance > 0``) and the intersection masks ``ANYINTERACT`` /
+    ``INTERSECT`` (including ``+``-unions of the two).  Results are
+    bit-identical to ``JoinPredicate.evaluate`` on both backends.
+    """
+    _count("evaluate_predicate_pairs", len(geoms_a))
+    return _evaluate_pairs(geoms_a, geoms_b, mask, distance)
+
+
+def _evaluate_pairs(geoms_a, geoms_b, mask, distance):
+    dist = distance if distance and distance > 0.0 else 0.0
+    if not dist:
+        names = [n.strip() for n in mask.upper().split("+")] if mask else []
+        if not names or any(n not in ("ANYINTERACT", "INTERSECT") for n in names):
             return None
-        return evaluator(g1, pb).tolist()
-    if not sub:
-        return [True] * len(geoms)
-    pb = _gather_poly_candidates(sub)
-    if pb is None:
-        return None
-    hits = iter(evaluator(g1, pb).tolist())
-    return [True if g is g1 else next(hits) for g in geoms]
+    if _active_backend == "python" or np is None:
+        if dist:
+            return [within_distance(a, b, dist) for a, b in zip(geoms_a, geoms_b)]
+        return [intersects(a, b) for a, b in zip(geoms_a, geoms_b)]
+    return _pairs_np(geoms_a, geoms_b, dist)
 
 
 def evaluate_predicate_batch(
@@ -1142,23 +1226,10 @@ def evaluate_predicate_batch(
     mask: str,
     distance: float = 0.0,
 ) -> Optional[List[bool]]:
-    """Batch-evaluate a join predicate for one probe vs many candidates.
-
-    Returns ``None`` when the mask is outside the batchable subset (the
-    caller then falls back to scalar evaluation).  Supported: the
-    within-distance predicate (``distance > 0``) and the intersection
-    masks ``ANYINTERACT`` / ``INTERSECT`` (including ``+``-unions of the
-    two).  Results are bit-identical to the scalar path on both backends.
-    """
+    """``evaluate_predicate_pairs`` for one probe against many candidates
+    (window scans, index operators)."""
     _count("evaluate_predicate_batch", len(geoms))
-    if not geoms:
-        return []
-    if distance and distance > 0.0:
-        return within_distance_batch(g1, geoms, distance)
-    names = [n.strip() for n in mask.upper().split("+")] if mask else []
-    if not names or any(n not in ("ANYINTERACT", "INTERSECT") for n in names):
-        return None
-    return intersects_batch(g1, geoms)
+    return _evaluate_pairs([g1] * len(geoms), geoms, mask, distance)
 
 
 # ======================================================================

@@ -65,7 +65,24 @@ def on_segment(p: Point, a: Point, b: Point, eps: float = EPSILON) -> bool:
 def segments_intersect(
     a: Point, b: Point, c: Point, d: Point, eps: float = EPSILON
 ) -> bool:
-    """True if closed segments ``ab`` and ``cd`` share at least one point."""
+    """True if closed segments ``ab`` and ``cd`` share at least one point.
+
+    Segments whose bounding boxes are more than ``eps`` apart never
+    intersect.  That is part of the definition, not a shortcut: the
+    tolerance-scaled orientations alone call two near-collinear segments
+    that lie far apart along their common line "intersecting".  It is also
+    what lets the batch kernels discard edge pairs by box before any
+    orientation is computed and stay bit-identical.
+    """
+    ax0, ax1 = (a[0], b[0]) if a[0] <= b[0] else (b[0], a[0])
+    cx0, cx1 = (c[0], d[0]) if c[0] <= d[0] else (d[0], c[0])
+    if cx0 - ax1 > eps or ax0 - cx1 > eps:
+        return False
+    ay0, ay1 = (a[1], b[1]) if a[1] <= b[1] else (b[1], a[1])
+    cy0, cy1 = (c[1], d[1]) if c[1] <= d[1] else (d[1], c[1])
+    if cy0 - ay1 > eps or ay0 - cy1 > eps:
+        return False
+
     o1 = orientation(a, b, c, eps)
     o2 = orientation(a, b, d, eps)
     o3 = orientation(c, d, a, eps)

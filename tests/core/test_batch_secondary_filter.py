@@ -18,12 +18,12 @@ def filter_db(random_rects):
     return db
 
 
-def candidates_of(db):
+def candidates_of(db, slack=0.0):
     rows = [(rid, row[1]) for rid, row in db.table("t").scan()]
     out = []
     for ra, ga in rows:
         for rb, gb in rows:
-            if ga.mbr.intersects(gb.mbr):
+            if ga.mbr.expand(slack).intersects(gb.mbr):
                 out.append((ra, rb, ga.mbr, gb.mbr))
     return out
 
@@ -49,6 +49,85 @@ class TestBatchIdentity:
         # Same simulated work, charge kind by charge kind.
         assert ctx_b.meter.counts == ctx_s.meter.counts
         assert ctx_b.meter.seconds() == ctx_s.meter.seconds()
+
+    @pytest.mark.parametrize("backend", ("numpy", "python"))
+    @pytest.mark.parametrize("distance", (0.0, 1.5))
+    @pytest.mark.parametrize("use_interior", (False, True))
+    def test_array_at_a_time_keeps_cache_and_meter_identical(
+        self, filter_db, backend, distance, use_interior
+    ):
+        """One kernel call per array, yet the fetch sequence — and so the
+        LRU state, hit/miss counters and every charge — is the oracle's,
+        even when the cache is far smaller than the candidate array."""
+        cands = candidates_of(filter_db, slack=8.0)
+        assert len(cands) > 200
+        filters, contexts, results = [], [], []
+        with kernels.use_backend(backend):
+            for use_batch in (True, False):
+                f = SecondaryFilter(
+                    filter_db.table("t"), "geom", filter_db.table("t"), "geom",
+                    JoinPredicate(distance=distance), use_batch=use_batch,
+                    cache_capacity=5, use_interior=use_interior,
+                )
+                ctx = WorkerContext(0)
+                # two arrays through one filter: state carries over
+                half = len(cands) // 2
+                results.append(f.process(cands[:half], ctx) + f.process(cands[half:], ctx))
+                filters.append(f)
+                contexts.append(ctx)
+        batch, scalar = filters
+        assert results[0] == results[1]
+        assert (batch.cache.hits, batch.cache.misses) == (scalar.cache.hits, scalar.cache.misses)
+        assert list(batch.cache._entries) == list(scalar.cache._entries)
+        assert batch.cache.misses > 5  # the capacity really was exceeded
+        assert contexts[0].meter.counts == contexts[1].meter.counts
+        assert (batch.candidates_seen, batch.results_produced, batch.fast_accepts) == (
+            scalar.candidates_seen, scalar.results_produced, scalar.fast_accepts
+        )
+        assert batch.batched_candidates == batch.candidates_seen - batch.fast_accepts
+
+    def test_pinned_geometries_are_bounded_by_a_constant(self, monkeypatch):
+        """Every cache miss decodes a fresh object, so with a small cache a
+        candidate array of large polygons fetches far more geometry than
+        it has rows; the filter may hold a group's worth at a time."""
+        import gc
+        import math
+
+        from repro.core import secondary_filter
+        from repro.geometry.geometry import Geometry
+
+        def disc(cx, cy):
+            turn = 2 * math.pi / 400
+            return Geometry.polygon(
+                [(cx + 0.52 * math.cos(turn * k), cy + 0.52 * math.sin(turn * k))
+                 for k in range(400)]
+            )
+
+        db = Database()
+        load_geometries(db, "t", [disc(i % 8, i // 8) for i in range(48)])
+        rows = [(rid, row[1].mbr) for rid, row in db.table("t").scan()]
+        cands = [(ra, rb, ma, mb) for ra, ma in rows for rb, mb in rows]
+        vertices, alive = [], []
+        kernel = kernels.evaluate_predicate_pairs
+
+        def live_geometries():
+            return sum(isinstance(o, Geometry) for o in gc.get_objects())
+
+        def recording(geoms_a, geoms_b, mask, distance):
+            vertices.append(sum(g.num_vertices for g in (*geoms_a, *geoms_b)))
+            alive.append(live_geometries())
+            return kernel(geoms_a, geoms_b, mask, distance)
+
+        monkeypatch.setattr(kernels, "evaluate_predicate_pairs", recording)
+        f = make_filter(db, cache_capacity=4)
+        before = live_geometries()
+        pairs = f.process(cands, WorkerContext(0))
+        assert len(pairs) == 48 + 2 * (6 * 7 + 8 * 5)  # itself and its 4-neighbours
+        assert f.cache.misses > 2000  # nearly every second fetch decoded anew
+        assert len(vertices) > 10
+        assert max(vertices) < secondary_filter._GROUP_VERTICES + 2 * 401
+        # One group is ~165 fetched discs; the whole array would be ~2 300.
+        assert max(alive) - before < 400, alive
 
     def test_batched_candidates_counter(self, filter_db):
         cands = candidates_of(filter_db)
