@@ -4,11 +4,10 @@ The synchronized R-tree traversal visits node pairs; within each pair the
 original implementation tested every entry of one node against every entry
 of the other (NESTED, quadratic in fanout).  The SWEEP strategy replaces
 that with space restriction (clip each entry list to the other node's
-bounds) followed by a sort-based plane sweep, and SWEEP+flat additionally
-reads MBRs from the node's flat coordinate arrays instead of rebuilding
-them per visit.
+bounds) followed by a sort-based plane sweep over the node's flat
+coordinate arrays.
 
-All three variants must emit the *same* candidate pairs — the ablation
+Both variants must emit the *same* candidate pairs — the ablation
 measures only how much primary-filter work (``mbr_test`` charges, and
 hence simulated seconds) each policy spends to find them, on the Table 1
 counties workload and the largest >=25K Table 2 stars subset.
@@ -21,21 +20,17 @@ import pytest
 from repro.bench.reporting import ExperimentTable
 from repro.index.rtree.join import JoinStrategy
 
-VARIANTS = (
-    ("NESTED", JoinStrategy.NESTED, True),
-    ("SWEEP", JoinStrategy.SWEEP, False),
-    ("SWEEP+flat", JoinStrategy.SWEEP, True),
-)
+VARIANTS = (JoinStrategy.NESTED, JoinStrategy.SWEEP)
 
 
 def _join_rows(db, table, workload_label, distance=0.0):
     """Run the self-join under every pairing variant; one row per variant."""
     rows = []
     reference = None
-    for label, strategy, flat in VARIANTS:
+    for strategy in VARIANTS:
+        label = strategy.value
         result = db.spatial_join(
-            table, "geom", table, "geom",
-            distance=distance, strategy=strategy, use_flat_arrays=flat,
+            table, "geom", table, "geom", distance=distance, strategy=strategy
         )
         pairs = sorted(result.pairs)
         if reference is None:
@@ -102,7 +97,7 @@ def test_ablation_sweep(benchmark, counties_workload, stars_workload):
     workloads = {r["workload"] for r in rows}
     for wl in workloads:
         nested = by_key[(wl, "NESTED")]
-        sweep = by_key[(wl, "SWEEP+flat")]
+        sweep = by_key[(wl, "SWEEP")]
         assert sweep["result_size"] == nested["result_size"]
         assert sweep["mbr_tests"] < nested["mbr_tests"], (
             f"{wl}: sweep must cut primary-filter MBR tests"

@@ -40,8 +40,7 @@ OVERHEAD_BUDGET = 0.02  # simulated-seconds overhead must stay under 2%
 def _run_join(db):
     started = time.perf_counter()
     result = db.spatial_join(
-        "counties", "geom", "counties", "geom",
-        strategy=JoinStrategy.SWEEP, use_flat_arrays=True,
+        "counties", "geom", "counties", "geom", strategy=JoinStrategy.SWEEP
     )
     wall = time.perf_counter() - started
     return result, wall

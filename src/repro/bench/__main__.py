@@ -62,7 +62,7 @@ DESCRIPTIONS = {
     "figure1": "query cost vs tessellation level sweep (Figure 1)",
     "figure2": "window size vs response-time curve (Figure 2)",
     "ablation_sweep": "interior-tile / batching / approximation ablation",
-    "kernels": "scalar vs vectorized geometry-kernel ablation",
+    "kernels": "secondary filter: scalar oracle vs numpy pair kernel (Ablation H)",
     "grid": "grid-partitioned parallel join vs serial ablation",
     "columnar": "slotted heap vs zone-mapped column chunks ablation",
     "cluster": "sharded router scaling + cross-shard join exactness",

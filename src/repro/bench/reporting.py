@@ -34,15 +34,10 @@ def results_dir() -> str:
 
 
 def emit_bench_json(name: str, payload: Dict[str, Any]) -> str:
-    """Write ``BENCH_<name>.json`` under ``results_dir()`` *and* mirror it
-    at the repo root, where release tooling and CI diffs expect to find
-    the latest benchmark snapshot.  Returns the results-dir path."""
-    filename = f"BENCH_{name}.json"
-    text = json.dumps(payload, indent=2, sort_keys=True, default=str) + "\n"
-    path = os.path.join(results_dir(), filename)
-    for target in (path, os.path.join(repo_root(), filename)):
-        with open(target, "w") as fh:
-            fh.write(text)
+    """Write ``BENCH_<name>.json`` under ``results_dir()``; returns its path."""
+    path = os.path.join(results_dir(), f"BENCH_{name}.json")
+    with open(path, "w") as fh:
+        fh.write(json.dumps(payload, indent=2, sort_keys=True, default=str) + "\n")
     return path
 
 

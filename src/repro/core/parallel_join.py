@@ -88,7 +88,6 @@ class SpatialJoinFactory:
     fetch_order: FetchOrder = FetchOrder.SORTED
     use_interior: bool = False
     strategy: JoinStrategy = JoinStrategy.SWEEP
-    use_flat_arrays: bool = True
     use_pair_cursor: bool = False
     rng_seed: int = 0
     use_batch: bool = True
@@ -107,7 +106,6 @@ class SpatialJoinFactory:
             fetch_order=self.fetch_order,
             use_interior=self.use_interior,
             strategy=self.strategy,
-            use_flat_arrays=self.use_flat_arrays,
             rng_seed=self.rng_seed,
             use_batch=self.use_batch,
         )
@@ -161,7 +159,6 @@ def spatial_join(
     executor: Optional[ParallelExecutor] = None,
     use_interior: bool = False,
     strategy: JoinStrategy = JoinStrategy.SWEEP,
-    use_flat_arrays: bool = True,
     rng_seed: int = 0,
     use_batch: bool = True,
 ) -> JoinResult:
@@ -186,7 +183,6 @@ def spatial_join(
         fetch_order=fetch_order,
         use_interior=use_interior,
         strategy=strategy,
-        use_flat_arrays=use_flat_arrays,
         use_pair_cursor=False,
         rng_seed=rng_seed,
         use_batch=use_batch,
@@ -326,7 +322,6 @@ def parallel_spatial_join(
     min_pairs_per_slave: int = 2,
     use_interior: bool = False,
     strategy: JoinStrategy = JoinStrategy.SWEEP,
-    use_flat_arrays: bool = True,
     rng_seed: int = 0,
     use_batch: bool = True,
 ) -> JoinResult:
@@ -383,7 +378,6 @@ def parallel_spatial_join(
         fetch_order=fetch_order,
         use_interior=use_interior,
         strategy=strategy,
-        use_flat_arrays=use_flat_arrays,
         use_pair_cursor=True,
         rng_seed=rng_seed,
         use_batch=use_batch,

@@ -142,7 +142,7 @@ class SecondaryFilter:
         # Batch mode resolves each candidate array with one call of the
         # vectorized pair kernel.  Charges, statistics, result order and
         # results are identical to per-candidate evaluation (the oracle,
-        # ``use_batch=False``) on both kernel backends.
+        # ``use_batch=False``).
         self.use_batch = use_batch
         self.batched_candidates = 0
         self.candidates_seen = 0

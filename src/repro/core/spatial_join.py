@@ -82,7 +82,6 @@ class SpatialJoinFunction(TableFunction):
         cache_capacity: int = 4096,
         use_interior: bool = False,
         strategy: JoinStrategy = JoinStrategy.SWEEP,
-        use_flat_arrays: bool = True,
         rng_seed: int = 0,
         use_batch: bool = True,
     ):
@@ -94,7 +93,6 @@ class SpatialJoinFunction(TableFunction):
         self.predicate = predicate
         self.candidate_array_size = candidate_array_size
         self.strategy = strategy
-        self.use_flat_arrays = use_flat_arrays
         self._tree_a = tree_a
         self._tree_b = tree_b
         self._pair_cursor = subtree_pair_cursor
@@ -139,7 +137,6 @@ class SpatialJoinFunction(TableFunction):
                 pairs,
                 distance=self.predicate.distance,
                 strategy=self.strategy,
-                use_flat_arrays=self.use_flat_arrays,
             )
 
     def _fetch(self, ctx: WorkerContext, max_rows: int) -> List[Row]:

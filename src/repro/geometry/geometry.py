@@ -99,8 +99,8 @@ class Ring:
         """Cached contiguous ``float64`` ndarray view of the ring vertices.
 
         Shape ``(n, 2)``; never invalidated — rings are immutable, so the
-        decode cost is paid once per object.  Requires numpy (only the
-        vectorized kernel backend calls this).
+        decode cost is paid once per object.  Only the vectorized kernels
+        call this.
         """
         cached = self._coords_array
         if cached is None:
@@ -424,8 +424,8 @@ class Geometry:
 
         Vertex order matches :meth:`vertices`.  Never invalidated —
         geometries are immutable, so the decode cost is paid once per
-        fetched geometry, not once per predicate evaluation.  Requires
-        numpy (only the vectorized kernel backend calls this).
+        fetched geometry, not once per predicate evaluation.  Only the
+        vectorized kernels call this.
         """
         cached = self._coords_array
         if cached is None:
@@ -462,7 +462,7 @@ class Geometry:
                 px, py = part.coords[0]
                 dx, dy = px - x, py - y
                 # Squared comparison (see repro.geometry.kernels: the
-                # vectorized backend replicates exactly these operations).
+                # vectorized kernels replicate exactly these operations).
                 if dx * dx + dy * dy <= EPSILON * EPSILON:
                     return True
             elif part.geom_type is GeometryType.LINESTRING:

@@ -1,101 +1,52 @@
 """Vectorized batch geometry kernels (the data-parallel secondary filter).
 
 The paper's two-stage query pipeline bottoms out in exact geometry tests:
-the secondary filter of the spatial join (§4.2) and tile classification
-during tessellation (§5).  This module evaluates those tests over *batches*
-— a whole array of candidate pairs, many tiles against one geometry, all
-edge pairs of two chains at once — using numpy, with a pure
-Python fallback so environments without numpy (and CI parity jobs) run the
-same code paths.
-
-Backend selection
------------------
-The active backend is chosen by, in order of precedence:
-
-1. ``set_backend("numpy" | "python")`` / the ``use_backend()`` context
-   manager;
-2. the ``REPRO_KERNELS`` environment variable at import time;
-3. autodetection (numpy if importable, else python).
+the secondary filter of the spatial join (§4.2).  This module evaluates
+those tests over *batches* — a whole array of candidate pairs, all edge
+pairs of two chains at once, a node's entries against one window — with
+numpy.  There is one implementation per entry point; the scalar functions
+in :mod:`repro.geometry.predicates`, :mod:`repro.geometry.segments` and
+:mod:`repro.geometry.distance` are the oracle the tests compare it to
+(and what ``SecondaryFilter(use_batch=False)`` runs).
 
 Bit-identical results
 ---------------------
-Both backends are required to return *identical* results, not merely
-approximately equal ones.  The python backend simply delegates to the
-scalar predicates in :mod:`repro.geometry.predicates`,
-:mod:`repro.geometry.segments` and :mod:`repro.geometry.distance`.  The
-numpy backend replicates the scalar code's floating-point operations in
-the same order (same subtractions, same products, same tolerance scaling),
-so every comparison resolves the same way down to the last ULP.  Two
-library-wide conventions make this practical:
+The kernels return *identical* results to the scalar oracle, not merely
+approximately equal ones: they replicate the scalar code's floating-point
+operations in the same order (same subtractions, same products, same
+tolerance scaling), so every comparison resolves the same way down to the
+last ULP.  Two library-wide conventions make this practical:
 
 * all distance comparisons happen in *squared* space (``math.hypot`` and
   ``np.hypot`` may differ by one ULP; ``dx*dx + dy*dy`` cannot);
 * the epsilon-scaled orientation test is a fixed expression shared by
   ``segments.orientation`` and :func:`_orient_arr` below.
 
-The parity suite (``tests/geometry/test_kernels_parity.py``) enforces the
-contract over randomized and adversarially degenerate inputs.
+The parity suites (``tests/geometry/test_kernels_parity.py`` and
+``test_pair_kernel.py``) enforce the contract over randomized and
+adversarially degenerate inputs.
 """
 
 from __future__ import annotations
 
-import math
-import os
-from contextlib import contextmanager
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.errors import GeometryError
-from repro.geometry.distance import within_distance
 from repro.geometry.geometry import Geometry, GeometryType, Ring
-from repro.geometry.predicates import contains, intersects, touches
-from repro.geometry.segments import (
-    EPSILON,
-    segment_segment_distance,
-    segments_intersect,
-)
-
-try:  # numpy is an optional accelerator, never a hard requirement
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised only on numpy-less installs
-    np = None  # type: ignore[assignment]
+from repro.geometry.segments import EPSILON
 
 __all__ = [
-    "available_backends",
     "get_backend",
     "set_backend",
-    "use_backend",
     "counters",
     "reset_counters",
-    "mbr_intersects_batch",
     "mbr_filter_indices",
     "tile_ranges_batch",
-    "segments_intersect_batch",
-    "pairwise_segment_distance_batch",
-    "points_in_polygon_batch",
-    "intersects_batch",
-    "contains_batch",
-    "touches_batch",
-    "within_distance_batch",
-    "distance_batch",
     "evaluate_predicate_batch",
     "evaluate_predicate_pairs",
-    "classify_tiles",
-    "TILE_OUTSIDE_MBR",
-    "TILE_OUTSIDE",
-    "TILE_BOUNDARY",
-    "TILE_INTERIOR",
 ]
-
-# Below this (frontier size × vertex count) product, classify_tiles routes
-# through the scalar path even on the numpy backend: array dispatch costs
-# more than the handful of tuple tests it would replace.
-_SCALAR_TILE_CUTOFF = 64
-
-# Tile classification codes returned by :func:`classify_tiles`.
-TILE_OUTSIDE_MBR = 0  # quadrant does not even meet the geometry's MBR
-TILE_OUTSIDE = 1  # meets the MBR but not the geometry
-TILE_BOUNDARY = 2  # intersects the geometry boundary
-TILE_INTERIOR = 3  # wholly inside a polygonal geometry
 
 # Cap on the element count of any intermediate (n, m) pair matrix; larger
 # batches are processed in row chunks so peak memory stays bounded
@@ -110,55 +61,16 @@ _CHUNK_ELEMS = 1 << 20
 # served join ~10 % of peak RSS in allocator retention.
 _PAIR_SLICE_ELEMS = 1 << 13
 
-_BACKENDS = ("numpy", "python")
-
-
-def _resolve_backend(name: str) -> str:
-    name = name.strip().lower()
-    if name not in _BACKENDS:
-        raise GeometryError(
-            f"unknown kernels backend {name!r}; expected one of {_BACKENDS}"
-        )
-    if name == "numpy" and np is None:
-        raise GeometryError("kernels backend 'numpy' requested but numpy is not importable")
-    return name
-
-
-def _initial_backend() -> str:
-    env = os.environ.get("REPRO_KERNELS", "").strip()
-    if env:
-        return _resolve_backend(env)
-    return "numpy" if np is not None else "python"
-
-
-_active_backend = _initial_backend()
-
-
-def available_backends() -> Tuple[str, ...]:
-    """Backends usable in this environment."""
-    return _BACKENDS if np is not None else ("python",)
-
 
 def get_backend() -> str:
-    """Name of the active kernels backend (``"numpy"`` or ``"python"``)."""
-    return _active_backend
+    """Always ``"numpy"``; kept for ``benchmarks/wallclock/common.py``."""
+    return "numpy"
 
 
 def set_backend(name: str) -> None:
-    """Select the kernels backend for the whole process."""
-    global _active_backend
-    _active_backend = _resolve_backend(name)
-
-
-@contextmanager
-def use_backend(name: str) -> Iterator[None]:
-    """Temporarily switch backend (used by tests and the ablation bench)."""
-    previous = _active_backend
-    set_backend(name)
-    try:
-        yield
-    finally:
-        set_backend(previous)
+    """Accepts ``"numpy"`` only; kept for ``benchmarks/wallclock/common.py``."""
+    if name != "numpy":
+        raise GeometryError(f"unknown kernels backend {name!r}; only 'numpy' exists")
 
 
 # ----------------------------------------------------------------------
@@ -174,15 +86,14 @@ def _count(entry: str, items: int) -> None:
     tally[entry] = tally.get(entry, 0) + int(items)
 
 
-def counters() -> Dict[str, Any]:
+def counters() -> Dict[str, Dict[str, int]]:
     """Per-entry-point call and item tallies for the active process.
 
     ``calls`` counts invocations of each batch entry point; ``items``
     counts the elements those invocations processed, so
-    ``items / calls`` is the mean batch width a backend actually saw.
+    ``items / calls`` is the mean batch width the kernel actually saw.
     """
     return {
-        "backend": get_backend(),
         "calls": dict(_counters["calls"]),
         "items": dict(_counters["items"]),
     }
@@ -197,40 +108,6 @@ def reset_counters() -> None:
 # ======================================================================
 # MBR kernels
 # ======================================================================
-def mbr_intersects_batch(
-    min_xs: Sequence[float],
-    min_ys: Sequence[float],
-    max_xs: Sequence[float],
-    max_ys: Sequence[float],
-    box: Tuple[float, float, float, float],
-    distance: float = 0.0,
-) -> List[bool]:
-    """Closed-interval MBR-vs-window tests over parallel coordinate arrays.
-
-    ``box`` is ``(lo_x, lo_y, hi_x, hi_y)``.  With ``distance > 0`` the test
-    becomes the gap-form within-distance filter used by the join's primary
-    filter: an entry survives when no axis gap exceeds ``distance``.
-    """
-    lo_x, lo_y, hi_x, hi_y = box
-    d = distance
-    _count("mbr_intersects_batch", len(min_xs))
-    if _active_backend == "python" or np is None:
-        return [
-            not (
-                lo_x - max_xs[i] > d
-                or min_xs[i] - hi_x > d
-                or lo_y - max_ys[i] > d
-                or min_ys[i] - hi_y > d
-            )
-            for i in range(len(min_xs))
-        ]
-    x0, y0, x1, y1 = (_as_f64(a) for a in (min_xs, min_ys, max_xs, max_ys))
-    keep = (
-        (lo_x - x1 <= d) & (x0 - hi_x <= d) & (lo_y - y1 <= d) & (y0 - hi_y <= d)
-    )
-    return keep.tolist()
-
-
 def mbr_filter_indices(
     coords: Tuple[Sequence[float], Sequence[float], Sequence[float], Sequence[float]],
     box: Tuple[float, float, float, float],
@@ -249,23 +126,6 @@ def mbr_filter_indices(
     lo_x, lo_y, hi_x, hi_y = box
     d = distance
     _count("mbr_filter_indices", len(x0s))
-    if _active_backend == "python" or np is None:
-        out = []
-        d2 = d * d
-        for i in range(len(x0s)):
-            gx_lo = lo_x - x1s[i]
-            gx_hi = x0s[i] - hi_x
-            gy_lo = lo_y - y1s[i]
-            gy_hi = y0s[i] - hi_y
-            if gx_lo > d or gx_hi > d or gy_lo > d or gy_hi > d:
-                continue
-            if exact and d > 0.0:
-                dx = max(gx_lo, gx_hi, 0.0)
-                dy = max(gy_lo, gy_hi, 0.0)
-                if dx * dx + dy * dy > d2:
-                    continue
-            out.append(i)
-        return out
     x0, y0, x1, y1 = (_as_f64(a) for a in (x0s, y0s, x1s, y1s))
     gx_lo = lo_x - x1
     gx_hi = x0 - hi_x
@@ -305,11 +165,11 @@ def tile_ranges_batch(
     inclusive index ranges ``ix0..ix1`` / ``iy0..iy1`` of the tiles it
     overlaps, clamped to the grid.  Returned as four parallel int lists.
 
-    Both backends floor the same float64 expression ``(v - origin) / size``
-    so the integer bins are bit-identical, and downstream duplicate
-    avoidance (which compares only these integers) never faces an epsilon:
-    an MBR edge exactly on a tile boundary lands in the same bin on every
-    backend and for every entry sharing that coordinate.
+    The bins are the floor of the float64 expression ``(v - origin) / size``
+    (``math.floor`` of the same expression is the test oracle), so downstream
+    duplicate avoidance, which compares only these integers, never faces an
+    epsilon: an MBR edge exactly on a tile boundary lands in the same bin
+    for every entry sharing that coordinate.
     """
     x0s, y0s, x1s, y1s = coords
     gx, gy = origin
@@ -317,17 +177,6 @@ def tile_ranges_batch(
     nx, ny = shape
     n = len(x0s)
     _count("tile_ranges_batch", n)
-    if _active_backend == "python" or np is None:
-        ix0: List[int] = [0] * n
-        ix1: List[int] = [0] * n
-        iy0: List[int] = [0] * n
-        iy1: List[int] = [0] * n
-        for i in range(n):
-            ix0[i] = min(max(math.floor((x0s[i] - expand - gx) / tw), 0), nx - 1)
-            ix1[i] = min(max(math.floor((x1s[i] + expand - gx) / tw), 0), nx - 1)
-            iy0[i] = min(max(math.floor((y0s[i] - expand - gy) / th), 0), ny - 1)
-            iy1[i] = min(max(math.floor((y1s[i] + expand - gy) / th), 0), ny - 1)
-        return ix0, ix1, iy0, iy1
     x0, y0, x1, y1 = (_as_f64(a) for a in (x0s, y0s, x1s, y1s))
     ix0a = np.clip(np.floor((x0 - expand - gx) / tw), 0, nx - 1).astype(np.intp)
     ix1a = np.clip(np.floor((x1 + expand - gx) / tw), 0, nx - 1).astype(np.intp)
@@ -339,48 +188,6 @@ def tile_ranges_batch(
 # ======================================================================
 # Segment-pair kernels
 # ======================================================================
-def segments_intersect_batch(edges_a, edges_b) -> List[List[bool]]:
-    """All-pairs closed-segment intersection matrix.
-
-    ``edges_a`` / ``edges_b`` are ``(n, 4)`` / ``(m, 4)`` row arrays of
-    ``(x1, y1, x2, y2)``; returns an ``n x m`` nested list of booleans.
-    """
-    if _active_backend == "python" or np is None:
-        return [
-            [
-                segments_intersect((r[0], r[1]), (r[2], r[3]), (s[0], s[1]), (s[2], s[3]))
-                for s in edges_b
-            ]
-            for r in edges_a
-        ]
-    ea = np.asarray(edges_a, dtype=np.float64).reshape(-1, 4)
-    eb = np.asarray(edges_b, dtype=np.float64).reshape(-1, 4)
-    out = np.zeros((len(ea), len(eb)), dtype=bool)
-    for sl in _row_chunks(len(ea), len(eb)):
-        out[sl] = _intersect_matrix(ea[sl], eb)
-    return out.tolist()
-
-
-def pairwise_segment_distance_batch(edges_a, edges_b) -> List[List[float]]:
-    """All-pairs minimum distances between two edge sets (``n x m``)."""
-    if _active_backend == "python" or np is None:
-        return [
-            [
-                segment_segment_distance(
-                    (r[0], r[1]), (r[2], r[3]), (s[0], s[1]), (s[2], s[3])
-                )
-                for s in edges_b
-            ]
-            for r in edges_a
-        ]
-    ea = np.asarray(edges_a, dtype=np.float64).reshape(-1, 4)
-    eb = np.asarray(edges_b, dtype=np.float64).reshape(-1, 4)
-    out = np.zeros((len(ea), len(eb)), dtype=np.float64)
-    for sl in _row_chunks(len(ea), len(eb)):
-        out[sl] = np.sqrt(_seg_distance_sq_matrix(ea[sl], eb))
-    return out.tolist()
-
-
 def _row_chunks(n: int, m: int):
     """Slices over the rows of an (n, m) pair matrix, bounded by _CHUNK_ELEMS."""
     if n == 0:
@@ -509,32 +316,12 @@ def _intersect_matrix(ea, eb):
     return _intersect_cols(*(ea[:, k : k + 1] for k in range(4)), *(eb[:, k] for k in range(4)))
 
 
-def _proper_matrix(ea, eb):
-    """Vectorized ``predicates._proper_crossing`` (transversal crossings only)."""
-    ax, ay, bx, by = (ea[:, k : k + 1] for k in range(4))
-    cx, cy, dx, dy = (eb[:, k] for k in range(4))
-    o1 = _orient_arr(ax, ay, bx, by, cx, cy)
-    o2 = _orient_arr(ax, ay, bx, by, dx, dy)
-    o3 = _orient_arr(cx, cy, dx, dy, ax, ay)
-    o4 = _orient_arr(cx, cy, dx, dy, bx, by)
-    return (o1 != o2) & (o3 != o4) & (o1 != 0) & (o2 != 0) & (o3 != 0) & (o4 != 0)
-
-
 def _cross_any(ea, eb) -> bool:
     """True if any edge of ``ea`` intersects any edge of ``eb`` (chunked)."""
     if len(ea) == 0 or len(eb) == 0:
         return False
     for sl in _row_chunks(len(ea), len(eb)):
         if bool(_intersect_matrix(ea[sl], eb).any()):
-            return True
-    return False
-
-
-def _proper_any(ea, eb) -> bool:
-    if len(ea) == 0 or len(eb) == 0:
-        return False
-    for sl in _row_chunks(len(ea), len(eb)):
-        if bool(_proper_matrix(ea[sl], eb).any()):
             return True
     return False
 
@@ -589,21 +376,6 @@ def _min_seg_distance_sq(ea, eb) -> float:
 # ======================================================================
 # Point-location kernels
 # ======================================================================
-def points_in_polygon_batch(points, geom: Geometry) -> List[bool]:
-    """Batch ``geom.contains_point`` over ``points`` (sequence of ``(x, y)``).
-
-    This is the vectorized crossing-number test: one call classifies every
-    point against every ring of ``geom`` (boundary counts as inside, holes
-    punch out their strict interior), matching ``Geometry.contains_point``
-    bit for bit.
-    """
-    if _active_backend == "python" or np is None:
-        return [geom.contains_point(x, y) for x, y in points]
-    pts = np.asarray(points, dtype=np.float64).reshape(-1, 2)
-    res = _geometry_contains_points(geom, pts[:, 0], pts[:, 1])
-    return res.tolist()
-
-
 def _points_on_edges(px, py, edges) -> "np.ndarray":
     """Per-point: does the point lie on any of ``edges``?  (on_segment batch)"""
     out = np.zeros(px.shape[0], dtype=bool)
@@ -706,16 +478,6 @@ def _part_contains_points(part: Geometry, px, py) -> "np.ndarray":
     return res
 
 
-def _geometry_contains_points(geom: Geometry, px, py) -> "np.ndarray":
-    """Batch ``Geometry.contains_point`` (OR over primitive parts)."""
-    res = np.zeros(px.shape[0], dtype=bool)
-    for part in geom.simple_parts():
-        res |= _part_contains_points(part, px, py)
-        if res.all():
-            break
-    return res
-
-
 def _points_intersect_geometry(geom: Geometry, px, py) -> "np.ndarray":
     """Batch ``predicates.intersects(geom, POINT)``.
 
@@ -739,17 +501,6 @@ def _points_intersect_geometry(geom: Geometry, px, py) -> "np.ndarray":
         if res.all():
             break
     return top & res
-
-
-def _points_on_boundary(geom: Geometry, px, py) -> "np.ndarray":
-    """Batch ``predicates._on_boundary``."""
-    res = _points_on_edges(px, py, geom.edges_array())
-    for part in geom.simple_parts():
-        if part.geom_type is GeometryType.POINT:
-            qx, qy = part.coords[0]
-            dx, dy = qx - px, qy - py
-            res |= dx * dx + dy * dy <= EPSILON * EPSILON
-    return res
 
 
 # ======================================================================
@@ -796,57 +547,6 @@ def _simple_intersects_np(a: Geometry, b: Geometry) -> bool:
     return a.contains_point(bx, by)
 
 
-def _contains_np(g1: Geometry, g2: Geometry) -> bool:
-    if not g1.mbr.contains(g2.mbr):
-        return False
-    for part in g2.simple_parts():
-        if not _covered_by_np(part, g1):
-            return False
-    return True
-
-
-def _covered_by_np(small: Geometry, big: Geometry) -> bool:
-    verts = small.coords_array()
-    if len(verts) and not bool(
-        _geometry_contains_points(big, verts[:, 0], verts[:, 1]).all()
-    ):
-        return False
-    edges = small.edges_array()
-    if len(edges):
-        if _proper_any(edges, big.edges_array()):
-            return False
-        mid_x = (edges[:, 0] + edges[:, 2]) / 2.0
-        mid_y = (edges[:, 1] + edges[:, 3]) / 2.0
-        if not bool(_geometry_contains_points(big, mid_x, mid_y).all()):
-            return False
-    if small.geom_type is GeometryType.POINT and small.coords:
-        x, y = small.coords[0]
-        return big.contains_point(x, y)
-    return True
-
-
-def _touches_np(g1: Geometry, g2: Geometry) -> bool:
-    if not _intersects_np(g1, g2):
-        return False
-    if _proper_any(g1.edges_array(), g2.edges_array()):
-        return False
-    if _any_vertex_strictly_inside_np(g1, g2) or _any_vertex_strictly_inside_np(g2, g1):
-        return False
-    return True
-
-
-def _any_vertex_strictly_inside_np(g: Geometry, container: Geometry) -> bool:
-    verts = g.coords_array()
-    if not len(verts):
-        return False
-    inside = _geometry_contains_points(container, verts[:, 0], verts[:, 1])
-    idx = np.nonzero(inside)[0]
-    if idx.size == 0:
-        return False
-    on_bnd = _points_on_boundary(container, verts[idx, 0], verts[idx, 1])
-    return bool((~on_bnd).any())
-
-
 def _distance_sq_np(g1: Geometry, g2: Geometry, stop_below_sq: float = 0.0) -> float:
     """Vectorized ``distance.distance_sq``; same pruning, full-matrix mins."""
     if g1.mbr.intersects(g2.mbr) and _intersects_np(g1, g2):
@@ -891,58 +591,16 @@ def _simple_distance_sq_np(a: Geometry, b: Geometry) -> float:
 
 
 def _within_distance_np(g1: Geometry, g2: Geometry, dist: float) -> bool:
-    if dist < 0:
-        return False
+    """``distance.within_distance`` for ``dist > 0``."""
     if not g1.mbr.expand(dist).intersects(g2.mbr):
         return False
-    if dist == 0.0:
-        return _intersects_np(g1, g2)
     d2 = dist * dist
     return _distance_sq_np(g1, g2, stop_below_sq=d2) <= d2
 
 
 # ======================================================================
-# Public batch predicates
+# Join-predicate kernels
 # ======================================================================
-def intersects_batch(g1: Geometry, geoms: Sequence[Geometry]) -> List[bool]:
-    """Batch ``predicates.intersects(g1, g)`` over candidate geometries."""
-    if _active_backend == "python" or np is None:
-        return [intersects(g1, g) for g in geoms]
-    return _pairs_np([g1] * len(geoms), geoms, 0.0)
-
-
-def contains_batch(g1: Geometry, geoms: Sequence[Geometry]) -> List[bool]:
-    """Batch ``predicates.contains(g1, g)``."""
-    if _active_backend == "python" or np is None:
-        return [contains(g1, g) for g in geoms]
-    return [_contains_np(g1, g) for g in geoms]
-
-
-def touches_batch(g1: Geometry, geoms: Sequence[Geometry]) -> List[bool]:
-    """Batch ``predicates.touches(g1, g)``."""
-    if _active_backend == "python" or np is None:
-        return [touches(g1, g) for g in geoms]
-    return [_touches_np(g1, g) for g in geoms]
-
-
-def within_distance_batch(
-    g1: Geometry, geoms: Sequence[Geometry], dist: float
-) -> List[bool]:
-    """Batch ``distance.within_distance(g1, g, dist)``."""
-    if _active_backend == "python" or np is None or dist < 0.0:
-        return [within_distance(g1, g, dist) for g in geoms]
-    return _pairs_np([g1] * len(geoms), geoms, dist)
-
-
-def distance_batch(g1: Geometry, geoms: Sequence[Geometry]) -> List[float]:
-    """Batch exact distances (rooted once, at this API boundary)."""
-    if _active_backend == "python" or np is None:
-        from repro.geometry.distance import distance
-
-        return [distance(g1, g) for g in geoms]
-    return [math.sqrt(_distance_sq_np(g1, g)) for g in geoms]
-
-
 def _all_points_array(geoms: Sequence[Geometry]):
     """(n, 2) array when every candidate is a simple POINT, else None."""
     for g in geoms:
@@ -1201,7 +859,7 @@ def evaluate_predicate_pairs(
     scalar evaluation).  Supported: the within-distance predicate
     (``distance > 0``) and the intersection masks ``ANYINTERACT`` /
     ``INTERSECT`` (including ``+``-unions of the two).  Results are
-    bit-identical to ``JoinPredicate.evaluate`` on both backends.
+    bit-identical to ``JoinPredicate.evaluate``.
     """
     _count("evaluate_predicate_pairs", len(geoms_a))
     return _evaluate_pairs(geoms_a, geoms_b, mask, distance)
@@ -1213,10 +871,6 @@ def _evaluate_pairs(geoms_a, geoms_b, mask, distance):
         names = [n.strip() for n in mask.upper().split("+")] if mask else []
         if not names or any(n not in ("ANYINTERACT", "INTERSECT") for n in names):
             return None
-    if _active_backend == "python" or np is None:
-        if dist:
-            return [within_distance(a, b, dist) for a, b in zip(geoms_a, geoms_b)]
-        return [intersects(a, b) for a, b in zip(geoms_a, geoms_b)]
     return _pairs_np(geoms_a, geoms_b, dist)
 
 
@@ -1230,176 +884,3 @@ def evaluate_predicate_batch(
     (window scans, index operators)."""
     _count("evaluate_predicate_batch", len(geoms))
     return _evaluate_pairs([g1] * len(geoms), geoms, mask, distance)
-
-
-# ======================================================================
-# Tile-classification kernel (tessellation frontier)
-# ======================================================================
-def classify_tiles(geom: Geometry, quads, polygonal: bool) -> List[int]:
-    """Classify a frontier of quadrant MBRs against one geometry.
-
-    Returns one code per quadrant: :data:`TILE_OUTSIDE_MBR`,
-    :data:`TILE_OUTSIDE`, :data:`TILE_BOUNDARY` or :data:`TILE_INTERIOR`
-    (the last only when ``polygonal``).  Matches the per-tile scalar
-    sequence in ``tessellate``: MBR gate, ``intersects(rect, geom)``,
-    then ``contains(geom, rect)``.
-    """
-    n = len(quads)
-    _count("classify_tiles", n)
-    if n == 0:
-        return []
-    # Tiny work items — a point's one-tile-per-level frontier, the root
-    # quadrant of a small geometry — lose to array dispatch overhead.
-    # Both paths are bit-identical, so routing them scalar is purely a
-    # constant-factor switch (frontier size × vertex count ≈ work).
-    if (
-        _active_backend == "python"
-        or np is None
-        or n * geom.num_vertices < _SCALAR_TILE_CUTOFF
-    ):
-        return [_classify_tile_scalar(geom, quad, polygonal) for quad in quads]
-    qx0 = np.asarray([q.min_x for q in quads], dtype=np.float64)
-    qy0 = np.asarray([q.min_y for q in quads], dtype=np.float64)
-    qx1 = np.asarray([q.max_x for q in quads], dtype=np.float64)
-    qy1 = np.asarray([q.max_y for q in quads], dtype=np.float64)
-    m = geom.mbr
-    codes = np.zeros(n, dtype=np.int64)
-    mbr_ok = (qx0 <= m.max_x) & (m.min_x <= qx1) & (qy0 <= m.max_y) & (m.min_y <= qy1)
-    codes[mbr_ok] = TILE_OUTSIDE
-    act = np.nonzero(mbr_ok)[0]
-    if act.size == 0:
-        return codes.tolist()
-    # Degenerate quadrants (zero width/height) become point/line window
-    # geometries in the scalar path; classify those few via the scalar code.
-    deg = (qx1[act] == qx0[act]) | (qy1[act] == qy0[act])
-    for t in act[deg]:
-        codes[t] = _classify_tile_scalar(geom, quads[int(t)], polygonal)
-    sub = act[~deg]
-    if sub.size == 0:
-        return codes.tolist()
-    inter = _rects_intersect_geom(geom, qx0[sub], qy0[sub], qx1[sub], qy1[sub])
-    hit = sub[inter]
-    codes[hit] = TILE_BOUNDARY
-    if polygonal and hit.size:
-        within = _rects_within_geom(geom, qx0[hit], qy0[hit], qx1[hit], qy1[hit])
-        codes[hit[within]] = TILE_INTERIOR
-    return codes.tolist()
-
-
-def _classify_tile_scalar(geom: Geometry, quad, polygonal: bool) -> int:
-    if not quad.intersects(geom.mbr):
-        return TILE_OUTSIDE_MBR
-    rect = Geometry.from_mbr(quad)
-    if not intersects(rect, geom):
-        return TILE_OUTSIDE
-    if polygonal and contains(geom, rect):
-        return TILE_INTERIOR
-    return TILE_BOUNDARY
-
-
-def _rect_edge_array(x0, y0, x1, y1):
-    """(R, 4, 4) boundary edges of axis-aligned rects, in Ring.edges order."""
-    e = np.empty((x0.shape[0], 4, 4), dtype=np.float64)
-    e[:, 0] = np.stack([x0, y0, x1, y0], axis=1)
-    e[:, 1] = np.stack([x1, y0, x1, y1], axis=1)
-    e[:, 2] = np.stack([x1, y1, x0, y1], axis=1)
-    e[:, 3] = np.stack([x0, y1, x0, y0], axis=1)
-    return e
-
-
-def _rect_edges_any(rect_edges, part_edges, matrix_fn) -> "np.ndarray":
-    """Per-rect: does any of its 4 edges satisfy ``matrix_fn`` vs part_edges?"""
-    flat = rect_edges.reshape(-1, 4)
-    out = np.zeros(flat.shape[0], dtype=bool)
-    if len(part_edges):
-        for sl in _row_chunks(flat.shape[0], len(part_edges)):
-            out[sl] = matrix_fn(flat[sl], part_edges).any(axis=1)
-    return out.reshape(-1, 4).any(axis=1)
-
-
-def _rects_intersect_geom(geom: Geometry, x0, y0, x1, y1) -> "np.ndarray":
-    """Batch ``predicates.intersects(rect, geom)`` for non-degenerate rects."""
-    n = x0.shape[0]
-    res = np.zeros(n, dtype=bool)
-    rect_edges = _rect_edge_array(x0, y0, x1, y1)
-    rect_cache = {}
-
-    def rect_geom(i: int) -> Geometry:
-        g = rect_cache.get(i)
-        if g is None:
-            g = Geometry.rectangle(x0[i], y0[i], x1[i], y1[i])
-            rect_cache[i] = g
-        return g
-
-    for part in geom.simple_parts():
-        pm = part.mbr
-        gate = (x0 <= pm.max_x) & (pm.min_x <= x1) & (y0 <= pm.max_y) & (pm.min_y <= y1)
-        need = np.nonzero(gate & ~res)[0]
-        if need.size == 0:
-            continue
-        if part.geom_type is GeometryType.POINT:
-            ppx, ppy = part.coords[0]
-            for t in need:
-                if rect_geom(int(t)).contains_point(ppx, ppy):
-                    res[t] = True
-            continue
-        hit = _rect_edges_any(rect_edges[need], part.edges_array(), _intersect_matrix)
-        res[need[hit]] = True
-        rem = need[~hit]
-        if rem.size == 0:
-            continue
-        if part.geom_type is GeometryType.LINESTRING:
-            fx, fy = part.coords[0]
-            for t in rem:
-                if rect_geom(int(t)).contains_point(fx, fy):
-                    res[t] = True
-        else:
-            corner_in = _part_contains_points(part, x0[rem], y0[rem])
-            res[rem[corner_in]] = True
-            rem2 = rem[~corner_in]
-            if rem2.size:
-                fx, fy = part.exterior.coords[0]  # type: ignore[union-attr]
-                for t in rem2:
-                    if rect_geom(int(t)).contains_point(fx, fy):
-                        res[t] = True
-    return res
-
-
-def _rects_within_geom(geom: Geometry, x0, y0, x1, y1) -> "np.ndarray":
-    """Batch ``predicates.contains(geom, rect)`` for non-degenerate rects."""
-    n = x0.shape[0]
-    gm = geom.mbr
-    keep = (gm.min_x <= x0) & (gm.max_x >= x1) & (gm.min_y <= y0) & (gm.max_y >= y1)
-    idx = np.nonzero(keep)[0]
-    out = np.zeros(n, dtype=bool)
-    if idx.size == 0:
-        return out
-    # All four corners covered by the geometry.
-    cx = np.stack([x0[idx], x1[idx], x1[idx], x0[idx]], axis=1).ravel()
-    cy = np.stack([y0[idx], y0[idx], y1[idx], y1[idx]], axis=1).ravel()
-    ok = _geometry_contains_points(geom, cx, cy).reshape(-1, 4).all(axis=1)
-    idx = idx[ok]
-    if idx.size == 0:
-        return out
-    # No rect edge properly crosses a geometry boundary edge.
-    ge = geom.edges_array()
-    if len(ge):
-        prop = _rect_edges_any(
-            _rect_edge_array(x0[idx], y0[idx], x1[idx], y1[idx]), ge, _proper_matrix
-        )
-        idx = idx[~prop]
-        if idx.size == 0:
-            return out
-    # Edge midpoints covered (guards against holes the edges do not touch).
-    rx0, ry0, rx1, ry1 = x0[idx], y0[idx], x1[idx], y1[idx]
-    mx = np.stack(
-        [(rx0 + rx1) / 2.0, (rx1 + rx1) / 2.0, (rx1 + rx0) / 2.0, (rx0 + rx0) / 2.0],
-        axis=1,
-    ).ravel()
-    my = np.stack(
-        [(ry0 + ry0) / 2.0, (ry0 + ry1) / 2.0, (ry1 + ry1) / 2.0, (ry1 + ry0) / 2.0],
-        axis=1,
-    ).ravel()
-    ok = _geometry_contains_points(geom, mx, my).reshape(-1, 4).all(axis=1)
-    out[idx[ok]] = True
-    return out

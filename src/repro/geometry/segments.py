@@ -130,7 +130,7 @@ def point_segment_distance_sq(p: Point, a: Point, b: Point) -> float:
     multiply instead of a ``sqrt`` per comparison); the square root is
     taken once at the public API boundary.  The batch kernels replicate
     exactly these arithmetic operations, so the scalar and vectorized
-    backends produce bit-identical comparison outcomes.
+    code produce bit-identical comparison outcomes.
     """
     ab_x, ab_y = b[0] - a[0], b[1] - a[1]
     ap_x, ap_y = p[0] - a[0], p[1] - a[1]

@@ -10,10 +10,10 @@ by boundary length, as the paper observes for "large and complex polygon
 geometries" (§5).
 
 Subdivision proceeds level-synchronously: the whole quadrant frontier of a
-recursion level is classified in one :func:`repro.geometry.kernels.classify_tiles`
-call (vectorized under the numpy backend), instead of one ``intersects`` /
-``contains`` pair per tile.  Tile output, work charges and classification
-outcomes are identical to the depth-first formulation on both backends.
+recursion level is classified, tile by tile with the scalar predicates
+(MBR gate, ``intersects(rect, geom)``, then ``contains(geom, rect)``),
+before the next level is expanded.  Tile output, work charges and
+classification outcomes are identical to the depth-first formulation.
 
 Work units charged: ``tessellate_per_vertex`` once per geometry vertex and
 ``tessellate_per_tile`` per quadrant examined with an exact test.
@@ -25,12 +25,19 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from repro.engine.parallel import WorkerContext
-from repro.geometry import kernels
 from repro.geometry.geometry import Geometry, GeometryType
+from repro.geometry.mbr import MBR
+from repro.geometry.predicates import contains, intersects
 from repro.index.quadtree.codes import TileGrid, morton_encode
 from repro.obs import trace
 
 __all__ = ["Tile", "tessellate"]
+
+# Tile classification codes of :func:`_classify_tile_scalar`.
+TILE_OUTSIDE_MBR = 0  # quadrant does not even meet the geometry's MBR
+TILE_OUTSIDE = 1  # meets the MBR but not the geometry
+TILE_BOUNDARY = 2  # intersects the geometry boundary
+TILE_INTERIOR = 3  # wholly inside a polygonal geometry
 
 
 @dataclass(frozen=True, slots=True)
@@ -71,18 +78,16 @@ def tessellate(
                 # charge per quadrant examined, exactly as per-tile descent would).
                 if ctx is not None:
                     ctx.charge("mbr_test", len(quads))
-                codes = kernels.classify_tiles(geom, quads, polygonal)
+                codes = [_classify_tile_scalar(geom, q, polygonal) for q in quads]
                 if ctx is not None:
-                    examined = sum(
-                        1 for c in codes if c != kernels.TILE_OUTSIDE_MBR
-                    )
+                    examined = sum(1 for c in codes if c != TILE_OUTSIDE_MBR)
                     if examined:
                         ctx.charge("tessellate_per_tile", examined)
                 next_frontier: List[Tuple[int, int]] = []
                 for (ix, iy), code in zip(frontier, codes):
-                    if code in (kernels.TILE_OUTSIDE_MBR, kernels.TILE_OUTSIDE):
+                    if code in (TILE_OUTSIDE_MBR, TILE_OUTSIDE):
                         continue
-                    if code == kernels.TILE_INTERIOR:
+                    if code == TILE_INTERIOR:
                         _emit_block(grid, level, ix, iy, interior=True, out=tiles)
                     elif level == grid.level:
                         tiles.append(Tile(morton_encode(ix, iy), interior=False))
@@ -95,6 +100,17 @@ def tessellate(
         tiles.sort(key=lambda t: t.code)
         geom_span.set_tag("tiles", len(tiles))
     return tiles
+
+
+def _classify_tile_scalar(geom: Geometry, quad: MBR, polygonal: bool) -> int:
+    if not quad.intersects(geom.mbr):
+        return TILE_OUTSIDE_MBR
+    rect = Geometry.from_mbr(quad)
+    if not intersects(rect, geom):
+        return TILE_OUTSIDE
+    if polygonal and contains(geom, rect):
+        return TILE_INTERIOR
+    return TILE_BOUNDARY
 
 
 def _emit_block(

@@ -26,9 +26,7 @@ selected by :class:`JoinStrategy`:
   only pairs whose x-ranges interact — O(n log n + k) instead of O(n·m).
   The sweep reads the node's flat-array (struct-of-arrays) coordinate
   vectors (:meth:`RTreeNode.coords`), comparing raw floats instead of
-  chasing ``Entry → MBR`` attribute chains; ``use_flat_arrays=False``
-  rebuilds plain coordinate lists on every node-pair visit instead (the
-  object-layout ablation point).
+  chasing ``Entry → MBR`` attribute chains.
 
 * ``GRID`` — space-oriented: instead of pairing entries node by node, each
   root pair's leaf entries are collected, binned into a uniform grid over
@@ -54,7 +52,7 @@ from typing import Deque, Iterator, List, Optional, Tuple
 from repro.engine.parallel import WorkerContext
 from repro.geometry import kernels
 from repro.geometry.mbr import MBR
-from repro.index.rtree.node import NodeCoords, RTreeNode, entry_coords
+from repro.index.rtree.node import RTreeNode
 from repro.storage.heap import RowId
 
 __all__ = ["CandidatePair", "JoinStrategy", "RTreeJoinCursor"]
@@ -80,13 +78,11 @@ class RTreeJoinCursor:
         root_pairs: List[Tuple[RTreeNode, RTreeNode]],
         distance: float = 0.0,
         strategy: JoinStrategy = JoinStrategy.SWEEP,
-        use_flat_arrays: bool = True,
     ):
         if distance < 0:
             raise ValueError(f"distance must be >= 0, got {distance}")
         self.distance = distance
         self.strategy = strategy
-        self.use_flat_arrays = use_flat_arrays
         # The stack is seeded with the subtree-root pairs; in the serial
         # join this is [(root1, root2)], in the parallel join each slave
         # gets a partition of the level-k cross product (Figure 1).
@@ -247,13 +243,6 @@ class RTreeJoinCursor:
     # ------------------------------------------------------------------
     # Entry pairing (strategy dispatch)
     # ------------------------------------------------------------------
-    def _node_coords(self, node: RTreeNode) -> NodeCoords:
-        if self.use_flat_arrays:
-            return node.coords()
-        # Object layout: rebuild the coordinate vectors on every visit by
-        # walking the Entry → MBR chain (no per-node caching).
-        return entry_coords(node.entries)
-
     def _pair_indices(
         self, node_a: RTreeNode, node_b: RTreeNode, ctx: Optional[WorkerContext]
     ) -> Iterator[Tuple[int, int]]:
@@ -272,8 +261,8 @@ class RTreeJoinCursor:
         na, nb = len(node_a.entries), len(node_b.entries)
         if na == 0 or nb == 0:
             return
-        ax0, ay0, ax1, ay1 = self._node_coords(node_a)
-        coords_b = self._node_coords(node_b)
+        ax0, ay0, ax1, ay1 = node_a.coords()
+        coords_b = node_b.coords()
         d = self.distance
         for i in range(na):
             self.pairs_tested += nb
@@ -296,8 +285,8 @@ class RTreeJoinCursor:
         na, nb = len(node_a.entries), len(node_b.entries)
         if na == 0 or nb == 0:
             return
-        ax0, ay0, ax1, ay1 = self._node_coords(node_a)
-        bx0, by0, bx1, by1 = self._node_coords(node_b)
+        ax0, ay0, ax1, ay1 = node_a.coords()
+        bx0, by0, bx1, by1 = node_b.coords()
         d = self.distance
 
         # --- space restriction: keep only entries that can interact with
@@ -464,7 +453,7 @@ class RTreeJoinCursor:
         batch MBR kernel in a single call)."""
         if other.is_empty:
             return
-        coords = self._node_coords(node)
+        coords = node.coords()
         n = len(coords[0])
         self.pairs_tested += n
         if ctx is not None:

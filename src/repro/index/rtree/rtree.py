@@ -298,8 +298,7 @@ class RTree:
         Interaction tests run against each node's flat-array coordinate
         vectors (struct-of-arrays layout) through the batch MBR kernel:
         one window probe tests a whole node's entry list in a single
-        vectorized call (or the equivalent scalar loop on the python
-        backend), instead of chasing per-entry MBR objects.
+        vectorized call, instead of chasing per-entry MBR objects.
         """
         if self._size == 0 or query.is_empty:
             return

@@ -8,7 +8,7 @@
   ``jq``-style analysis.
 * :func:`prometheus_text` — Prometheus text exposition (version 0.0.4)
   of a :meth:`ServerMetrics.snapshot` dict plus storage and
-  kernel-backend counters; :func:`lint_prometheus` validates the line
+  geometry-kernel counters; :func:`lint_prometheus` validates the line
   format (used by tests and the CI ``obs`` job).
 * :func:`aggregate_spans` — per-span-name rollup (count, meter delta,
   simulated seconds) used by ``EXPLAIN ANALYZE``.
@@ -247,7 +247,7 @@ def prometheus_text(
     kernel: Optional[Dict[str, Any]] = None,
 ) -> str:
     """Render a ``ServerMetrics.snapshot()`` dict (with its ``storage``
-    section) plus optional kernel-backend counters as Prometheus text.
+    section) plus optional geometry-kernel counters as Prometheus text.
 
     A snapshot carrying ``shard_id`` (one shard of a cluster) gets a
     ``shard`` label on every sample."""
@@ -367,14 +367,6 @@ def prometheus_text(
         expo.sample("repro_storage", {"stat": key}, storage[key])
 
     if kernel:
-        expo.family(
-            "repro_kernel_info",
-            "gauge",
-            "Active geometry-kernel backend (as a label).",
-        )
-        expo.sample(
-            "repro_kernel_info", {"backend": kernel.get("backend", "python")}, 1
-        )
         expo.family(
             "repro_kernel_calls_total",
             "counter",

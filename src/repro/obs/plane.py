@@ -801,45 +801,6 @@ def server_metrics_collector(
     return collect
 
 
-def storage_collector(
-    stats_fn: Callable[[], Dict[str, Any]],
-    labels: Optional[Dict[str, Any]] = None,
-) -> Callable[[MetricStore, float], None]:
-    """Collector over a ``storage_stats()``-shaped callable (flat gauges)."""
-    base = dict(labels) if labels else {}
-
-    def collect(store: MetricStore, now: float) -> None:
-        stats = stats_fn() or {}
-        for key, value in stats.items():
-            if isinstance(value, (int, float)) and not isinstance(value, bool):
-                store.observe(f"storage.{key}", base, value, ts=now)
-
-    collect.__name__ = "storage"
-    return collect
-
-
-def kernel_collector(
-    labels: Optional[Dict[str, Any]] = None,
-) -> Callable[[MetricStore, float], None]:
-    """Collector over the process-wide geometry-kernel counters."""
-    base = dict(labels) if labels else {}
-
-    def collect(store: MetricStore, now: float) -> None:
-        from repro.geometry import kernels
-
-        for name, counts in kernels.counters().items():
-            klabels = {**base, "kernel": name}
-            store.observe(
-                "kernel.calls", klabels, counts.get("calls", 0), ts=now
-            )
-            store.observe(
-                "kernel.items", klabels, counts.get("items", 0), ts=now
-            )
-
-    collect.__name__ = "kernels"
-    return collect
-
-
 def default_cluster_slos(
     availability: float = 0.999,
     p99_ms: float = 250.0,

@@ -480,7 +480,7 @@ class SpatialQueryServer:
             )
         if op == "metrics":
             # Prometheus text exposition of the same snapshot plus
-            # kernel-backend counters (scrape-friendly sibling of "stats").
+            # geometry-kernel counters (scrape-friendly sibling of "stats").
             self.metrics.record_request(op, ok=True)
             return protocol.ok_response(
                 request_id, text=await self._run_blocking(self._metrics_text)

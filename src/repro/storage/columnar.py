@@ -32,8 +32,8 @@ Chunk blobs live on ordinary buffer-pool pages, so WAL durability
 pages.  DML after compaction goes to the heap as always and is journaled
 against the segment (``stale`` / ``dead`` / ``fresh`` rowid sets) so
 reads merge chunk rows with heap truth; results are bit-identical
-between formats on both kernel backends because rebuilt geometries pass
-through the same normalisation the heap codec applies.
+between formats because rebuilt geometries pass through the same
+normalisation the heap codec applies.
 """
 
 from __future__ import annotations
@@ -44,6 +44,8 @@ from bisect import bisect_right
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Set, Tuple
+
+import numpy as np
 
 from repro.errors import StorageError
 from repro.geometry import kernels
@@ -59,11 +61,6 @@ from repro.storage.codec import (
     decode_u32_array,
 )
 from repro.storage.heap import RowId
-
-try:  # numpy is optional everywhere in this repo; views degrade to tuples
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised via REPRO_KERNELS=python
-    np = None
 
 __all__ = [
     "DEFAULT_CHUNK_ROWS",
@@ -237,10 +234,8 @@ class ColumnarChunk:
         No copy: the returned array shares memory with the chunk's
         coordinate plane (``view.base`` reaches the chunk buffer), which
         is what lets batch kernels read chunk slices with zero per-row
-        decode.  Requires numpy.
+        decode.
         """
-        if np is None:
-            raise StorageError("coords_view requires numpy")
         start, end = self.vert_off[i], self.vert_off[i + 1]
         return self._xy_full()[2 * start : 2 * end].reshape(end - start, 2)
 
@@ -251,8 +246,6 @@ class ColumnarChunk:
         return full
 
     def _view(self, start: int, n: int):
-        if np is None:
-            return None
         return self._xy_full()[2 * start : 2 * (start + n)].reshape(n, 2)
 
     def row(self, i: int) -> Tuple[Any, ...]:
@@ -342,21 +335,20 @@ class ColumnarChunk:
             raise StorageError(f"unknown columnar gtype {gtype}")
         geom._mbr = self.mbr(i)
         geom._nvertices = self.vert_off[i + 1] - self.vert_off[i]
-        if aligned and geom._coords_array is None and np is not None:
+        if aligned and geom._coords_array is None:
             geom._coords_array = self._view(
                 self.vert_off[i], geom._nvertices
             )
         return geom
 
     def _seed(self, geom: Geometry, start: int, n: int) -> None:
-        if np is not None:
-            geom._coords_array = self._view(start, n)
+        geom._coords_array = self._view(start, n)
 
     def _seed_ring(self, ring: Ring, start: int, n: int) -> None:
         # A reversed ring (degenerate orientation) no longer matches the
         # stored vertex order — leave its cache lazy rather than alias
         # the wrong direction.
-        if np is not None and len(ring.coords) == n and (
+        if len(ring.coords) == n and (
             ring.coords[0] == (self.xy[2 * start], self.xy[2 * start + 1])
         ):
             ring._coords_array = self._view(start, n)

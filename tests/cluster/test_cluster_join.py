@@ -3,10 +3,10 @@
 The acceptance bar for the cluster subsystem: concatenating the shard
 streams yields *exactly* the single-node ``Database.spatial_join`` result
 — zero duplicates, exact multiplicity — for both intersect and
-within-distance predicates, under both kernels backends.  Shards are
-real forked processes reached over the wire; they inherit the parent's
-kernels backend selection at fork time, so ``use_backend`` around the
-cluster boot pins the whole fleet.
+within-distance predicates.  Shards are real forked processes reached
+over the wire.  One cluster serves two references: the single-node join
+as shipped (``[numpy]``) and the same join resolved by the scalar oracles
+of ``tests/oracles.py`` (``[python]``).
 """
 
 import random
@@ -16,9 +16,9 @@ import pytest
 
 from repro import Database, Geometry
 from repro.cluster.local import LocalCluster
-from repro.geometry.kernels import available_backends, use_backend
 from repro.geometry.mbr import MBR
 from repro.geometry.wkt import to_wkt
+from tests.oracles import IMPLS, kernel_impl
 
 BOX = MBR(0.0, 0.0, 100.0, 100.0)
 HALO = 2.0
@@ -71,20 +71,26 @@ def cluster_join_pairs(cluster, distance=0.0):
         return [(a, b) for a, b in session.rows(page=128)]
 
 
-@pytest.fixture(scope="module", params=available_backends())
-def fleet(request):
-    """A 3-shard loaded cluster (+ the matching single-node references),
-    one boot per kernels backend."""
+@pytest.fixture(scope="module")
+def loaded_cluster():
+    """A 3-shard loaded cluster, booted once for the module."""
+    with LocalCluster(3, BOX, n_entries_hint=N_ROWS, halo=HALO) as cluster:
+        cluster.create_spatial_table("shapes")
+        cluster.load("shapes", make_rows())
+        yield cluster
+
+
+@pytest.fixture(scope="module", params=IMPLS)
+def fleet(request, loaded_cluster):
+    """The cluster plus single-node references resolved by the kernels
+    (``numpy``) or by their scalar oracles (``python``)."""
     rows = make_rows()
-    with use_backend(request.param):
+    with kernel_impl(request.param):
         refs = {
             0.0: single_node_pairs(rows),
             1.5: single_node_pairs(rows, distance=1.5),
         }
-        with LocalCluster(3, BOX, n_entries_hint=N_ROWS, halo=HALO) as cluster:
-            cluster.create_spatial_table("shapes")
-            cluster.load("shapes", rows)
-            yield request.param, cluster, refs
+    return request.param, loaded_cluster, refs
 
 
 class TestClusterJoinExactness:

@@ -1,7 +1,8 @@
 """The self-healing gate: seeded network chaos plus a SIGKILLed leader,
 and the cluster must recover *unattended* — the health plane detects the
 death, the coordinator promotes the WAL follower, and queries issued
-during the failure window come back exact on both kernel backends.
+during the failure window come back exact — with the numpy kernels, and
+with their scalar oracles (``tests/oracles.py``) in the forked shards.
 
 ``CHAOS_SEED`` parameterises the fault plan so the CI matrix can sweep
 seeds; any value must pass (``NetFaultPlan.random`` never draws an
@@ -19,9 +20,9 @@ from repro import Database, Geometry
 from repro.cluster.chaos import NetFaultPlan
 from repro.cluster.local import LocalCluster
 from repro.cluster.router import RetryPolicy
-from repro.geometry.kernels import available_backends, use_backend
 from repro.geometry.mbr import MBR
 from repro.geometry.wkt import to_wkt
+from tests.oracles import IMPLS, kernel_impl
 
 SEED = int(os.environ.get("CHAOS_SEED", "1337"))
 BOX = MBR(0.0, 0.0, 100.0, 100.0)
@@ -68,10 +69,10 @@ def wait_for(condition, timeout=20.0):
     return False
 
 
-@pytest.mark.parametrize("backend", available_backends())
+@pytest.mark.parametrize("backend", IMPLS)
 def test_leader_kill_heals_unattended_with_exact_results(backend):
     rows = make_rows()
-    with use_backend(backend):
+    with kernel_impl(backend):
         reference = Counter(single_node_join(rows))
         plan = NetFaultPlan(SEED)
         with LocalCluster(

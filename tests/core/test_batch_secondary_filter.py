@@ -1,6 +1,6 @@
 """Batch secondary filter: result/charge identity with the scalar path,
-seeded RANDOM fetch order, and end-to-end join equivalence across the
-kernels backends."""
+seeded RANDOM fetch order, and end-to-end join equivalence between the
+pair kernel and the scalar predicates (``use_batch=False``)."""
 
 import pytest
 
@@ -35,26 +35,23 @@ def make_filter(db, **kw):
 
 
 class TestBatchIdentity:
-    @pytest.mark.parametrize("backend", ("numpy", "python"))
-    def test_batch_matches_scalar_results_and_charges(self, filter_db, backend):
+    def test_batch_matches_scalar_results_and_charges(self, filter_db):
         cands = candidates_of(filter_db)
-        with kernels.use_backend(backend):
-            f_batch = make_filter(filter_db, use_batch=True)
-            f_scalar = make_filter(filter_db, use_batch=False)
-            ctx_b, ctx_s = WorkerContext(0), WorkerContext(1)
-            res_b = f_batch.process(list(cands), ctx_b)
-            res_s = f_scalar.process(list(cands), ctx_s)
+        f_batch = make_filter(filter_db, use_batch=True)
+        f_scalar = make_filter(filter_db, use_batch=False)
+        ctx_b, ctx_s = WorkerContext(0), WorkerContext(1)
+        res_b = f_batch.process(list(cands), ctx_b)
+        res_s = f_scalar.process(list(cands), ctx_s)
         # Same pairs, in the same emission order.
         assert res_b == res_s
         # Same simulated work, charge kind by charge kind.
         assert ctx_b.meter.counts == ctx_s.meter.counts
         assert ctx_b.meter.seconds() == ctx_s.meter.seconds()
 
-    @pytest.mark.parametrize("backend", ("numpy", "python"))
     @pytest.mark.parametrize("distance", (0.0, 1.5))
     @pytest.mark.parametrize("use_interior", (False, True))
     def test_array_at_a_time_keeps_cache_and_meter_identical(
-        self, filter_db, backend, distance, use_interior
+        self, filter_db, distance, use_interior
     ):
         """One kernel call per array, yet the fetch sequence — and so the
         LRU state, hit/miss counters and every charge — is the oracle's,
@@ -62,19 +59,18 @@ class TestBatchIdentity:
         cands = candidates_of(filter_db, slack=8.0)
         assert len(cands) > 200
         filters, contexts, results = [], [], []
-        with kernels.use_backend(backend):
-            for use_batch in (True, False):
-                f = SecondaryFilter(
-                    filter_db.table("t"), "geom", filter_db.table("t"), "geom",
-                    JoinPredicate(distance=distance), use_batch=use_batch,
-                    cache_capacity=5, use_interior=use_interior,
-                )
-                ctx = WorkerContext(0)
-                # two arrays through one filter: state carries over
-                half = len(cands) // 2
-                results.append(f.process(cands[:half], ctx) + f.process(cands[half:], ctx))
-                filters.append(f)
-                contexts.append(ctx)
+        for use_batch in (True, False):
+            f = SecondaryFilter(
+                filter_db.table("t"), "geom", filter_db.table("t"), "geom",
+                JoinPredicate(distance=distance), use_batch=use_batch,
+                cache_capacity=5, use_interior=use_interior,
+            )
+            ctx = WorkerContext(0)
+            # two arrays through one filter: state carries over
+            half = len(cands) // 2
+            results.append(f.process(cands[:half], ctx) + f.process(cands[half:], ctx))
+            filters.append(f)
+            contexts.append(ctx)
         batch, scalar = filters
         assert results[0] == results[1]
         assert (batch.cache.hits, batch.cache.misses) == (scalar.cache.hits, scalar.cache.misses)
@@ -131,9 +127,8 @@ class TestBatchIdentity:
 
     def test_batched_candidates_counter(self, filter_db):
         cands = candidates_of(filter_db)
-        with kernels.use_backend("numpy"):
-            f = make_filter(filter_db, use_batch=True)
-            f.process(list(cands))
+        f = make_filter(filter_db, use_batch=True)
+        f.process(list(cands))
         assert f.batched_candidates > 0
 
     def test_scalar_path_never_batches(self, filter_db):
@@ -171,6 +166,8 @@ class TestSeededRandomOrder:
 
 
 class TestJoinEquivalenceAcrossBackends:
+    """The two refinement paths: pair kernel and scalar predicates."""
+
     def _join(self, db, **kw):
         return db.spatial_join("c", "geom", "c", "geom", **kw)
 
@@ -185,12 +182,7 @@ class TestJoinEquivalenceAcrossBackends:
 
     @pytest.mark.parametrize("dist", [0.0, 0.15])
     def test_pairs_and_makespan_invariant(self, county_db, dist):
-        ref = None
-        for backend in ("numpy", "python"):
-            for use_batch in (True, False):
-                with kernels.use_backend(backend):
-                    r = self._join(county_db, distance=dist, use_batch=use_batch)
-                key = (sorted(r.pairs), round(r.makespan_seconds, 12))
-                if ref is None:
-                    ref = key
-                assert key == ref, (backend, use_batch)
+        batch = self._join(county_db, distance=dist, use_batch=True)
+        scalar = self._join(county_db, distance=dist, use_batch=False)
+        assert batch.pairs == scalar.pairs  # and in the same order
+        assert batch.makespan_seconds == scalar.makespan_seconds

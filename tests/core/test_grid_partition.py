@@ -8,7 +8,8 @@ corners, geometries replicated into every tile of the grid, and grids
 degenerate enough that every class label collapses to A.  Each case is
 checked candidate-level (tile sweeps vs a brute-force rectangle test,
 counting multiplicity) and the end-to-end paths are checked against the
-SWEEP strategy under both kernels backends.
+SWEEP strategy, with the numpy binning kernel and again with its
+``math.floor`` oracle standing in (``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from repro.geometry import kernels
 from repro.geometry.mbr import EMPTY_MBR, MBR
 from repro.index.rtree.join import JoinStrategy, RTreeJoinCursor
 from repro.storage.heap import RowId
+from tests import oracles
 
 
 def rid(i: int) -> RowId:
@@ -88,9 +90,38 @@ def assert_exactly_once(entries_a, entries_b, nx, ny, distance=0.0):
 
 @pytest.fixture(params=["python", "numpy"])
 def backend(request):
-    """Both kernels backends must bin MBRs into identical tile ranges."""
-    with kernels.use_backend(request.param):
+    """Every case runs on the binning kernel and on its oracle: the
+    duplicate-avoidance argument needs only the integer bins."""
+    with oracles.kernel_impl(request.param):
         yield request.param
+
+
+class TestTileRangesKernel:
+    """``tile_ranges_batch`` against ``floor((v ± expand − origin) / size)``."""
+
+    @pytest.mark.parametrize("expand", [0.0, 1.0, 4.0])
+    def test_edges_exactly_on_tile_boundaries(self, expand):
+        # 4x4 grid over [0,16]^2: every coordinate below is a multiple of
+        # the tile size, a domain corner, or just off one.
+        xs = [0.0, 4.0, 8.0, 12.0, 16.0, 3.999999999999999, 4.000000000000001, -2.0, 19.0]
+        coords = (
+            [x for x in xs for _ in xs],
+            [y for _ in xs for y in xs],
+            [x + 4.0 for x in xs for _ in xs],
+            [y + 8.0 for _ in xs for y in xs],
+        )
+        args = (coords, (0.0, 0.0), (4.0, 4.0), (4, 4), expand)
+        got = kernels.tile_ranges_batch(*args)
+        assert got == oracles.tile_ranges_batch(*args)
+        ix0, ix1, iy0, iy1 = got
+        assert all(0 <= lo <= hi <= 3 for lo, hi in zip(ix0 + iy0, ix1 + iy1))
+
+    def test_irrational_tile_size_and_offset_origin(self):
+        coords = tuple(
+            [k * 0.1 + shift for k in range(-20, 140)] for shift in (0.0, 0.3, 0.7, 1.1)
+        )
+        args = (coords, (-1.7, 0.3), (10.0 / 3.0, 0.7), (5, 9), 0.25)
+        assert kernels.tile_ranges_batch(*args) == oracles.tile_ranges_batch(*args)
 
 
 class TestBoundaryStraddlers:

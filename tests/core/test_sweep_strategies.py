@@ -5,10 +5,9 @@ Covers the two guarantees the sweep refactor must keep:
 * **Resumability** — draining the join cursor in batches of any size
   yields exactly the full drain, *in the same order* (the candidate
   buffer drains FIFO, so batch boundaries cannot reorder emission).
-* **Equivalence** — SWEEP (with and without the flat-array node layout)
-  and NESTED produce identical candidate sets on seeded counties/stars
-  samples, for intersection and within-distance joins, on bulk-loaded
-  and dynamically built (insert/delete) trees alike.
+* **Equivalence** — SWEEP and NESTED produce identical candidate sets on
+  seeded counties/stars samples, for intersection and within-distance
+  joins, on bulk-loaded and dynamically built (insert/delete) trees alike.
 """
 
 import random
@@ -61,11 +60,7 @@ def cursor_pairs(cursor):
     return {(a, b) for a, b, _ma, _mb in cursor.drain()}
 
 
-ALL_VARIANTS = [
-    (JoinStrategy.NESTED, True),
-    (JoinStrategy.SWEEP, True),
-    (JoinStrategy.SWEEP, False),
-]
+ALL_STRATEGIES = [JoinStrategy.NESTED, JoinStrategy.SWEEP]
 
 
 class TestResumability:
@@ -115,42 +110,39 @@ class TestStrategyEquivalence:
         eb = random_entries(230, seed=46, id_base=9000)
         ta, tb = str_pack(ea, fanout=8), str_pack(eb, fanout=8)
         expected = brute_pairs(ea, eb, distance)
-        for strategy, flat in ALL_VARIANTS:
+        for strategy in ALL_STRATEGIES:
             cursor = RTreeJoinCursor(
                 [(ta.root, tb.root)],
                 distance=distance,
                 strategy=strategy,
-                use_flat_arrays=flat,
             )
-            assert cursor_pairs(cursor) == expected, (strategy, flat)
+            assert cursor_pairs(cursor) == expected, strategy
 
     @pytest.mark.parametrize("distance", [0.0, 0.2])
     def test_counties_sample(self, small_counties, distance):
         entries = geometry_entries(small_counties)
         tree = str_pack(entries, fanout=12)
         expected = brute_pairs(entries, entries, distance)
-        for strategy, flat in ALL_VARIANTS:
+        for strategy in ALL_STRATEGIES:
             cursor = RTreeJoinCursor(
                 [(tree.root, tree.root)],
                 distance=distance,
                 strategy=strategy,
-                use_flat_arrays=flat,
             )
-            assert cursor_pairs(cursor) == expected, (strategy, flat)
+            assert cursor_pairs(cursor) == expected, strategy
 
     @pytest.mark.parametrize("distance", [0.0, 1.5])
     def test_stars_sample(self, small_stars, distance):
         entries = geometry_entries(small_stars)
         tree = str_pack(entries, fanout=16)
         expected = brute_pairs(entries, entries, distance)
-        for strategy, flat in ALL_VARIANTS:
+        for strategy in ALL_STRATEGIES:
             cursor = RTreeJoinCursor(
                 [(tree.root, tree.root)],
                 distance=distance,
                 strategy=strategy,
-                use_flat_arrays=flat,
             )
-            assert cursor_pairs(cursor) == expected, (strategy, flat)
+            assert cursor_pairs(cursor) == expected, strategy
 
     def test_dynamic_tree_after_mutation(self):
         """Insert/delete-built trees exercise the coords-cache invalidation."""
@@ -169,11 +161,9 @@ class TestStrategyEquivalence:
             tree.insert(mbr, r)
         live = kept + extra
         expected = brute_pairs(live, live)
-        for strategy, flat in ALL_VARIANTS:
-            cursor = RTreeJoinCursor(
-                [(tree.root, tree.root)], strategy=strategy, use_flat_arrays=flat
-            )
-            assert cursor_pairs(cursor) == expected, (strategy, flat)
+        for strategy in ALL_STRATEGIES:
+            cursor = RTreeJoinCursor([(tree.root, tree.root)], strategy=strategy)
+            assert cursor_pairs(cursor) == expected, strategy
 
     def test_sweep_charges_fewer_mbr_tests(self):
         entries = random_entries(400, seed=49)
@@ -201,13 +191,10 @@ class TestDriverLevelEquivalence:
         nested = db.spatial_join(
             "c", "geom", "c", "geom", strategy=JoinStrategy.NESTED
         )
-        no_flat = db.spatial_join(
-            "c", "geom", "c", "geom", use_flat_arrays=False
-        )
         parallel = db.spatial_join(
             "c", "geom", "c", "geom", parallel=3, strategy=JoinStrategy.NESTED
         )
-        assert set(sweep.pairs) == set(nested.pairs) == set(no_flat.pairs)
+        assert set(sweep.pairs) == set(nested.pairs)
         assert set(parallel.pairs) == set(sweep.pairs)
         # The sweep primary filter must make the simulated join cheaper.
         assert sweep.makespan_seconds < nested.makespan_seconds

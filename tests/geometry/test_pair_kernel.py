@@ -3,7 +3,7 @@
 ``kernels.evaluate_predicate_pairs`` resolves a whole candidate array —
 clip each pair's edges to its MBR-intersection window, expand the ragged
 edge pairs flat, prune by box, test — and must return exactly what
-``JoinPredicate.evaluate`` returns pair by pair, on both backends.  The
+``JoinPredicate.evaluate`` returns pair by pair.  The
 inputs here are the ones a clip or a prune would get wrong: contact on the
 window's edge, MBRs that only touch, containment with no crossing,
 distances equal to the exact gap.
@@ -21,8 +21,6 @@ from repro.core.secondary_filter import JoinPredicate
 from repro.datasets import counties, load_geometries
 from repro.geometry import kernels
 from repro.geometry.geometry import Geometry
-
-BACKENDS = ("numpy", "python")
 
 # ----------------------------------------------------------------------
 # Shapes on a half-unit grid, so shared borders, vertex-only contact and
@@ -87,10 +85,7 @@ _masks = st.sampled_from(["ANYINTERACT", "INTERSECT", "anyinteract + intersect"]
 
 def assert_matches_oracle(geoms_a, geoms_b, mask="ANYINTERACT", dist=0.0):
     want = [JoinPredicate(mask, dist).evaluate(a, b) for a, b in zip(geoms_a, geoms_b)]
-    for backend in BACKENDS:
-        with kernels.use_backend(backend):
-            got = kernels.evaluate_predicate_pairs(geoms_a, geoms_b, mask, dist)
-        assert got == want, backend
+    assert kernels.evaluate_predicate_pairs(geoms_a, geoms_b, mask, dist) == want
     return want
 
 
@@ -125,10 +120,8 @@ class TestDifferential:
 
     def test_unsupported_mask_declines(self):
         square = Geometry.rectangle(0, 0, 1, 1)
-        for backend in BACKENDS:
-            with kernels.use_backend(backend):
-                assert kernels.evaluate_predicate_pairs([square], [square], "TOUCH") is None
-                assert kernels.evaluate_predicate_pairs([], [], "ANYINTERACT") == []
+        assert kernels.evaluate_predicate_pairs([square], [square], "TOUCH") is None
+        assert kernels.evaluate_predicate_pairs([], [], "ANYINTERACT") == []
 
 
 class TestAdversarialPairs:
@@ -227,13 +220,12 @@ class TestCountersAndMemory:
         del geoms_a[4096:], geoms_b[4096:]
         for g in flat:
             g.edges_array()  # the per-geometry cache is not the kernel's memory
-        with kernels.use_backend("numpy"):
-            tracemalloc.start()
-            try:
-                got = kernels.evaluate_predicate_pairs(geoms_a, geoms_b, "ANYINTERACT")
-                _, peak = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
+        tracemalloc.start()
+        try:
+            got = kernels.evaluate_predicate_pairs(geoms_a, geoms_b, "ANYINTERACT")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
         assert got == [True] * 4096  # neighbouring discs overlap in a 0.001-wide strip
         assert peak < 8 * 2**20, f"peak {peak / 2**20:.1f} MB"
 
@@ -253,10 +245,9 @@ class TestCountersAndMemory:
                                 sizes[f"{name}.{key}"] = len(inner)
             return sizes
 
-        with kernels.use_backend("numpy"):
-            first = db.spatial_join("c", "geom", "c", "geom")
-            before = module_sizes()
-            for dist in (0.0, 0.2, 0.0):
-                again = db.spatial_join("c", "geom", "c", "geom", distance=dist)
-            assert again.pairs == first.pairs
-            assert module_sizes() == before
+        first = db.spatial_join("c", "geom", "c", "geom")
+        before = module_sizes()
+        for dist in (0.0, 0.2, 0.0):
+            again = db.spatial_join("c", "geom", "c", "geom", distance=dist)
+        assert again.pairs == first.pairs
+        assert module_sizes() == before

@@ -112,9 +112,8 @@ class TestPrometheus:
         text = prometheus_text(
             self._snapshot(),
             kernel={
-                "backend": "python",
-                "calls": {"classify_tiles": 2},
-                "items": {"classify_tiles": 9},
+                "calls": {"mbr_filter_indices": 2},
+                "items": {"mbr_filter_indices": 9},
             },
         )
         assert lint_prometheus(text) == []
@@ -123,7 +122,7 @@ class TestPrometheus:
         assert 'repro_query_rows_total{kind="sql"} 5' in text
         assert 'repro_meter_units_total{kind="sql",unit="mbr_test"} 3' in text
         assert "repro_sessions_active 1" in text
-        assert 'repro_kernel_calls_total{entry="classify_tiles"} 2' in text
+        assert 'repro_kernel_calls_total{entry="mbr_filter_indices"} 2' in text
 
     def test_storage_zeros_without_durability(self):
         # the snapshot must expose a stable zeroed storage schema even

@@ -28,7 +28,7 @@ class TestMetricsOp:
         assert lint_prometheus(text) == []
         assert 'repro_query_rows_total{kind="sql"} 4' in text
         assert "repro_sessions_active 0" in text
-        assert 'repro_kernel_info{backend=' in text
+        assert "# TYPE repro_kernel_calls_total counter" in text
 
     def test_metrics_counts_itself(self):
         with BackgroundServer(_seeded_db()) as server:

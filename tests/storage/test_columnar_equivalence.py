@@ -1,11 +1,12 @@
 """Format-equivalence tests: columnar results must be bit-identical to
-slotted, on both kernel backends, including adversarial zone-map cases.
+slotted, including adversarial zone-map cases.
 
 Every test builds the same dataset twice — one database left slotted, one
 compacted to columnar — and asserts the *exact* equality of query results
-between formats and across ``REPRO_KERNELS`` backends.  The charge
-structures legitimately differ (that difference is the optimisation); the
-rows must not.
+between formats, with the numpy kernels and again with their scalar
+oracles standing in (``tests/oracles.py``).  The charge structures
+legitimately differ (that difference is the optimisation); the rows must
+not.
 """
 
 import random
@@ -14,11 +15,8 @@ import pytest
 
 from repro.engine.database import Database
 from repro.engine.parallel import WorkerContext
-from repro.geometry import kernels
 from repro.geometry.geometry import Geometry
-
-BACKENDS = list(kernels.available_backends())
-HAVE_NUMPY = "numpy" in BACKENDS
+from tests.oracles import IMPLS as BACKENDS, kernel_impl
 
 
 def build_pair(loader, chunk_rows=64):
@@ -78,7 +76,7 @@ class TestFormatEquivalence:
             Geometry.rectangle(99.5, 99.5, 99.9, 99.9),
             Geometry.rectangle(500, 500, 501, 501),  # empty
         ]
-        with kernels.use_backend(backend):
+        with kernel_impl(backend):
             for q in windows:
                 for op, args in (
                     ("SDO_RELATE", [q]),
@@ -91,7 +89,7 @@ class TestFormatEquivalence:
 
     def test_window_scan_identical(self, backend):
         slotted, columnar = build_pair(random_rects())
-        with kernels.use_backend(backend):
+        with kernel_impl(backend):
             for q in (
                 Geometry.rectangle(10, 10, 25, 25),
                 Geometry.rectangle(-5, -5, 0.25, 0.25),
@@ -103,14 +101,14 @@ class TestFormatEquivalence:
 
     def test_join_pairs_identical(self, backend):
         slotted, columnar = build_pair(random_rects(n=250))
-        with kernels.use_backend(backend):
+        with kernel_impl(backend):
             a = slotted.spatial_join("shapes", "geom", "shapes", "geom")
             b = columnar.spatial_join("shapes", "geom", "shapes", "geom")
             assert a.pairs == b.pairs
 
     def test_grid_parallel_join_identical(self, backend):
         slotted, columnar = build_pair(random_rects(n=250))
-        with kernels.use_backend(backend):
+        with kernel_impl(backend):
             a = slotted.spatial_join(
                 "shapes", "geom", "shapes", "geom", parallel=4, strategy="GRID"
             )
@@ -122,7 +120,7 @@ class TestFormatEquivalence:
     def test_post_compaction_dml_tracks_heap_truth(self, backend):
         slotted, columnar = build_pair(random_rects(n=200))
         q = Geometry.rectangle(20, 20, 40, 40)
-        with kernels.use_backend(backend):
+        with kernel_impl(backend):
             base = sorted(slotted.select_rowids("shapes", "geom", "SDO_RELATE", [q]))
             victims = base[:2]
             for db in (slotted, columnar):
@@ -140,25 +138,23 @@ class TestFormatEquivalence:
 
 
 class TestBackendParity:
-    """python and numpy backends must agree row-for-row on chunk scans."""
+    """The MBR kernel and its oracle must agree row-for-row on chunk scans."""
 
-    @pytest.mark.skipif(not HAVE_NUMPY, reason="needs the numpy backend")
     def test_window_candidates_backend_identical(self):
         _slotted, columnar = build_pair(random_rects())
         seg = columnar.table("shapes").columnar
         box = (15.0, 15.0, 60.0, 60.0)
-        with kernels.use_backend("python"):
+        with kernel_impl("python"):
             a = [(rid, g) for rid, g in seg.window_candidates(box)]
-        with kernels.use_backend("numpy"):
+        with kernel_impl("numpy"):
             b = [(rid, g) for rid, g in seg.window_candidates(box)]
         assert [rid for rid, _ in a] == [rid for rid, _ in b]
         assert all(x == y for (_, x), (_, y) in zip(a, b))
 
-    @pytest.mark.skipif(not HAVE_NUMPY, reason="needs the numpy backend")
     def test_null_geometry_rows_invisible_on_both_backends(self):
         # NULL geometries carry no MBR plane entry (plane_rows maps the
-        # dense planes back to chunk rows), so neither backend can ever
-        # emit them from the primary filter.
+        # dense planes back to chunk rows), so neither kernel nor oracle
+        # can ever emit them from the primary filter.
         db = Database()
         t = db.create_table("mix", [("id", "NUMBER"), ("geom", "SDO_GEOMETRY")])
         rows = []
@@ -173,9 +169,9 @@ class TestBackendParity:
         db.compact_table("mix", chunk_rows=16)
         seg = t.columnar
         box = (0.0, 0.0, 100.0, 100.0)
-        with kernels.use_backend("python"):
+        with kernel_impl("python"):
             a = [rid for rid, _ in seg.window_candidates(box)]
-        with kernels.use_backend("numpy"):
+        with kernel_impl("numpy"):
             b = [rid for rid, _ in seg.window_candidates(box)]
         assert a == b
         assert len(a) == sum(1 for _i, g in rows if g is not None)
