@@ -12,6 +12,7 @@ from __future__ import annotations
 import pytest
 
 from repro.bench.reporting import ExperimentTable
+from repro.datasets import CONUS_INDEX_DOMAIN
 from repro.engine.parallel import WorkerContext
 from repro.geometry.mbr import MBR
 from repro.index.quadtree.join import quadtree_join_candidates, quadtree_tile_join
@@ -28,7 +29,7 @@ def run_join_index_ablation(workload):
     rtree_result = db.spatial_join("counties", "geom", "counties", "geom")
 
     # Quadtree path: build the index, then the tile-merge join.
-    domain = MBR(0, 0, 58.0, 58.0)
+    domain = MBR(*CONUS_INDEX_DOMAIN)
     qidx = QuadtreeIndex(
         "counties_q_join", table, "geom", domain=domain, tiling_level=TILING_LEVEL
     )

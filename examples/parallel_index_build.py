@@ -14,7 +14,7 @@ well.
 from __future__ import annotations
 
 from repro import Database
-from repro.datasets import blockgroups, load_geometries
+from repro.datasets import CONUS_INDEX_DOMAIN, blockgroups, load_geometries
 from repro.engine.parallel import make_executor
 from repro.geometry.mbr import MBR
 from repro.core.index_build import create_quadtree_parallel, create_rtree_parallel
@@ -38,7 +38,7 @@ def main() -> None:
     for degree in (1, 2, 4):
         q_index = QuadtreeIndex(
             f"bg_q{degree}", db.table("blockgroups"), "geom",
-            domain=MBR(0, 0, 58.0, 58.0), tiling_level=9,
+            domain=MBR(*CONUS_INDEX_DOMAIN), tiling_level=9,
         )
         q_report = create_quadtree_parallel(
             q_index, make_executor(degree, db.cost_model)

@@ -56,11 +56,11 @@ EXPERIMENTS = (
 #: one-liners for ``--list`` — what each experiment measures and which
 #: paper artifact (if any) it regenerates.
 DESCRIPTIONS = {
-    "table1": "primary-filter selectivity vs tessellation level (Table 1)",
-    "table2": "index build cost across star-catalog sizes (Table 2)",
-    "table3": "window-query timings on blockgroups (Table 3)",
-    "figure1": "query cost vs tessellation level sweep (Figure 1)",
-    "figure2": "window size vs response-time curve (Figure 2)",
+    "table1": "counties self-join at distance 0 / 0.1 / 0.25 / 0.5: nested loop vs index join (Table 1)",
+    "table2": "star-cluster self-join scaling: nested loop vs I1 vs I2 (Table 2)",
+    "table3": "parallel quadtree and R-tree index creation at 1 / 2 / 4 processors (Table 3)",
+    "figure1": "subtree-pair decomposition of a two-R-tree join (Figure 1)",
+    "figure2": "parallel quadtree creation pipeline: per-worker tessellation + B-tree tail (Figure 2)",
     "ablation_sweep": "interior-tile / batching / approximation ablation",
     "kernels": "secondary filter: scalar oracle vs numpy pair kernel (Ablation H)",
     "grid": "grid-partitioned parallel join vs serial ablation",

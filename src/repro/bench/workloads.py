@@ -17,6 +17,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro import Database
 from repro.datasets import (
+    CONUS_INDEX_DOMAIN,
     blockgroups,
     cached_dataset,
     counties,
@@ -147,7 +148,7 @@ class BlockgroupsWorkload:
             f"bg_q_{degree}",
             self.db.table("blockgroups"),
             "geom",
-            domain=MBR(0, 0, 58.0, 58.0),
+            domain=MBR(*CONUS_INDEX_DOMAIN),
             tiling_level=tiling_level,
         )
         return create_quadtree_parallel(index, make_executor(degree, self.db.cost_model))

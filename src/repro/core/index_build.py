@@ -17,6 +17,7 @@ Both drivers return a :class:`BuildReport` carrying the simulated makespan
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
@@ -32,7 +33,6 @@ from repro.engine.table_function import TableFunction, pipeline
 from repro.engine.types import Row
 from repro.geometry.geometry import Geometry
 from repro.index.quadtree.quadtree import QuadtreeIndex
-from repro.index.quadtree.tessellate import tessellate
 from repro.index.rtree.bulkload import merge_subtrees, str_pack
 from repro.index.rtree.rtree import RTree
 from repro.index.rtree.spatial_index import RTreeIndex
@@ -99,7 +99,7 @@ class TessellateFunction(TableFunction):
                     continue
                 ctx.charge("geom_fetch_base")
                 ctx.charge("geom_fetch_per_vertex", geom.num_vertices)
-                for tile in tessellate(geom, self._index.grid, ctx):
+                for tile in self._index.tessellate_row(rowid, geom, ctx):
                     ctx.charge("tile_insert")
                     self._pending.append((tile.code, rowid, tile.interior))
         return out
@@ -160,8 +160,6 @@ def create_quadtree_parallel(
                 for code, rowid, interior in pipeline(fn, ctx)
             ]
             # Each slave sorts its own run (parallelisable work).
-            import math
-
             n = len(items)
             if n > 1:
                 ctx.charge("sort_per_item", n * math.log2(n))
@@ -180,8 +178,6 @@ def create_quadtree_parallel(
     runs = [r for r in run.results if r]
     total_tiles = sum(len(r) for r in runs)
     if total_tiles:
-        import math
-
         tail.charge("sort_per_item", total_tiles * max(1.0, math.log2(len(runs) + 1)))
         tail.charge("btree_node_visit", total_tiles / max(1, index.btree_order // 2))
     index.btree = BPlusTree.bulk_load_runs(runs, order=index.btree_order)

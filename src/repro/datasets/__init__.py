@@ -12,7 +12,12 @@ from repro.datasets.blockgroups import (
     blockgroups,
 )
 from repro.datasets.cache import cache_dir, cache_path, cached_dataset
-from repro.datasets.counties import CONUS_EXTENT, DEFAULT_COUNTY_COUNT, counties
+from repro.datasets.counties import (
+    CONUS_EXTENT,
+    CONUS_INDEX_DOMAIN,
+    DEFAULT_COUNTY_COUNT,
+    counties,
+)
 from repro.datasets.loader import load_geometries
 from repro.datasets.random_geom import radial_polygon, regular_polygon
 from repro.datasets.stars import DEFAULT_STAR_COUNT, SKY_EXTENT, stars
@@ -21,6 +26,7 @@ __all__ = [
     "counties",
     "DEFAULT_COUNTY_COUNT",
     "CONUS_EXTENT",
+    "CONUS_INDEX_DOMAIN",
     "stars",
     "DEFAULT_STAR_COUNT",
     "SKY_EXTENT",

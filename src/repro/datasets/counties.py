@@ -23,10 +23,13 @@ from repro.errors import DatasetError
 from repro.datasets.random_geom import edge_jitter_seed
 from repro.geometry.geometry import Geometry
 
-__all__ = ["counties", "DEFAULT_COUNTY_COUNT", "CONUS_EXTENT"]
+__all__ = ["counties", "DEFAULT_COUNTY_COUNT", "CONUS_EXTENT", "CONUS_INDEX_DOMAIN"]
 
 DEFAULT_COUNTY_COUNT = 3230
 CONUS_EXTENT = (0.0, 0.0, 57.5, 25.0)  # ~ lon/lat span of the lower 48
+# Square quadtree domain for layers generated over CONUS_EXTENT: counties and
+# block groups are centred inside the extent and overhang it by less than 1.
+CONUS_INDEX_DOMAIN = (-1.0, -1.0, 59.0, 59.0)
 
 Coord = Tuple[float, float]
 

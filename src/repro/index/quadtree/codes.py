@@ -138,12 +138,19 @@ class TileGrid:
         ix, iy = morton_decode(code)
         return self.tile_mbr(ix, iy)
 
-    def quadrant_mbr(self, level: int, ix: int, iy: int) -> MBR:
-        """MBR of a quadrant at an intermediate level (0 = whole domain)."""
+    def quadrant_bounds(
+        self, level: int, ix: int, iy: int
+    ) -> Tuple[float, float, float, float]:
+        """``(min_x, min_y, max_x, max_y)`` of a quadrant at an intermediate
+        level (0 = the whole tiled square)."""
         size = self.side / (1 << level)
         x0 = self.domain.min_x + ix * size
         y0 = self.domain.min_y + iy * size
-        return MBR(x0, y0, x0 + size, y0 + size)
+        return x0, y0, x0 + size, y0 + size
+
+    def quadrant_mbr(self, level: int, ix: int, iy: int) -> MBR:
+        """:meth:`quadrant_bounds` as an :class:`MBR`."""
+        return MBR(*self.quadrant_bounds(level, ix, iy))
 
     def covering_indices(self, mbr: MBR) -> Tuple[int, int, int, int]:
         """Inclusive (ix_lo, iy_lo, ix_hi, iy_hi) tile ranges touching ``mbr``."""

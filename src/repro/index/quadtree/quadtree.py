@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
-from repro.errors import IndexTypeError, OperatorError
+from repro.errors import IndexBuildError, IndexTypeError, OperatorError
 from repro.engine.indextype import OPERATORS, DomainIndex
 from repro.engine.parallel import WorkerContext
 from repro.engine.table import Table
@@ -70,7 +70,7 @@ class QuadtreeIndex(DomainIndex):
         for rowid, geom in self.table.column_values(self.column):
             if geom is None:
                 continue
-            for tile in tessellate(geom, self.grid, ctx):
+            for tile in self.tessellate_row(rowid, geom, ctx):
                 if ctx is not None:
                     ctx.charge("tile_insert")
                 items.append(((tile.code, rowid), tile.interior))
@@ -80,10 +80,28 @@ class QuadtreeIndex(DomainIndex):
     def insert(
         self, rowid: RowId, geom: Geometry, ctx: Optional[WorkerContext] = None
     ) -> None:
-        for tile in tessellate(geom, self.grid, ctx):
+        for tile in self.tessellate_row(rowid, geom, ctx):
             if ctx is not None:
                 ctx.charge("tile_insert")
             self.btree.insert((tile.code, rowid), tile.interior)
+
+    def tessellate_row(
+        self, rowid: RowId, geom: Geometry, ctx: Optional[WorkerContext] = None
+    ) -> List[Tile]:
+        """Tiles of a data geometry, which must lie inside the tiled square.
+
+        A geometry outside it would get no tiles (or tiles for its inside
+        part only) and silently drop out of window answers; Oracle rejects
+        such a row with ORA-13011.  Query windows are clipped instead — they
+        go to :func:`tessellate` directly.
+        """
+        square = self.grid.quadrant_mbr(0, 0, 0)
+        if not square.contains(geom.mbr):
+            raise IndexBuildError(
+                f"{self.name}: geometry of {rowid} has MBR {geom.mbr.as_tuple()} "
+                f"outside the index domain {square.as_tuple()}"
+            )
+        return tessellate(geom, self.grid, ctx)
 
     def delete(
         self, rowid: RowId, geom: Geometry, ctx: Optional[WorkerContext] = None

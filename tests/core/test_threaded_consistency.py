@@ -8,7 +8,7 @@ and check the results stay identical to serial execution.
 import pytest
 
 from repro import Database
-from repro.datasets import blockgroups, load_geometries, stars
+from repro.datasets import CONUS_INDEX_DOMAIN, blockgroups, load_geometries, stars
 from repro.engine.parallel import ThreadExecutor
 
 
@@ -49,7 +49,7 @@ class TestThreadedBuilds:
 
         db = Database()
         load_geometries(db, "t", blockgroups(250, seed=43))
-        domain = MBR(0, 0, 58, 58)
+        domain = MBR(*CONUS_INDEX_DOMAIN)
         serial = QuadtreeIndex("q1", db.table("t"), "geom", domain=domain, tiling_level=7)
         serial.create()
         threaded = QuadtreeIndex("q2", db.table("t"), "geom", domain=domain, tiling_level=7)

@@ -81,10 +81,10 @@ class TestMaintenanceIntegration:
         table = db.table("shapes")
         index = db.spatial_index("shapes_ridx")
         before = len(index.tree)
-        rid = table.insert((999, Geometry.rectangle(200, 200, 201, 201)))
+        rid = table.insert((999, Geometry.rectangle(50, 50, 51, 51)))
         assert len(index.tree) == before + 1
         hits = list(
-            index.fetch("SDO_RELATE", (Geometry.rectangle(199, 199, 202, 202), "ANYINTERACT"))
+            index.fetch("SDO_RELATE", (Geometry.rectangle(49, 49, 52, 52), "ANYINTERACT"))
         )
         assert rid in hits
         table.delete(rid)
@@ -94,10 +94,10 @@ class TestMaintenanceIntegration:
         db = indexed_db
         table = db.table("shapes")
         index = db.spatial_index("shapes_ridx")
-        rid = table.insert((1000, Geometry.rectangle(300, 300, 301, 301)))
-        table.update(rid, (1000, Geometry.rectangle(400, 400, 401, 401)))
-        old_window = Geometry.rectangle(299, 299, 302, 302)
-        new_window = Geometry.rectangle(399, 399, 402, 402)
+        rid = table.insert((1000, Geometry.rectangle(30, 30, 31, 31)))
+        table.update(rid, (1000, Geometry.rectangle(70, 70, 71, 71)))
+        old_window = Geometry.rectangle(29, 29, 32, 32)
+        new_window = Geometry.rectangle(69, 69, 72, 72)
         assert rid not in list(index.fetch("SDO_RELATE", (old_window, "ANYINTERACT")))
         assert rid in list(index.fetch("SDO_RELATE", (new_window, "ANYINTERACT")))
         table.delete(rid)

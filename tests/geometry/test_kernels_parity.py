@@ -27,15 +27,16 @@ from repro.geometry.mbr import MBR
 from repro.geometry.predicates import contains, intersects
 from repro.geometry.segments import segment_segment_distance_sq, segments_intersect
 from repro.index.quadtree.codes import TileGrid
-from repro.index.quadtree.tessellate import (
+from tests import oracles
+from tests.oracles import (
     TILE_BOUNDARY,
     TILE_INTERIOR,
     TILE_OUTSIDE,
     TILE_OUTSIDE_MBR,
-    _classify_tile_scalar,
+    assert_tessellation_matches_reference,
+    classify_tile,
+    kernel_impl,
 )
-from tests import oracles
-from tests.oracles import kernel_impl
 
 BACKENDS = oracles.IMPLS
 
@@ -323,7 +324,8 @@ class TestMbrKernelParity:
 
 
 # ----------------------------------------------------------------------
-# Tile classification (tessellation frontier): the scalar per-tile sequence.
+# Tile classification: ``tessellate`` (edge lists carried down the
+# recursion) against the per-quadrant full-geometry reference.
 # ----------------------------------------------------------------------
 class TestClassifyTilesParity:
     def _quads(self, domain, max_level):
@@ -342,9 +344,10 @@ class TestClassifyTilesParity:
             seed % 4
         ](rng)
         polygonal = any(p.geom_type.name == "POLYGON" for p in geom.simple_parts())
+        domain = MBR(-8, -8, 8, 8)
         seen = set()
-        for quad in self._quads(MBR(-8, -8, 8, 8), max_level=3):
-            code = _classify_tile_scalar(geom, quad, polygonal)
+        for quad in self._quads(domain, max_level=3):
+            code = classify_tile(geom, quad, polygonal)
             seen.add(code)
             rect = Geometry.rectangle(quad.min_x, quad.min_y, quad.max_x, quad.max_y)
             if code == TILE_OUTSIDE_MBR:
@@ -359,6 +362,8 @@ class TestClassifyTilesParity:
                 if polygonal:
                     assert not contains(geom, rect)
         assert {TILE_OUTSIDE_MBR, TILE_BOUNDARY} <= seen
+        for level in range(6):
+            assert_tessellation_matches_reference(geom, TileGrid(domain, level))
 
     def test_degenerate_quadrant_falls_back(self):
         # Zero-width / zero-area quadrants become line / point windows.
@@ -366,8 +371,17 @@ class TestClassifyTilesParity:
         inside = [MBR(0.0, 0.0, 0.0, 2.0), MBR(1.0, 1.0, 1.0, 1.0)]
         crossing = MBR(2.0, 2.0, 2.0, 5.0)
         for quad in inside:
-            assert _classify_tile_scalar(g, quad, polygonal=True) == TILE_INTERIOR
-        assert _classify_tile_scalar(g, crossing, polygonal=True) == TILE_BOUNDARY
+            assert classify_tile(g, quad, polygonal=True) == TILE_INTERIOR
+        assert classify_tile(g, crossing, polygonal=True) == TILE_BOUNDARY
+        # The recursion meets them on a grid so far from the origin that its
+        # deep quadrants collapse (x0 + size == x0 below level 12).
+        far = float(2 ** 40)
+        grid = TileGrid(MBR(far, far, far + 1, far + 1), 16)
+        for geom in (
+            Geometry.point(far + 0.5, far + 0.5),
+            Geometry.linestring([(far + 0.1, far + 0.1), (far + 0.11, far + 0.105)]),
+        ):
+            assert_tessellation_matches_reference(geom, grid)
 
 
 # ----------------------------------------------------------------------

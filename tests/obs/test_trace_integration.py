@@ -195,8 +195,17 @@ class TestTessellationAndWalSpans:
             db.create_spatial_index(
                 "q_idx", "q", "geom", kind="QUADTREE", tiling_level=4
             )
-        assert tracer.find("tessellate")
-        assert tracer.find("tessellate.level")
+        geom_spans = tracer.find("tessellate")
+        level_spans = tracer.find("tessellate.level")
+        assert geom_spans and level_spans
+        # Pruning is visible level by level: every level span carries the
+        # edges handed to its quadrants, every geometry span the quadrants
+        # it examined (= the frontier sizes of its levels, summed).
+        assert all(s.tags["edges"] >= 0 for s in level_spans)
+        assert max(s.tags["edges"] for s in level_spans if s.tags["level"] == 0) == 4
+        assert sum(s.tags["quadrants"] for s in geom_spans) == sum(
+            s.tags["frontier"] for s in level_spans
+        )
 
     def test_wal_commit_span(self, tmp_path):
         with trace.tracing() as tracer:

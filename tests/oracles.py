@@ -1,9 +1,12 @@
-"""Scalar oracles for :mod:`repro.geometry.kernels`.
+"""Scalar oracles for :mod:`repro.geometry.kernels` and for tessellation.
 
 The kernels have one (numpy) implementation; what they must agree with,
 bit for bit, is written here once, in plain Python, straight from the
 scalar definitions: the closed-interval gap test, ``math.floor`` binning,
-and ``JoinPredicate.evaluate`` pair by pair.
+and ``JoinPredicate.evaluate`` pair by pair.  Likewise
+:func:`tessellate_reference` is quadtree tessellation straight from its
+definition — every quadrant against every edge of the geometry — which
+``repro.index.quadtree.tessellate`` must equal in tiles and in charges.
 
 Tests use the oracles two ways.  Kernel-level tests call both and compare
 the results directly.  System-level tests that are parametrised
@@ -24,6 +27,12 @@ from unittest import mock
 
 from repro.core.secondary_filter import JoinPredicate
 from repro.geometry import kernels
+from repro.geometry.geometry import Geometry, GeometryType
+from repro.geometry.mbr import MBR
+from repro.geometry.predicates import contains, intersects
+from repro.index.quadtree.codes import TileGrid, morton_encode
+from repro.engine.parallel import WorkerContext
+from repro.index.quadtree.tessellate import Tile, tessellate
 
 IMPLS = ("numpy", "python")
 
@@ -101,3 +110,79 @@ def kernel_impl(name: str) -> Iterator[None]:
         return
     with mock.patch.multiple(kernels, **_ORACLES):
         yield
+
+
+# ----------------------------------------------------------------------
+# Tessellation: the per-quadrant full-geometry formulation.
+# ----------------------------------------------------------------------
+TILE_OUTSIDE_MBR = 0  # quadrant does not even meet the geometry's MBR
+TILE_OUTSIDE = 1  # meets the MBR but not the geometry
+TILE_BOUNDARY = 2  # intersects the geometry boundary
+TILE_INTERIOR = 3  # wholly inside a polygonal geometry
+
+
+def classify_tile(geom: Geometry, quad: MBR, polygonal: bool) -> int:
+    """MBR gate, ``intersects(rect, geom)``, then ``contains(geom, rect)``,
+    each against every edge of ``geom``, on a rectangle built for the call."""
+    if not quad.intersects(geom.mbr):
+        return TILE_OUTSIDE_MBR
+    rect = Geometry.from_mbr(quad)
+    if not intersects(rect, geom):
+        return TILE_OUTSIDE
+    if polygonal and contains(geom, rect):
+        return TILE_INTERIOR
+    return TILE_BOUNDARY
+
+
+def tessellate_reference(geom: Geometry, grid: TileGrid, ctx=None) -> List[Tile]:
+    """What :func:`repro.index.quadtree.tessellate.tessellate` must return
+    and charge: level-synchronous subdivision, :func:`classify_tile` per
+    quadrant, ``mbr_test`` per quadrant and ``tessellate_per_tile`` per
+    quadrant past the MBR gate."""
+    if ctx is not None:
+        ctx.charge("tessellate_per_vertex", geom.num_vertices)
+    polygonal = any(p.geom_type is GeometryType.POLYGON for p in geom.simple_parts())
+    tiles: List[Tile] = []
+    frontier = [(0, 0)]
+    level = 0
+    while frontier:
+        codes = [
+            classify_tile(geom, grid.quadrant_mbr(level, ix, iy), polygonal)
+            for ix, iy in frontier
+        ]
+        if ctx is not None:
+            ctx.charge("mbr_test", len(frontier))
+            examined = sum(1 for c in codes if c != TILE_OUTSIDE_MBR)
+            if examined:
+                ctx.charge("tessellate_per_tile", examined)
+        next_frontier = []
+        for (ix, iy), code in zip(frontier, codes):
+            if code in (TILE_OUTSIDE_MBR, TILE_OUTSIDE):
+                continue
+            if code == TILE_INTERIOR:
+                span = 1 << (grid.level - level)
+                for dx in range(span):
+                    for dy in range(span):
+                        tiles.append(
+                            Tile(morton_encode(ix * span + dx, iy * span + dy), True)
+                        )
+            elif level == grid.level:
+                tiles.append(Tile(morton_encode(ix, iy), False))
+            else:
+                for dx in (0, 1):
+                    for dy in (0, 1):
+                        next_frontier.append((ix * 2 + dx, iy * 2 + dy))
+        frontier = next_frontier
+        level += 1
+    tiles.sort(key=lambda t: t.code)
+    return tiles
+
+
+def assert_tessellation_matches_reference(geom: Geometry, grid: TileGrid) -> int:
+    """Tile lists (codes, interior flags, order) and the whole
+    ``WorkMeter.counts`` dict equal; returns the tile count."""
+    ctx, ref_ctx = WorkerContext(0), WorkerContext(0)
+    tiles = tessellate(geom, grid, ctx)
+    assert tiles == tessellate_reference(geom, grid, ref_ctx)
+    assert ctx.meter.counts == ref_ctx.meter.counts
+    return len(tiles)
