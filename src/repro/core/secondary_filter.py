@@ -34,11 +34,6 @@ from repro.storage.heap import RowId
 
 __all__ = ["FetchOrder", "GeometryCache", "SecondaryFilter", "JoinPredicate"]
 
-# A fetched geometry stays referenced until its exact test has run, cached
-# or not.  Resolving a candidate array in groups of this many vertices
-# bounds that by a constant instead of by the array size.
-_GROUP_VERTICES = 1 << 17
-
 
 class FetchOrder(enum.Enum):
     """Candidate processing order for the secondary filter."""
@@ -267,7 +262,7 @@ class SecondaryFilter:
         Fast-accepts and fetches run candidate by candidate, exactly as in
         `_process_one`, so cache state, hit/miss counters and every charge
         match it; only the exact tests are deferred, to the end of the
-        array or of a group of `_GROUP_VERTICES`, whichever comes first.
+        array or of a group of `kernels.GROUP_VERTICES`, whichever comes first.
         """
         self.candidates_seen += len(ordered)
         fetch = self.cache.fetch
@@ -287,7 +282,7 @@ class SecondaryFilter:
             pending.append(k)
             geoms_a.append(g1)
             geoms_b.append(g2)
-            if nv >= _GROUP_VERTICES:
+            if nv >= kernels.GROUP_VERTICES:
                 self._resolve_group(pending, geoms_a, geoms_b, nv, verdicts, ctx)
                 pending, geoms_a, geoms_b, nv = [], [], [], 0
         if pending:

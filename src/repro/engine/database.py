@@ -18,7 +18,12 @@ from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import CatalogError, EngineError, JoinError, StorageError
 from repro.engine.cost import CostModel, DEFAULT_COST_MODEL
-from repro.engine.indextype import DomainIndex, IndexTypeRegistry
+from repro.engine.indextype import (
+    OPERATORS,
+    DomainIndex,
+    IndexTypeRegistry,
+    exact_verdicts,
+)
 from repro.engine.parallel import (
     ParallelExecutor,
     SerialExecutor,
@@ -382,8 +387,10 @@ class Database:
         chunk planes; journaled rows fall back to the heap.  Both paths
         return the same rowids in ascending order.
         """
-        from repro.core.secondary_filter import JoinPredicate
-
+        # Distance 0 is the intersection test.
+        op = OPERATORS["SDO_WITHIN_DISTANCE"]
+        args = (window, distance)
+        form = op.pair_form(args)
         table = self.table(table_name)
         col = table.schema.index_of(column)
         qmbr = window.mbr
@@ -423,22 +430,9 @@ class Database:
         if not exact:
             return [rowid for rowid, _geom in candidates]
 
-        from repro.geometry import kernels
-
-        geoms = [geom for _rowid, geom in candidates]
-        if ctx is not None and geoms:
-            nv = sum(g.num_vertices for g in geoms)
-            ctx.charge("exact_test_base", len(geoms))
-            ctx.charge(
-                "exact_test_per_vertex",
-                nv + len(geoms) * window.num_vertices,
-            )
-        verdicts = kernels.evaluate_predicate_batch(
-            window, geoms, "ANYINTERACT", distance
+        verdicts, _batched = exact_verdicts(
+            op, args, form, [geom for _rowid, geom in candidates], ctx
         )
-        if verdicts is None:  # unsupported mask: scalar per candidate
-            predicate = JoinPredicate(mask="ANYINTERACT", distance=distance)
-            verdicts = [predicate.evaluate(window, g) for g in geoms]
         results = [
             rowid
             for (rowid, _geom), ok in zip(candidates, verdicts)

@@ -14,24 +14,41 @@ through a table function (which is exactly the paper's contribution).
 
 from __future__ import annotations
 
+import math
 from collections import OrderedDict
+from itertools import islice, repeat
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import IndexTypeError, OperatorError
 from repro.engine.parallel import WorkerContext
 from repro.engine.table import Table
+from repro.geometry import kernels
 from repro.geometry.distance import within_distance
 from repro.geometry.geometry import Geometry
-from repro.geometry.predicates import relate
+from repro.geometry.predicates import INTERACTION_MASKS, relate
+from repro.obs import trace
 from repro.storage.heap import RowId
 
 __all__ = [
     "SpatialOperator",
     "OPERATORS",
+    "REFINE_ARRAY_ROWS",
+    "KERNEL_MIN_VERTICES",
     "evaluate_operator",
+    "exact_verdicts",
     "DomainIndex",
     "IndexTypeRegistry",
 ]
+
+#: Candidates ``DomainIndex.fetch`` drains from the primary filter per
+#: pair-kernel call (``kernels.GROUP_VERTICES`` may close an array sooner).
+#: A probe abandoned after its first row has paid for at most this many.
+REFINE_ARRAY_ROWS = 1024
+
+#: Candidate vertices below which an array goes to the scalar evaluator: a
+#: kernel call costs ~0.25 ms before its first pair, the scalar test ~4 µs
+#: per candidate vertex (EXPERIMENTS.md, row W-wall: the crossover is 70–90).
+KERNEL_MIN_VERTICES = 64
 
 
 class SpatialOperator:
@@ -40,6 +57,9 @@ class SpatialOperator:
     ``evaluate`` gives the exact (secondary-filter) truth value.  Whether an
     index can pre-filter for the operator — and with what window expansion —
     is described by ``index_hint``; the domain indexes consult it.
+    ``pair_form(args)`` validates a probe's arguments, whatever the data
+    (:class:`OperatorError`), and states the exact test as the pair
+    kernel's ``(mask, distance)``; ``None``: the primary filter is the answer.
     """
 
     def __init__(
@@ -47,10 +67,12 @@ class SpatialOperator:
         name: str,
         evaluate: Callable[..., bool],
         index_hint: str,
+        pair_form: Callable[[Sequence[Any]], Optional[Tuple[str, float]]],
     ):
         self.name = name.upper()
         self.evaluate = evaluate
         self.index_hint = index_hint  # 'MBR', 'MBR_DISTANCE', or 'NONE'
+        self.pair_form = pair_form
 
     def __repr__(self) -> str:
         return f"SpatialOperator({self.name})"
@@ -69,12 +91,38 @@ def _eval_filter(geom: Geometry, query: Geometry) -> bool:
     return geom.mbr.intersects(query.mbr)
 
 
+def _relate_form(args: Sequence[Any]) -> Tuple[str, float]:
+    mask = str(args[1]) if len(args) > 1 else "ANYINTERACT"
+    for name in map(str.strip, mask.upper().split("+")):
+        if name not in INTERACTION_MASKS:
+            raise OperatorError(f"SDO_RELATE mask: unknown interaction mask: {name!r}")
+    return mask, 0.0
+
+
+def _within_distance_form(args: Sequence[Any]) -> Tuple[str, float]:
+    try:
+        distance = float(args[1])
+    except (IndexError, TypeError, ValueError):
+        distance = math.nan
+    if not 0.0 <= distance < math.inf:
+        given = repr(args[1]) if len(args) > 1 else "none"
+        raise OperatorError(
+            f"SDO_WITHIN_DISTANCE requires a finite distance >= 0, got {given}"
+        )
+    return "ANYINTERACT", distance  # distance 0 is the intersection test
+
+
 OPERATORS: Dict[str, SpatialOperator] = {
     op.name: op
     for op in (
-        SpatialOperator("SDO_RELATE", _eval_relate, index_hint="MBR"),
-        SpatialOperator("SDO_WITHIN_DISTANCE", _eval_within_distance, index_hint="MBR_DISTANCE"),
-        SpatialOperator("SDO_FILTER", _eval_filter, index_hint="MBR"),
+        SpatialOperator("SDO_RELATE", _eval_relate, "MBR", _relate_form),
+        SpatialOperator(
+            "SDO_WITHIN_DISTANCE",
+            _eval_within_distance,
+            "MBR_DISTANCE",
+            _within_distance_form,
+        ),
+        SpatialOperator("SDO_FILTER", _eval_filter, "MBR", lambda args: None),
     )
 }
 
@@ -86,6 +134,29 @@ def evaluate_operator(name: str, geom: Geometry, *args: Any) -> bool:
     except KeyError:
         raise OperatorError(f"unknown operator {name!r}") from None
     return op.evaluate(geom, *args)
+
+
+def exact_verdicts(
+    op: SpatialOperator,
+    args: Sequence[Any],
+    form: Tuple[str, float],
+    geoms: Sequence[Geometry],
+    ctx: Optional[WorkerContext] = None,
+) -> Tuple[List[bool], bool]:
+    """``op(geom, *args)`` for a whole candidate array: the charges of one
+    exact test per candidate, then one pair-kernel call — or, for arrays
+    under ``KERNEL_MIN_VERTICES`` and the masks the kernel declines, the
+    scalar evaluator (second result ``False``)."""
+    query: Geometry = args[0]
+    nv = sum(g.num_vertices for g in geoms)
+    if ctx is not None and geoms:
+        ctx.charge("exact_test_base", len(geoms))
+        ctx.charge("exact_test_per_vertex", nv + len(geoms) * query.num_vertices)
+    if nv >= KERNEL_MIN_VERTICES:
+        verdicts = kernels.evaluate_predicate_batch(query, geoms, *form)
+        if verdicts is not None:
+            return verdicts, True
+    return [op.evaluate(g, *args) for g in geoms], False
 
 
 class DomainIndex:
@@ -150,6 +221,62 @@ class DomainIndex:
         loops (paper §1, §4).
         """
         raise NotImplementedError
+
+    @staticmethod
+    def _parse_probe(operator: str, args: Sequence[Any]):
+        """``(operator, pair form)`` of one probe, validated before any
+        index work: a bad argument raises whether or not a candidate would
+        have reached the exact test."""
+        op = OPERATORS.get(operator.upper())
+        if op is None:
+            raise OperatorError(f"unknown operator {operator!r}")
+        if not args or not isinstance(args[0], Geometry):
+            raise OperatorError(f"{operator} requires a query geometry argument")
+        return op, op.pair_form(args)
+
+    def _refine(self, op, args, form, rowids, ctx, certain=None):
+        """Secondary filter of one probe, a candidate array at a time.
+
+        Geometries are fetched in candidate order, so the row cache's LRU
+        state, hit/miss sequence and fetch charges are those of testing one
+        candidate at a time; only the exact tests wait, for
+        ``REFINE_ARRAY_ROWS`` candidates or ``kernels.GROUP_VERTICES``
+        fetched vertices.  Rows flagged in the ``certain`` dict, when one
+        is given, pass unfetched and keep their place.  A probe abandoned
+        mid-array has been charged for the whole array.  No span stays open
+        across a ``yield``.
+        """
+        rowids = iter(rowids)
+        pending: List[RowId] = []
+        while True:
+            pending.extend(islice(rowids, REFINE_ARRAY_ROWS - len(pending)))
+            if not pending:
+                return
+            with trace.span("index.refine", ctx, operator=op.name) as sp:
+                sure = repeat(False)
+                if certain is not None:
+                    sure = [certain.get(rowid, False) for rowid in pending]
+                geoms: List[Geometry] = []
+                nv = used = 0
+                for rowid, ok in zip(pending, sure):
+                    used += 1
+                    if not ok:
+                        geoms.append(self.geometry_of(rowid, ctx))
+                        nv += geoms[-1].num_vertices
+                        if nv >= kernels.GROUP_VERTICES:
+                            break
+                verdicts, batched = exact_verdicts(op, args, form, geoms, ctx)
+                # In order: a certain row passes, any other takes its verdict.
+                verdict = iter(verdicts)
+                survivors = [
+                    r for r, ok in zip(pending[:used], sure) if ok or next(verdict)
+                ]
+                if trace.ENABLED:
+                    sp.set_tag("candidates", used)
+                    sp.set_tag("results", len(survivors))
+                    sp.set_tag("batched", batched)
+            del pending[:used]
+            yield from survivors
 
     # -- framework plumbing --------------------------------------------------
     def attach_maintenance(self) -> None:

@@ -22,7 +22,7 @@ from repro.errors import EngineError
 from repro.engine.cursor import Cursor, GeneratorCursor
 from repro.engine.types import Row, RowSchema
 from repro.storage.catalog import ColumnMeta, TableMeta
-from repro.storage.codec import decode_row, encode_row
+from repro.storage.codec import decode_column, decode_row, encode_row
 from repro.storage.columnar import MISSING, ColumnarSegment
 from repro.storage.heap import HeapFile, RowId
 
@@ -160,7 +160,8 @@ class Table:
             yield rowid, row[idx]
 
     def value(self, rowid: RowId, column: str) -> Any:
-        return self.schema.value(self.fetch(rowid), column)
+        """One column of one row; the row's other values stay encoded."""
+        return decode_column(self.heap.read(rowid), self.schema.index_of(column))
 
     # ------------------------------------------------------------------
     def _fire(

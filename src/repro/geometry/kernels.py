@@ -38,6 +38,7 @@ from repro.geometry.geometry import Geometry, GeometryType, Ring
 from repro.geometry.segments import EPSILON
 
 __all__ = [
+    "GROUP_VERTICES",
     "get_backend",
     "set_backend",
     "counters",
@@ -60,6 +61,12 @@ _CHUNK_ELEMS = 1 << 20
 # each): larger slices measured no faster, and their temporaries cost the
 # served join ~10 % of peak RSS in allocator retention.
 _PAIR_SLICE_ELEMS = 1 << 13
+
+# The callers' bound.  A fetched geometry stays referenced until its exact
+# test has run, cached or not; the join's secondary filter and the index
+# operators close a candidate array once this many vertices are waiting,
+# which bounds that by a constant instead of by the array size.
+GROUP_VERTICES = 1 << 17
 
 
 def get_backend() -> str:

@@ -16,8 +16,8 @@ from __future__ import annotations
 
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
-from repro.errors import IndexBuildError, IndexTypeError, OperatorError
-from repro.engine.indextype import OPERATORS, DomainIndex
+from repro.errors import IndexBuildError, IndexTypeError
+from repro.engine.indextype import DomainIndex
 from repro.engine.parallel import WorkerContext
 from repro.engine.table import Table
 from repro.geometry.geometry import Geometry
@@ -127,21 +127,14 @@ class QuadtreeIndex(DomainIndex):
         ctx: Optional[WorkerContext] = None,
         exact: bool = True,
     ) -> Iterator[RowId]:
-        op_name = operator.upper()
-        if op_name not in OPERATORS:
-            raise OperatorError(f"unknown operator {operator!r}")
-        if not args:
-            raise OperatorError(f"{operator} requires a query geometry argument")
+        op, form = self._parse_probe(operator, args)
         query: Geometry = args[0]
         if ctx is not None:
             # Fixed cost of one operator invocation through the framework.
             ctx.charge("index_probe")
 
-        if op_name == "SDO_WITHIN_DISTANCE":
-            if len(args) < 2:
-                raise OperatorError("SDO_WITHIN_DISTANCE requires a distance")
-            distance = float(args[1])
-            window_mbr = query.mbr.expand(distance).intersection(
+        if op.index_hint == "MBR_DISTANCE":
+            window_mbr = query.mbr.expand(form[1]).intersection(
                 self.grid.quadrant_mbr(0, 0, 0)
             )
             if window_mbr.is_empty or window_mbr.area == 0.0:
@@ -152,27 +145,14 @@ class QuadtreeIndex(DomainIndex):
 
         candidates = self._primary_filter(window, ctx)
 
-        if op_name == "SDO_FILTER" or not exact:
+        if form is None or not exact:
             yield from sorted(candidates)
             return
 
-        op = OPERATORS[op_name]
-        anyinteract = op_name == "SDO_RELATE" and (
-            len(args) < 2 or str(args[1]).upper() in ("ANYINTERACT", "INTERSECT")
-        )
-        for rowid in sorted(candidates):
-            # Interior-tile certainty: only valid for plain intersection.
-            if anyinteract and candidates[rowid]:
-                yield rowid
-                continue
-            geom = self.geometry_of(rowid, ctx)
-            if ctx is not None:
-                ctx.charge("exact_test_base")
-                ctx.charge(
-                    "exact_test_per_vertex", geom.num_vertices + query.num_vertices
-                )
-            if op.evaluate(geom, *args):
-                yield rowid
+        # Interior-tile certainty: only valid for plain intersection.
+        plain = form[0].upper() in ("ANYINTERACT", "INTERSECT")
+        certain = candidates if op.name == "SDO_RELATE" and plain else None
+        yield from self._refine(op, args, form, sorted(candidates), ctx, certain)
 
     def _primary_filter(
         self, window: Geometry, ctx: Optional[WorkerContext]

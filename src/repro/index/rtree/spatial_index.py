@@ -8,15 +8,19 @@ filter) followed by exact geometry evaluation (secondary filter).
 
 from __future__ import annotations
 
+import heapq
+import math
 from typing import Any, Callable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import IndexTypeError, OperatorError
-from repro.engine.indextype import OPERATORS, DomainIndex
+from repro.engine.indextype import DomainIndex
 from repro.engine.parallel import WorkerContext
 from repro.engine.table import Table
+from repro.geometry.distance import distance as exact_distance
 from repro.geometry.geometry import Geometry
 from repro.geometry.mbr import MBR
 from repro.index.rtree.bulkload import str_pack
+from repro.index.rtree.knn import incremental_nearest
 from repro.index.rtree.rtree import DEFAULT_FANOUT, RTree
 from repro.storage.heap import RowId
 
@@ -96,15 +100,12 @@ class RTreeIndex(DomainIndex):
         Rows it rejects pay no geometry fetch and no exact-test cost;
         shard ownership filters hook in here.
         """
-        op_name = operator.upper()
-        if op_name == "SDO_NN":
+        if operator.upper() == "SDO_NN":
             yield from self.fetch_nn(args, ctx, exact)
             return
-        if op_name not in OPERATORS:
-            raise OperatorError(f"unknown operator {operator!r}")
-        if not args:
-            raise OperatorError(f"{operator} requires a query geometry argument")
+        op, form = self._parse_probe(operator, args)
         query: Geometry = args[0]
+        distance = form[1] if form is not None else 0.0
         visits_before = 0.0
         if ctx is not None:
             # Fixed cost of one operator invocation through the framework.
@@ -117,47 +118,23 @@ class RTreeIndex(DomainIndex):
         # for the price of one zone_skip per chunk directory entry.
         seg = self.table.columnar
         if seg is not None and seg.journal_empty():
-            distance = (
-                float(args[1])
-                if op_name == "SDO_WITHIN_DISTANCE" and len(args) >= 2
-                else 0.0
-            )
-            qmbr = query.mbr
-            box = (qmbr.min_x, qmbr.min_y, qmbr.max_x, qmbr.max_y)
-            if seg.all_zones_miss(box, distance, ctx):
+            if seg.all_zones_miss(query.mbr.as_tuple(), distance, ctx):
                 return
 
-        if op_name == "SDO_WITHIN_DISTANCE":
-            if len(args) < 2:
-                raise OperatorError("SDO_WITHIN_DISTANCE requires a distance")
-            distance = float(args[1])
+        if op.index_hint == "MBR_DISTANCE":
             candidates = self.tree.search_within(query.mbr, distance, ctx)
         else:
             candidates = self.tree.search(query.mbr, ctx)
 
-        if prefilter is not None:
-            candidates = (
-                (mbr, rowid)
-                for mbr, rowid in candidates
-                if prefilter(mbr, rowid)
-            )
-
-        if op_name == "SDO_FILTER" or not exact:
-            for _mbr, rowid in candidates:
-                yield rowid
-            self._charge_node_misses(ctx, visits_before)
-            return
-
-        op = OPERATORS[op_name]
-        for _mbr, rowid in candidates:
-            geom = self.geometry_of(rowid, ctx)
-            if ctx is not None:
-                ctx.charge("exact_test_base")
-                ctx.charge(
-                    "exact_test_per_vertex", geom.num_vertices + query.num_vertices
-                )
-            if op.evaluate(geom, *args):
-                yield rowid
+        rowids = (
+            rowid
+            for mbr, rowid in candidates
+            if prefilter is None or prefilter(mbr, rowid)
+        )
+        if form is None or not exact:
+            yield from rowids
+        else:
+            yield from self._refine(op, args, form, rowids, ctx)
         self._charge_node_misses(ctx, visits_before)
 
     def fetch_nn(
@@ -175,11 +152,6 @@ class RTreeIndex(DomainIndex):
         (a sound lower bound).  With ``exact=False`` the MBR ranking is
         returned directly.
         """
-        import heapq
-
-        from repro.geometry.distance import distance as exact_distance
-        from repro.index.rtree.knn import incremental_nearest
-
         if not args:
             raise OperatorError("SDO_NN requires a query geometry argument")
         query: Geometry = args[0]
@@ -193,8 +165,6 @@ class RTreeIndex(DomainIndex):
         # early-termination bound sound for extended query geometry,
         # candidates within (centre distance - query radius) of the k-th
         # best cannot be pruned.
-        import math
-
         query_radius = max(
             math.hypot(cx - qx, cy - qy) for cx, cy in query.mbr.corners()
         )

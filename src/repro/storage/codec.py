@@ -25,6 +25,7 @@ from repro.storage.heap import RowId
 __all__ = [
     "encode_row",
     "decode_row",
+    "decode_column",
     "encode_value",
     "decode_value",
     "encode_f64_array",
@@ -70,6 +71,27 @@ def decode_row(data: bytes) -> Tuple[Any, ...]:
     if offset != len(data):
         raise StorageError(f"trailing bytes after row decode: {len(data) - offset}")
     return tuple(values)
+
+
+def decode_column(data: bytes, index: int) -> Any:
+    """``decode_row(data)[index]`` without materialising the other values.
+
+    Walks tags and lengths up to column ``index`` and decodes that one;
+    columns after it are not read, so corruption there goes unnoticed.
+    """
+    try:
+        (count,) = _U32.unpack_from(data, 0)
+        if not 0 <= index < count:
+            raise StorageError(f"column {index} out of range for a row of {count}")
+        offset = _U32.size
+        for _ in range(index):
+            offset = _skip_from(data, offset)
+        value, offset = _decode_from(data, offset)
+    except (struct.error, IndexError, UnicodeDecodeError):
+        raise StorageError(f"row buffer short or corrupt at column {index}") from None
+    if offset > len(data):
+        raise StorageError(f"column {index} overruns buffer")
+    return value
 
 
 def encode_value(value: Any) -> bytes:
@@ -191,6 +213,43 @@ def _encode_into(out: bytearray, value: Any) -> None:
         out += _U32.pack(value.slot)
     else:
         raise StorageError(f"cannot encode value of type {type(value).__name__}")
+
+
+# Payload bytes after the tag, for the tags whose size does not depend on
+# their content.
+_FIXED_SIZE = {
+    _TAG_NONE: 0,
+    _TAG_FALSE: 0,
+    _TAG_TRUE: 0,
+    _TAG_INT: _I64.size,
+    _TAG_FLOAT: _F64.size,
+    _TAG_MBR: 4 * _F64.size,
+    _TAG_ROWID: 2 * _U32.size,
+}
+
+
+def _skip_from(data: bytes, offset: int) -> int:
+    """Offset just past the value at ``offset``, reading only its lengths."""
+    tag = data[offset]
+    offset += 1
+    size = _FIXED_SIZE.get(tag)
+    if size is not None:
+        return offset + size
+    if tag in (_TAG_STR, _TAG_BYTES):
+        (n,) = _U32.unpack_from(data, offset)
+        return offset + _U32.size + n
+    if tag == _TAG_TUPLE:
+        (n,) = _U32.unpack_from(data, offset)
+        offset += _U32.size
+        for _ in range(n):
+            offset = _skip_from(data, offset)
+        return offset
+    if tag == _TAG_GEOMETRY:
+        (n_elem,) = _U32.unpack_from(data, offset + _U32.size)
+        offset += 2 * _U32.size + 4 * n_elem
+        (n_ord,) = _U32.unpack_from(data, offset)
+        return offset + _U32.size + 8 * n_ord
+    raise StorageError(f"unknown codec tag {tag} at offset {offset - 1}")
 
 
 def _decode_from(data: bytes, offset: int) -> Tuple[Any, int]:

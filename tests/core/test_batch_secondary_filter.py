@@ -89,7 +89,6 @@ class TestBatchIdentity:
         import gc
         import math
 
-        from repro.core import secondary_filter
         from repro.geometry.geometry import Geometry
 
         def disc(cx, cy):
@@ -121,7 +120,7 @@ class TestBatchIdentity:
         assert len(pairs) == 48 + 2 * (6 * 7 + 8 * 5)  # itself and its 4-neighbours
         assert f.cache.misses > 2000  # nearly every second fetch decoded anew
         assert len(vertices) > 10
-        assert max(vertices) < secondary_filter._GROUP_VERTICES + 2 * 401
+        assert max(vertices) < kernels.GROUP_VERTICES + 2 * 401
         # One group is ~165 fetched discs; the whole array would be ~2 300.
         assert max(alive) - before < 400, alive
 

@@ -187,6 +187,52 @@ class TestDisabledOverhead:
         assert trace.get_tracer() is None
 
 
+class TestIndexRefineSpans:
+    def test_one_span_per_candidate_array(self, join_db, monkeypatch):
+        """A window probe's secondary filter is one ``index.refine`` span
+        per array; its meter delta is the fetch + exact-test charges, and
+        a traced probe charges exactly what an untraced one does."""
+        from repro import Geometry
+        from repro.engine import indextype
+        from repro.engine.parallel import WorkerContext
+
+        monkeypatch.setattr(indextype, "REFINE_ARRAY_ROWS", 16)
+        window = Geometry.rectangle(0, 0, 60, 60)
+        index = join_db.spatial_index_on("shapes", "geom")
+
+        def probe(operator, args):
+            index._geom_cache.clear()
+            ctx = WorkerContext(0)
+            return list(join_db.select_rowids("shapes", "geom", operator, args, ctx)), ctx
+
+        for operator, args, batched in (
+            ("SDO_WITHIN_DISTANCE", (window, 1.0), True),
+            ("SDO_RELATE", (window, "INSIDE"), False),
+        ):
+            trace.disable()
+            want, untraced = probe(operator, args)
+            with trace.tracing() as tracer:
+                got, traced = probe(operator, args)
+            assert got == want and want
+            assert traced.meter.counts == untraced.meter.counts
+            spans = tracer.find("index.refine")
+            candidates = untraced.meter.counts["exact_test_base"]
+            assert len(spans) == math.ceil(candidates / 16) > 1
+            assert [s.tags["candidates"] for s in spans[:-1]] == [16] * (len(spans) - 1)
+            assert sum(s.tags["candidates"] for s in spans) == candidates
+            assert sum(s.tags["results"] for s in spans) == len(got)
+            assert {s.tags["operator"] for s in spans} == {operator}
+            # the kernel takes the arrays it accepts from 64 candidate
+            # vertices up: a full array of 16 rectangles, not a shorter tail
+            assert [s.tags["batched"] for s in spans] == [
+                batched and s.tags["candidates"] == 16 for s in spans
+            ]
+            assert spans[0].tags["batched"] is batched
+            refine = _sum_meters(spans)
+            assert refine["exact_test_base"] == candidates
+            assert "rtree_node_visit" not in refine and "mbr_test" not in refine
+
+
 class TestTessellationAndWalSpans:
     def test_tessellate_spans(self, random_rects):
         db = Database()

@@ -1,4 +1,5 @@
-"""Scalar oracles for :mod:`repro.geometry.kernels` and for tessellation.
+"""Scalar oracles for :mod:`repro.geometry.kernels`, for tessellation and
+for the index operators' secondary filter.
 
 The kernels have one (numpy) implementation; what they must agree with,
 bit for bit, is written here once, in plain Python, straight from the
@@ -7,6 +8,9 @@ and ``JoinPredicate.evaluate`` pair by pair.  Likewise
 :func:`tessellate_reference` is quadtree tessellation straight from its
 definition — every quadrant against every edge of the geometry — which
 ``repro.index.quadtree.tessellate`` must equal in tiles and in charges.
+  :func:`index_fetch_reference` is ``DomainIndex.fetch``
+one candidate at a time — fetch, charge, scalar operator — which the
+array-at-a-time ``fetch`` must equal in rowids, order and charges.
 
 Tests use the oracles two ways.  Kernel-level tests call both and compare
 the results directly.  System-level tests that are parametrised
@@ -26,12 +30,14 @@ from typing import Iterator, List, Optional
 from unittest import mock
 
 from repro.core.secondary_filter import JoinPredicate
+from repro.engine.indextype import OPERATORS
 from repro.geometry import kernels
 from repro.geometry.geometry import Geometry, GeometryType
 from repro.geometry.mbr import MBR
 from repro.geometry.predicates import contains, intersects
 from repro.index.quadtree.codes import TileGrid, morton_encode
 from repro.engine.parallel import WorkerContext
+from repro.index.quadtree.quadtree import QuadtreeIndex
 from repro.index.quadtree.tessellate import Tile, tessellate
 
 IMPLS = ("numpy", "python")
@@ -186,3 +192,65 @@ def assert_tessellation_matches_reference(geom: Geometry, grid: TileGrid) -> int
     assert tiles == tessellate_reference(geom, grid, ref_ctx)
     assert ctx.meter.counts == ref_ctx.meter.counts
     return len(tiles)
+
+
+# ----------------------------------------------------------------------
+# Index operators: one candidate at a time.
+# ----------------------------------------------------------------------
+def index_fetch_reference(index, operator, args, ctx=None, exact=True, prefilter=None):
+    """What ``index.fetch(operator, args, ctx, exact[, prefilter])`` must
+    yield and charge: the per-candidate loop both index kinds ran before
+    the array-at-a-time secondary filter — primary filter, then for each
+    candidate in order ``geometry_of``, one ``exact_test_base``,
+    ``exact_test_per_vertex`` for its and the query's vertices, and the
+    operator's scalar evaluator.  It probes ``index`` itself (tree, tiles,
+    row cache), so compare it with ``fetch`` on a twin index, not the same one.
+    """
+    op_name = operator.upper()
+    op = OPERATORS[op_name]
+    query = args[0]
+    if ctx is not None:
+        ctx.charge("index_probe")
+    if isinstance(index, QuadtreeIndex):
+        window = query
+        if op_name == "SDO_WITHIN_DISTANCE":
+            window_mbr = query.mbr.expand(float(args[1])).intersection(
+                index.grid.quadrant_mbr(0, 0, 0)
+            )
+            if window_mbr.is_empty or window_mbr.area == 0.0:
+                return
+            window = Geometry.from_mbr(window_mbr)
+        flags = index._primary_filter(window, ctx)
+        anyinteract = op_name == "SDO_RELATE" and (
+            len(args) < 2 or str(args[1]).upper() in ("ANYINTERACT", "INTERSECT")
+        )
+        candidates = [(rowid, anyinteract and flags[rowid]) for rowid in sorted(flags)]
+        visits_before = None
+    else:
+        visits_before = ctx.meter.counts.get("rtree_node_visit", 0.0) if ctx else 0.0
+        distance = float(args[1]) if op_name == "SDO_WITHIN_DISTANCE" else 0.0
+        seg = index.table.columnar
+        if seg is not None and seg.journal_empty():
+            if seg.all_zones_miss(query.mbr.as_tuple(), distance, ctx):
+                return
+        if op_name == "SDO_WITHIN_DISTANCE":
+            found = index.tree.search_within(query.mbr, distance, ctx)
+        else:
+            found = index.tree.search(query.mbr, ctx)
+        candidates = (
+            (rowid, False)
+            for mbr, rowid in found
+            if prefilter is None or prefilter(mbr, rowid)
+        )
+    for rowid, certain in candidates:
+        if op_name == "SDO_FILTER" or not exact or certain:
+            yield rowid
+            continue
+        geom = index.geometry_of(rowid, ctx)
+        if ctx is not None:
+            ctx.charge("exact_test_base")
+            ctx.charge("exact_test_per_vertex", geom.num_vertices + query.num_vertices)
+        if op.evaluate(geom, *args):
+            yield rowid
+    if visits_before is not None:
+        index._charge_node_misses(ctx, visits_before)

@@ -172,6 +172,20 @@ class TestQueryKinds:
                                     "wkt": "POLYGON oops"})
         assert info.value.code == ERR_BAD_REQUEST
 
+    def test_bad_operator_arguments_fail_whatever_the_window_holds(self, client):
+        """Validated once per probe, before the primary filter: an empty
+        window is no longer a way to get rows=[] out of a bad mask."""
+        empty = to_wkt(Geometry.rectangle(900, 900, 901, 901))
+        for params, named in (
+            ({"operator": "SDO_RELATE", "mask": "BOGUS"}, "mask"),
+            ({"operator": "SDO_WITHIN_DISTANCE", "distance": -1.0}, "distance"),
+        ):
+            session = client.start(
+                "window", {"table": "a_tab", "column": "geom", "wkt": empty, **params}
+            )
+            with pytest.raises(RemoteError, match=f"OperatorError.*{named}"):
+                session.fetch(10)
+
     def test_malformed_frame_gets_error_not_hangup(self, client):
         client.send_raw(b"this is not json\n")
         response = client.read_response()

@@ -5,7 +5,14 @@ import pytest
 from repro.errors import StorageError
 from repro.geometry.geometry import Geometry
 from repro.geometry.mbr import MBR
-from repro.storage.codec import decode_row, decode_value, encode_row, encode_value
+from repro.storage.codec import (
+    decode_column,
+    decode_row,
+    decode_value,
+    encode_row,
+    encode_value,
+)
+from repro.storage.heap import RowId
 
 
 class TestScalars:
@@ -75,6 +82,79 @@ class TestRows:
     def test_unknown_tag_rejected(self):
         with pytest.raises(StorageError):
             decode_value(b"\xee")
+
+
+class TestDecodeColumn:
+    """``decode_column(data, i)`` is ``decode_row(data)[i]`` read in place."""
+
+    # one value per codec tag, variable-length ones in the middle
+    ROW = (
+        None, False, True, -7, 2.5, "naïve", b"\x00\xff", (1, ("x", None), 2.0),
+        Geometry.polygon(
+            [(0, 0), (6, 0), (6, 6), (0, 6)], holes=[[(1, 1), (2, 1), (2, 2), (1, 2)]]
+        ),
+        MBR(0, 1, 2, 3), RowId(4, 5), None, Geometry.point(1, 2), 9,
+    )
+
+    def test_every_tag_at_every_position(self):
+        for shift in range(len(self.ROW)):
+            row = self.ROW[shift:] + self.ROW[:shift]
+            data = encode_row(row)
+            whole = decode_row(data)
+            for i in range(len(row)):
+                value = decode_column(data, i)
+                assert value == whole[i] and type(value) is type(whole[i])
+
+    def test_index_out_of_range(self):
+        data = encode_row((1, 2))
+        for index in (-1, 2, 99):
+            with pytest.raises(StorageError, match="out of range"):
+                decode_column(data, index)
+        with pytest.raises(StorageError):
+            decode_column(encode_row(()), 0)
+
+    def test_truncated_buffers(self):
+        """Cut anywhere inside or before the requested column: StorageError.
+        Cut after it: the column still reads, as nothing past it is touched."""
+        data = encode_row(self.ROW)
+        ends = []  # offset just past each column
+        for i in range(len(self.ROW)):
+            ends.append(len(encode_row(self.ROW[: i + 1])))
+        for cut in range(len(data)):
+            for i in (0, 3, 5, 7, 8, 10, 13):
+                if cut < ends[i]:
+                    with pytest.raises(StorageError):
+                        decode_column(data[:cut], i)
+                else:
+                    assert decode_column(data[:cut], i) == self.ROW[i]
+
+    def test_corrupted_tags_and_lengths(self):
+        data = bytearray(encode_row((1, "abc", 2)))
+        unknown = bytes(data[:4]) + b"\xee" + bytes(data[5:])
+        for i in (0, 1, 2):  # skipped or decoded, an unknown tag is an error
+            with pytest.raises(StorageError, match="unknown codec tag"):
+                decode_column(unknown, i)
+        data[14:18] = (2**31).to_bytes(4, "little")  # the string's length
+        with pytest.raises(StorageError):
+            decode_column(bytes(data), 1)
+        with pytest.raises(StorageError):
+            decode_column(bytes(data), 2)
+        assert decode_column(bytes(data), 0) == 1
+
+    def test_table_value_reads_one_column(self, monkeypatch):
+        from repro import Database
+        from repro.engine import table as table_module
+
+        db = Database()
+        table = db.create_table("t", [("id", "NUMBER"), ("geom", "SDO_GEOMETRY")])
+        rowid = table.insert((41, Geometry.rectangle(0, 0, 1, 1)))
+
+        def no_row_decode(_data):
+            raise AssertionError("Table.value decoded the whole row")
+
+        monkeypatch.setattr(table_module, "decode_row", no_row_decode)
+        assert table.value(rowid, "id") == 41
+        assert table.value(rowid, "geom") == Geometry.rectangle(0, 0, 1, 1)
 
 
 class TestBatchArrayFastPaths:
