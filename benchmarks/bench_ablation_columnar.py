@@ -185,8 +185,7 @@ def _join_row(slotted, columnar, table, workload, fetch_order) -> dict:
     for name, db in (("slotted", slotted), ("columnar", columnar)):
         filt = SecondaryFilter(
             db.table(table), "geom", db.table(table), "geom",
-            JoinPredicate(distance=0.0), use_batch=True,
-            fetch_order=fetch_order,
+            JoinPredicate(distance=0.0), fetch_order=fetch_order,
         )
         ctx = WorkerContext(0)
         started = time.perf_counter()

@@ -2,9 +2,8 @@
 
 Runs the paper-table regenerators without pytest and prints each table.
 Valid experiment names: table1 table2 table3 figure1 figure2
-ablation_sweep kernels grid cluster resilience obsplane (default: all).
-Honours
-``REPRO_BENCH_PROFILE=small|paper``.
+ablation_sweep grid columnar cluster resilience obsplane (default: all).
+Honours ``REPRO_BENCH_PROFILE=small|paper``.
 
 Flags:
 
@@ -16,9 +15,9 @@ Flags:
 * ``--regen`` — bypass the on-disk dataset cache and regenerate (and
   re-cache) the star geometries.
 
-Besides the human-readable table, each experiment writes a
-machine-readable ``BENCH_<name>.json`` next to the rendered tables
-(simulated seconds plus raw operation counters, worker imbalance, and
+Besides the printed table, each experiment writes a machine-readable
+``BENCH_<name>.json`` next to the tables the pytest form of each bench file
+renders (simulated seconds plus raw operation counters, worker imbalance, and
 per-worker seconds per row) so CI can diff benchmark output across
 commits.
 """
@@ -45,7 +44,6 @@ EXPERIMENTS = (
     "figure1",
     "figure2",
     "ablation_sweep",
-    "kernels",
     "grid",
     "columnar",
     "cluster",
@@ -62,7 +60,6 @@ DESCRIPTIONS = {
     "figure1": "subtree-pair decomposition of a two-R-tree join (Figure 1)",
     "figure2": "parallel quadtree creation pipeline: per-worker tessellation + B-tree tail (Figure 2)",
     "ablation_sweep": "interior-tile / batching / approximation ablation",
-    "kernels": "secondary filter: scalar oracle vs numpy pair kernel (Ablation H)",
     "grid": "grid-partitioned parallel join vs serial ablation",
     "columnar": "slotted heap vs zone-mapped column chunks ablation",
     "cluster": "sharded router scaling + cross-shard join exactness",
@@ -71,11 +68,10 @@ DESCRIPTIONS = {
 }
 
 # bench_<name>.py files whose runner wants (counties, stars) workloads.
-_COUNTIES_STARS = ("ablation_sweep", "kernels", "grid", "columnar")
+_COUNTIES_STARS = ("ablation_sweep", "grid", "columnar")
 
 # Experiments whose bench file name differs from the experiment name.
 _MODULE_FILES = {
-    "kernels": "ablation_kernels",
     "grid": "ablation_grid",
     "columnar": "ablation_columnar",
 }
@@ -188,13 +184,14 @@ def main(argv) -> int:
             else ["(empty)"]
         )
         table = ExperimentTable(
-            experiment=f"{name}_cli",
+            experiment=name,
             title=f"{name} (driver wall time {elapsed:.1f}s)",
             columns=scalar_cols,
         )
         for row in rows:
             table.add_row(*(row[k] for k in table.columns))
-        table.emit()
+        print()
+        print(table.render())
         json_path = _write_json(name, prof, elapsed, rows)
         print(f"wrote {json_path}")
     return 0

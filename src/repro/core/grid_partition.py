@@ -396,8 +396,7 @@ class GridJoinContext:
     secondary filter.  Filters are created lazily **per worker** (keyed by
     ``worker_id``) so a worker keeps its geometry cache warm across the
     many tiles it steals, exactly as a subtree-pair slave keeps one filter
-    for its whole partition; the registry itself is dropped on pickle so
-    spawn-style workers start clean.
+    for its whole partition; the registry itself is dropped on pickle.
     """
 
     __slots__ = (
@@ -412,7 +411,6 @@ class GridJoinContext:
         "fetch_order",
         "use_interior",
         "rng_seed",
-        "use_batch",
         "_filters",
     )
 
@@ -429,7 +427,6 @@ class GridJoinContext:
         fetch_order,
         use_interior: bool,
         rng_seed: int,
-        use_batch: bool,
     ):
         self.table_a = table_a
         self.column_a = column_a
@@ -442,7 +439,6 @@ class GridJoinContext:
         self.fetch_order = fetch_order
         self.use_interior = use_interior
         self.rng_seed = rng_seed
-        self.use_batch = use_batch
         self._filters: Dict[int, object] = {}
 
     def __getstate__(self):
@@ -472,7 +468,6 @@ class GridJoinContext:
                 fetch_order=self.fetch_order,
                 rng_seed=self.rng_seed,
                 use_interior=self.use_interior,
-                use_batch=self.use_batch,
             )
             self._filters[worker_id] = filt
         return filt
@@ -482,9 +477,8 @@ class GridTileTask:
     """One slave work unit: sweep + refine a run of tiles.
 
     A module-level class over picklable state (not a closure), like
-    :class:`~repro.engine.table_function.PartitionTask`, so spawn-style
-    process pools can ship tile work as well as fork-based ones.  Tasks
-    are deliberately fine-grained — usually a single tile — so the
+    :class:`~repro.engine.table_function.PartitionTask`.  Tasks are
+    deliberately fine-grained — usually a single tile — so the
     executors' demand-driven queues steal around skewed tiles instead of
     serialising behind a static partition.
     """

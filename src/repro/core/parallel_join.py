@@ -90,7 +90,6 @@ class SpatialJoinFactory:
     strategy: JoinStrategy = JoinStrategy.SWEEP
     use_pair_cursor: bool = False
     rng_seed: int = 0
-    use_batch: bool = True
 
     def __call__(self, cursor: Cursor) -> SpatialJoinFunction:
         return SpatialJoinFunction(
@@ -107,7 +106,6 @@ class SpatialJoinFactory:
             use_interior=self.use_interior,
             strategy=self.strategy,
             rng_seed=self.rng_seed,
-            use_batch=self.use_batch,
         )
 
 
@@ -160,14 +158,12 @@ def spatial_join(
     use_interior: bool = False,
     strategy: JoinStrategy = JoinStrategy.SWEEP,
     rng_seed: int = 0,
-    use_batch: bool = True,
 ) -> JoinResult:
     """Serial (single input stream) index-based spatial join.
 
     ``strategy`` selects the primary-filter pairing policy (plane sweep by
     default; ``JoinStrategy.NESTED`` restores the naive double loop).
-    ``rng_seed`` seeds the RANDOM fetch-order shuffle; ``use_batch``
-    toggles the kernels-backed batch secondary filter.
+    ``rng_seed`` seeds the RANDOM fetch-order shuffle.
     """
     executor = executor or SerialExecutor()
 
@@ -185,7 +181,6 @@ def spatial_join(
         strategy=strategy,
         use_pair_cursor=False,
         rng_seed=rng_seed,
-        use_batch=use_batch,
     )
 
     run = run_parallel(factory, ListCursor([()]), SerialExecutor(executor.cost_model))
@@ -209,7 +204,6 @@ def grid_parallel_join(
     fetch_order: FetchOrder = FetchOrder.SORTED,
     use_interior: bool = False,
     rng_seed: int = 0,
-    use_batch: bool = True,
     grid_shape: Optional[Tuple[int, int]] = None,
     spec=None,
     owned=None,
@@ -283,7 +277,6 @@ def grid_parallel_join(
             fetch_order,
             use_interior,
             rng_seed,
-            use_batch,
         )
         tasks = make_tile_tasks(shared, stats, owned=owned)
         stats.shape = (spec.nx, spec.ny)
@@ -323,7 +316,6 @@ def parallel_spatial_join(
     use_interior: bool = False,
     strategy: JoinStrategy = JoinStrategy.SWEEP,
     rng_seed: int = 0,
-    use_batch: bool = True,
 ) -> JoinResult:
     """Parallel spatial join over subtree-pair decomposition.
 
@@ -348,7 +340,6 @@ def parallel_spatial_join(
             fetch_order=fetch_order,
             use_interior=use_interior,
             rng_seed=rng_seed,
-            use_batch=use_batch,
         )
     if len(tree_a) == 0 or len(tree_b) == 0:
         return JoinResult(
@@ -380,7 +371,6 @@ def parallel_spatial_join(
         strategy=strategy,
         use_pair_cursor=True,
         rng_seed=rng_seed,
-        use_batch=use_batch,
     )
 
     run = run_parallel(

@@ -120,7 +120,6 @@ class SecondaryFilter:
         rng_seed: int = 0,
         use_interior: bool = False,
         interior_cache_capacity: Optional[int] = None,
-        use_batch: bool = True,
     ):
         self.table_a = table_a
         self.table_b = table_b
@@ -134,11 +133,10 @@ class SecondaryFilter:
         # common SORTED path pays nothing for it.
         self.rng_seed = rng_seed
         self._rng = None
-        # Batch mode resolves each candidate array with one call of the
-        # vectorized pair kernel.  Charges, statistics, result order and
-        # results are identical to per-candidate evaluation (the oracle,
-        # ``use_batch=False``).
-        self.use_batch = use_batch
+        # Each candidate array is resolved by the vectorized pair kernel.
+        # Charges, statistics, result order and results are identical to
+        # per-candidate evaluation (the oracle,
+        # ``tests/oracles.py::secondary_filter_reference``).
         self.batched_candidates = 0
         self.candidates_seen = 0
         self.results_produced = 0
@@ -217,39 +215,11 @@ class SecondaryFilter:
                 if n > 1 and self.fetch_order is FetchOrder.SORTED:
                     ctx.charge("sort_per_item", n * math.log2(n))
             ordered = self.order_candidates(candidates)
-            if self.use_batch:
-                self._process_array(ordered, results, ctx)
-            else:
-                for cand in ordered:
-                    self._process_one(cand, results, ctx)
+            self._process_array(ordered, results, ctx)
             self.results_produced += len(results)
             sp.set_tag("results", len(results))
             sp.set_tag("cache_hit_ratio", self.cache.hit_ratio)
         return results
-
-    def _process_one(
-        self,
-        cand: CandidatePair,
-        results: List[Tuple[RowId, RowId]],
-        ctx: Optional[WorkerContext],
-    ) -> None:
-        rid_a, rid_b, mbr_a, mbr_b = cand
-        self.candidates_seen += 1
-        if self.use_interior and self._fast_accept(rid_a, rid_b, mbr_a, mbr_b, ctx):
-            self.fast_accepts += 1
-            results.append((rid_a, rid_b))
-            if ctx is not None:
-                ctx.charge("result_row")
-            return
-        g1 = self.cache.fetch(self.table_a, rid_a, self._col_a, ctx)
-        g2 = self.cache.fetch(self.table_b, rid_b, self._col_b, ctx)
-        if ctx is not None:
-            ctx.charge("exact_test_base")
-            ctx.charge("exact_test_per_vertex", g1.num_vertices + g2.num_vertices)
-        if self.predicate.evaluate(g1, g2):
-            results.append((rid_a, rid_b))
-            if ctx is not None:
-                ctx.charge("result_row")
 
     def _process_array(
         self,
@@ -259,10 +229,10 @@ class SecondaryFilter:
     ) -> None:
         """Resolve an ordered candidate array with the pair kernel.
 
-        Fast-accepts and fetches run candidate by candidate, exactly as in
-        `_process_one`, so cache state, hit/miss counters and every charge
-        match it; only the exact tests are deferred, to the end of the
-        array or of a group of `kernels.GROUP_VERTICES`, whichever comes first.
+        Fast-accepts and fetches run candidate by candidate, so cache state,
+        hit/miss counters and every charge match a per-candidate loop; only
+        the exact tests are deferred, to the end of the array or of a group
+        of `kernels.GROUP_VERTICES`, whichever comes first.
         """
         self.candidates_seen += len(ordered)
         fetch = self.cache.fetch

@@ -83,7 +83,6 @@ class SpatialJoinFunction(TableFunction):
         use_interior: bool = False,
         strategy: JoinStrategy = JoinStrategy.SWEEP,
         rng_seed: int = 0,
-        use_batch: bool = True,
     ):
         super().__init__()
         if candidate_array_size < 1:
@@ -106,7 +105,6 @@ class SpatialJoinFunction(TableFunction):
             cache_capacity=cache_capacity,
             rng_seed=rng_seed,
             use_interior=use_interior,
-            use_batch=use_batch,
         )
         self._join: Optional[RTreeJoinCursor] = None
         self._out_buffer: Deque[Tuple] = deque()

@@ -29,7 +29,6 @@ from repro.engine.parallel import (
     ParallelRun,
     SerialExecutor,
     SimulatedExecutor,
-    ThreadExecutor,
     WorkerContext,
     make_executor,
 )
@@ -69,7 +68,6 @@ __all__ = [
     "ParallelExecutor",
     "SerialExecutor",
     "SimulatedExecutor",
-    "ThreadExecutor",
     "ParallelRun",
     "WorkerContext",
     "make_executor",

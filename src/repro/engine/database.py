@@ -48,10 +48,8 @@ __all__ = ["Database"]
 _META_MAGIC = 0x52504D31  # "RPM1"
 _META_HDR = struct.Struct("<IIII")
 _META_NO_PAGE = 0xFFFFFFFF
-# SNAP2 appends an optional columnar-segment snapshot to each table entry;
-# SNAP1 files (no 5th element) load unchanged.
+# SNAP2: each table entry ends with its (optional) columnar-segment snapshot.
 _SNAP_VERSION = "SNAP2"
-_SNAP_ACCEPTED = ("SNAP1", "SNAP2")
 
 
 class Database:
@@ -128,7 +126,6 @@ class Database:
         column: str,
         kind: str = "RTREE",
         parallel: int = 1,
-        use_threads: bool = False,
         use_processes: bool = False,
         maintain: bool = True,
         **parameters: Any,
@@ -137,9 +134,9 @@ class Database:
 
         ``parallel`` is the paper's PARALLEL clause degree; degree > 1 runs
         the table-function build paths of §5 (on simulated workers by
-        default, real threads with ``use_threads``, real slave processes
-        with ``use_processes``).  ``maintain=True`` hooks the index to
-        base-table DML.  Returns ``(index, build_report)``.
+        default, real slave processes with ``use_processes``).
+        ``maintain=True`` hooks the index to base-table DML.  Returns
+        ``(index, build_report)``.
         """
         from repro.core.index_build import (
             BuildReport,
@@ -153,9 +150,7 @@ class Database:
             parameters["domain"] = self._infer_domain(table, column)
 
         index = self.indextypes.create(kind, name, table, column, **parameters)
-        executor = make_executor(
-            parallel, self.cost_model, use_threads, use_processes
-        )
+        executor = make_executor(parallel, self.cost_model, use_processes)
 
         # Every build goes through the table-function path so degree 1 and
         # degree N run the same code under one cost model.
@@ -237,7 +232,6 @@ class Database:
         mask: str = "ANYINTERACT",
         distance: float = 0.0,
         parallel: int = 1,
-        use_threads: bool = False,
         use_processes: bool = False,
         **options: Any,
     ) -> "JoinResultLike":
@@ -270,10 +264,9 @@ class Database:
         tree_a = self._rtree_of(table_a, column_a)
         tree_b = self._rtree_of(table_b, column_b)
         predicate = JoinPredicate(mask=mask, distance=distance)
+        # EngineError for a degree < 1, as in create_spatial_index
+        executor = make_executor(parallel, self.cost_model, use_processes)
         if parallel > 1:
-            executor = make_executor(
-                parallel, self.cost_model, use_threads, use_processes
-            )
             return parallel_spatial_join(
                 self.table(table_a),
                 column_a,
@@ -293,7 +286,7 @@ class Database:
             column_b,
             tree_b,
             predicate=predicate,
-            executor=SerialExecutor(self.cost_model),
+            executor=executor,
             **options,
         )
 
@@ -661,16 +654,12 @@ class Database:
                 self._meta_pages = [0]
             return
         record = decode_row(blob)
-        if not record or record[0] not in _SNAP_ACCEPTED:
+        if not record or record[0] != _SNAP_VERSION:
             raise StorageError(
                 f"meta snapshot has unknown version {record[0] if record else '?'!r}"
             )
         _version, tables, indexes = record
-        for entry in tables:
-            # SNAP1 entries have 4 elements; SNAP2 appends the (optional)
-            # columnar-segment snapshot.
-            name, columns, pages, row_count = entry[:4]
-            seg_snap = entry[4] if len(entry) > 4 else None
+        for name, columns, pages, row_count, seg_snap in tables:
             meta = TableMeta(
                 name=name,
                 columns=[ColumnMeta(cname, ctype) for cname, ctype in columns],

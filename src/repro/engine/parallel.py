@@ -4,10 +4,6 @@ Oracle's parallel table functions run N *slave* instances, each consuming a
 partition of the input cursor.  This module provides that execution model
 twice, behind one interface:
 
-* :class:`ThreadExecutor` — real Python threads.  Used by tests to prove
-  the decomposition is correct under genuine concurrency.  (CPython's GIL
-  means it cannot demonstrate speedup for CPU-bound work, and the
-  reproduction host may have a single core anyway.)
 * :class:`SimulatedExecutor` — the benchmark engine.  Tasks execute
   serially but charge their work units to per-worker
   :class:`~repro.engine.cost.WorkMeter` instances; the reported *makespan*
@@ -20,13 +16,16 @@ twice, behind one interface:
   actually uses multiple cores.  Task results and worker meters travel
   back over pipes, so results (not the tasks themselves) must pickle.
 
+There is no thread executor: the engine's buffer pool and caches are
+unsynchronised, and CPU-bound tasks on threads measured slower than serial
+(EXPERIMENTS.md, row X-wall).
+
 All executors return a :class:`ParallelRun` whose ``results`` are in task
 submission order regardless of scheduling.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from typing import (
     Any,
@@ -49,7 +48,6 @@ __all__ = [
     "ParallelExecutor",
     "SerialExecutor",
     "SimulatedExecutor",
-    "ThreadExecutor",
     "ProcessExecutor",
 ]
 
@@ -91,7 +89,7 @@ class ParallelRun(Generic[T]):
     worker_meters: List[WorkMeter]
     degree: int
     cost_model: CostModel = DEFAULT_COST_MODEL
-    wall_seconds: float = 0.0  # real elapsed time (ThreadExecutor only)
+    wall_seconds: float = 0.0  # real elapsed time (ProcessExecutor only)
 
     @property
     def worker_seconds(self) -> List[float]:
@@ -135,19 +133,13 @@ class ParallelExecutor:
         raise NotImplementedError
 
 
-def _run_task(task, ctx, index, executor, parent=None):
-    """Run one task, wrapped in an ``executor.task`` span when tracing.
-
-    ``parent`` pins the span under the submitting span for executors whose
-    tasks run on other threads (the thread-local parent default would
-    otherwise start a fresh trace per worker thread).
-    """
+def _run_task(task, ctx, index, executor):
+    """Run one task, wrapped in an ``executor.task`` span when tracing."""
     if not trace.ENABLED:
         return task(ctx)
     with trace.span(
         "executor.task",
         ctx,
-        parent=parent,
         worker=ctx.worker_id,
         task=index,
         executor=executor,
@@ -232,70 +224,6 @@ def _raise_collected(errors: Sequence[BaseException]) -> None:
     raise primary
 
 
-class ThreadExecutor(ParallelExecutor):
-    """Real-thread executor.
-
-    Tasks are pulled from a shared queue by ``degree`` worker threads.  Work
-    units are still metered (each worker owns a meter), so simulated numbers
-    remain available; ``wall_seconds`` additionally records real elapsed
-    time.  Exceptions raised by tasks are re-raised in the caller; when
-    several workers fail, every collected exception is reported (see
-    :func:`_raise_collected`).
-    """
-
-    def __init__(self, degree: int, cost_model: CostModel = DEFAULT_COST_MODEL):
-        if degree < 1:
-            raise EngineError(f"degree must be >= 1, got {degree}")
-        self.degree = degree
-        self.cost_model = cost_model
-
-    def run(self, tasks: Sequence[Task]) -> ParallelRun:
-        import time
-
-        meters = [WorkMeter() for _ in range(self.degree)]
-        results: List[Any] = [None] * len(tasks)
-        errors: List[BaseException] = []
-        next_index = [0]
-        lock = threading.Lock()
-        parent_span = trace.current_span()
-
-        def worker(worker_id: int) -> None:
-            while True:
-                with lock:
-                    if errors or next_index[0] >= len(tasks):
-                        return
-                    index = next_index[0]
-                    next_index[0] += 1
-                ctx = WorkerContext(worker_id, meters[worker_id])
-                try:
-                    results[index] = _run_task(
-                        tasks[index], ctx, index, "thread", parent=parent_span
-                    )
-                except BaseException as exc:  # noqa: BLE001 - reraised below
-                    with lock:
-                        errors.append(exc)
-                    return
-
-        started = time.perf_counter()
-        threads = [
-            threading.Thread(target=worker, args=(i,), daemon=True)
-            for i in range(min(self.degree, max(1, len(tasks))))
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        elapsed = time.perf_counter() - started
-        _raise_collected(errors)
-        return ParallelRun(
-            results=results,
-            worker_meters=meters,
-            degree=self.degree,
-            cost_model=self.cost_model,
-            wall_seconds=elapsed,
-        )
-
-
 def _portable_error(exc: BaseException) -> BaseException:
     """Return ``exc`` if it survives pickling, else a summary EngineError."""
     import pickle
@@ -360,12 +288,11 @@ def _process_worker(worker_id, tasks, task_queue, conn) -> None:
 class ProcessExecutor(ParallelExecutor):
     """Real-process executor: Oracle's slave *processes*, literally.
 
-    Forked children pull task indices from a shared queue (demand-driven,
-    like the thread executor) and stream results back over per-worker
-    pipes.  Because children are forks, the *tasks* never need to pickle —
-    only their results and meter counts do.  On platforms without the
-    ``fork`` start method the run transparently degrades to
-    :class:`ThreadExecutor` (same contract, no extra cores).
+    Forked children pull task indices from a shared queue (demand-driven)
+    and stream results back over per-worker pipes.  Because children are
+    forks, the *tasks* never need to pickle — only their results and meter
+    counts do.  On platforms without the ``fork`` start method ``run``
+    raises :class:`~repro.errors.EngineError`.
 
     A worker that *dies* (killed, segfaulted, OOMed) mid-task does not
     poison the batch: its in-flight task is requeued and retried on a
@@ -380,7 +307,6 @@ class ProcessExecutor(ParallelExecutor):
         self,
         degree: int,
         cost_model: CostModel = DEFAULT_COST_MODEL,
-        start_method: str = "fork",
         max_task_retries: int = 1,
     ):
         if degree < 1:
@@ -391,17 +317,10 @@ class ProcessExecutor(ParallelExecutor):
             )
         self.degree = degree
         self.cost_model = cost_model
-        self.start_method = start_method
         self.max_task_retries = max_task_retries
 
-    def _context(self):
-        import multiprocessing
-
-        if self.start_method in multiprocessing.get_all_start_methods():
-            return multiprocessing.get_context(self.start_method)
-        return None
-
     def run(self, tasks: Sequence[Task]) -> ParallelRun:
+        import multiprocessing
         import time
         from multiprocessing.connection import wait as conn_wait
 
@@ -412,9 +331,13 @@ class ProcessExecutor(ParallelExecutor):
                 degree=self.degree,
                 cost_model=self.cost_model,
             )
-        mp = self._context()
-        if mp is None:  # pragma: no cover - non-POSIX fallback
-            return ThreadExecutor(self.degree, self.cost_model).run(tasks)
+        try:
+            mp = multiprocessing.get_context("fork")
+        except ValueError:
+            raise EngineError(
+                "real parallel execution needs the 'fork' start method, "
+                "which this platform does not offer"
+            ) from None
 
         nworkers = min(self.degree, len(tasks))
         task_queue = mp.Queue()
@@ -592,19 +515,15 @@ class ProcessExecutor(ParallelExecutor):
 def make_executor(
     degree: int,
     cost_model: CostModel = DEFAULT_COST_MODEL,
-    use_threads: bool = False,
     use_processes: bool = False,
 ) -> ParallelExecutor:
     """Executor factory used throughout the library.
 
     Degree 1 always maps to :class:`SerialExecutor`; higher degrees map to
-    the simulated executor unless real threads or real processes are
-    requested (processes win when both flags are set).
+    the simulated executor unless real processes are requested.
     """
     if degree == 1:
         return SerialExecutor(cost_model)
     if use_processes:
         return ProcessExecutor(degree, cost_model)
-    if use_threads:
-        return ThreadExecutor(degree, cost_model)
     return SimulatedExecutor(degree, cost_model)

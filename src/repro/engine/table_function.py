@@ -139,9 +139,8 @@ class PartitionTask:
 
     A module-level callable (not a closure) so tasks are *pickling-safe*:
     provided ``factory`` and the partition's rows pickle, the whole task
-    does — which is what lets spawn-style process pools, and not only
-    fork-based ones, ship partitioned table-function work to other
-    processes.
+    does.  :class:`~repro.engine.parallel.ProcessExecutor` forks, so its
+    slaves inherit tasks without pickling them.
     """
 
     __slots__ = ("factory", "partition", "fetch_size")

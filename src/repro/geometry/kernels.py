@@ -6,8 +6,7 @@ those tests over *batches* — a whole array of candidate pairs, all edge
 pairs of two chains at once, a node's entries against one window — with
 numpy.  There is one implementation per entry point; the scalar functions
 in :mod:`repro.geometry.predicates`, :mod:`repro.geometry.segments` and
-:mod:`repro.geometry.distance` are the oracle the tests compare it to
-(and what ``SecondaryFilter(use_batch=False)`` runs).
+:mod:`repro.geometry.distance` are the oracle the tests compare it to.
 
 Bit-identical results
 ---------------------

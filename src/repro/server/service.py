@@ -25,6 +25,7 @@ intra-query parallelism from the process pool underneath one query).
 
 from __future__ import annotations
 
+import os
 import threading
 from typing import Any, Dict, Iterator, Tuple
 
@@ -238,7 +239,19 @@ class QueryService:
             return self._open_cluster_join(
                 params, ctx, part, predicate, strategy
             )
-        parallel = int(params.get("parallel", 1))
+        parallel = params.get("parallel", 1)
+        if type(parallel) is not int or parallel < 1:
+            raise BadRequest(
+                f"parallel must be an integer >= 1, got {parallel!r}"
+            )
+        use_processes = bool(params.get("use_processes", False))
+        cpus = os.cpu_count() or 1
+        if use_processes and parallel > cpus:
+            # one forked slave per degree
+            raise BadRequest(
+                f"parallel={parallel} with use_processes exceeds this "
+                f"host's {cpus} CPUs"
+            )
         if parallel > 1:
             # Parallel joins run the decomposition to completion (subtree
             # pairs, or grid tiles for strategy GRID; multiple cores with
@@ -251,8 +264,7 @@ class QueryService:
                 mask=predicate.mask,
                 distance=predicate.distance,
                 parallel=parallel,
-                use_processes=bool(params.get("use_processes", False)),
-                use_threads=bool(params.get("use_threads", False)),
+                use_processes=use_processes,
                 strategy=strategy,
             )
             ctx.meter.merge(result.run.combined_meter())

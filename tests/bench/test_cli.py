@@ -35,6 +35,10 @@ class TestCli:
         for name in EXPERIMENTS:
             assert name in out
             assert DESCRIPTIONS[name] in out
+        # Ablation H is retired: its halves live in the oracle tests and
+        # the wall-clock harness
+        assert "kernels" not in EXPERIMENTS
+        assert "kernels" not in out
 
     def test_list_wins_over_experiment_names(self, capsys):
         # --list must not build workloads even when names are also given.

@@ -1,6 +1,9 @@
-"""Batch secondary filter: result/charge identity with the scalar path,
-seeded RANDOM fetch order, and end-to-end join equivalence between the
-pair kernel and the scalar predicates (``use_batch=False``)."""
+"""Secondary filter: result/charge identity of ``SecondaryFilter.process``
+with the per-candidate reference (``oracles.secondary_filter_reference``),
+seeded RANDOM fetch order, and the end-to-end join pinned and replayed
+through that reference."""
+
+import hashlib
 
 import pytest
 
@@ -9,6 +12,7 @@ from repro.datasets import counties, load_geometries
 from repro.engine.parallel import WorkerContext
 from repro.geometry import kernels
 from repro.core.secondary_filter import FetchOrder, JoinPredicate, SecondaryFilter
+from tests.oracles import secondary_filter_reference
 
 
 @pytest.fixture
@@ -28,27 +32,27 @@ def candidates_of(db, slack=0.0):
     return out
 
 
-def make_filter(db, **kw):
+def make_filter(db, predicate=JoinPredicate(), **kw):
     return SecondaryFilter(
-        db.table("t"), "geom", db.table("t"), "geom", JoinPredicate(), **kw
+        db.table("t"), "geom", db.table("t"), "geom", predicate, **kw
     )
 
 
 class TestBatchIdentity:
     def test_batch_matches_scalar_results_and_charges(self, filter_db):
         cands = candidates_of(filter_db)
-        f_batch = make_filter(filter_db, use_batch=True)
-        f_scalar = make_filter(filter_db, use_batch=False)
-        ctx_b, ctx_s = WorkerContext(0), WorkerContext(1)
-        res_b = f_batch.process(list(cands), ctx_b)
-        res_s = f_scalar.process(list(cands), ctx_s)
+        # twin filters: the reference drives its filter's own cache
+        f_array, f_ref = make_filter(filter_db), make_filter(filter_db)
+        ctx_a, ctx_r = WorkerContext(0), WorkerContext(1)
+        res_a = f_array.process(list(cands), ctx_a)
+        res_r = secondary_filter_reference(f_ref, list(cands), ctx_r)
         # Same pairs, in the same emission order.
-        assert res_b == res_s
+        assert res_a == res_r
         # Same simulated work, charge kind by charge kind.
-        assert ctx_b.meter.counts == ctx_s.meter.counts
-        assert ctx_b.meter.seconds() == ctx_s.meter.seconds()
+        assert ctx_a.meter.counts == ctx_r.meter.counts
+        assert ctx_a.meter.seconds() == ctx_r.meter.seconds()
 
-    @pytest.mark.parametrize("distance", (0.0, 1.5))
+    @pytest.mark.parametrize("distance", (0.0, 0.15, 1.5))
     @pytest.mark.parametrize("use_interior", (False, True))
     def test_array_at_a_time_keeps_cache_and_meter_identical(
         self, filter_db, distance, use_interior
@@ -58,29 +62,28 @@ class TestBatchIdentity:
         even when the cache is far smaller than the candidate array."""
         cands = candidates_of(filter_db, slack=8.0)
         assert len(cands) > 200
+        half = len(cands) // 2
         filters, contexts, results = [], [], []
-        for use_batch in (True, False):
-            f = SecondaryFilter(
-                filter_db.table("t"), "geom", filter_db.table("t"), "geom",
-                JoinPredicate(distance=distance), use_batch=use_batch,
+        for run in (SecondaryFilter.process, secondary_filter_reference):
+            f = make_filter(
+                filter_db, JoinPredicate(distance=distance),
                 cache_capacity=5, use_interior=use_interior,
             )
             ctx = WorkerContext(0)
             # two arrays through one filter: state carries over
-            half = len(cands) // 2
-            results.append(f.process(cands[:half], ctx) + f.process(cands[half:], ctx))
+            results.append(run(f, cands[:half], ctx) + run(f, cands[half:], ctx))
             filters.append(f)
             contexts.append(ctx)
-        batch, scalar = filters
+        array, ref = filters
         assert results[0] == results[1]
-        assert (batch.cache.hits, batch.cache.misses) == (scalar.cache.hits, scalar.cache.misses)
-        assert list(batch.cache._entries) == list(scalar.cache._entries)
-        assert batch.cache.misses > 5  # the capacity really was exceeded
+        assert (array.cache.hits, array.cache.misses) == (ref.cache.hits, ref.cache.misses)
+        assert list(array.cache._entries) == list(ref.cache._entries)
+        assert array.cache.misses > 5  # the capacity really was exceeded
         assert contexts[0].meter.counts == contexts[1].meter.counts
-        assert (batch.candidates_seen, batch.results_produced, batch.fast_accepts) == (
-            scalar.candidates_seen, scalar.results_produced, scalar.fast_accepts
+        assert (array.candidates_seen, array.results_produced, array.fast_accepts) == (
+            ref.candidates_seen, ref.results_produced, ref.fast_accepts
         )
-        assert batch.batched_candidates == batch.candidates_seen - batch.fast_accepts
+        assert array.batched_candidates == array.candidates_seen - array.fast_accepts
 
     def test_pinned_geometries_are_bounded_by_a_constant(self, monkeypatch):
         """Every cache miss decodes a fresh object, so with a small cache a
@@ -126,15 +129,23 @@ class TestBatchIdentity:
 
     def test_batched_candidates_counter(self, filter_db):
         cands = candidates_of(filter_db)
-        f = make_filter(filter_db, use_batch=True)
+        f = make_filter(filter_db)
         f.process(list(cands))
         assert f.batched_candidates > 0
 
     def test_scalar_path_never_batches(self, filter_db):
+        """A mask the pair kernel declines (``CONTAINS``) goes candidate by
+        candidate through the scalar predicate, and still equals the
+        reference."""
         cands = candidates_of(filter_db)
-        f = make_filter(filter_db, use_batch=False)
-        f.process(list(cands))
+        contains = JoinPredicate(mask="CONTAINS")
+        f, f_ref = make_filter(filter_db, contains), make_filter(filter_db, contains)
+        ctx, ctx_ref = WorkerContext(0), WorkerContext(0)
+        pairs = f.process(list(cands), ctx)
         assert f.batched_candidates == 0
+        assert pairs == secondary_filter_reference(f_ref, list(cands), ctx_ref)
+        assert len(pairs) >= 80  # every rectangle contains itself
+        assert ctx.meter.counts == ctx_ref.meter.counts
 
 
 class TestSeededRandomOrder:
@@ -165,7 +176,17 @@ class TestSeededRandomOrder:
 
 
 class TestJoinEquivalenceAcrossBackends:
-    """The two refinement paths: pair kernel and scalar predicates."""
+    """The whole join: pinned, and replayed with the per-candidate
+    reference standing in for ``SecondaryFilter.process``."""
+
+    #: distance -> (pairs, sha256 of their (page, slot) order, makespan) at
+    #: the commit that removed ``use_batch`` (both of its values agreed)
+    PINNED = {
+        0.0: (936, "cfa4beb229263bd414c5e22abee2e915e580680024a830f4b2e1bb784c285ed9",
+              0.679861053879882),
+        0.15: (936, "cfa4beb229263bd414c5e22abee2e915e580680024a830f4b2e1bb784c285ed9",
+               0.6798984908968426),
+    }
 
     def _join(self, db, **kw):
         return db.spatial_join("c", "geom", "c", "geom", **kw)
@@ -180,8 +201,12 @@ class TestJoinEquivalenceAcrossBackends:
         return db
 
     @pytest.mark.parametrize("dist", [0.0, 0.15])
-    def test_pairs_and_makespan_invariant(self, county_db, dist):
-        batch = self._join(county_db, distance=dist, use_batch=True)
-        scalar = self._join(county_db, distance=dist, use_batch=False)
-        assert batch.pairs == scalar.pairs  # and in the same order
-        assert batch.makespan_seconds == scalar.makespan_seconds
+    def test_pairs_and_makespan_invariant(self, county_db, dist, monkeypatch):
+        result = self._join(county_db, distance=dist)
+        flat = [(a.page, a.slot, b.page, b.slot) for a, b in result.pairs]
+        digest = hashlib.sha256(repr(flat).encode()).hexdigest()
+        assert (len(flat), digest, result.makespan_seconds) == self.PINNED[dist]
+        monkeypatch.setattr(SecondaryFilter, "process", secondary_filter_reference)
+        reference = self._join(county_db, distance=dist)
+        assert result.pairs == reference.pairs  # and in the same order
+        assert result.makespan_seconds == reference.makespan_seconds

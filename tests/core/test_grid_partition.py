@@ -330,14 +330,6 @@ class TestEndToEndParity:
             assert got.grid is not None
             assert got.grid.tasks == got.subtree_pair_count
 
-    def test_threaded_grid(self, rect_db):
-        ref = rect_db.spatial_join("a_tab", "geom", "b_tab", "geom")
-        got = rect_db.spatial_join(
-            "a_tab", "geom", "b_tab", "geom",
-            parallel=4, use_threads=True, strategy="GRID",
-        )
-        assert sorted(got.pairs) == sorted(ref.pairs)
-
     def test_process_grid(self, rect_db):
         ref = rect_db.spatial_join("a_tab", "geom", "b_tab", "geom")
         got = rect_db.spatial_join(

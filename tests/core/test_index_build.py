@@ -5,7 +5,7 @@ import pytest
 from repro import Database, Geometry
 from repro.datasets import load_geometries
 from repro.engine.cost import CostModel
-from repro.engine.parallel import SimulatedExecutor, ThreadExecutor
+from repro.engine.parallel import ProcessExecutor, SimulatedExecutor
 from repro.core.index_build import create_quadtree_parallel, create_rtree_parallel
 from repro.index.quadtree.quadtree import QuadtreeIndex
 from repro.index.rtree.spatial_index import RTreeIndex
@@ -64,9 +64,9 @@ class TestQuadtreeParallelBuild:
         assert report.tiles_created > 0
         assert report.serial_tail_seconds > 0
 
-    def test_threaded_build(self, build_db):
+    def test_process_build(self, build_db):
         index = make_quadtree(build_db)
-        create_quadtree_parallel(index, ThreadExecutor(2))
+        create_quadtree_parallel(index, ProcessExecutor(2))
         serial = make_quadtree(build_db)
         serial.create()
         assert list(index.btree.items()) == list(serial.btree.items())

@@ -5,7 +5,7 @@ import pytest
 from repro import Database
 from repro.datasets import load_geometries
 from repro.engine.cost import CostModel
-from repro.engine.parallel import SimulatedExecutor, ThreadExecutor
+from repro.engine.parallel import SimulatedExecutor
 from repro.core.parallel_join import parallel_spatial_join, spatial_join
 from repro.core.secondary_filter import JoinPredicate
 
@@ -42,11 +42,6 @@ class TestEquivalence:
     def test_parallel_equals_serial(self, pj_db, degree):
         serial = serial_pairs(pj_db)
         parallel = parallel_pairs(pj_db, SimulatedExecutor(degree))
-        assert sorted(parallel.pairs) == sorted(serial.pairs)
-
-    def test_threaded_execution_equals_serial(self, pj_db):
-        serial = serial_pairs(pj_db)
-        parallel = parallel_pairs(pj_db, ThreadExecutor(4))
         assert sorted(parallel.pairs) == sorted(serial.pairs)
 
     def test_process_execution_equals_serial(self, pj_db):

@@ -2,14 +2,13 @@
 aggregation under concurrent failure mixes."""
 
 import os
-import threading
 import time
 
 import pytest
 
 from repro.errors import EngineError
 from repro.engine import parallel as parallel_mod
-from repro.engine.parallel import ProcessExecutor, ThreadExecutor
+from repro.engine.parallel import ProcessExecutor
 
 
 def charge_task(kind, amount):
@@ -122,14 +121,11 @@ def ok(ctx):
 
 
 class TestSiblingErrorMatrix:
-    """Every mix of failures reports *all* collected errors, on both real
-    executors."""
+    """Every mix of failures reports *all* collected errors."""
 
-    @pytest.fixture(params=["threads", "processes"])
-    def make(self, request):
-        if request.param == "threads":
-            return lambda degree, **kw: ThreadExecutor(degree)
-        return lambda degree, **kw: ProcessExecutor(degree, **kw)
+    @pytest.fixture(params=["processes"])  # the one param keeps the test ids
+    def make(self):
+        return ProcessExecutor
 
     def test_mixed_success_and_failure(self, make):
         with pytest.raises(ValueError) as info:
@@ -137,11 +133,10 @@ class TestSiblingErrorMatrix:
         assert len(info.value.sibling_errors) == 1
 
     def test_all_tasks_fail(self, make):
-        # Threads fail fast (stop dispatching after the first error), so
-        # only assert that every *collected* error is reported.
+        # Processes drain the whole queue: every failure is collected.
         with pytest.raises(ValueError) as info:
             make(3).run([boom, boom, boom])
-        assert len(info.value.sibling_errors) >= 1
+        assert len(info.value.sibling_errors) == 3
         assert all(isinstance(e, ValueError) for e in info.value.sibling_errors)
 
     def test_process_executor_reports_all_failures(self):
@@ -158,18 +153,3 @@ class TestSiblingErrorMatrix:
             ProcessExecutor(2, max_task_retries=0).run([boom, AlwaysDie()])
         types = {type(e) for e in info.value.sibling_errors}
         assert ValueError in types and EngineError in types
-
-    def test_concurrent_thread_failures_synchronized(self):
-        barrier = threading.Barrier(2, timeout=5)
-
-        def sync_boom_a(ctx):
-            barrier.wait()
-            raise ValueError("a")
-
-        def sync_boom_b(ctx):
-            barrier.wait()
-            raise TypeError("b")
-
-        with pytest.raises((ValueError, TypeError)) as info:
-            ThreadExecutor(2).run([sync_boom_a, sync_boom_b])
-        assert len(info.value.sibling_errors) == 2

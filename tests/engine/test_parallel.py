@@ -8,7 +8,6 @@ from repro.engine.parallel import (
     ParallelRun,
     SerialExecutor,
     SimulatedExecutor,
-    ThreadExecutor,
     WorkerContext,
     make_executor,
 )
@@ -107,29 +106,6 @@ class TestSimulatedExecutor:
             SimulatedExecutor(0)
 
 
-class TestThreadExecutor:
-    def test_results_and_meters(self):
-        ex = ThreadExecutor(4)
-        run = ex.run([charge_task("mbr_test", n) for n in range(10)])
-        assert run.results == list(range(10))
-        total = sum(m.counts.get("mbr_test", 0) for m in run.worker_meters)
-        assert total == sum(range(10))
-        assert run.wall_seconds > 0
-
-    def test_exceptions_propagate(self):
-        def boom(ctx):
-            raise ValueError("task failed")
-
-        ex = ThreadExecutor(2)
-        with pytest.raises(ValueError, match="task failed"):
-            ex.run([charge_task("mbr_test", 1), boom])
-
-    def test_more_workers_than_tasks(self):
-        ex = ThreadExecutor(8)
-        run = ex.run([charge_task("mbr_test", 1)])
-        assert run.results == [1]
-
-
 class TestMakeExecutor:
     def test_degree_one_is_serial(self):
         assert isinstance(make_executor(1), SerialExecutor)
@@ -137,5 +113,12 @@ class TestMakeExecutor:
     def test_default_parallel_is_simulated(self):
         assert isinstance(make_executor(4), SimulatedExecutor)
 
-    def test_threads_requested(self):
-        assert isinstance(make_executor(4, use_threads=True), ThreadExecutor)
+    def test_engine_names_three_executors(self):
+        from repro.engine import parallel
+
+        assert [n for n in parallel.__all__ if n.endswith("Executor")] == [
+            "ParallelExecutor",
+            "SerialExecutor",
+            "SimulatedExecutor",
+            "ProcessExecutor",
+        ]

@@ -1,9 +1,6 @@
-"""ProcessExecutor correctness + multi-error reporting for real executors.
-
-The process executor must satisfy exactly the contract the thread executor
-does (results in submission order, metered work, error propagation), so
-most tests here run against both via one parametrized fixture.
-"""
+"""ProcessExecutor correctness + multi-error reporting: results in
+submission order, metered work, error propagation, and a typed error on a
+host without the ``fork`` start method."""
 
 import pickle
 
@@ -13,7 +10,6 @@ from repro.errors import EngineError
 from repro.engine.cursor import ListCursor
 from repro.engine.parallel import (
     ProcessExecutor,
-    ThreadExecutor,
     make_executor,
 )
 from repro.engine.table_function import (
@@ -40,16 +36,10 @@ def type_error_task(ctx):
     raise TypeError("other failure")
 
 
-@pytest.fixture(params=["threads", "processes"])
-def real_executor(request):
-    """Factory for the two real-concurrency executors."""
-
-    def make(degree):
-        if request.param == "threads":
-            return ThreadExecutor(degree)
-        return ProcessExecutor(degree)
-
-    return make
+@pytest.fixture(params=["processes"])  # the one param keeps the test ids
+def real_executor():
+    """Factory for the real-concurrency executor."""
+    return ProcessExecutor
 
 
 class TestRealExecutorContract:
@@ -94,27 +84,6 @@ class TestRealExecutorContract:
 class TestAllErrorsReported:
     """The satellite fix: no collected worker exception is dropped."""
 
-    def test_thread_executor_reports_both_concurrent_errors(self):
-        import threading
-
-        barrier = threading.Barrier(2, timeout=5)
-
-        def sync_fail_a(ctx):
-            barrier.wait()
-            raise ValueError("worker a failed")
-
-        def sync_fail_b(ctx):
-            barrier.wait()
-            raise TypeError("worker b failed")
-
-        with pytest.raises((ValueError, TypeError)) as info:
-            ThreadExecutor(2).run([sync_fail_a, sync_fail_b])
-        exc = info.value
-        assert len(exc.sibling_errors) == 2
-        notes = getattr(exc, "__notes__", [])
-        assert len(notes) == 1
-        assert "also raised in a parallel worker" in notes[0]
-
     def test_process_executor_reports_all_errors(self):
         with pytest.raises((ValueError, TypeError)) as info:
             ProcessExecutor(2).run([boom_task, type_error_task])
@@ -126,7 +95,7 @@ class TestAllErrorsReported:
 
     def test_single_error_has_no_notes(self):
         with pytest.raises(ValueError) as info:
-            ThreadExecutor(2).run([boom_task])
+            ProcessExecutor(2).run([boom_task])
         assert not getattr(info.value, "__notes__", [])
         assert len(info.value.sibling_errors) == 1
 
@@ -160,8 +129,19 @@ class TestMakeExecutorProcesses:
 
         assert isinstance(make_executor(1, use_processes=True), SerialExecutor)
 
-    def test_processes_win_over_threads(self):
-        assert isinstance(
-            make_executor(4, use_threads=True, use_processes=True),
-            ProcessExecutor,
+
+class TestForkRequired:
+    def test_host_without_fork_gets_typed_error(self, monkeypatch):
+        """A host whose multiprocessing has no ``fork`` (Windows) gets
+        EngineError from ``run`` — not a silent fallback."""
+        import multiprocessing
+        from multiprocessing import context
+
+        monkeypatch.delitem(context._concrete_contexts, "fork")
+        monkeypatch.setattr(
+            multiprocessing, "get_all_start_methods", lambda: ["spawn"]
         )
+        ran = []
+        with pytest.raises(EngineError, match="'fork' start method"):
+            ProcessExecutor(2).run([ran.append, ran.append])
+        assert not ran

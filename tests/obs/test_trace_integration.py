@@ -96,12 +96,11 @@ class TestTracedJoinEquality:
         assert {s.tags["worker"] for s in task_spans} == {0, 1, 2}
         assert _sum_meters(task_spans) == baseline
 
-    @pytest.mark.parametrize("use_processes", [False, True])
+    @pytest.mark.parametrize("use_processes", [True])  # keeps the test id
     def test_real_executor_spans_cover_all_charges(
         self, join_db, use_processes
     ):
-        kwargs = dict(parallel=3, use_threads=not use_processes,
-                      use_processes=use_processes)
+        kwargs = dict(parallel=3, use_processes=use_processes)
         untraced = join_db.spatial_join(
             "shapes", "geom", "shapes", "geom", **kwargs
         )
@@ -146,7 +145,7 @@ class TestChromeExport:
         with trace.tracing() as tracer:
             join_db.spatial_join(
                 "shapes", "geom", "shapes", "geom",
-                parallel=2, use_threads=True,
+                parallel=2, use_processes=True,
             )
         path = write_chrome_trace(str(tmp_path / "join.json"), tracer)
         with open(path) as fh:

@@ -10,7 +10,9 @@ definition — every quadrant against every edge of the geometry — which
 ``repro.index.quadtree.tessellate`` must equal in tiles and in charges.
   :func:`index_fetch_reference` is ``DomainIndex.fetch``
 one candidate at a time — fetch, charge, scalar operator — which the
-array-at-a-time ``fetch`` must equal in rowids, order and charges.
+array-at-a-time ``fetch`` must equal in rowids, order and charges, and
+:func:`secondary_filter_reference` is the join's ``SecondaryFilter.process``
+the same way.
 
 Tests use the oracles two ways.  Kernel-level tests call both and compare
 the results directly.  System-level tests that are parametrised
@@ -29,7 +31,7 @@ from contextlib import contextmanager
 from typing import Iterator, List, Optional
 from unittest import mock
 
-from repro.core.secondary_filter import JoinPredicate
+from repro.core.secondary_filter import FetchOrder, JoinPredicate
 from repro.engine.indextype import OPERATORS
 from repro.geometry import kernels
 from repro.geometry.geometry import Geometry, GeometryType
@@ -254,3 +256,37 @@ def index_fetch_reference(index, operator, args, ctx=None, exact=True, prefilter
             yield rowid
     if visits_before is not None:
         index._charge_node_misses(ctx, visits_before)
+
+
+def secondary_filter_reference(filt, candidates, ctx=None):
+    """What ``filt.process(candidates, ctx)`` must return, charge and count:
+    the per-candidate loop the join's secondary filter ran before it
+    resolved arrays with the pair kernel — order the array, then for each
+    candidate the interior fast-accept, both ``cache.fetch`` calls, one
+    ``exact_test_base``, ``exact_test_per_vertex`` for both geometries and
+    the scalar ``predicate.evaluate``.  It drives ``filt``'s own caches and
+    counters, so compare it with ``process`` on a twin filter.
+    """
+    n = len(candidates)
+    if ctx is not None and n > 1 and filt.fetch_order is FetchOrder.SORTED:
+        ctx.charge("sort_per_item", n * math.log2(n))
+    results = []
+    for rid_a, rid_b, mbr_a, mbr_b in filt.order_candidates(candidates):
+        filt.candidates_seen += 1
+        if filt.use_interior and filt._fast_accept(rid_a, rid_b, mbr_a, mbr_b, ctx):
+            filt.fast_accepts += 1
+            results.append((rid_a, rid_b))
+            if ctx is not None:
+                ctx.charge("result_row")
+            continue
+        g1 = filt.cache.fetch(filt.table_a, rid_a, filt._col_a, ctx)
+        g2 = filt.cache.fetch(filt.table_b, rid_b, filt._col_b, ctx)
+        if ctx is not None:
+            ctx.charge("exact_test_base")
+            ctx.charge("exact_test_per_vertex", g1.num_vertices + g2.num_vertices)
+        if filt.predicate.evaluate(g1, g2):
+            results.append((rid_a, rid_b))
+            if ctx is not None:
+                ctx.charge("result_row")
+    filt.results_produced += len(results)
+    return results

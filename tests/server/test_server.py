@@ -15,9 +15,10 @@ import pytest
 
 from repro import Database, Geometry
 from repro.datasets import load_geometries
-from repro.engine.parallel import WorkerContext
+from repro.engine.parallel import ProcessExecutor, WorkerContext
 from repro.geometry.wkt import to_wkt
 from repro.server import BackgroundServer, QueryClient, QueryService, RemoteError
+from repro.server.service import BadRequest
 from repro.server.protocol import (
     ERR_BAD_REQUEST,
     ERR_DEADLINE,
@@ -171,6 +172,52 @@ class TestQueryKinds:
             client.start("window", {"table": "a_tab", "column": "geom",
                                     "wkt": "POLYGON oops"})
         assert info.value.code == ERR_BAD_REQUEST
+
+    @pytest.mark.parametrize("degree", ["abc", None, [2], 2.7, True, 0, -3])
+    def test_join_degree_is_validated(self, served, client, degree):
+        """A ``parallel`` that is not an integer >= 1 is BAD_REQUEST naming
+        the parameter — not a bare ValueError / TypeError, and not a
+        silently serial (0, -3) or truncated (2.7) join."""
+        _, db = served
+        with pytest.raises(BadRequest, match="parallel"):
+            QueryService(db).open(
+                "spatial_join", {**JOIN_PARAMS, "parallel": degree}, WorkerContext(0)
+            )
+        with pytest.raises(RemoteError, match="parallel") as info:
+            client.start("spatial_join", {**JOIN_PARAMS, "parallel": degree})
+        assert info.value.code == ERR_BAD_REQUEST
+
+    def test_process_degree_is_bounded_by_the_hosts_cpus(
+        self, served, client, monkeypatch
+    ):
+        """``use_processes`` forks one slave per degree: a degree above
+        ``os.cpu_count()`` is refused before any fork; simulated degrees
+        stay unbounded."""
+        _, db = served
+        too_many = {**JOIN_PARAMS, "parallel": 512, "strategy": "GRID"}
+        forks = []
+        monkeypatch.setattr(ProcessExecutor, "run", lambda *a: forks.append(a))
+        with pytest.raises(BadRequest, match="parallel=512.*CPUs"):
+            QueryService(db).open(
+                "spatial_join", {**too_many, "use_processes": True}, WorkerContext(0)
+            )
+        with pytest.raises(RemoteError, match="parallel=512") as info:
+            client.start("spatial_join", {**too_many, "use_processes": True})
+        assert info.value.code == ERR_BAD_REQUEST
+        assert not forks
+        monkeypatch.undo()
+        rows = client.start("spatial_join", too_many).all(page=4096)
+        assert wire_pairs_to_tuples(sorted(rows)) == sorted(expected_join_pairs(db))
+
+    def test_use_threads_on_the_wire_is_ignored(self, served, client):
+        """No engine entry point runs tasks on threads; the key is an
+        unknown parameter like any other."""
+        _, db = served
+        session = client.start(
+            "spatial_join", {**JOIN_PARAMS, "parallel": 2, "use_threads": True}
+        )
+        rows = session.all(page=4096)
+        assert wire_pairs_to_tuples(sorted(rows)) == sorted(expected_join_pairs(db))
 
     def test_bad_operator_arguments_fail_whatever_the_window_holds(self, client):
         """Validated once per probe, before the primary filter: an empty

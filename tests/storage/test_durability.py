@@ -165,6 +165,22 @@ class TestMetaChainCorruption:
             Database.open(path, durability="none", page_size=PAGE)
 
 
+    def test_other_snapshot_version_is_a_storage_error(self, tmp_path, monkeypatch):
+        """Only the version this build writes loads; the 4-element SNAP1
+        entries nothing ever wrote are no longer accepted."""
+        from repro.engine import database
+        from repro.errors import StorageError
+
+        path = str(tmp_path / "db.pages")
+        db = Database.open(path, durability="none", page_size=PAGE)
+        populate(db, rows=4)
+        with monkeypatch.context() as patched:
+            patched.setattr(database, "_SNAP_VERSION", "SNAP1")
+            db.close()
+        with pytest.raises(StorageError, match="unknown version 'SNAP1'"):
+            Database.open(path, durability="none", page_size=PAGE)
+
+
 class TestOpenValidation:
     def test_unknown_mode_rejected(self, tmp_path):
         with pytest.raises(EngineError, match="durability"):

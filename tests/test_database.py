@@ -4,7 +4,7 @@ import pytest
 
 from repro import Database, Geometry
 from repro.datasets import load_geometries
-from repro.errors import CatalogError, JoinError
+from repro.errors import CatalogError, EngineError, JoinError
 from repro.storage.pager import FilePager
 
 
@@ -72,6 +72,22 @@ class TestQueryPaths:
         load_geometries(db, "t", random_rects(10, seed=4))
         with pytest.raises(CatalogError):
             db.spatial_join("t", "geom", "t", "geom")
+
+    @pytest.mark.parametrize("degree", [0, -3])
+    @pytest.mark.parametrize("use_processes", [False, True])
+    def test_join_degree_below_one_is_an_engine_error(
+        self, indexed_db, degree, use_processes
+    ):
+        """The same error the index build raises — not a silently serial join."""
+        with pytest.raises(EngineError, match="degree must be >= 1"):
+            indexed_db.spatial_join(
+                "shapes", "geom", "shapes", "geom",
+                parallel=degree, use_processes=use_processes,
+            )
+        with pytest.raises(EngineError, match="degree must be >= 1"):
+            indexed_db.create_spatial_index(
+                "again", "shapes", "geom", parallel=degree, use_processes=use_processes
+            )
 
 
 class TestFileBacked:
