@@ -15,8 +15,9 @@ at high core counts — partition *space*, not the indexes:
    distance on one side) to each tile its MBR overlaps — the
    :func:`repro.geometry.kernels.tile_ranges_batch` kernel bins whole
    coordinate arrays at once.
-3. **Sweep** each tile independently (:func:`tile_sweep`, the same
-   min-x plane sweep the SWEEP strategy runs inside node pairs), so
+3. **Sweep** each tile independently (:func:`tile_sweep`, the
+   :func:`~repro.index.rtree.join.plane_sweep` the SWEEP strategy runs
+   inside node pairs), so
    tiles become the demand-driven unit of parallel distribution
    (:class:`GridTileTask`).
 
@@ -68,6 +69,7 @@ from repro.engine.parallel import WorkerContext
 from repro.errors import JoinError
 from repro.geometry import kernels
 from repro.geometry.mbr import MBR
+from repro.index.rtree.join import CandidatePair, plane_sweep
 from repro.obs import trace
 from repro.storage.heap import RowId
 
@@ -84,10 +86,6 @@ __all__ = [
     "make_tile_tasks",
     "tile_range_of",
 ]
-
-# (rowid_a, rowid_b, mbr_a, mbr_b) — same tuple the R-tree join emits.
-CandidatePair = Tuple[RowId, RowId, MBR, MBR]
-
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -241,11 +239,6 @@ class GridSweepStats:
     pairs_emitted: int = 0
     duplicates_avoided: int = 0  # interacting pairs skipped as non-canonical
 
-    def merge(self, other: "GridSweepStats") -> None:
-        self.pairs_tested += other.pairs_tested
-        self.pairs_emitted += other.pairs_emitted
-        self.duplicates_avoided += other.duplicates_avoided
-
 
 def tile_sweep(
     ta: TileEntries,
@@ -256,100 +249,39 @@ def tile_sweep(
 ) -> Iterator[CandidatePair]:
     """Plane-sweep one tile's replicas, emitting only canonical pairs.
 
-    Identical mechanics to the SWEEP strategy's in-node sweep (min-x sort,
-    x-window scan, y-gap test, exact squared corner-distance refinement
-    when ``distance > 0``) plus the two-layer class gate before emission.
-    Non-canonical interacting pairs charge ``grid_pair_skip`` — the
-    integer comparison that replaces a dedup-set lookup.
+    The SWEEP strategy's sweep (:func:`~repro.index.rtree.join.plane_sweep`
+    over both replica lists sorted by min-x) with the two-layer class gate
+    before emission.  Non-canonical interacting pairs charge
+    ``grid_pair_skip`` — the integer comparison that replaces a dedup-set
+    lookup.
     """
     na, nb = len(ta), len(tb)
     if na == 0 or nb == 0:
         return
-    ax0, ay0, ax1, ay1 = ta.x0, ta.y0, ta.x1, ta.y1
-    bx0, by0, bx1, by1 = tb.x0, tb.y0, tb.x1, tb.y1
-    a_xf, a_yf = ta.xfirst, ta.yfirst
-    b_xf, b_yf = tb.xfirst, tb.yfirst
-    d = distance
-    d2 = d * d
-
-    ia = sorted(range(na), key=ax0.__getitem__)
-    ib = sorted(range(nb), key=bx0.__getitem__)
+    if stats is None:
+        stats = GridSweepStats()
+    ia = sorted(range(na), key=ta.x0.__getitem__)
+    ib = sorted(range(nb), key=tb.x0.__getitem__)
     if ctx is not None:
         ctx.charge(
             "sweep_sort_per_item",
             na * math.log2(max(na, 2)) + nb * math.log2(max(nb, 2)),
         )
-
-    i = j = 0
-    while i < na and j < nb:
-        if ax0[ia[i]] <= bx0[ib[j]]:
-            idx = ia[i]
-            x_hi, y_lo, y_hi = ax1[idx], ay0[idx], ay1[idx]
-            k = j
-            while k < nb:
-                jdx = ib[k]
-                if bx0[jdx] - x_hi > d:
-                    break
-                k += 1
-                if stats is not None:
-                    stats.pairs_tested += 1
-                if ctx is not None:
-                    ctx.charge("mbr_test")
-                if by0[jdx] - y_hi > d or y_lo - by1[jdx] > d:
-                    continue
-                if d > 0.0:
-                    dx = max(bx0[jdx] - x_hi, ax0[idx] - bx1[jdx], 0.0)
-                    dy = max(by0[jdx] - y_hi, y_lo - by1[jdx], 0.0)
-                    if dx * dx + dy * dy > d2:
-                        continue
-                if not (
-                    (a_xf[idx] or b_xf[jdx]) and (a_yf[idx] or b_yf[jdx])
-                ):
-                    if stats is not None:
-                        stats.duplicates_avoided += 1
-                    if ctx is not None:
-                        ctx.charge("grid_pair_skip")
-                    continue
-                if stats is not None:
-                    stats.pairs_emitted += 1
-                if ctx is not None:
-                    ctx.charge("sweep_pair_emit")
-                yield (ta.rowids[idx], tb.rowids[jdx], ta.mbrs[idx], tb.mbrs[jdx])
-            i += 1
+    a_xf, a_yf = ta.xfirst, ta.yfirst
+    b_xf, b_yf = tb.xfirst, tb.yfirst
+    for i, j in plane_sweep(
+        (ta.x0, ta.y0, ta.x1, ta.y1), ia, (tb.x0, tb.y0, tb.x1, tb.y1), ib,
+        distance, ctx, stats,
+    ):
+        if (a_xf[i] or b_xf[j]) and (a_yf[i] or b_yf[j]):
+            stats.pairs_emitted += 1
+            if ctx is not None:
+                ctx.charge("sweep_pair_emit")
+            yield (ta.rowids[i], tb.rowids[j], ta.mbrs[i], tb.mbrs[j])
         else:
-            jdx = ib[j]
-            x_hi, y_lo, y_hi = bx1[jdx], by0[jdx], by1[jdx]
-            k = i
-            while k < na:
-                idx = ia[k]
-                if ax0[idx] - x_hi > d:
-                    break
-                k += 1
-                if stats is not None:
-                    stats.pairs_tested += 1
-                if ctx is not None:
-                    ctx.charge("mbr_test")
-                if ay0[idx] - y_hi > d or y_lo - ay1[idx] > d:
-                    continue
-                if d > 0.0:
-                    dx = max(ax0[idx] - x_hi, bx0[jdx] - ax1[idx], 0.0)
-                    dy = max(ay0[idx] - y_hi, y_lo - ay1[idx], 0.0)
-                    if dx * dx + dy * dy > d2:
-                        continue
-                if not (
-                    (a_xf[idx] or b_xf[jdx]) and (a_yf[idx] or b_yf[jdx])
-                ):
-                    if stats is not None:
-                        stats.duplicates_avoided += 1
-                    if ctx is not None:
-                        ctx.charge("grid_pair_skip")
-                    continue
-                if stats is not None:
-                    stats.pairs_emitted += 1
-                if ctx is not None:
-                    ctx.charge("sweep_pair_emit")
-                yield (ta.rowids[idx], tb.rowids[jdx], ta.mbrs[idx], tb.mbrs[jdx])
-            j += 1
+            stats.duplicates_avoided += 1
+            if ctx is not None:
+                ctx.charge("grid_pair_skip")
 
 
 @dataclass

@@ -15,12 +15,14 @@ across N instances of the spatial_join function::
 ``parallel_spatial_join`` is the library-level driver for that plan; the
 SQL front-end lowers the statement above onto it.
 
-With ``strategy=JoinStrategy.GRID`` the driver partitions *space* instead
-of the trees (:mod:`repro.core.grid_partition`): both inputs' leaf entries
-are binned into a uniform grid over their joint MBR and each tile becomes
-one demand-driven task, so skewed tiles are stolen around rather than
+``grid_parallel_join`` partitions *space* instead of the trees
+(:mod:`repro.core.grid_partition`): both inputs' leaf entries are binned
+into a uniform grid over their joint MBR and each tile becomes one
+demand-driven task, so skewed tiles are stolen around rather than
 serialising a slave — the scale-out alternative to Figure 1's subtree
-pairs.
+pairs.  On a :class:`~repro.engine.parallel.SerialExecutor` it is the
+serial GRID join.  :meth:`repro.engine.database.Database.spatial_join`
+picks the driver for a (strategy, degree) pair.
 """
 
 from __future__ import annotations
@@ -322,25 +324,8 @@ def parallel_spatial_join(
     ``descent_levels`` forces how deep each tree is descended; by default
     :func:`~repro.core.subtree.pick_descent_level` chooses levels that give
     at least ``min_pairs_per_slave`` subtree pairs per parallel slave.
-    ``strategy=JoinStrategy.GRID`` replaces the subtree decomposition
-    entirely with space-oriented grid partitioning
-    (:func:`grid_parallel_join`); ``descent_levels`` does not apply there.
+    ``strategy`` is the slaves' node-pair policy (SWEEP or NESTED).
     """
-    if strategy is JoinStrategy.GRID:
-        return grid_parallel_join(
-            table_a,
-            column_a,
-            tree_a,
-            table_b,
-            column_b,
-            tree_b,
-            executor,
-            predicate=predicate,
-            candidate_array_size=candidate_array_size,
-            fetch_order=fetch_order,
-            use_interior=use_interior,
-            rng_seed=rng_seed,
-        )
     if len(tree_a) == 0 or len(tree_b) == 0:
         return JoinResult(
             pairs=[],

@@ -21,6 +21,7 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Tuple
 
+from repro.engine.indextype import _relate_form, _within_distance_form
 from repro.engine.parallel import WorkerContext
 from repro.engine.table import Table
 from repro.obs import trace
@@ -93,11 +94,18 @@ class JoinPredicate:
 
     ``mask`` follows ``sdo_relate`` semantics; ``distance > 0`` switches to
     within-distance semantics (distance 0 + ANYINTERACT is Table 1's
-    "intersect" row).
+    "intersect" row).  Both are validated on construction, as the index
+    operators validate theirs: an unknown mask name or a distance that is
+    not a finite number >= 0 is an ``OperatorError`` naming it.
     """
 
     mask: str = "ANYINTERACT"
     distance: float = 0.0
+
+    def __post_init__(self) -> None:
+        _relate_form((None, self.mask))
+        _mask, distance = _within_distance_form((None, self.distance))
+        object.__setattr__(self, "distance", distance)
 
     def evaluate(self, g1: Geometry, g2: Geometry) -> bool:
         if self.distance > 0.0:

@@ -235,58 +235,54 @@ class Database:
         use_processes: bool = False,
         **options: Any,
     ) -> "JoinResultLike":
-        """Index-based spatial join through the spatial_join table function.
+        """Index-based spatial join: the one place a (strategy, degree)
+        pair picks its driver, for the API, SQL and the wire alike.
 
         Both columns must carry R-tree indexes (the paper's join traverses
-        the two associated R-trees).  ``parallel > 1`` uses the subtree
-        decomposition of §4.1; ``use_processes`` runs the partitions on
+        the two associated R-trees).  ``strategy`` is a
+        :class:`~repro.index.rtree.join.JoinStrategy` or its name.  GRID at
+        any degree is :func:`~repro.core.parallel_join.grid_parallel_join`
+        (space-oriented tiles with two-layer duplicate avoidance) on the
+        degree's executor; otherwise ``parallel > 1`` uses the subtree
+        decomposition of §4.1 and degree 1 the serial join, each pairing
+        entries by SWEEP or NESTED.  ``use_processes`` runs the tasks on
         real slave processes (multiple cores) instead of simulated workers.
-        ``strategy`` (a :class:`~repro.index.rtree.join.JoinStrategy` or
-        its name, e.g. ``"GRID"``) selects the primary-filter policy;
-        ``JoinStrategy.GRID`` swaps the subtree decomposition for
-        space-oriented grid partitioning with two-layer duplicate
-        avoidance — same result set, tile-level load balance.
+        A bad mask or distance is an ``OperatorError``, a degree < 1 an
+        ``EngineError``.
         """
-        from repro.core.parallel_join import parallel_spatial_join, spatial_join
+        from repro.core.parallel_join import (
+            grid_parallel_join,
+            parallel_spatial_join,
+            spatial_join,
+        )
         from repro.core.secondary_filter import JoinPredicate
         from repro.index.rtree.join import JoinStrategy
 
-        strategy = options.get("strategy")
-        if isinstance(strategy, str):
-            try:
-                options["strategy"] = JoinStrategy[strategy.upper()]
-            except KeyError:
-                raise JoinError(
-                    f"unknown join strategy {strategy!r}; expected one of "
-                    f"{', '.join(s.name for s in JoinStrategy)}"
-                ) from None
-
+        strategy = JoinStrategy.of(options.pop("strategy", JoinStrategy.SWEEP))
         tree_a = self._rtree_of(table_a, column_a)
         tree_b = self._rtree_of(table_b, column_b)
         predicate = JoinPredicate(mask=mask, distance=distance)
         # EngineError for a degree < 1, as in create_spatial_index
         executor = make_executor(parallel, self.cost_model, use_processes)
-        if parallel > 1:
-            return parallel_spatial_join(
-                self.table(table_a),
-                column_a,
-                tree_a,
-                self.table(table_b),
-                column_b,
-                tree_b,
-                executor,
-                predicate=predicate,
-                **options,
-            )
-        return spatial_join(
+        inputs = (
             self.table(table_a),
             column_a,
             tree_a,
             self.table(table_b),
             column_b,
             tree_b,
-            predicate=predicate,
-            executor=executor,
+        )
+        if strategy is JoinStrategy.GRID:
+            return grid_parallel_join(
+                *inputs, executor, predicate=predicate, **options
+            )
+        if parallel > 1:
+            return parallel_spatial_join(
+                *inputs, executor, predicate=predicate, strategy=strategy,
+                **options,
+            )
+        return spatial_join(
+            *inputs, predicate=predicate, executor=executor, strategy=strategy,
             **options,
         )
 

@@ -4,8 +4,9 @@ The planner recognises the paper's query shapes and lowers them onto the
 library's native drivers:
 
 * ``TABLE(spatial_join(...))`` in FROM → the pipelined spatial-join table
-  function (with a ``CURSOR(...)`` of subtree-root pairs and/or a trailing
-  degree argument for the parallel form).
+  function over a ``CURSOR(...)`` of subtree-root pairs, or
+  ``Database.spatial_join`` for the plain form (trailing degree and
+  strategy arguments pick the driver there).
 * ``(a.rowid, b.rowid) IN (SELECT rid1, rid2 FROM TABLE(spatial_join(...)))``
   → table-function join followed by a rowid semi-join (the paper's §4
   rewrite).
@@ -26,7 +27,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 from repro.errors import SqlPlanError
 from repro.engine.cursor import ListCursor
 from repro.engine.indextype import OPERATORS
-from repro.engine.parallel import WorkerContext, make_executor
+from repro.engine.parallel import WorkerContext
 from repro.engine.sql.ast import (
     AnalyzeTable,
     AndExpr,
@@ -478,12 +479,15 @@ class _Executor:
                     strategy = str(_eval_literal_expr(plain[7])).upper()
                 except Exception:  # noqa: BLE001 - display only
                     strategy = ""
+            # A grid join runs its tiles to completion before the first row.
+            grid = strategy == "GRID"
             lines = [
-                f"TABLE FUNCTION SPATIAL_JOIN (pipelined"
+                "TABLE FUNCTION SPATIAL_JOIN ("
+                + ("grid partitioned" if grid else "pipelined")
                 + (f", parallel {parallel}" if parallel > 1 else "")
                 + ")"
             ]
-            if strategy == "GRID":
+            if grid:
                 lines.append("  GRID PARTITION (uniform tiles over joint MBR)")
                 lines.append(
                     "  PER-TILE PLANE SWEEP (two-layer duplicate avoidance)"
@@ -541,11 +545,10 @@ class _Executor:
             spatial_join(CURSOR(pairs), t1, c1, t2, c2, mask [, distance])
 
         ``strategy`` is a string literal (``'NESTED'``, ``'SWEEP'``,
-        ``'GRID'``); ``'GRID'`` selects space-oriented grid partitioning
-        with two-layer duplicate avoidance instead of the subtree
-        decomposition.
+        ``'GRID'``); the plain form goes through
+        :meth:`~repro.engine.database.Database.spatial_join`, which picks
+        the driver for the strategy and degree.
         """
-        from repro.core.parallel_join import parallel_spatial_join, spatial_join
         from repro.core.secondary_filter import JoinPredicate
         from repro.core.spatial_join import SpatialJoinFunction
         from repro.engine.table_function import collect
@@ -562,31 +565,15 @@ class _Executor:
                 "spatial_join requires (table1, col1, table2, col2, mask)"
             )
         t1, c1, t2, c2, mask = (str(v) for v in values[:5])
-        distance = float(values[5]) if len(values) > 5 else 0.0
-        degree = int(values[6]) if len(values) > 6 else 1
+        distance = values[5] if len(values) > 5 else 0.0
         mask_norm = "ANYINTERACT" if mask.upper() == "INTERSECT" else mask.upper()
-        predicate = JoinPredicate(mask=mask_norm, distance=distance)
-        from repro.index.rtree.join import JoinStrategy
-
-        strategy = JoinStrategy.SWEEP
-        if len(values) > 7:
-            name = str(values[7]).upper()
-            try:
-                strategy = JoinStrategy[name]
-            except KeyError:
-                raise SqlPlanError(
-                    f"unknown join strategy {name!r}; expected one of "
-                    f"{', '.join(s.name for s in JoinStrategy)}"
-                ) from None
-
-        table_a, table_b = self.db.table(t1), self.db.table(t2)
-        tree_a = self.db._rtree_of(t1, c1)  # noqa: SLF001 - engine-internal
-        tree_b = self.db._rtree_of(t2, c2)  # noqa: SLF001
 
         if cursor_rows is not None:
+            predicate = JoinPredicate(mask=mask_norm, distance=distance)
             ctx = WorkerContext(0)
             fn = SpatialJoinFunction(
-                table_a, c1, tree_a, table_b, c2, tree_b,
+                self.db.table(t1), c1, self.db.rtree_of(t1, c1),
+                self.db.table(t2), c2, self.db.rtree_of(t2, c2),
                 predicate=predicate,
                 subtree_pair_cursor=ListCursor(cursor_rows),
             )
@@ -600,17 +587,11 @@ class _Executor:
                     "seconds": ctx.meter.seconds(self.db.cost_model),
                 }
             return rows  # type: ignore[return-value]
-        if degree > 1:
-            result = parallel_spatial_join(
-                table_a, c1, tree_a, table_b, c2, tree_b,
-                make_executor(degree, self.db.cost_model), predicate=predicate,
-                strategy=strategy,
-            )
-        else:
-            result = spatial_join(
-                table_a, c1, tree_a, table_b, c2, tree_b, predicate=predicate,
-                strategy=strategy,
-            )
+        degree = int(values[6]) if len(values) > 6 else 1
+        result = self.db.spatial_join(
+            t1, c1, t2, c2, mask=mask_norm, distance=distance, parallel=degree,
+            strategy=values[7] if len(values) > 7 else "SWEEP",
+        )
         if self._profile is not None:
             self._profile["tf"] = {
                 "pairs": len(result.pairs),

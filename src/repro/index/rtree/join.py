@@ -28,18 +28,13 @@ selected by :class:`JoinStrategy`:
   vectors (:meth:`RTreeNode.coords`), comparing raw floats instead of
   chasing ``Entry → MBR`` attribute chains.
 
-* ``GRID`` — space-oriented: instead of pairing entries node by node, each
-  root pair's leaf entries are collected, binned into a uniform grid over
-  their joint MBR, and plane-swept tile by tile with two-layer duplicate
-  avoidance (:mod:`repro.core.grid_partition`).  Each root pair is gridded
-  *independently*, so a cursor seeded with an arbitrary partition of the
-  Figure 1 subtree-pair cross product still joins exactly its partition.
-  Tiles replace node pairs as the unit of resumable work.
-
-All strategies emit exactly the same candidate set; only the work done to
+Both policies emit exactly the same candidate set; only the work done to
 find it differs, which the cost counters (``mbr_test``,
-``sweep_sort_per_item``, ``sweep_pair_emit``, ``grid_assign_per_entry``,
-``grid_pair_skip``) make visible in simulated time.
+``sweep_sort_per_item``, ``sweep_pair_emit``) make visible in simulated
+time.  ``GRID`` is not a pairing policy but a decomposition of the whole
+join (:func:`repro.core.parallel_join.grid_parallel_join`); the cursor
+refuses it.  Its per-tile sweep is :func:`plane_sweep`, the loop SWEEP
+runs inside node pairs.
 """
 
 from __future__ import annotations
@@ -47,27 +42,113 @@ from __future__ import annotations
 import enum
 import math
 from collections import deque
-from typing import Deque, Iterator, List, Optional, Tuple
+from typing import Deque, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.engine.parallel import WorkerContext
+from repro.errors import JoinError
 from repro.geometry import kernels
 from repro.geometry.mbr import MBR
 from repro.index.rtree.node import RTreeNode
 from repro.storage.heap import RowId
 
-__all__ = ["CandidatePair", "JoinStrategy", "RTreeJoinCursor"]
+__all__ = ["CandidatePair", "JoinStrategy", "RTreeJoinCursor", "plane_sweep"]
 
 # (rowid_a, rowid_b, mbr_a, mbr_b)
 CandidatePair = Tuple[RowId, RowId, MBR, MBR]
 
+# (min_x, min_y, max_x, max_y) coordinate vectors of one side of a sweep
+Coords = Tuple[Sequence[float], Sequence[float], Sequence[float], Sequence[float]]
+
 
 class JoinStrategy(enum.Enum):
-    """Entry-pairing policy inside each node pair of the synchronized join."""
+    """How a spatial join finds its candidate pairs."""
 
     NESTED = "NESTED"  # O(|A|·|B|) double loop (the naive baseline)
     SWEEP = "SWEEP"  # sort-based plane sweep with space restriction
     GRID = "GRID"  # uniform-grid partitioning + per-tile sweep with
     # two-layer duplicate avoidance (space-oriented, not tree-oriented)
+
+    @classmethod
+    def of(cls, value) -> "JoinStrategy":
+        """``value`` itself, or the strategy it names in any case."""
+        if isinstance(value, cls):
+            return value
+        try:
+            return cls[str(value).upper()]
+        except KeyError:
+            raise JoinError(
+                f"unknown join strategy {value!r}; expected one of "
+                f"{', '.join(s.name for s in cls)}"
+            ) from None
+
+
+def plane_sweep(
+    a: Coords,
+    ia: Sequence[int],
+    b: Coords,
+    ib: Sequence[int],
+    d: float,
+    ctx: Optional[WorkerContext],
+    counter,
+) -> Iterator[Tuple[int, int]]:
+    """Min-x plane sweep: every ``(i, j)`` from ``ia`` x ``ib`` whose
+    rectangles lie within distance ``d`` of each other.
+
+    ``ia`` / ``ib`` index ``a`` / ``b`` in ascending min-x order.  The list
+    with the smaller min-x advances; its rectangle scans the other list's
+    x-window and tests y-interaction (and, when ``d > 0``, the exact squared
+    rectangle distance).  All comparisons are in gap form (``lo - hi <= d``),
+    so the emitted set is bit-identical to the batch MBR kernel's.  Each
+    test charges ``mbr_test`` and adds one to ``counter.pairs_tested``.
+    """
+    ax0, ay0, ax1, ay1 = a
+    bx0, by0, bx1, by1 = b
+    d2 = d * d
+    i = j = 0
+    la, lb = len(ia), len(ib)
+    while i < la and j < lb:
+        if ax0[ia[i]] <= bx0[ib[j]]:
+            idx = ia[i]
+            x_hi, y_lo, y_hi = ax1[idx], ay0[idx], ay1[idx]
+            k = j
+            while k < lb:
+                jdx = ib[k]
+                if bx0[jdx] - x_hi > d:
+                    break
+                k += 1
+                counter.pairs_tested += 1
+                if ctx is not None:
+                    ctx.charge("mbr_test")
+                if by0[jdx] - y_hi > d or y_lo - by1[jdx] > d:
+                    continue
+                if d > 0.0:
+                    dx = max(bx0[jdx] - x_hi, ax0[idx] - bx1[jdx], 0.0)
+                    dy = max(by0[jdx] - y_hi, y_lo - by1[jdx], 0.0)
+                    if dx * dx + dy * dy > d2:
+                        continue
+                yield idx, jdx
+            i += 1
+        else:
+            jdx = ib[j]
+            x_hi, y_lo, y_hi = bx1[jdx], by0[jdx], by1[jdx]
+            k = i
+            while k < la:
+                idx = ia[k]
+                if ax0[idx] - x_hi > d:
+                    break
+                k += 1
+                counter.pairs_tested += 1
+                if ctx is not None:
+                    ctx.charge("mbr_test")
+                if ay0[idx] - y_hi > d or y_lo - ay1[idx] > d:
+                    continue
+                if d > 0.0:
+                    dx = max(ax0[idx] - x_hi, bx0[jdx] - ax1[idx], 0.0)
+                    dy = max(ay0[idx] - y_hi, y_lo - ay1[idx], 0.0)
+                    if dx * dx + dy * dy > d2:
+                        continue
+                yield idx, jdx
+            j += 1
 
 
 class RTreeJoinCursor:
@@ -81,6 +162,11 @@ class RTreeJoinCursor:
     ):
         if distance < 0:
             raise ValueError(f"distance must be >= 0, got {distance}")
+        if strategy is JoinStrategy.GRID:
+            raise JoinError(
+                "GRID is a decomposition of the whole join, not a node-pair "
+                "policy: run it through grid_parallel_join"
+            )
         self.distance = distance
         self.strategy = strategy
         # The stack is seeded with the subtree-root pairs; in the serial
@@ -90,32 +176,13 @@ class RTreeJoinCursor:
         # Overflow pairs are drained FIFO so the emission order seen by the
         # caller equals the production order (AS_PRODUCED fetch order).
         self._buffer: Deque[CandidatePair] = deque()
-        # GRID state: tiles of the root pair currently being swept.  A tile
-        # is the grid strategy's unit of resumable work, as a node pair is
-        # for the tree-oriented strategies.
-        self._grid_tiles: Deque[Tuple[object, object]] = deque()
         self.pairs_tested = 0
         self.nodes_visited = 0
         self.pairs_emitted = 0
-        self.duplicates_avoided = 0  # GRID: non-canonical pairs skipped
 
     @property
     def exhausted(self) -> bool:
-        return not self._stack and not self._buffer and not self._grid_tiles
-
-    def _interacts(self, a: MBR, b: MBR, ctx: Optional[WorkerContext]) -> bool:
-        if ctx is not None:
-            ctx.charge("mbr_test")
-        self.pairs_tested += 1
-        if self.distance == 0.0:
-            return a.intersects(b)
-        if a.is_empty or b.is_empty:
-            return False
-        # Squared comparison (no sqrt per test; same outcome as the sweep
-        # refinement and the batch MBR kernel, bit for bit).
-        dx = max(b.min_x - a.max_x, a.min_x - b.max_x, 0.0)
-        dy = max(b.min_y - a.max_y, a.min_y - b.max_y, 0.0)
-        return dx * dx + dy * dy <= self.distance * self.distance
+        return not self._stack and not self._buffer
 
     def next_candidates(
         self, max_pairs: int, ctx: Optional[WorkerContext] = None
@@ -129,9 +196,6 @@ class RTreeJoinCursor:
         # must match production order across batch boundaries).
         while self._buffer and len(out) < max_pairs:
             out.append(self._buffer.popleft())
-        if self.strategy is JoinStrategy.GRID:
-            self._next_grid(out, max_pairs, ctx)
-            return out
         while self._stack and len(out) < max_pairs:
             node_a, node_b = self._stack.pop()
             self.nodes_visited += 2
@@ -161,91 +225,11 @@ class RTreeJoinCursor:
             result.extend(chunk)
 
     # ------------------------------------------------------------------
-    # GRID strategy (space-oriented partitioning)
-    # ------------------------------------------------------------------
-    def _next_grid(
-        self, out: List[CandidatePair], max_pairs: int, ctx: Optional[WorkerContext]
-    ) -> None:
-        """Resume the grid join: sweep pending tiles, gridding the next
-        root pair whenever the tile queue runs dry."""
-        from repro.core.grid_partition import GridSweepStats, tile_sweep
-
-        while len(out) < max_pairs and (self._grid_tiles or self._stack):
-            if not self._grid_tiles:
-                self._grid_partition_pair(self._stack.pop(), ctx)
-                continue
-            ta, tb = self._grid_tiles.popleft()
-            stats = GridSweepStats()
-            for pair in tile_sweep(ta, tb, self.distance, ctx, stats):
-                if len(out) < max_pairs:
-                    out.append(pair)
-                else:
-                    self._buffer.append(pair)
-            self.pairs_tested += stats.pairs_tested
-            self.pairs_emitted += stats.pairs_emitted
-            self.duplicates_avoided += stats.duplicates_avoided
-
-    def _grid_partition_pair(
-        self,
-        pair: Tuple[RTreeNode, RTreeNode],
-        ctx: Optional[WorkerContext],
-    ) -> None:
-        """Grid one root pair's leaf entries and queue its joinable tiles.
-
-        Each root pair is partitioned independently — never pooled with the
-        cursor's other pairs — so a cursor seeded with any partition of the
-        subtree-pair cross product joins exactly those pairs.
-        """
-        from repro.core.grid_partition import build_grid_spec, build_tiles
-        from repro.engine.cost import pick_grid_shape
-
-        node_a, node_b = pair
-        entries_a = self._collect_leaf_entries(node_a, ctx)
-        entries_b = (
-            entries_a
-            if node_b is node_a
-            else self._collect_leaf_entries(node_b, ctx)
-        )
-        if not entries_a or not entries_b:
-            return
-        box = node_a.mbr.union(node_b.mbr)
-        nx, ny = pick_grid_shape(len(entries_a), len(entries_b))
-        spec = build_grid_spec(box, nx, ny)
-        tiles_a = build_tiles(entries_a, spec, 0.0, ctx)
-        tiles_b = (
-            tiles_a
-            if entries_b is entries_a and self.distance == 0.0
-            else build_tiles(entries_b, spec, self.distance, ctx)
-        )
-        for tile_id in sorted(tiles_a.keys() & tiles_b.keys()):
-            self._grid_tiles.append((tiles_a[tile_id], tiles_b[tile_id]))
-
-    def _collect_leaf_entries(
-        self, node: RTreeNode, ctx: Optional[WorkerContext]
-    ) -> List[Tuple[MBR, RowId]]:
-        """All (mbr, rowid) leaf entries under ``node`` (one node visit
-        charged per node touched, like the synchronized traversal)."""
-        out: List[Tuple[MBR, RowId]] = []
-        stack = [node]
-        while stack:
-            cur = stack.pop()
-            self.nodes_visited += 1
-            if ctx is not None:
-                ctx.charge("rtree_node_visit")
-            if cur.is_leaf:
-                for entry in cur.entries:
-                    assert entry.rowid is not None
-                    out.append((entry.mbr, entry.rowid))
-            else:
-                stack.extend(cur.children())
-        return out
-
-    # ------------------------------------------------------------------
     # Entry pairing (strategy dispatch)
     # ------------------------------------------------------------------
     def _pair_indices(
         self, node_a: RTreeNode, node_b: RTreeNode, ctx: Optional[WorkerContext]
-    ) -> Iterator[Tuple[int, int]]:
+    ) -> Iterable[Tuple[int, int]]:
         if self.strategy is JoinStrategy.NESTED:
             return self._nested_pairs(node_a, node_b, ctx)
         return self._sweep_pairs(node_a, node_b, ctx)
@@ -274,19 +258,20 @@ class RTreeJoinCursor:
 
     def _sweep_pairs(
         self, node_a: RTreeNode, node_b: RTreeNode, ctx: Optional[WorkerContext]
-    ) -> Iterator[Tuple[int, int]]:
+    ) -> List[Tuple[int, int]]:
         """Plane sweep with space restriction over the two entry lists.
 
-        All comparisons are written in gap form (``lo - hi <= d``) so that
-        the d > 0 window is a superset of the exact
-        ``MBR.distance(...) <= d`` test applied before emitting — the
-        emitted set is bit-identical to the NESTED strategy's.
+        Each list is first clipped to the entries that can interact with
+        the other node's MBR, then both are sorted by min-x and handed to
+        :func:`plane_sweep`; the emitted set is bit-identical to the NESTED
+        strategy's.
         """
         na, nb = len(node_a.entries), len(node_b.entries)
         if na == 0 or nb == 0:
-            return
-        ax0, ay0, ax1, ay1 = node_a.coords()
-        bx0, by0, bx1, by1 = node_b.coords()
+            return []
+        coords_a, coords_b = node_a.coords(), node_b.coords()
+        ax0, ay0, ax1, ay1 = coords_a
+        bx0, by0, bx1, by1 = coords_b
         d = self.distance
 
         # --- space restriction: keep only entries that can interact with
@@ -307,7 +292,7 @@ class RTreeJoinCursor:
             and ay0[i] - b_hi_y <= d
         ]
         if not ia:
-            return
+            return []
         ib = [
             j
             for j in range(nb)
@@ -317,9 +302,9 @@ class RTreeJoinCursor:
             and by0[j] - a_hi_y <= d
         ]
         if not ib:
-            return
+            return []
 
-        # --- sort both clipped lists by min-x.
+        # --- sort both clipped lists by min-x, then sweep.
         ia.sort(key=ax0.__getitem__)
         ib.sort(key=bx0.__getitem__)
         if ctx is not None:
@@ -328,62 +313,12 @@ class RTreeJoinCursor:
                 "sweep_sort_per_item",
                 la * math.log2(max(la, 2)) + lb * math.log2(max(lb, 2)),
             )
-
-        # --- sweep: advance the list with the smaller min-x; scan the
-        # other list's x-window; test y-interaction (and the exact
-        # squared rectangle distance when d > 0) before emitting.
-        d2 = d * d
-        i = j = 0
-        la, lb = len(ia), len(ib)
-        while i < la and j < lb:
-            if ax0[ia[i]] <= bx0[ib[j]]:
-                idx = ia[i]
-                x_hi, y_lo, y_hi = ax1[idx], ay0[idx], ay1[idx]
-                k = j
-                while k < lb:
-                    jdx = ib[k]
-                    if bx0[jdx] - x_hi > d:
-                        break
-                    k += 1
-                    self.pairs_tested += 1
-                    if ctx is not None:
-                        ctx.charge("mbr_test")
-                    if by0[jdx] - y_hi > d or y_lo - by1[jdx] > d:
-                        continue
-                    if d > 0.0:
-                        dx = max(bx0[jdx] - x_hi, ax0[idx] - bx1[jdx], 0.0)
-                        dy = max(by0[jdx] - y_hi, y_lo - by1[jdx], 0.0)
-                        if dx * dx + dy * dy > d2:
-                            continue
-                    self.pairs_emitted += 1
-                    if ctx is not None:
-                        ctx.charge("sweep_pair_emit")
-                    yield idx, jdx
-                i += 1
-            else:
-                jdx = ib[j]
-                x_hi, y_lo, y_hi = bx1[jdx], by0[jdx], by1[jdx]
-                k = i
-                while k < la:
-                    idx = ia[k]
-                    if ax0[idx] - x_hi > d:
-                        break
-                    k += 1
-                    self.pairs_tested += 1
-                    if ctx is not None:
-                        ctx.charge("mbr_test")
-                    if ay0[idx] - y_hi > d or y_lo - ay1[idx] > d:
-                        continue
-                    if d > 0.0:
-                        dx = max(ax0[idx] - x_hi, bx0[jdx] - ax1[idx], 0.0)
-                        dy = max(ay0[idx] - y_hi, y_lo - ay1[idx], 0.0)
-                        if dx * dx + dy * dy > d2:
-                            continue
-                    self.pairs_emitted += 1
-                    if ctx is not None:
-                        ctx.charge("sweep_pair_emit")
-                    yield idx, jdx
-                j += 1
+        pairs = list(plane_sweep(coords_a, ia, coords_b, ib, d, ctx, self))
+        if pairs:
+            self.pairs_emitted += len(pairs)
+            if ctx is not None:
+                ctx.charge("sweep_pair_emit", len(pairs))
+        return pairs
 
     # ------------------------------------------------------------------
     # Node-pair handlers
@@ -418,13 +353,6 @@ class RTreeJoinCursor:
     def _descend_left(
         self, node_a: RTreeNode, node_b: RTreeNode, ctx: Optional[WorkerContext]
     ) -> None:
-        if self.strategy is JoinStrategy.NESTED:
-            b_mbr = node_b.mbr
-            for ea in node_a.entries:
-                if self._interacts(ea.mbr, b_mbr, ctx):
-                    assert ea.child is not None
-                    self._stack.append((ea.child, node_b))
-            return
         for i in self._one_sided_indices(node_a, node_b.mbr, ctx):
             child = node_a.entries[i].child
             assert child is not None
@@ -433,13 +361,6 @@ class RTreeJoinCursor:
     def _descend_right(
         self, node_a: RTreeNode, node_b: RTreeNode, ctx: Optional[WorkerContext]
     ) -> None:
-        if self.strategy is JoinStrategy.NESTED:
-            a_mbr = node_a.mbr
-            for eb in node_b.entries:
-                if self._interacts(a_mbr, eb.mbr, ctx):
-                    assert eb.child is not None
-                    self._stack.append((node_a, eb.child))
-            return
         for j in self._one_sided_indices(node_b, node_a.mbr, ctx):
             child = node_b.entries[j].child
             assert child is not None

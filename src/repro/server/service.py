@@ -14,8 +14,9 @@ Each supported kind builds a *lazy* row iterator (JSON-safe rows) plus an
   through :func:`~repro.engine.table_function.pipeline`, so the join's
   rowid pairs stream to the wire without the server ever holding the full
   result (the paper's pipelining argument, applied to the network hop).
-  ``parallel > 1`` runs the §4.1 subtree decomposition first (optionally
-  on real processes) and pages the combined result.
+  ``parallel > 1`` or strategy GRID runs the join through
+  :meth:`~repro.engine.database.Database.spatial_join` (optionally on real
+  processes) and pages the combined result.
 
 Engine objects are not thread-safe, and sessions execute on a thread
 pool; the service's ``lock`` serialises engine work page by page, which
@@ -29,7 +30,7 @@ import os
 import threading
 from typing import Any, Dict, Iterator, Tuple
 
-from repro.errors import ServerError
+from repro.errors import JoinError, OperatorError, ServerError
 from repro.engine.database import Database
 from repro.engine.parallel import WorkerContext
 from repro.engine.table_function import pipeline
@@ -49,6 +50,13 @@ def _require(params: Dict[str, Any], *names: str) -> Tuple[Any, ...]:
     if missing:
         raise BadRequest(f"missing required param(s): {', '.join(missing)}")
     return tuple(params[n] for n in names)
+
+
+def _positive_int(params: Dict[str, Any], name: str, default: int) -> int:
+    value = params.get(name, default)
+    if type(value) is not int or value < 1:
+        raise BadRequest(f"{name} must be an integer >= 1, got {value!r}")
+    return value
 
 
 def _wire_rowids(iterator) -> Iterator[Any]:
@@ -98,7 +106,10 @@ class QueryService:
                 parent=getattr(ctx, "parent_span", None),
                 kind=kind,
             ):
-                return opener(params, ctx)
+                try:
+                    return opener(params, ctx)
+                except (JoinError, OperatorError) as exc:
+                    raise BadRequest(str(exc)) from None
 
     # ------------------------------------------------------------------
     def _parse_geometry(self, params: Dict[str, Any]):
@@ -223,27 +234,18 @@ class QueryService:
         )
         predicate = JoinPredicate(
             mask=str(params.get("mask", "ANYINTERACT")).upper(),
-            distance=float(params.get("distance", 0.0)),
+            distance=params.get("distance", 0.0),
         )
-        try:
-            strategy = JoinStrategy[
-                str(params.get("strategy", "SWEEP")).upper()
-            ]
-        except KeyError:
-            raise BadRequest(
-                f"unknown join strategy {params.get('strategy')!r}; expected "
-                f"one of {', '.join(s.name for s in JoinStrategy)}"
-            ) from None
+        strategy = JoinStrategy.of(params.get("strategy", "SWEEP"))
         part = self._cluster_part(params)
         if part is not None:
             return self._open_cluster_join(
                 params, ctx, part, predicate, strategy
             )
-        parallel = params.get("parallel", 1)
-        if type(parallel) is not int or parallel < 1:
-            raise BadRequest(
-                f"parallel must be an integer >= 1, got {parallel!r}"
-            )
+        parallel = _positive_int(params, "parallel", 1)
+        candidate_array_size = _positive_int(
+            params, "candidate_array_size", DEFAULT_CANDIDATE_ARRAY_SIZE
+        )
         use_processes = bool(params.get("use_processes", False))
         cpus = os.cpu_count() or 1
         if use_processes and parallel > cpus:
@@ -252,10 +254,10 @@ class QueryService:
                 f"parallel={parallel} with use_processes exceeds this "
                 f"host's {cpus} CPUs"
             )
-        if parallel > 1:
-            # Parallel joins run the decomposition to completion (subtree
-            # pairs, or grid tiles for strategy GRID; multiple cores with
-            # use_processes), then page the result.
+        extra = {"parallel": parallel, "strategy": strategy.name}
+        if parallel > 1 or strategy is JoinStrategy.GRID:
+            # Decompositions run to completion (subtree pairs or grid
+            # tiles; multiple cores with use_processes), then page.
             result = self.db.spatial_join(
                 table_a,
                 column_a,
@@ -266,12 +268,10 @@ class QueryService:
                 parallel=parallel,
                 use_processes=use_processes,
                 strategy=strategy,
+                candidate_array_size=candidate_array_size,
             )
             ctx.meter.merge(result.run.combined_meter())
-            return _wire_pairs(iter(result.pairs)), {
-                "parallel": parallel,
-                "strategy": strategy.name,
-            }
+            return _wire_pairs(iter(result.pairs)), extra
 
         factory = SpatialJoinFactory(
             self.db.table(table_a),
@@ -281,15 +281,13 @@ class QueryService:
             column_b,
             self.db.rtree_of(table_b, column_b),
             predicate=predicate,
-            candidate_array_size=int(
-                params.get("candidate_array_size", DEFAULT_CANDIDATE_ARRAY_SIZE)
-            ),
+            candidate_array_size=candidate_array_size,
             strategy=strategy,
         )
         # The wire session *is* the pipelined table function: rows stream
         # through start/fetch/close at both layers, never materialised.
         stream = pipeline(factory(None), ctx)
-        return _wire_pairs(stream), {"parallel": 1, "strategy": strategy.name}
+        return _wire_pairs(stream), extra
 
     def _open_cluster_join(self, params, ctx, part, predicate, strategy):
         """This shard's slice of a global grid join.

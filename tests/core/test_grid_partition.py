@@ -8,8 +8,9 @@ corners, geometries replicated into every tile of the grid, and grids
 degenerate enough that every class label collapses to A.  Each case is
 checked candidate-level (tile sweeps vs a brute-force rectangle test,
 counting multiplicity) and the end-to-end paths are checked against the
-SWEEP strategy, with the numpy binning kernel and again with its
-``math.floor`` oracle standing in (``tests/oracles.py``).
+SWEEP strategy (and serial GRID against the grid driver itself), with the
+numpy binning kernel and again with its ``math.floor`` oracle standing in
+(``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -25,10 +26,15 @@ from repro.core.grid_partition import (
     build_tiles,
     tile_sweep,
 )
-from repro.datasets import load_geometries
+from repro.core.parallel_join import grid_parallel_join
+from repro.core.secondary_filter import JoinPredicate
+from repro.datasets import load_geometries, stars
+from repro.engine.parallel import SerialExecutor
+from repro.errors import JoinError
 from repro.geometry import kernels
 from repro.geometry.mbr import EMPTY_MBR, MBR
 from repro.index.rtree.join import JoinStrategy, RTreeJoinCursor
+from repro.server import BackgroundServer, QueryClient
 from repro.storage.heap import RowId
 from tests import oracles
 
@@ -243,63 +249,54 @@ class TestDegenerateGrids:
         assert spec.tiles == 1  # empty domain degenerates to one tile
 
     def test_bad_shape_rejected(self):
-        from repro.errors import JoinError
-
         with pytest.raises(JoinError):
             build_grid_spec(MBR(0, 0, 1, 1), 0, 3)
 
 
-class TestCursorParity:
-    """JoinStrategy.GRID through the R-tree cursor equals SWEEP."""
+class TestSerialGrid:
+    """Serial GRID is ``grid_parallel_join`` on a ``SerialExecutor`` —
+    pairs *and order* — through the API, SQL and the wire alike."""
 
-    @pytest.fixture()
-    def rect_db(self, random_rects):
+    @pytest.fixture(scope="class")
+    def served(self):
         db = Database()
-        load_geometries(db, "a_tab", random_rects(150, seed=91))
-        load_geometries(db, "b_tab", random_rects(170, seed=92))
-        db.create_spatial_index("a_idx", "a_tab", "geom", kind="RTREE", fanout=6)
-        db.create_spatial_index("b_idx", "b_tab", "geom", kind="RTREE", fanout=6)
-        return db
+        load_geometries(db, "t", stars(600, seed=7))
+        db.create_spatial_index("t_idx", "t", "geom", kind="RTREE")
+        with BackgroundServer(db) as handle:
+            yield handle, db
 
-    @pytest.mark.parametrize("distance", [0.0, 4.0])
-    def test_candidates_equal_sweep(self, rect_db, backend, distance):
-        ta = rect_db.spatial_index("a_idx").tree
-        tb = rect_db.spatial_index("b_idx").tree
-        sweep = RTreeJoinCursor(
-            [(ta.root, tb.root)], distance=distance,
-            strategy=JoinStrategy.SWEEP,
+    @pytest.mark.parametrize("distance", [0.0, 0.15])
+    def test_every_front_end_runs_the_grid_driver(self, served, distance):
+        handle, db = served
+        table, tree = db.table("t"), db.rtree_of("t", "geom")
+        want = grid_parallel_join(
+            table, "geom", tree, table, "geom", tree, SerialExecutor(db.cost_model),
+            predicate=JoinPredicate(distance=distance),
         )
-        grid = RTreeJoinCursor(
-            [(ta.root, tb.root)], distance=distance,
-            strategy=JoinStrategy.GRID,
+        api = db.spatial_join("t", "geom", "t", "geom", distance=distance, strategy="GRID")
+        assert api.pairs == want.pairs
+        assert api.run.combined_meter().counts == want.run.combined_meter().counts
+        assert api.makespan_seconds == want.makespan_seconds
+        sql = db.sql(
+            "select * from table(spatial_join("
+            f"'t','geom','t','geom','INTERSECT',{distance},1,'GRID'))"
         )
-        want = sorted((a, b) for a, b, _, _ in sweep.drain())
-        got = []
-        while True:  # small batches: tiles must resume across fetches
-            chunk = grid.next_candidates(13)
-            if not chunk:
-                break
-            got.extend((a, b) for a, b, _, _ in chunk)
-        assert len(got) == len(set(got)), "grid cursor emitted duplicates"
-        assert sorted(got) == want
+        assert [tuple(row) for row in sql.rows] == want.pairs
+        with QueryClient(port=handle.port) as client:
+            rows = client.start(
+                "spatial_join",
+                {"table_a": "t", "column_a": "geom", "table_b": "t",
+                 "column_b": "geom", "distance": distance, "strategy": "GRID"},
+            ).all(page=1000)
+        assert rows == [
+            [[a.page, a.slot], [b.page, b.slot]] for a, b in want.pairs
+        ]
 
-    def test_partitioned_root_pairs_join_only_their_partition(self, rect_db):
-        # A slave's cursor gets an arbitrary subset of the subtree-pair
-        # cross product; the grid must join exactly those pairs, not the
-        # union of the subtrees it happens to see.
-        from repro.core.subtree import subtree_roots
-
-        ta = rect_db.spatial_index("a_idx").tree
-        tb = rect_db.spatial_index("b_idx").tree
-        roots_a = subtree_roots(ta, 1)
-        roots_b = subtree_roots(tb, 1)
-        pairs = [(a, b) for a in roots_a for b in roots_b]
-        partition = pairs[:: 2]  # every other pair, an arbitrary slice
-        sweep = RTreeJoinCursor(list(partition), strategy=JoinStrategy.SWEEP)
-        grid = RTreeJoinCursor(list(partition), strategy=JoinStrategy.GRID)
-        want = sorted((a, b) for a, b, _, _ in sweep.drain())
-        got = sorted((a, b) for a, b, _, _ in grid.drain())
-        assert got == want
+    def test_cursor_refuses_grid(self, served):
+        _, db = served
+        tree = db.rtree_of("t", "geom")
+        with pytest.raises(JoinError):
+            RTreeJoinCursor([(tree.root, tree.root)], strategy=JoinStrategy.GRID)
 
 
 class TestEndToEndParity:
@@ -353,8 +350,6 @@ class TestEndToEndParity:
         assert len(got.pairs) == len(set(got.pairs))
 
     def test_unknown_strategy_rejected(self, rect_db):
-        from repro.errors import JoinError
-
         with pytest.raises(JoinError):
             rect_db.spatial_join(
                 "a_tab", "geom", "b_tab", "geom", strategy="HILBERT"

@@ -10,12 +10,13 @@ Covers the two guarantees the sweep refactor must keep:
   joins, on bulk-loaded and dynamically built (insert/delete) trees alike.
 """
 
+import hashlib
 import random
 
 import pytest
 
 from repro import Database
-from repro.datasets import load_geometries
+from repro.datasets import load_geometries, stars
 from repro.engine.parallel import WorkerContext
 from repro.geometry.mbr import MBR
 from repro.index.rtree.bulkload import str_pack
@@ -198,3 +199,73 @@ class TestDriverLevelEquivalence:
         assert set(parallel.pairs) == set(sweep.pairs)
         # The sweep primary filter must make the simulated join cheaper.
         assert sweep.makespan_seconds < nested.makespan_seconds
+
+
+def _sha(obj) -> str:
+    return hashlib.sha256(repr(obj).encode()).hexdigest()[:16]
+
+
+class TestPinnedDigests:
+    """SWEEP and NESTED pinned at the values they had before the R-tree
+    cursor lost its GRID copy and NESTED its per-entry descent loop:
+    pairs *and order*, every ``WorkMeter`` count and ``makespan_seconds``
+    (processes: pairs and counts — which slave takes which partition, and
+    so each slave's time, is up to the scheduler).  The two trees have
+    different heights, so the one-sided descent runs."""
+
+    #: (strategy, distance, degree, processes) ->
+    #: (pairs, sha of their order, sha of the sorted meter counts, makespan)
+    JOINS = {
+        ("SWEEP", 0.0, 1, False): (718, "6524d9d4e81ea532", "bebd83dd642bd929", 0.6896780258103805),
+        ("SWEEP", 0.0, 4, False): (718, "6b78195fe1533803", "b7abf9e642273e1f", 0.6416755488750217),
+        ("SWEEP", 0.0, 2, True): (718, "8d3bcf920a5fc7f8", "f89f5a096483b824", None),
+        ("SWEEP", 0.25, 1, False): (1019, "e2d6b6d9bce310af", "8be4759f86e7ec2a", 0.7324595730444997),
+        ("SWEEP", 0.25, 4, False): (1019, "480bfe2c71210411", "ee9b216f998da31e", 0.6548331543230737),
+        ("SWEEP", 0.25, 2, True): (1019, "26f5d8b2e8d51b66", "47b264cfc16bd9c5", None),
+        ("NESTED", 0.0, 1, False): (718, "6524d9d4e81ea532", "89ccfc5e84f0d321", 0.6894039821915559),
+        ("NESTED", 0.25, 1, False): (1019, "e2d6b6d9bce310af", "11e3e0b98353f285", 0.7319271873194175),
+    }
+    #: (strategy, distance) -> (candidates, sha of their order,
+    #: pairs_tested, nodes_visited, sha of the sorted meter counts)
+    CURSORS = {
+        ("SWEEP", 0.0): (886, "41ea43e3799b3bf2", 4791, 830, "c09cd04aca970557"),
+        ("SWEEP", 0.25): (1264, "288b20efdb2a21e2", 5542, 910, "edbe40b73a131386"),
+        ("NESTED", 0.0): (886, "01abff0efd3c92c5", 6547, 830, "d83dd169cb4b5f90"),
+        ("NESTED", 0.25): (1264, "a76c6b4b593344b3", 7179, 910, "b265467f5011218e"),
+    }
+
+    @pytest.fixture(scope="class")
+    def db(self):
+        db = Database()
+        load_geometries(db, "a", stars(600, seed=7))
+        load_geometries(db, "b", stars(600, seed=7)[::5])
+        db.create_spatial_index("a_idx", "a", "geom", kind="RTREE", fanout=6)
+        db.create_spatial_index("b_idx", "b", "geom", kind="RTREE", fanout=6)
+        assert db.rtree_of("a", "geom").root.level != db.rtree_of("b", "geom").root.level
+        return db
+
+    @pytest.mark.parametrize("key", list(JOINS), ids=str)
+    def test_join(self, db, key):
+        strategy, distance, degree, processes = key
+        result = db.spatial_join(
+            "a", "geom", "b", "geom", distance=distance, parallel=degree,
+            use_processes=processes, strategy=strategy,
+        )
+        flat = [(a.page, a.slot, b.page, b.slot) for a, b in result.pairs]
+        counts = sorted(result.run.combined_meter().counts.items())
+        makespan = None if processes else result.makespan_seconds
+        assert (len(flat), _sha(flat), _sha(counts), makespan) == self.JOINS[key]
+
+    @pytest.mark.parametrize("key", list(CURSORS), ids=str)
+    def test_cursor(self, db, key):
+        strategy, distance = key
+        ta, tb = db.rtree_of("a", "geom"), db.rtree_of("b", "geom")
+        ctx = WorkerContext(0)
+        cursor = RTreeJoinCursor(
+            [(ta.root, tb.root)], distance=distance, strategy=JoinStrategy[strategy]
+        )
+        cands = [(a.page, a.slot, b.page, b.slot) for a, b, _, _ in cursor.drain(ctx)]
+        counts = sorted(ctx.meter.counts.items())
+        assert (
+            len(cands), _sha(cands), cursor.pairs_tested, cursor.nodes_visited, _sha(counts)
+        ) == self.CURSORS[key]

@@ -4,7 +4,7 @@ import pytest
 
 from repro import Database
 from repro.datasets import load_geometries
-from repro.errors import SqlError
+from repro.errors import EngineError, JoinError
 
 
 @pytest.fixture
@@ -48,8 +48,15 @@ class TestStrategyArgument:
         assert sorted(nested.rows) == sorted(ref.rows)
 
     def test_unknown_strategy_raises(self, db):
-        with pytest.raises(SqlError):
+        """Parsed where the API parses it: ``Database.spatial_join``."""
+        with pytest.raises(JoinError, match="unknown join strategy"):
             run(db, ", 0, 1, 'KDTREE'")
+
+    @pytest.mark.parametrize("degree", [0, -3])
+    def test_degree_below_one_is_an_engine_error(self, db, degree):
+        """Not a silently serial join: the API's and the index build's error."""
+        with pytest.raises(EngineError, match="degree must be >= 1"):
+            run(db, f", 0, {degree}")
 
 
 class TestExplain:
@@ -62,6 +69,7 @@ class TestExplain:
         assert "GRID PARTITION" in text
         assert "PER-TILE PLANE SWEEP (two-layer duplicate avoidance)" in text
         assert "SYNCHRONIZED R-TREE TRAVERSAL" not in text
+        assert "pipelined" not in text  # tiles run to completion first
 
     def test_default_plan_unchanged(self, db):
         result = db.sql(
@@ -71,3 +79,4 @@ class TestExplain:
         text = "\n".join(r[0] for r in result.rows)
         assert "SYNCHRONIZED R-TREE TRAVERSAL" in text
         assert "GRID PARTITION" not in text
+        assert "(pipelined)" in text

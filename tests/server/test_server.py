@@ -187,6 +187,35 @@ class TestQueryKinds:
             client.start("spatial_join", {**JOIN_PARAMS, "parallel": degree})
         assert info.value.code == ERR_BAD_REQUEST
 
+    @pytest.mark.parametrize(
+        "params, named",
+        [
+            ({"distance": "abc"}, "distance"),
+            ({"distance": None}, "distance"),
+            ({"distance": float("nan")}, "distance"),
+            ({"distance": float("inf")}, "distance"),
+            ({"distance": -1}, "distance"),
+            ({"distance": float("nan"), "strategy": "GRID", "parallel": 2}, "distance"),
+            ({"mask": "BOGUS"}, "mask"),
+            ({"candidate_array_size": "x"}, "candidate_array_size"),
+            ({"candidate_array_size": 0}, "candidate_array_size"),
+            ({"strategy": "VORONOI"}, "strategy"),
+        ],
+        ids=lambda v: repr(v) if isinstance(v, dict) else v,
+    )
+    def test_bad_join_arguments_are_bad_requests(self, served, client, params, named):
+        """The raw values reach the engine's validation (OperatorError /
+        JoinError, mapped to BadRequest) — not a bare ValueError /
+        TypeError, not 0 pairs for NaN, not every pair for inf."""
+        _, db = served
+        with pytest.raises(BadRequest, match=named):
+            QueryService(db).open(
+                "spatial_join", {**JOIN_PARAMS, **params}, WorkerContext(0)
+            )
+        with pytest.raises(RemoteError, match=named) as info:
+            client.start("spatial_join", {**JOIN_PARAMS, **params})
+        assert info.value.code == ERR_BAD_REQUEST
+
     def test_process_degree_is_bounded_by_the_hosts_cpus(
         self, served, client, monkeypatch
     ):

@@ -1,10 +1,13 @@
 """Integration tests for the Database façade."""
 
+import math
+import warnings
+
 import pytest
 
 from repro import Database, Geometry
 from repro.datasets import load_geometries
-from repro.errors import CatalogError, EngineError, JoinError
+from repro.errors import CatalogError, EngineError, JoinError, OperatorError
 from repro.storage.pager import FilePager
 
 
@@ -88,6 +91,38 @@ class TestQueryPaths:
             indexed_db.create_spatial_index(
                 "again", "shapes", "geom", parallel=degree, use_processes=use_processes
             )
+
+
+    @pytest.mark.parametrize(
+        "options",
+        [{}, {"strategy": "GRID"}, {"parallel": 2, "strategy": "GRID"}],
+        ids=["serial", "grid", "grid-p2"],
+    )
+    @pytest.mark.parametrize("distance", [math.nan, math.inf, -1.0, "abc", None])
+    def test_bad_join_distance_is_an_operator_error(
+        self, indexed_db, distance, options
+    ):
+        """Validated once, by the predicate: NaN was 0 pairs (and numpy
+        cast warnings on the grid path), inf every pair, -1 a bare
+        ValueError."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OperatorError, match="distance"):
+                indexed_db.spatial_join(
+                    "shapes", "geom", "shapes", "geom", distance=distance, **options
+                )
+
+    def test_bad_join_mask_is_an_operator_error(self, indexed_db):
+        with pytest.raises(OperatorError, match="mask"):
+            indexed_db.spatial_join("shapes", "geom", "shapes", "geom", mask="BOGUS")
+
+    def test_join_distance_is_stored_as_a_float(self, indexed_db):
+        from repro.core.secondary_filter import JoinPredicate
+
+        assert JoinPredicate(distance="0.5").distance == 0.5
+        as_int = indexed_db.spatial_join("shapes", "geom", "shapes", "geom", distance=1)
+        as_float = indexed_db.spatial_join("shapes", "geom", "shapes", "geom", distance=1.0)
+        assert as_int.pairs == as_float.pairs
 
 
 class TestFileBacked:
