@@ -1,12 +1,13 @@
-"""Data-pipeline scenario: ingest GeoJSON, analyze, plan, back up, restore.
+"""Data-pipeline scenario: ingest GeoJSON, analyze, plan, close, reopen.
 
 Run with::
 
     python examples/data_pipeline.py
 
 Shows the operational surface around the core engine: GeoJSON ingest,
-optimizer statistics + EXPLAIN, the logical export/import utility, and a
-consistency check that the restored database answers identically.
+optimizer statistics + EXPLAIN, a write-ahead-logged store on disk, and a
+consistency check that the reopened store (whose spatial index is rebuilt
+from the table when it opens) answers identically.
 """
 
 from __future__ import annotations
@@ -16,12 +17,16 @@ import tempfile
 
 from repro import Database
 from repro.datasets import counties
-from repro.engine.dump import export_database, import_database
 from repro.geometry import from_geojson, to_geojson_str
 
 
 def main() -> None:
-    db = Database()
+    with tempfile.TemporaryDirectory() as tmp:
+        run(os.path.join(tmp, "parcels.db"))
+
+
+def run(path: str) -> None:
+    db = Database.open(path, durability="wal")
     db.sql("create table parcels (id number, geom sdo_geometry)")
 
     # ------------------------------------------------------------------
@@ -60,27 +65,28 @@ def main() -> None:
     print(f"actual rows in window: {window_count}")
 
     # ------------------------------------------------------------------
-    # 3. Logical backup and restore.
+    # 3. Close the store and reopen it: the table comes back from its
+    #    pages, the index is rebuilt from the table.
     # ------------------------------------------------------------------
-    with tempfile.TemporaryDirectory() as tmp:
-        dump_path = os.path.join(tmp, "parcels.dmp")
-        stats = export_database(db, dump_path)
-        size_kb = os.path.getsize(dump_path) / 1024
-        print(f"exported {stats['rows']} rows + {stats['indexes']} index(es) "
-              f"({size_kb:.0f} KiB)")
+    self_join = (
+        "select count(*) from TABLE(spatial_join("
+        "'parcels','geom','parcels','geom','intersect'))"
+    )
+    original = db.sql(self_join).scalar()
+    db.close()
+    size_kb = os.path.getsize(path) / 1024
+    print(f"closed the store ({size_kb:.0f} KiB on disk)")
 
-        restored = import_database(dump_path)
-        original = db.sql(
-            "select count(*) from TABLE(spatial_join("
-            "'parcels','geom','parcels','geom','intersect'))"
-        ).scalar()
-        recovered = restored.sql(
-            "select count(*) from TABLE(spatial_join("
-            "'parcels','geom','parcels','geom','intersect'))"
-        ).scalar()
-        assert original == recovered
-        print(f"restored database reproduces the self-join: "
-              f"{recovered} pairs (matches original)")
+    reopened = Database.open(path, durability="wal")
+    try:
+        print(f"reopened {reopened.table('parcels').row_count} rows + "
+              f"{len(reopened.catalog.indexes())} index(es)")
+        recovered = reopened.sql(self_join).scalar()
+    finally:
+        reopened.close()
+    assert original == recovered
+    print(f"reopened store reproduces the self-join: "
+          f"{recovered} pairs (matches original)")
 
 
 if __name__ == "__main__":

@@ -10,7 +10,6 @@ from repro.engine.cursor import (
     partition_cursor,
 )
 from repro.engine.database import Database
-from repro.engine.dump import export_database, import_database
 from repro.engine.stats import (
     TableStats,
     analyze_table,
@@ -45,8 +44,6 @@ from repro.engine.types import Row, RowSchema
 
 __all__ = [
     "Database",
-    "export_database",
-    "import_database",
     "TableStats",
     "analyze_table",
     "estimate_window_rows",

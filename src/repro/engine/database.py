@@ -13,6 +13,7 @@ exposes the paper's operations at one call depth:
 
 from __future__ import annotations
 
+import os
 import struct
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -48,8 +49,9 @@ __all__ = ["Database"]
 _META_MAGIC = 0x52504D31  # "RPM1"
 _META_HDR = struct.Struct("<IIII")
 _META_NO_PAGE = 0xFFFFFFFF
-# SNAP2: each table entry ends with its (optional) columnar-segment snapshot.
-_SNAP_VERSION = "SNAP2"
+# SNAP3: each table entry ends with its (optional) columnar-segment snapshot;
+# each index entry is the definition create_spatial_index rebuilds it from.
+_SNAP_VERSION = "SNAP3"
 
 
 class Database:
@@ -166,13 +168,14 @@ class Database:
         if maintain:
             index.attach_maintenance()
 
+        # The definition a reopen rebuilds the index from: the quadtree's
+        # domain is recorded even when inferred, since the data can move.
         meta = IndexMeta(
             name=name,
             table_name=table_name,
             column_name=column,
             index_kind=kind,
-            index_table_name=f"{name}_idxtab",
-            parameters={k: v for k, v in parameters.items() if k != "domain"},
+            parameters=dict(parameters),
             parallel_degree=parallel,
         )
         self.catalog.register_index(meta)
@@ -469,7 +472,11 @@ class Database:
 
         * ``"none"`` — a plain :class:`~repro.storage.pager.FilePager`;
           a clean :meth:`close` persists everything, a crash mid-write
-          can corrupt the file (the pre-WAL behaviour).
+          can corrupt the file (the pre-WAL behaviour).  A store that has
+          a write-ahead log (``path + ".wal"``) is refused with an
+          ``EngineError``: its main file can lag the log, and writes that
+          bypass the log would be lost or corrupt the store on the next
+          ``"wal"`` open.
         * ``"wal"`` — the file is wrapped in a
           :class:`~repro.storage.wal.WalPager`: page writes go through a
           checksummed write-ahead log, :meth:`checkpoint`/:meth:`close`
@@ -486,6 +493,11 @@ class Database:
         if durability not in ("none", "wal"):
             raise EngineError(
                 f"unknown durability mode {durability!r} (use 'none' or 'wal')"
+            )
+        if durability == "none" and os.path.exists(path + ".wal"):
+            raise EngineError(
+                f"durability 'none' cannot open {path!r}: it has the "
+                f"write-ahead log {path + '.wal'!r}; open it with 'wal'"
             )
         opener = fault_plan.opener() if fault_plan is not None else None
         if durability == "wal":
@@ -508,42 +520,24 @@ class Database:
             db._meta_pages = [0]
         return db
 
-    def checkpoint(self) -> None:
-        """Write a durable snapshot of the whole database.
-
-        Re-dumps every spatial index into a fresh index table, writes the
-        meta snapshot (catalog + heap page lists + index parameters) into
-        the page-0 chain, flushes the buffer pool, and — under WAL — logs,
-        commits and checkpoints so the main file holds exactly this state.
-        A crash anywhere before the WAL commit leaves the *previous*
-        checkpoint intact; after it, recovery completes this one.
-        """
-        if self.path is None:
-            raise EngineError("checkpoint() requires a file-backed database")
-        blob = encode_row(self._build_snapshot())
-        self._write_meta_chain(blob)
-        self.pool.flush()
-        if isinstance(self.pager, WalPager):
-            self.pager.commit()
-            self.pager.checkpoint()
-        else:
-            flush = getattr(self.pager, "flush", None)
-            if flush is not None:
-                flush()
-
     def commit(self) -> Optional[int]:
-        """Durable commit *without* a checkpoint; returns the commit LSN.
+        """Durable commit; returns the commit LSN under WAL, else ``None``.
 
-        Same snapshot + meta-chain + flush sequence as :meth:`checkpoint`,
-        but under WAL the log is only committed, never truncated — so a
-        replication follower tailing the WAL still sees every record up to
-        and including this commit.  Returns the committed LSN under WAL
-        (what a router waits for its follower to ack), else ``None``.
+        Writes the meta snapshot (catalog, heap page lists, columnar
+        directories and index definitions) into the page-0 chain and
+        flushes the buffer pool's dirty pages.  Under WAL the log is
+        committed but not truncated, so a replication follower tailing it
+        still sees every record up to this commit (the LSN is what a router
+        waits for its follower to ack).  Nothing written depends on index
+        size: indexes are rebuilt from their tables when the store opens.
+        A crash before the WAL commit leaves the previous commit intact;
+        after it, recovery completes this one.
         """
         if self.path is None:
-            raise EngineError("commit() requires a file-backed database")
-        blob = encode_row(self._build_snapshot())
-        self._write_meta_chain(blob)
+            raise EngineError(
+                "commit() and checkpoint() require a file-backed database"
+            )
+        self._write_meta_chain(encode_row(self._build_snapshot()))
         self.pool.flush()
         if isinstance(self.pager, WalPager):
             return self.pager.commit()
@@ -551,6 +545,13 @@ class Database:
         if flush is not None:
             flush()
         return None
+
+    def checkpoint(self) -> None:
+        """:meth:`commit`, then under WAL write the log back into the main
+        file and truncate it, so the main file holds exactly this state."""
+        self.commit()
+        if isinstance(self.pager, WalPager):
+            self.pager.checkpoint()
 
     def close(self, checkpoint: bool = True) -> None:
         """Close the database, checkpointing first if file-backed."""
@@ -600,45 +601,18 @@ class Database:
                 else None
             )
             tables.append((meta.name, columns, pages, row_count, seg_snap))
-        indexes = []
-        for imeta in self.catalog.indexes():
-            index = self._indexes.get(imeta.name.upper())
-            if index is None:
-                continue
-            heap = HeapFile(self.pool, name=imeta.index_table_name)
-            extra: Tuple[Any, ...]
-            if imeta.index_kind == "RTREE":
-                from repro.index.rtree.persist import dump_rtree
-
-                root, _nodes = dump_rtree(index.tree, heap)
-                extra = (root, index.fanout, index.fill)
-            elif imeta.index_kind == "QUADTREE":
-                from repro.index.quadtree.persist import dump_quadtree
-
-                dump_quadtree(index, heap)
-                extra = (index.grid.domain, index.tiling_level, index.btree_order)
-            else:
-                continue
-            pages, row_count = heap.pages_snapshot()
-            params = tuple(
-                (k, v)
-                for k, v in sorted(imeta.parameters.items())
-                if isinstance(v, (int, float, str, bool)) or v is None
+        indexes = tuple(
+            (
+                imeta.name,
+                imeta.table_name,
+                imeta.column_name,
+                imeta.index_kind,
+                imeta.parallel_degree,
+                tuple(sorted(imeta.parameters.items())),
             )
-            indexes.append(
-                (
-                    imeta.name,
-                    imeta.table_name,
-                    imeta.column_name,
-                    imeta.index_kind,
-                    imeta.parallel_degree,
-                    params,
-                    pages,
-                    row_count,
-                    extra,
-                )
-            )
-        return (_SNAP_VERSION, tuple(tables), tuple(indexes))
+            for imeta in self.catalog.indexes()
+        )
+        return (_SNAP_VERSION, tuple(tables), indexes)
 
     def _load_snapshot(self) -> None:
         blob = self._read_meta_chain()
@@ -670,47 +644,12 @@ class Database:
 
                 table.columnar = segment_from_snapshot(self.pool, seg_snap)
             self._tables[name.upper()] = table
-        for entry in indexes:
-            (iname, tname, column, kind, parallel, params, pages, row_count, extra) = entry
-            table = self.table(tname)
-            heap = HeapFile(self.pool, name=f"{iname}_idxtab")
-            heap.restore_pages(pages, row_count)
-            if kind == "RTREE":
-                from repro.index.rtree.persist import load_rtree
-                from repro.index.rtree.spatial_index import RTreeIndex
-
-                root, fanout, fill = extra
-                index: DomainIndex = RTreeIndex(
-                    iname, table, column, fanout=int(fanout), fill=float(fill)
-                )
-                index.tree = load_rtree(heap, root, int(fanout))
-            elif kind == "QUADTREE":
-                from repro.index.quadtree.persist import load_quadtree
-
-                domain, tiling_level, btree_order = extra
-                index = load_quadtree(
-                    heap,
-                    iname,
-                    table,
-                    column,
-                    domain=domain,
-                    tiling_level=int(tiling_level),
-                    btree_order=int(btree_order),
-                )
-            else:
-                continue
-            index.attach_maintenance()
-            imeta = IndexMeta(
-                name=iname,
-                table_name=tname,
-                column_name=column,
-                index_kind=kind,
-                index_table_name=f"{iname}_idxtab",
-                parameters={k: v for k, v in params},
-                parallel_degree=int(parallel),
+        # Indexes are derived state: rebuild each from its table, at its
+        # recorded degree on simulated workers (opening never forks).
+        for iname, tname, column, kind, degree, params in indexes:
+            self.create_spatial_index(
+                iname, tname, column, kind=kind, parallel=degree, **dict(params)
             )
-            self.catalog.register_index(imeta)
-            self._indexes[iname.upper()] = index
 
     # -- meta page chain -----------------------------------------------
     def _write_meta_chain(self, blob: bytes) -> None:

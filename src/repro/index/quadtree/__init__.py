@@ -9,7 +9,6 @@ from repro.index.quadtree.codes import (
     parent_code,
 )
 from repro.index.quadtree.join import quadtree_join_candidates, quadtree_tile_join
-from repro.index.quadtree.persist import dump_quadtree, load_quadtree
 from repro.index.quadtree.quadtree import DEFAULT_TILING_LEVEL, QuadtreeIndex
 from repro.index.quadtree.tessellate import Tile, tessellate
 
@@ -26,6 +25,4 @@ __all__ = [
     "DEFAULT_TILING_LEVEL",
     "quadtree_tile_join",
     "quadtree_join_candidates",
-    "dump_quadtree",
-    "load_quadtree",
 ]

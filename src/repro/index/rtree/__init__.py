@@ -4,7 +4,6 @@ from repro.index.rtree.bulkload import build_parallel, merge_subtrees, str_pack
 from repro.index.rtree.join import CandidatePair, RTreeJoinCursor
 from repro.index.rtree.knn import incremental_nearest, nearest_neighbors
 from repro.index.rtree.node import Entry, RTreeNode
-from repro.index.rtree.persist import dump_rtree, load_rtree
 from repro.index.rtree.rtree import DEFAULT_FANOUT, RTree
 from repro.index.rtree.spatial_index import RTreeIndex
 
@@ -20,7 +19,5 @@ __all__ = [
     "CandidatePair",
     "nearest_neighbors",
     "incremental_nearest",
-    "dump_rtree",
-    "load_rtree",
     "RTreeIndex",
 ]

@@ -1,10 +1,10 @@
 """The database catalog.
 
 Keeps metadata for tables and domain indexes.  :class:`IndexMeta` is the
-reproduction of the paper's spatial-index *metadata table* row: the name of
-the index table that stores the index content, the indexed table/column,
-dimensionality, the root pointer and fanout for an R-tree, or the tiling
-level for a quadtree.
+reproduction of the paper's spatial-index *metadata table* row: the indexed
+table/column, dimensionality and the index's creation parameters.  Indexes
+are derived state, so this row is all a store keeps of one: reopening a
+store rebuilds each index from its table and this definition.
 """
 
 from __future__ import annotations
@@ -51,17 +51,17 @@ class TableMeta:
 class IndexMeta:
     """Catalog entry for one index (the paper's metadata-table row).
 
-    ``index_kind`` is 'RTREE', 'QUADTREE' or 'BTREE'.  ``parameters`` holds
-    kind-specific settings: R-trees record ``fanout`` and ``root`` (a root
-    pointer into the index table); quadtrees record ``tiling_level``;
-    B-trees record ``order``.
+    ``index_kind`` names the indextype ('RTREE' or 'QUADTREE' for spatial
+    indexes).  ``parameters`` holds the keyword arguments the index was
+    created with: R-trees may record ``fanout`` and ``fill``; quadtrees
+    always record ``domain`` (inferred when not given) and may record
+    ``tiling_level`` and ``btree_order``.
     """
 
     name: str
     table_name: str
     column_name: str
     index_kind: str
-    index_table_name: str
     dimensionality: int = 2
     parameters: Dict[str, Any] = field(default_factory=dict)
     parallel_degree: int = 1

@@ -1,7 +1,8 @@
 """Page-oriented storage backends.
 
-Everything persistent in this library (heap tables, index tables) sits on
-fixed-size pages addressed by integer page ids.  Two backends are provided:
+Everything persistent in this library (heap tables, columnar segments, the
+meta snapshot) sits on fixed-size pages addressed by integer page ids.  Two
+backends are provided:
 
 * :class:`MemoryPager` — pages live in a Python list; the default for tests
   and benchmarks (the benchmarks charge *simulated* I/O cost per logical

@@ -10,7 +10,13 @@ import pytest
 from repro import Geometry
 from repro.cluster.chaos import NetFaultPlan
 from repro.cluster.local import LocalCluster
-from repro.cluster.router import RetryPolicy
+from repro.cluster.router import (
+    RetryPolicy,
+    ShardFailed,
+    _GatherStream,
+    _Resume,
+    _SubSession,
+)
 from repro.geometry.mbr import MBR
 from repro.geometry.wkt import to_wkt
 from repro.server.client import RemoteError
@@ -68,6 +74,69 @@ class TestSkipResume:
             assert got == sorted(r[0] for r in rows)
             assert len(got) == len(set(got)), "resume duplicated rows"
             assert cluster.router.resilience.get("rescatters", 0) >= 1
+
+
+class _ScriptedHandle:
+    shard = 0
+
+    def close_session(self, session_id):
+        pass
+
+
+class _ScriptedService:
+    """Serves one shard slice whose first run drops its connection after
+    ``cut`` rows and whose re-run replays ``replay``."""
+
+    gather_page = 2
+    handles = [_ScriptedHandle()]
+
+    def __init__(self, first, cut, replay):
+        self.runs = {"first": (first, cut), "replay": (replay, None)}
+
+    def _fetch_page(self, stream, sub, page):
+        rows, cut = self.runs[sub.session_id]
+        start = sub.extra.setdefault("pos", 0)
+        if cut is not None and start >= cut:
+            raise _Resume(OSError("connection reset"))
+        chunk = rows[start : start + page]
+        sub.extra["pos"] = start + len(chunk)
+        return chunk, sub.extra["pos"] >= len(rows)
+
+    def _rescatter(self, stream, sub, count, sig):
+        return _SubSession(sub.handle, "replay", {})
+
+
+def drain_scripted(first, cut, replay):
+    service = _ScriptedService(first, cut, replay)
+    stream = _GatherStream(
+        service, lambda s: iter(()), "window", lambda shard: {}, None, None, False
+    )
+    sub = _SubSession(service.handles[0], "first", {})
+    return list(stream.drain(sub)), stream.info["rows_per_shard"]
+
+
+class TestResumeMatchesRowsByValue:
+    """A resumed slice drops one replayed row per delivered row, matched
+    by value, so it is exact whatever order the replay takes."""
+
+    ROWS = [[0], [1], [1], [2], [3], [4], [5]]
+
+    def test_same_order_replay_is_byte_identical(self):
+        got, per_shard = drain_scripted(self.ROWS, 4, self.ROWS)
+        assert got == self.ROWS
+        assert per_shard == {"0": len(self.ROWS)}
+
+    def test_reordered_replay_yields_every_row_once(self):
+        # A restarted shard rebuilt its index: same rows, another order.
+        replay = [[5], [1], [3], [0], [4], [2], [1]]
+        got, _ = drain_scripted(self.ROWS, 4, replay)
+        assert got[:4] == self.ROWS[:4]
+        assert got[4:] == [[5], [3], [4]]  # the rest, in replay order
+
+    def test_replay_missing_a_delivered_row_fails_typed(self):
+        replay = [[0], [1], [3], [4], [5]]  # lost one [1] and the [2]
+        with pytest.raises(ShardFailed, match="resume underrun"):
+            drain_scripted(self.ROWS, 4, replay)
 
 
 class TestPartialSummaries:

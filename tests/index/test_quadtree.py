@@ -122,4 +122,3 @@ class TestAgreementWithRTree:
         meta = indexed_db.catalog.index("shapes_qidx")
         assert meta.index_kind == "QUADTREE"
         assert meta.parameters.get("tiling_level") == 6
-        assert meta.index_table_name == "shapes_qidx_idxtab"

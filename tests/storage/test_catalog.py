@@ -20,7 +20,6 @@ def index_meta(name="t_idx", table="t", kind="RTREE"):
         table_name=table,
         column_name="geom",
         index_kind=kind,
-        index_table_name=f"{name}_tab",
     )
 
 

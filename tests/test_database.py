@@ -40,7 +40,6 @@ class TestDdl:
         assert meta.index_kind == "RTREE"
         assert meta.table_name == "t"
         assert meta.parameters["fanout"] == 16
-        assert meta.index_table_name == "t_idx_idxtab"
 
     def test_drop_index(self, random_rects):
         db = Database()
