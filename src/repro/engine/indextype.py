@@ -201,7 +201,11 @@ class DomainIndex:
         ctx: Optional[WorkerContext] = None,
     ) -> None:
         self.delete(rowid, old_geom, ctx)
-        self.insert(rowid, new_geom, ctx)
+        try:
+            self.insert(rowid, new_geom, ctx)
+        except BaseException:
+            self.insert(rowid, old_geom, ctx)
+            raise
 
     # -- query -------------------------------------------------------------
     def fetch(

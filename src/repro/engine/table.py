@@ -53,11 +53,12 @@ class Table:
     def add_maintenance_hook(
         self, hook: Callable[[str, RowId, Optional[Row], Optional[Row]], None]
     ) -> None:
-        """Register a callback fired after insert/update/delete.
+        """Register a callback fired on insert/update/delete.
 
         The spatial indextype registers here so DML on the base table keeps
         the domain index synchronised — the automatic index update the
-        extensible-indexing framework provides.
+        extensible-indexing framework provides.  A hook that raises must
+        leave its own state unchanged.
         """
         self._maintenance_hooks.append(hook)
 
@@ -68,9 +69,13 @@ class Table:
         row = tuple(values)
         self.schema.validate_row(row)
         rowid = self.heap.insert(encode_row(row))
+        try:
+            self._fire("INSERT", rowid, None, row)
+        except BaseException:
+            self.heap.delete(rowid)
+            raise
         if self.columnar is not None:
             self.columnar.note_insert(rowid)
-        self._fire("INSERT", rowid, None, row)
         return rowid
 
     def insert_many(self, rows: Sequence[Sequence[Any]]) -> List[RowId]:
@@ -108,16 +113,20 @@ class Table:
         self.schema.validate_row(new_row)
         old_row = self.fetch(rowid)
         self.heap.update(rowid, encode_row(new_row))
+        try:
+            self._fire("UPDATE", rowid, old_row, new_row)
+        except BaseException:
+            self.heap.update(rowid, encode_row(old_row))
+            raise
         if self.columnar is not None:
             self.columnar.note_update(rowid)
-        self._fire("UPDATE", rowid, old_row, new_row)
 
     def delete(self, rowid: RowId) -> None:
         old_row = self.fetch(rowid)
+        self._fire("DELETE", rowid, old_row, None)
         self.heap.delete(rowid)
         if self.columnar is not None:
             self.columnar.note_delete(rowid)
-        self._fire("DELETE", rowid, old_row, None)
 
     # ------------------------------------------------------------------
     # Scans
@@ -167,5 +176,16 @@ class Table:
     def _fire(
         self, op: str, rowid: RowId, old_row: Optional[Row], new_row: Optional[Row]
     ) -> None:
-        for hook in self._maintenance_hooks:
-            hook(op, rowid, old_row, new_row)
+        """Run every hook.  A hook that raises rejects the row: the hooks
+        already run are undone and the caller leaves or restores the heap row,
+        so a rejected change reaches neither an index nor the next commit."""
+        done = []
+        try:
+            for hook in self._maintenance_hooks:
+                hook(op, rowid, old_row, new_row)
+                done.append(hook)
+        except BaseException:
+            undo = {"INSERT": "DELETE", "DELETE": "INSERT"}.get(op, op)
+            for hook in reversed(done):
+                hook(undo, rowid, new_row, old_row)
+            raise
