@@ -15,17 +15,21 @@ the halo (the router rejects wider ones), at a storage cost proportional
 to perimeter rather than area.
 
 Everything here bins MBRs through
-:func:`~repro.core.grid_partition.tile_range_of`, i.e. through the same
+:func:`~repro.core.grid_partition.tile_ranges_of`, i.e. through the same
 ``tile_ranges_batch`` kernel the join's replica assignment uses —
 placement and query-time filtering are bit-identical by construction.
+Batches (a ``put``'s rows, a shard's window candidates) bin in one call.
 """
 
 from __future__ import annotations
 
 import zlib
-from typing import Any, Dict, Iterator, Optional, Set, Tuple
+from array import array
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
-from repro.core.grid_partition import GridSpec, tile_range_of
+import numpy as np
+
+from repro.core.grid_partition import GridSpec, tile_range_of, tile_ranges_of
 from repro.errors import ServerError
 from repro.geometry.mbr import MBR
 
@@ -116,9 +120,16 @@ class GridPartitioner:
         return self.shard_of_tile(self.primary_tile(mbr))
 
     def window_owner(self, mbr: MBR, window: MBR, expand: float = 0.0) -> int:
-        """The one shard that emits this row for one window query.
+        """The one shard that emits this row for one window query:
+        :meth:`window_owners` on a one-row batch."""
+        return int(self.window_owners([mbr], window, expand)[0])
 
-        The two-layer canonical-tile rule, applied to windows: clamp the
+    def window_owners(
+        self, mbrs: Sequence[MBR], window: MBR, expand: float = 0.0
+    ) -> np.ndarray:
+        """The emitting shard of every row MBR for one window query.
+
+        The two-layer canonical-tile rule, applied to windows: clamp each
         row MBR's low corner into the search region (``window`` expanded
         by ``expand``) and take the owner of the tile holding the clamped
         corner.  The corner lies inside the row's MBR, so the owning
@@ -127,30 +138,53 @@ class GridPartitioner:
         router only needs to scatter a window query to
         ``shards_for_mbr(window, expand)`` — every other shard would emit
         nothing.  One emitter per (row, window), no router-side dedup.
+
+        One binning call for the whole candidate array; tiles map to
+        shards with array arithmetic.
         """
-        cx = max(mbr.min_x, window.min_x - expand)
-        cy = max(mbr.min_y, window.min_y - expand)
-        corner = MBR(cx, cy, cx, cy)
-        ix0, _ix1, iy0, _iy1 = tile_range_of(self.spec, corner, 0.0)
-        return self.shard_of_tile(self.spec.tile_id(ix0, iy0))
+        cx = np.maximum([m.min_x for m in mbrs], window.min_x - expand)
+        cy = np.maximum([m.min_y for m in mbrs], window.min_y - expand)
+        ix, _ix1, iy, _iy1 = tile_ranges_of(self.spec, (cx, cy, cx, cy))
+        tiles = np.asarray(iy, np.intp) * self.spec.nx + np.asarray(ix, np.intp)
+        return np.minimum(tiles * self.nshards // self.n_tiles, self.nshards - 1)
 
     def shards_for_mbr(self, mbr: MBR, expand: Optional[float] = None) -> Set[int]:
-        """Every shard whose owned tiles the (expanded) MBR overlaps.
+        """Every shard whose owned tiles the (expanded) MBR overlaps:
+        :meth:`shards_for_mbrs` on a one-row batch."""
+        return self.shards_for_mbrs([mbr], expand)[0]
+
+    def shards_for_mbrs(
+        self, mbrs: Sequence[MBR], expand: Optional[float] = None
+    ) -> List[Set[int]]:
+        """Every shard whose owned tiles each (expanded) MBR overlaps.
 
         With ``expand`` defaulting to the halo this is the *replica set*
         of a row: the shards that must hold a copy for shard-local joins
-        up to the halo distance to be exact.
+        up to the halo distance to be exact.  One binning call for the
+        whole batch.
         """
         expand = self.halo if expand is None else expand
-        ix0, ix1, iy0, iy1 = tile_range_of(self.spec, mbr, expand)
-        shards: Set[int] = set()
-        for iy in range(iy0, iy1 + 1):
-            # Tile ids along one grid row are consecutive, and ownership
-            # is monotone in tile id: the row's owners are a shard range.
-            lo = self.shard_of_tile(self.spec.tile_id(ix0, iy))
-            hi = self.shard_of_tile(self.spec.tile_id(ix1, iy))
-            shards.update(range(lo, hi + 1))
-        return shards
+        ranges = tile_ranges_of(
+            self.spec,
+            (
+                array("d", [m.min_x for m in mbrs]),
+                array("d", [m.min_y for m in mbrs]),
+                array("d", [m.max_x for m in mbrs]),
+                array("d", [m.max_y for m in mbrs]),
+            ),
+            expand,
+        )
+        out: List[Set[int]] = []
+        for ix0, ix1, iy0, iy1 in zip(*ranges):
+            shards: Set[int] = set()
+            for iy in range(iy0, iy1 + 1):
+                # Tile ids along one grid row are consecutive, and ownership
+                # is monotone in tile id: the row's owners are a shard range.
+                lo = self.shard_of_tile(self.spec.tile_id(ix0, iy))
+                hi = self.shard_of_tile(self.spec.tile_id(ix1, iy))
+                shards.update(range(lo, hi + 1))
+            out.append(shards)
+        return out
 
     def tile_blocks(self) -> Iterator[Tuple[int, int, int]]:
         """Yield ``(shard, first_tile, last_tile_exclusive)`` blocks."""

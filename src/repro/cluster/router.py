@@ -8,7 +8,11 @@ control, metrics) serves cluster queries unchanged.  Instead of running
 the engine, ``open`` **scatters**: it starts one sub-session per shard
 (each shard is an ordinary single-node server reached through a
 :class:`~repro.server.client.QueryClient`) and returns a stream that
-**gathers** the shard rows:
+**gathers** the shard rows.  Each shard ``start`` returns that shard's
+first page (``gather_page`` rows), and a shard that reaches ``eof`` has
+closed its sub-session, so a query whose shard slices fit one page costs
+one request per shard; the router's own first page stops where the next
+row would need another shard request (:data:`~repro.server.session.HOP`):
 
 * ``window`` — every shard filters locally with ``primary_only`` (a row
   streams only from the shard owning its primary tile), so concatenating
@@ -41,10 +45,12 @@ retry layer governed by a :class:`RetryPolicy`:
   run; a restarted shard rebuilt its indexes when its store opened, so
   the rows after the resume may arrive in another order.
 * *hedged reads* — for ``window``/``knn`` (idempotent, order-stable),
-  when a fetch page exceeds the ``hedge_ms`` latency SLO the slow
-  sub-session is abandoned and re-scattered on a **fresh connection**
-  (the wedged wire call may hold the shard handle's lock), again with
-  skip-resume.  Tail latency is cut without ever double-counting rows.
+  when a sub-session start (which carries the first page) or a fetch
+  page exceeds the ``hedge_ms`` latency SLO the slow sub-session is
+  abandoned and re-scattered on a **fresh connection** (the wedged wire
+  call may hold the shard handle's lock), again with skip-resume.  Tail
+  latency is cut without ever double-counting rows.  Only a session
+  with an SLO runs its wire calls on a worker thread.
 * *circuit breakers* — consulted before every sub-session start; a
   shard that keeps failing trips its breaker OPEN and later scatters
   fail fast instead of burning the retry budget (see
@@ -79,6 +85,7 @@ import threading
 import time
 from array import array
 from collections import Counter
+from functools import partial
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.errors import ProtocolError, ReproError, RetriableError, ServerError
@@ -89,7 +96,7 @@ from repro.server.app import SpatialQueryServer
 from repro.server.client import QueryClient, RemoteError
 from repro.server.metrics import aggregate_snapshots
 from repro.server.service import BadRequest
-from repro.server.session import SessionCancelled
+from repro.server.session import HOP, SessionCancelled
 from repro.cluster.health import OPEN, CircuitBreaker
 from repro.cluster.partition import ClusterError, GridPartitioner
 
@@ -270,12 +277,18 @@ class ShardHandle:
         params: Dict[str, Any],
         deadline_ms: Optional[int] = None,
         trace_ctx: Optional[Dict[str, Any]] = None,
+        n: Optional[int] = None,
     ) -> Dict[str, Any]:
+        """Start a shard session; the response carries its first page of
+        up to ``n`` rows and, when that page is the last, the ``eof`` flag
+        and close summary (the shard has then closed the session)."""
         fields: Dict[str, Any] = {"kind": kind, "params": params}
         if deadline_ms is not None:
             fields["deadline_ms"] = deadline_ms
         if trace_ctx is not None:
             fields["trace_ctx"] = trace_ctx
+        if n is not None:
+            fields["n"] = n
         return self.request("start", **fields)
 
     def fetch(self, session_id: str, n: int) -> Tuple[List[Any], bool]:
@@ -310,14 +323,16 @@ class ShardHandle:
 class _SubSession:
     """Router-side record of one started shard sub-session."""
 
-    __slots__ = ("handle", "session_id", "extra", "private", "done")
+    __slots__ = ("handle", "session_id", "extra", "private", "done", "page", "eof")
 
     def __init__(
         self,
         handle: ShardHandle,
-        session_id: str,
+        session_id: Optional[str],
         extra: Dict[str, Any],
         private: bool = False,
+        page: List[Any] = (),
+        eof: bool = False,
     ):
         self.handle = handle
         self.session_id = session_id
@@ -326,6 +341,41 @@ class _SubSession:
         #: stream owns and must close, not the shared fleet handle
         self.private = private
         self.done = False
+        #: the first page, from the start response, not yet drained
+        self.page = page
+        #: the shard has sent its last page and closed the session
+        self.eof = eof
+
+    @classmethod
+    def started(
+        cls, handle: ShardHandle, response: Dict[str, Any], private: bool
+    ) -> "_SubSession":
+        """The sub-session a shard's ``start`` response describes."""
+        return cls(
+            handle,
+            response["session"],
+            {
+                k: v
+                for k, v in response.items()
+                if k not in ("id", "ok", "session", "rows", "eof", "summary")
+            },
+            private,
+            response.get("rows", []),
+            bool(response.get("eof")),
+        )
+
+    def release(self) -> None:
+        """Close the shard session unless the shard already ended it, and
+        a private wire.  Best-effort: the shard may have died (or dropped
+        the session on a connection reset) after delivering its rows."""
+        if self.session_id is not None and not self.eof:
+            self.handle.close_session(self.session_id)
+        if self.private:
+            try:
+                self.handle.client.close()
+            except OSError:
+                pass
+
 
 
 class _Resume(Exception):
@@ -336,11 +386,14 @@ class _Resume(Exception):
         cause: BaseException,
         hedge: bool = False,
         abandoned_thread: Optional[threading.Thread] = None,
+        late: Optional[List[Tuple[str, Any]]] = None,
     ):
         super().__init__(str(cause))
         self.cause = cause
         self.hedge = hedge
         self.abandoned_thread = abandoned_thread
+        #: where the abandoned call's outcome lands once it finishes
+        self.late = late
 
 
 #: what the per-kind gather generators catch around ``drain``
@@ -403,8 +456,12 @@ class _GatherStream:
         return next(self._gen)
 
     # -- helpers the gather generators use -----------------------------
-    def drain(self, sub: _SubSession, page: Optional[int] = None):
-        """Yield one sub-session's rows, paging until eof.
+    def drain(
+        self, sub: _SubSession, page: Optional[int] = None, hops: bool = False
+    ):
+        """Yield one sub-session's rows: its first page, then fetched
+        pages until eof.  With ``hops``, :data:`~repro.server.session.HOP`
+        precedes each fetch, so a session's start page stops there.
 
         Transient failures between pages re-scatter the shard's slice
         and resume it; fetches past the hedge SLO do the same on a fresh
@@ -421,17 +478,9 @@ class _GatherStream:
         # keys of delivered rows a resumed replay has yet to repeat
         pending: Counter = Counter()
         owed = 0
-        eof = False
+        rows, sub.page = sub.page, ()
         try:
-            while not eof:
-                self._check_cancelled()
-                try:
-                    rows, eof = self._service._fetch_page(self, sub, page)
-                except _Resume as sig:
-                    sub = self._service._rescatter(self, sub, len(delivered), sig)
-                    pending = Counter(delivered)
-                    owed = len(delivered)
-                    continue
+            while True:
                 for row in rows:
                     key = hash(repr(row))
                     if owed and pending[key]:
@@ -440,6 +489,18 @@ class _GatherStream:
                         continue
                     delivered.append(key)
                     yield row
+                if sub.eof:
+                    break
+                if hops:
+                    yield HOP
+                self._check_cancelled()
+                try:
+                    rows, sub.eof = self._service._fetch_page(self, sub, page)
+                except _Resume as sig:
+                    sub = self._service._rescatter(self, sub, len(delivered), sig)
+                    pending = Counter(delivered)
+                    owed = len(delivered)
+                    rows, sub.page = sub.page, ()
             if owed:
                 raise ShardFailed(
                     sub.handle.shard,
@@ -448,7 +509,7 @@ class _GatherStream:
                 )
         finally:
             self.info["rows_per_shard"][str(sub.handle.shard)] = len(delivered)
-            if eof:
+            if sub.eof:
                 self._retire(sub)
 
     def shard_failed(self, sub: _SubSession, exc: BaseException) -> None:
@@ -471,24 +532,12 @@ class _GatherStream:
             )
 
     def _retire(self, sub: _SubSession) -> None:
-        """Close a finished sub-session (and its private wire, if any).
-
-        Best-effort: the shard may have died (or dropped the session on a
-        connection reset) after delivering its rows — that must not turn
-        a completed stream into an error.
-        """
+        """Release a finished sub-session once (see ``_SubSession.release``):
+        one the shard ended with its eof page costs no request."""
         if sub.done:
             return
         sub.done = True
-        try:
-            sub.handle.close_session(sub.session_id)
-        except _WIRE_ERRORS:
-            pass
-        if sub.private:
-            try:
-                sub.handle.client.close()
-            except OSError:
-                pass
+        sub.release()
 
     def _replace_sub(self, old: _SubSession, new: _SubSession) -> None:
         for i, sub in enumerate(self._subs):
@@ -497,27 +546,26 @@ class _GatherStream:
                 return
         self._subs.append(new)
 
-    def _abandon(self, sub: _SubSession, fetch_thread: Optional[threading.Thread]) -> None:
+    def _abandon(self, sub: _SubSession, sig: _Resume) -> None:
         """Detach a hedged-away sub-session; clean it up off the hot path.
 
-        The wedged fetch may hold the handle lock for seconds — closing
+        The wedged call may hold the handle lock for seconds — closing
         inline would forfeit the hedge's latency win, so a daemon thread
-        waits it out and then closes the session best-effort.
+        waits it out and then releases the session best-effort.  For an
+        abandoned start (``sub.session_id`` is None) the session is the
+        one the late response names, unless that response ended it.
         """
         sub.done = True  # stream-level close must not touch it again
 
         def _cleanup() -> None:
-            if fetch_thread is not None:
-                fetch_thread.join(timeout=60.0)
-            try:
-                sub.handle.close_session(sub.session_id)
-            except _WIRE_ERRORS:
-                pass
-            if sub.private:
-                try:
-                    sub.handle.client.close()
-                except OSError:
-                    pass
+            sig.abandoned_thread.join(timeout=60.0)
+            status, late = sig.late[0] if sig.late else ("err", None)
+            if status == "ok" and sub.session_id is None:  # a start
+                sub.session_id = late["session"]
+                sub.eof = bool(late.get("eof"))
+            elif status == "ok":  # a fetch: (rows, eof)
+                sub.eof = late[1]
+            sub.release()
 
         threading.Thread(
             target=_cleanup, name="router-hedge-cleanup", daemon=True
@@ -699,50 +747,53 @@ class RouterService:
 
     def _start_sub(
         self,
-        kind: str,
-        shard_params: Callable[[int], Dict[str, Any]],
+        stream: _GatherStream,
         handle: ShardHandle,
-        deadline_ms: Optional[int],
-        state: _RetryState,
         fresh: bool = False,
-        trace_ctx: Optional[Dict[str, Any]] = None,
     ) -> _SubSession:
         """Start (or resume) one shard sub-session, retrying transients.
 
-        The breaker is consulted before every attempt; retries spend the
-        session's budget and respect its deadline.  ``fresh`` builds a
-        dedicated connection (hedge path).  Non-retriable errors — a
-        shard-side ``BAD_REQUEST``, an exhausted budget — propagate.
-        Write kinds only retry failures that provably precede any
-        shard-side effect (see ``_WRITE_KINDS``).
+        The start response carries the sub-session's first page
+        (``gather_page`` rows); for hedgeable kinds a first page slower
+        than the hedge SLO is abandoned and asked again on a fresh
+        connection, like a slow fetch.  The breaker is consulted before
+        every attempt; retries and hedges spend the session's budget and
+        respect its deadline.  ``fresh`` builds a dedicated connection
+        (hedge path).  Non-retriable errors — a shard-side
+        ``BAD_REQUEST``, an exhausted budget — propagate.  Write kinds
+        only retry failures that provably precede any shard-side effect
+        (see ``_WRITE_KINDS``).
         """
         shard = handle.shard
+        state = stream.state
         breaker = self.breakers.get(shard)
-        retriable = _retriable_write if kind in _WRITE_KINDS else _retriable
+        retriable = _retriable_write if stream.kind in _WRITE_KINDS else _retriable
         attempt = 0
         while True:
             if breaker is not None and not breaker.allow():
                 raise ShardFailed(shard, "circuit breaker open")
             wire = self._fresh_handle(shard) if fresh else handle
+            call = partial(
+                wire.start,
+                stream.kind,
+                stream.shard_params(shard),
+                state.sub_deadline_ms(stream.deadline_ms),
+                trace_ctx=stream.trace_ctx,
+                n=self.gather_page,
+            )
             try:
-                response = wire.start(
-                    kind,
-                    shard_params(shard),
-                    state.sub_deadline_ms(deadline_ms),
-                    trace_ctx=trace_ctx,
-                )
-                sub = _SubSession(
-                    wire,
-                    response["session"],
-                    {
-                        k: v
-                        for k, v in response.items()
-                        if k not in ("id", "ok", "session")
-                    },
-                    private=fresh,
-                )
-                self._breaker_success(shard)
-                return sub
+                response = self._hedged(stream, shard, "first page", call)
+            except _Resume as sig:
+                stream._abandon(_SubSession(wire, None, {}, private=fresh), sig)
+                self._bump("hedges")
+                state.hedges += 1
+                if not state.consume():
+                    raise ShardFailed(
+                        shard, f"retry budget exhausted after: {sig.cause}"
+                    ) from sig.cause
+                trace.instant("router.hedge", shard=shard, stage="start")
+                fresh = True
+                continue
             except _WIRE_ERRORS as exc:
                 if fresh and wire is not handle:
                     try:
@@ -768,58 +819,62 @@ class RouterService:
                 )
                 if not state.sleep_within_deadline(attempt):
                     raise
+                continue
+            self._breaker_success(shard)
+            return _SubSession.started(wire, response, private=fresh)
+
+    def _hedged(self, stream: _GatherStream, shard: int, what: str, call):
+        """Run one sub-session wire call under the stream's hedge SLO.
+
+        Without an SLO (the default, and every kind but window/knn) the
+        call runs inline on the caller's thread.  With one it runs on a
+        worker thread so a slow shard can be abandoned: a call still
+        running at the SLO raises ``_Resume(hedge=True)`` carrying that
+        thread and the list its outcome will land in.
+        """
+        policy = self.retry
+        if not (stream.hedgeable and policy.hedge_ms):
+            return call()
+        outcome: List[Tuple[str, Any]] = []
+
+        def _work() -> None:
+            try:
+                outcome.append(("ok", call()))
+            except BaseException as exc:  # delivered to the caller below
+                outcome.append(("err", exc))
+
+        worker = threading.Thread(target=_work, name="router-hedged", daemon=True)
+        worker.start()
+        worker.join(policy.hedge_ms / 1000.0)
+        if not outcome:
+            raise _Resume(
+                TimeoutError(
+                    f"shard {shard} {what} exceeded the "
+                    f"{policy.hedge_ms}ms hedge SLO"
+                ),
+                hedge=True,
+                abandoned_thread=worker,
+                late=outcome,
+            )
+        status, payload = outcome[0]
+        if status == "ok":
+            return payload
+        raise payload
 
     def _fetch_page(
         self, stream: _GatherStream, sub: _SubSession, page: int
     ) -> Tuple[List[Any], bool]:
         """Fetch one page; signal ``_Resume`` for retriable/SLO failures."""
-        policy = self.retry
-        hedge_s = (
-            policy.hedge_ms / 1000.0
-            if (stream.hedgeable and policy.hedge_ms)
-            else None
-        )
-        if hedge_s is None:
-            try:
-                return sub.handle.fetch(sub.session_id, page)
-            except _WIRE_ERRORS as exc:
-                self._note_deadline_miss(sub.handle.shard, exc)
-                # A write kind's statement already executed at start —
-                # resuming would re-run it on a fresh sub-session.
-                if stream.kind in _WRITE_KINDS or not _retriable(exc):
-                    raise
-                raise _Resume(exc) from exc
-        # Hedged fetch: run on a worker so a slow shard can be abandoned.
-        outcome: List[Tuple[str, Any]] = []
-
-        def _work() -> None:
-            try:
-                outcome.append(("ok", sub.handle.fetch(sub.session_id, page)))
-            except BaseException as exc:  # delivered to the caller below
-                outcome.append(("err", exc))
-
-        worker = threading.Thread(target=_work, name="router-fetch", daemon=True)
-        worker.start()
-        worker.join(hedge_s)
-        if not outcome:
-            raise _Resume(
-                TimeoutError(
-                    f"shard {sub.handle.shard} fetch exceeded the "
-                    f"{policy.hedge_ms}ms hedge SLO"
-                ),
-                hedge=True,
-                abandoned_thread=worker,
-            )
-        status, payload = outcome[0]
-        if status == "ok":
-            return payload
-        if isinstance(payload, BaseException):
-            self._note_deadline_miss(sub.handle.shard, payload)
-        if isinstance(payload, _WIRE_ERRORS) and _retriable(
-            payload
-        ):
-            raise _Resume(payload) from payload
-        raise payload
+        call = partial(sub.handle.fetch, sub.session_id, page)
+        try:
+            return self._hedged(stream, sub.handle.shard, "fetch", call)
+        except _WIRE_ERRORS as exc:
+            self._note_deadline_miss(sub.handle.shard, exc)
+            # A write kind's statement already executed at start —
+            # resuming would re-run it on a fresh sub-session.
+            if stream.kind in _WRITE_KINDS or not _retriable(exc):
+                raise
+            raise _Resume(exc) from exc
 
     def _rescatter(
         self, stream: _GatherStream, sub: _SubSession, count: int, sig: _Resume
@@ -835,7 +890,7 @@ class RouterService:
         if sig.hedge:
             self._bump("hedges")
             state.hedges += 1
-            stream._abandon(sub, sig.abandoned_thread)
+            stream._abandon(sub, sig)
         else:
             self._bump("rescatters")
             self.note_failure(sub.handle)
@@ -864,15 +919,7 @@ class RouterService:
         trace.instant(
             "router.rescatter", shard=shard, skip=count, hedge=sig.hedge
         )
-        new = self._start_sub(
-            stream.kind,
-            stream.shard_params,
-            self.handles[shard],
-            stream.deadline_ms,
-            state,
-            fresh=sig.hedge,
-            trace_ctx=stream.trace_ctx,
-        )
+        new = self._start_sub(stream, self.handles[shard], fresh=sig.hedge)
         stream._replace_sub(sub, new)
         return new
 
@@ -891,14 +938,7 @@ class RouterService:
         targets = list(self.handles if handles is None else handles)
         for handle in targets:
             try:
-                sub = self._start_sub(
-                    stream.kind,
-                    stream.shard_params,
-                    handle,
-                    stream.deadline_ms,
-                    stream.state,
-                    trace_ctx=stream.trace_ctx,
-                )
+                sub = self._start_sub(stream, handle)
             except _WIRE_ERRORS + (ShardFailed,) as exc:
                 failed.append((handle, exc))
                 continue
@@ -986,7 +1026,7 @@ class RouterService:
         def rows(stream: _GatherStream):
             for sub in stream._subs:
                 try:
-                    yield from stream.drain(sub)
+                    yield from stream.drain(sub, hops=True)
                 except _FETCH_ERRORS as exc:
                     stream.shard_failed(sub, exc)
 
@@ -1019,7 +1059,7 @@ class RouterService:
         def rows(stream: _GatherStream):
             for sub in stream._subs:
                 try:
-                    yield from stream.drain(sub)
+                    yield from stream.drain(sub, hops=True)
                 except _FETCH_ERRORS as exc:
                     stream.shard_failed(sub, exc)
 
@@ -1108,28 +1148,32 @@ class RouterService:
         rejection) — an ambiguous mid-flight loss must surface, because
         re-sending the INSERT could double-apply it.
         """
-        part = self.partitioner
-        statements: Dict[int, List[str]] = {}
-        placed = 0
-        replicas = 0
+        parsed: List[Tuple[Any, str]] = []
+        mbrs = []
         for row in rows:
             try:
                 row_id, wkt = row
             except (TypeError, ValueError):
                 raise BadRequest("put rows must be [id, wkt] pairs") from None
             try:
-                geom = from_wkt(wkt)
+                mbrs.append(from_wkt(wkt).mbr)
             except ReproError as exc:
                 raise BadRequest(f"bad geometry for id {row_id!r}: {exc}") from None
-            targets = part.shards_for_mbr(geom.mbr)
+            parsed.append((row_id, wkt))
+        statements: Dict[int, List[str]] = {}
+        replicas = 0
+        # One binning call places the whole batch.
+        for (row_id, wkt), targets in zip(
+            parsed, self.partitioner.shards_for_mbrs(mbrs)
+        ):
             statement = (
                 f"insert into {table} values "
                 f"({_sql_literal(row_id)}, sdo_geometry('{wkt}'))"
             )
             for shard in sorted(targets):
                 statements.setdefault(shard, []).append(statement)
-            placed += 1
             replicas += len(targets) - 1
+        placed = len(parsed)
         lsn: Optional[int] = None
         for shard in sorted(statements):
             handle = self.handles[shard]
@@ -1164,7 +1208,8 @@ class RouterService:
                     "sql", {"statements": statements, "commit": commit}
                 )
                 lsn = response.get("lsn") if commit else None
-                handle.close_session(response["session"])
+                if not response.get("eof"):
+                    handle.close_session(response["session"])
                 self._breaker_success(shard)
                 return lsn
             except _WIRE_ERRORS as exc:

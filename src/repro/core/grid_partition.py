@@ -85,6 +85,7 @@ __all__ = [
     "GridTileTask",
     "make_tile_tasks",
     "tile_range_of",
+    "tile_ranges_of",
 ]
 
 @dataclass(frozen=True)
@@ -123,30 +124,45 @@ def build_grid_spec(box: MBR, nx: int, ny: int) -> GridSpec:
     return GridSpec(box.min_x, box.min_y, tile_w, tile_h, nx, ny)
 
 
+def tile_ranges_of(
+    spec: GridSpec,
+    coords: Tuple[Sequence[float], Sequence[float], Sequence[float], Sequence[float]],
+    expand: float = 0.0,
+) -> Tuple[List[int], List[int], List[int], List[int]]:
+    """The inclusive tile-index ranges ``(ix0s, ix1s, iy0s, iy1s)`` of a
+    batch of MBRs given as ``(min_xs, min_ys, max_xs, max_ys)``.
+
+    One :func:`~repro.geometry.kernels.tile_ranges_batch` call, the kernel
+    :func:`build_tiles` bins with, so routing decisions (which shard owns a
+    row, which shards a window touches, which shard emits a row for a
+    window) bin **bit-identically** to the join's own replica assignment —
+    the cluster layer's correctness leans on this equality.
+    """
+    return kernels.tile_ranges_batch(
+        coords,
+        (spec.min_x, spec.min_y),
+        (spec.tile_w, spec.tile_h),
+        (spec.nx, spec.ny),
+        expand,
+    )
+
+
 def tile_range_of(
     spec: GridSpec, mbr: MBR, expand: float = 0.0
 ) -> Tuple[int, int, int, int]:
-    """The inclusive tile-index range ``(ix0, ix1, iy0, iy1)`` of one MBR.
-
-    Runs the same :func:`~repro.geometry.kernels.tile_ranges_batch` kernel
-    as :func:`build_tiles` on a one-element batch, so single-MBR routing
-    decisions (which shard owns a row, which shards a window touches) bin
-    **bit-identically** to the join's own replica assignment — the cluster
-    layer's correctness leans on this equality.
-    """
-    ix0, ix1, iy0, iy1 = kernels.tile_ranges_batch(
+    """The inclusive tile-index range ``(ix0, ix1, iy0, iy1)`` of one MBR:
+    :func:`tile_ranges_of` on a one-element batch."""
+    ix0, ix1, iy0, iy1 = tile_ranges_of(
+        spec,
         (
             array("d", [mbr.min_x]),
             array("d", [mbr.min_y]),
             array("d", [mbr.max_x]),
             array("d", [mbr.max_y]),
         ),
-        (spec.min_x, spec.min_y),
-        (spec.tile_w, spec.tile_h),
-        (spec.nx, spec.ny),
         expand,
     )
-    return int(ix0[0]), int(ix1[0]), int(iy0[0]), int(iy1[0])
+    return ix0[0], ix1[0], iy0[0], iy1[0]
 
 
 class TileEntries:
@@ -205,13 +221,7 @@ def build_tiles(
         y0s.append(mbr.min_y)
         x1s.append(mbr.max_x)
         y1s.append(mbr.max_y)
-    ix0, ix1, iy0, iy1 = kernels.tile_ranges_batch(
-        (x0s, y0s, x1s, y1s),
-        (spec.min_x, spec.min_y),
-        (spec.tile_w, spec.tile_h),
-        (spec.nx, spec.ny),
-        expand,
-    )
+    ix0, ix1, iy0, iy1 = tile_ranges_of(spec, (x0s, y0s, x1s, y1s), expand)
     tiles: Dict[int, TileEntries] = {}
     replicas = 0
     for i, (mbr, rowid) in enumerate(entries):

@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import heapq
 import math
+from itertools import islice
 from typing import Any, Callable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import IndexTypeError, OperatorError
-from repro.engine.indextype import DomainIndex
+from repro.engine.indextype import REFINE_ARRAY_ROWS, DomainIndex
 from repro.engine.parallel import WorkerContext
 from repro.engine.table import Table
 from repro.geometry.distance import distance as exact_distance
@@ -91,14 +92,18 @@ class RTreeIndex(DomainIndex):
         args: Sequence[Any],
         ctx: Optional[WorkerContext] = None,
         exact: bool = True,
-        prefilter: Optional[Callable[[MBR, RowId], bool]] = None,
+        prefilter: Optional[
+            Callable[[List[Tuple[MBR, RowId]]], Sequence[bool]]
+        ] = None,
     ) -> Iterator[RowId]:
         """Evaluate one spatial operator through the index.
 
-        ``prefilter(mbr, rowid)`` — when given — screens candidates right
-        after the primary (MBR) filter, *before* the exact geometry test.
-        Rows it rejects pay no geometry fetch and no exact-test cost;
-        shard ownership filters hook in here.
+        ``prefilter(candidates)`` — when given — screens candidates right
+        after the primary (MBR) filter, *before* the exact geometry test:
+        it takes a candidate array (up to ``REFINE_ARRAY_ROWS``
+        ``(mbr, rowid)`` pairs, in search order) and returns one keep flag
+        per candidate.  Rows it rejects pay no geometry fetch and no
+        exact-test cost; shard ownership filters hook in here.
         """
         if operator.upper() == "SDO_NN":
             yield from self.fetch_nn(args, ctx, exact)
@@ -126,11 +131,10 @@ class RTreeIndex(DomainIndex):
         else:
             candidates = self.tree.search(query.mbr, ctx)
 
-        rowids = (
-            rowid
-            for mbr, rowid in candidates
-            if prefilter is None or prefilter(mbr, rowid)
-        )
+        if prefilter is None:
+            rowids = (rowid for _mbr, rowid in candidates)
+        else:
+            rowids = _screened(candidates, prefilter)
         if form is None or not exact:
             yield from rowids
         else:
@@ -217,3 +221,15 @@ class RTreeIndex(DomainIndex):
         visits = ctx.meter.counts.get("rtree_node_visit", 0.0) - visits_before
         if visits > 0:
             ctx.charge("physical_read", visits * miss_fraction)
+
+
+def _screened(candidates, prefilter) -> Iterator[RowId]:
+    """Rowids of the candidates ``prefilter`` keeps, in candidate order,
+    screened one candidate array at a time."""
+    candidates = iter(candidates)
+    while True:
+        chunk = list(islice(candidates, REFINE_ARRAY_ROWS))
+        if not chunk:
+            return
+        keep = prefilter(chunk)
+        yield from (rowid for (_mbr, rowid), ok in zip(chunk, keep) if ok)

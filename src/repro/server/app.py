@@ -5,7 +5,10 @@ protocol of :mod:`repro.server.protocol`, and serves each connection as
 one asyncio task.  The wire is *pipelined*: a client may send many
 requests without waiting; the server answers them in order.  Actual
 engine work runs on a small thread pool (the executor bridge) so the
-event loop never blocks on a page of join results.
+event loop never blocks on a page of join results.  A ``start`` runs
+the open and the first page in one bridge call, and a page that reaches
+the end closes its session in the same call, so a result that fits one
+page costs one request.
 
 Robustness layers:
 
@@ -29,6 +32,7 @@ from __future__ import annotations
 
 import asyncio
 import itertools
+import math
 import threading
 import time
 from collections import OrderedDict
@@ -145,8 +149,7 @@ class SpatialQueryServer:
             session = self._sessions.pop(session_id, None)
             if session is not None:
                 await self._run_blocking(session.close)
-                self.metrics.bump_session("cancelled_shutdown")
-                self.metrics.merge_meter(session.kind, session.meter_counts())
+                self._end_session(session, "cancelled_shutdown")
         self._pool.shutdown(wait=False)
         self._closed_event.set()
 
@@ -217,10 +220,7 @@ class SpatialQueryServer:
                 session = self._sessions.pop(session_id, None)
                 if session is not None:
                     await self._run_blocking(session.close)
-                    self.metrics.bump_session("closed_disconnect")
-                    self.metrics.merge_meter(
-                        session.kind, session.meter_counts()
-                    )
+                    self._end_session(session, "closed_disconnect")
             writer.close()
             try:
                 await writer.wait_closed()
@@ -448,18 +448,9 @@ class SpatialQueryServer:
         request_id = message.get("id")
         op = message.get("op")
         if op in self._extra_ops:
-            handler = self._extra_ops[op]
-            try:
-                response = await handler(request_id, message)
-            except ReproError as exc:
-                code = getattr(exc, "wire_code", protocol.ERR_BAD_REQUEST)
-                response = protocol.error_response(request_id, code, str(exc))
-            except Exception as exc:  # noqa: BLE001 - surfaced to the client
-                response = protocol.error_response(
-                    request_id,
-                    protocol.ERR_INTERNAL,
-                    f"{type(exc).__name__}: {exc}",
-                )
+            response = await self._answer(
+                self._extra_ops[op], request_id, message
+            )
             self.metrics.record_request(op, ok=bool(response.get("ok")))
             return response
         if op not in protocol.OPS:
@@ -496,20 +487,36 @@ class SpatialQueryServer:
                 f"server at capacity ({self.max_inflight} requests in "
                 "flight); retry later",
             )
+        handler = {
+            "start": self._op_start,
+            "fetch": self._op_fetch,
+            "close": self._op_close,
+        }[op]
         self._inflight += 1
         try:
-            if op == "start":
-                response = await self._op_start(request_id, message, conn_sessions)
-            elif op == "fetch":
-                response = await self._op_fetch(request_id, message)
-            else:  # close
-                response = await self._op_close(
-                    request_id, message, conn_sessions
-                )
+            response = await self._answer(
+                handler, request_id, message, conn_sessions
+            )
         finally:
             self._inflight -= 1
         self.metrics.record_request(op, ok=bool(response.get("ok")))
         return response
+
+    @staticmethod
+    async def _answer(handler, request_id, message, *args) -> Dict[str, Any]:
+        """Run one op handler; an error it raises becomes a typed error
+        response, so a bad request never costs the connection."""
+        try:
+            return await handler(request_id, message, *args)
+        except ReproError as exc:
+            code = getattr(exc, "wire_code", protocol.ERR_BAD_REQUEST)
+            return protocol.error_response(request_id, code, str(exc))
+        except Exception as exc:  # noqa: BLE001 - surfaced to the client
+            return protocol.error_response(
+                request_id,
+                protocol.ERR_INTERNAL,
+                f"{type(exc).__name__}: {exc}",
+            )
 
     async def _op_start(
         self,
@@ -517,6 +524,11 @@ class SpatialQueryServer:
         message: Dict[str, Any],
         conn_sessions: Set[str],
     ) -> Dict[str, Any]:
+        """Open a session and answer with its first page (one engine hop).
+
+        A first page that is also the last closes the session in the same
+        hop and carries its close ``summary``.
+        """
         if self._draining:
             self.metrics.bump_session("rejected_shutdown")
             return protocol.error_response(
@@ -543,7 +555,12 @@ class SpatialQueryServer:
             return protocol.error_response(
                 request_id, protocol.ERR_BAD_REQUEST, "params must be an object"
             )
-        deadline_ms = message.get("deadline_ms", self.default_deadline_ms)
+        deadline_ms = message.get("deadline_ms")
+        if deadline_ms is None:
+            deadline_ms = self.default_deadline_ms
+        else:
+            _wire_number("deadline_ms", deadline_ms, (int, float))
+        n = _page_size(message)
         deadline = (
             time.monotonic() + float(deadline_ms) / 1000.0
             if deadline_ms is not None
@@ -576,26 +593,26 @@ class SpatialQueryServer:
         ctx.trace_ctx = trace_ctx
         started = time.perf_counter()
         try:
-            rows, extra = await self._run_blocking(
-                self.service.open, kind, params, ctx
+            session, extra, page = await self._run_blocking(
+                self._open_session, kind, params, ctx, deadline, session_span, n
             )
-        except BadRequest as exc:
+        except Exception as exc:  # answered by _answer
             session_span.finish(exc)
             self.metrics.record_query(kind, time.perf_counter() - started, 0, ok=False)
-            return protocol.error_response(
-                request_id, protocol.ERR_BAD_REQUEST, str(exc)
-            )
-        except ReproError as exc:
-            session_span.finish(exc)
-            self.metrics.record_query(kind, time.perf_counter() - started, 0, ok=False)
-            code = getattr(exc, "wire_code", protocol.ERR_BAD_REQUEST)
-            return protocol.error_response(request_id, code, str(exc))
-        except Exception as exc:  # noqa: BLE001 - surfaced to the client
-            session_span.finish(exc)
-            self.metrics.record_query(kind, time.perf_counter() - started, 0, ok=False)
-            return protocol.error_response(
-                request_id, protocol.ERR_INTERNAL, f"{type(exc).__name__}: {exc}"
-            )
+            raise
+        self.metrics.bump_session("opened")
+        conn_sessions.add(session.session_id)
+        fields = dict(extra, session=session.session_id)
+        wire_trace = self._register_session_trace(session.session_id, session_span)
+        if wire_trace is not None:
+            fields["trace"] = wire_trace
+        return self._page_response(
+            request_id, session, page, started, conn_sessions, fields
+        )
+
+    def _open_session(self, kind, params, ctx, deadline, session_span, n):
+        """Blocking half of ``start``: open, register, first page."""
+        rows, extra = self.service.open(kind, params, ctx)
         session_id = f"s{next(self._session_ids)}"
         session = ServerSession(
             session_id,
@@ -606,15 +623,82 @@ class SpatialQueryServer:
             deadline=deadline,
             trace_span=session_span,
         )
+        # Registered before its first page, so a shutdown can cancel it.
         self._sessions[session_id] = session
-        conn_sessions.add(session_id)
-        self.metrics.bump_session("opened")
-        self.metrics.record_query(kind, time.perf_counter() - started, 0)
-        wire_trace = self._register_session_trace(session_id, session_span)
-        if wire_trace is not None:
-            extra = dict(extra)
-            extra["trace"] = wire_trace
-        return protocol.ok_response(request_id, session=session_id, **extra)
+        # Tagged before the page that may finish the span.
+        session_span.set_tag("session", session_id)
+        return session, extra, self._page(session, n, first=True)
+
+    @staticmethod
+    def _page(session: ServerSession, n: int, first: bool = False):
+        """Blocking: one page as ``(rows, eof, error)``.  A page that ends
+        the results, or fails, closes the session in the same hop."""
+        try:
+            rows, eof = session.fetch(n, first)
+        except Exception as exc:  # noqa: BLE001 - answered by _page_response
+            session.close()
+            return [], False, exc
+        if eof:
+            session.close()
+        return rows, eof, None
+
+    def _page_response(
+        self,
+        request_id: Any,
+        session: ServerSession,
+        page,
+        started: float,
+        conn_sessions: Set[str],
+        fields: Optional[Dict[str, Any]] = None,
+    ) -> Dict[str, Any]:
+        """The ``start``/``fetch`` answer for one page from :meth:`_page`;
+        ``fields`` are the extra response fields of a ``start``."""
+        fields = {} if fields is None else fields
+        rows, eof, error = page
+        elapsed = time.perf_counter() - started
+        if error is None:
+            self.metrics.record_query(session.kind, elapsed, len(rows))
+            if eof:
+                fields["summary"] = self._end_session(
+                    session, "exhausted", conn_sessions
+                )
+            return protocol.ok_response(request_id, rows=rows, eof=eof, **fields)
+        self.metrics.record_query(session.kind, elapsed, 0, ok=False)
+        if isinstance(error, SessionCancelled):
+            self._end_session(
+                session,
+                "cancelled_shutdown"
+                if error.code == protocol.ERR_SHUTTING_DOWN
+                else "cancelled_deadline",
+                conn_sessions,
+            )
+            return protocol.error_response(request_id, error.code, str(error))
+        self._end_session(session, "closed", conn_sessions)
+        code = getattr(error, "wire_code", protocol.ERR_INTERNAL)
+        return protocol.error_response(
+            request_id, code, f"{type(error).__name__}: {error}"
+        )
+
+    def _end_session(
+        self,
+        session: ServerSession,
+        outcome: str,
+        conn_sessions: Optional[Set[str]] = None,
+    ) -> Dict[str, Any]:
+        """Forget a closed session: count its outcome, merge its meter
+        once, and return its close summary."""
+        self._sessions.pop(session.session_id, None)
+        if conn_sessions is not None:
+            conn_sessions.discard(session.session_id)
+        self.metrics.bump_session(outcome)
+        self.metrics.merge_meter(session.kind, session.meter_counts())
+        summary = {
+            "rows": session.rows_served,
+            "kind": session.kind,
+            "exhausted": session.exhausted,
+        }
+        summary.update(session.close_info())
+        return summary
 
     def _register_session_trace(self, session_id, session_span) -> Optional[str]:
         """Remember a session's trace ids for later ``trace.get`` calls."""
@@ -623,7 +707,6 @@ class SpatialQueryServer:
         tracer = trace.get_tracer()
         if tracer is None:  # pragma: no cover - enable/disable race
             return None
-        session_span.set_tag("session", session_id)
         wire = tracer.wire_id_of(session_span.trace_id)
         self._session_traces[session_id] = {
             "wire": wire,
@@ -634,7 +717,10 @@ class SpatialQueryServer:
         return wire
 
     async def _op_fetch(
-        self, request_id: Any, message: Dict[str, Any]
+        self,
+        request_id: Any,
+        message: Dict[str, Any],
+        conn_sessions: Set[str],
     ) -> Dict[str, Any]:
         session_id = message.get("session")
         session = self._sessions.get(session_id)
@@ -644,38 +730,12 @@ class SpatialQueryServer:
                 protocol.ERR_UNKNOWN_SESSION,
                 f"no session {session_id!r}",
             )
-        n = int(message.get("n", DEFAULT_FETCH_ROWS))
-        n = max(1, min(n, MAX_FETCH_ROWS))
+        n = _page_size(message)
         started = time.perf_counter()
-        try:
-            rows, eof = await self._run_blocking(session.fetch, n)
-        except SessionCancelled as exc:
-            self._sessions.pop(session_id, None)
-            self.metrics.bump_session(
-                "cancelled_shutdown"
-                if exc.code == protocol.ERR_SHUTTING_DOWN
-                else "cancelled_deadline"
-            )
-            self.metrics.merge_meter(session.kind, session.meter_counts())
-            self.metrics.record_query(
-                session.kind, time.perf_counter() - started, 0, ok=False
-            )
-            return protocol.error_response(request_id, exc.code, str(exc))
-        except Exception as exc:  # noqa: BLE001 - surfaced to the client
-            self._sessions.pop(session_id, None)
-            await self._run_blocking(session.close)
-            self.metrics.bump_session("closed")
-            self.metrics.record_query(
-                session.kind, time.perf_counter() - started, 0, ok=False
-            )
-            code = getattr(exc, "wire_code", protocol.ERR_INTERNAL)
-            return protocol.error_response(
-                request_id, code, f"{type(exc).__name__}: {exc}"
-            )
-        self.metrics.record_query(
-            session.kind, time.perf_counter() - started, len(rows)
+        page = await self._run_blocking(self._page, session, n)
+        return self._page_response(
+            request_id, session, page, started, conn_sessions
         )
-        return protocol.ok_response(request_id, rows=rows, eof=eof)
 
     async def _op_close(
         self,
@@ -683,6 +743,7 @@ class SpatialQueryServer:
         message: Dict[str, Any],
         conn_sessions: Set[str],
     ) -> Dict[str, Any]:
+        """Drop a session before its ``eof`` page (which closes it)."""
         session_id = message.get("session")
         session = self._sessions.pop(session_id, None)
         conn_sessions.discard(session_id)
@@ -693,15 +754,32 @@ class SpatialQueryServer:
                 f"no session {session_id!r}",
             )
         await self._run_blocking(session.close)
-        self.metrics.bump_session("exhausted" if session.exhausted else "closed")
-        self.metrics.merge_meter(session.kind, session.meter_counts())
-        summary = {
-            "rows": session.rows_served,
-            "kind": session.kind,
-            "exhausted": session.exhausted,
-        }
-        summary.update(session.close_info())
+        summary = self._end_session(
+            session, "exhausted" if session.exhausted else "closed"
+        )
         return protocol.ok_response(request_id, summary=summary)
+
+
+def _wire_number(name: str, value: Any, kind) -> Any:
+    """A request's numeric field, or ``BadRequest`` naming it.
+
+    ``kind`` is ``int`` or ``(int, float)``; booleans are refused either
+    way, and so are non-finite floats.
+    """
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, kind)
+        or (isinstance(value, float) and not math.isfinite(value))
+    ):
+        what = "an integer" if kind is int else "a number"
+        raise BadRequest(f"{name} must be {what}, got {value!r}")
+    return value
+
+
+def _page_size(message: Dict[str, Any]) -> int:
+    """The ``n`` of a ``start`` or ``fetch``, clamped to [1, MAX_FETCH_ROWS]."""
+    n = _wire_number("n", message.get("n", DEFAULT_FETCH_ROWS), int)
+    return max(1, min(n, MAX_FETCH_ROWS))
 
 
 # ----------------------------------------------------------------------

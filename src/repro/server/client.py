@@ -9,7 +9,7 @@ mode, the server benchmark and the CI smoke test.  A
             "table_a": "counties", "column_a": "geom",
             "table_b": "counties", "column_b": "geom",
         })
-        for pair in session.rows(page=512):   # start / fetch(n) / close
+        for pair in session.rows(page=512):   # start (first page) / fetch(n)
             ...
 
 Transient failures are retried with exponential backoff + jitter (see
@@ -234,10 +234,15 @@ class QueryClient:
         params: Optional[Dict[str, Any]] = None,
         deadline_ms: Optional[int] = None,
         trace_ctx: Optional[Dict[str, Any]] = None,
+        n: Optional[int] = None,
     ) -> "RemoteSession":
+        """Start a query; the response carries its first page of up to
+        ``n`` rows (the server's default page when ``None``)."""
         fields: Dict[str, Any] = {"kind": kind, "params": params or {}}
         if deadline_ms is not None:
             fields["deadline_ms"] = deadline_ms
+        if n is not None:
+            fields["n"] = n
         # Propagate the caller's trace context: explicit wins, else the
         # innermost open span on this thread (None when tracing is off).
         if trace_ctx is None:
@@ -245,20 +250,20 @@ class QueryClient:
         if trace_ctx is not None:
             fields["trace_ctx"] = trace_ctx
         response = self.request("start", **fields)
-        self._live_sessions.add(response["session"])
-        return RemoteSession(
-            self,
-            response["session"],
-            {
-                k: v
-                for k, v in response.items()
-                if k not in ("id", "ok", "session")
-            },
-        )
+        if not response.get("eof"):
+            self._live_sessions.add(response["session"])
+        return RemoteSession(self, response)
 
     def fetch(self, session_id: str, n: int) -> Tuple[List[Any], bool]:
-        response = self.request("fetch", session=session_id, n=n)
+        response = self._fetch(session_id, n)
         return response["rows"], bool(response["eof"])
+
+    def _fetch(self, session_id: str, n: int) -> Dict[str, Any]:
+        response = self.request("fetch", session=session_id, n=n)
+        if response["eof"]:
+            # The eof page closed the session server-side.
+            self._live_sessions.discard(session_id)
+        return response
 
     def close_session(self, session_id: str) -> Dict[str, Any]:
         try:
@@ -318,13 +323,27 @@ class QueryClient:
 
 
 class RemoteSession:
-    """Client half of one paged query session."""
+    """Client half of one paged query session.
 
-    def __init__(self, client: QueryClient, session_id: str, extra: Dict[str, Any]):
+    Holds the first page the ``start`` response carried; ``fetch`` serves
+    from it before asking the server for more.  ``eof`` turns true once
+    the server has sent its last page *and* the caller has read every
+    buffered row.  The server closes a session with its ``eof`` page, so
+    ``close`` then only returns the summary that page carried.
+    """
+
+    def __init__(self, client: QueryClient, response: Dict[str, Any]):
         self._client = client
-        self.session_id = session_id
-        self.extra = extra
-        self.eof = False
+        self.session_id = response["session"]
+        self.extra = {
+            k: v
+            for k, v in response.items()
+            if k not in ("id", "ok", "session", "rows", "eof", "summary")
+        }
+        self._buffer: List[Any] = list(response.get("rows", ()))
+        self._ended = bool(response.get("eof"))  # the server closed it
+        self._summary: Dict[str, Any] = response.get("summary", {})
+        self.eof = self._ended and not self._buffer
         self.closed = False
 
     @property
@@ -341,7 +360,19 @@ class RemoteSession:
         return self._client.trace(self.session_id)
 
     def fetch(self, n: int = 1024) -> Tuple[List[Any], bool]:
-        rows, self.eof = self._client.fetch(self.session_id, n)
+        """Up to ``n`` rows — buffered ones first — and the eof flag."""
+        rows = self._buffer[:n]
+        del self._buffer[:n]
+        if len(rows) < n and not self._ended:
+            try:
+                response = self._client._fetch(self.session_id, n - len(rows))
+            except BaseException:
+                self._buffer[:0] = rows  # nothing is lost to a failed fetch
+                raise
+            rows.extend(response["rows"])
+            self._ended = bool(response["eof"])
+            self._summary = response.get("summary", {})
+        self.eof = self._ended and not self._buffer
         return rows, self.eof
 
     def rows(self, page: int = 1024) -> Iterator[Any]:
@@ -360,4 +391,6 @@ class RemoteSession:
         if self.closed:
             return {}
         self.closed = True
+        if self._ended:
+            return self._summary
         return self._client.close_session(self.session_id)

@@ -2,15 +2,26 @@
 
 The protocol is a wire-level mirror of the paper's ODCITable interface
 (§2): a client *starts* a query, *fetches* result pages of an explicit
-size, and *closes* the session — so a result set larger than memory (or
+size, and the session ends — so a result set larger than memory (or
 than the client wants to hold) streams over the socket exactly the way a
 pipelined table function streams rows to the SQL engine.
+
+One request per hop: ``start`` opens the session *and* returns its first
+page of up to ``n`` rows (ODCITableStart plus the first ODCITableFetch,
+in one engine hop), and any page with ``"eof": true`` — from ``start``
+or ``fetch`` — has already run ODCITableClose server-side and carries
+the close ``summary``.  Nobody sends ``close`` after ``eof``; ``close``
+drops a session early.  A result that fits one page costs one request.
+``n`` defaults to the server's page size and is clamped to
+``[1, MAX_FETCH_ROWS]`` (both in :mod:`repro.server.app`); a non-integer (or boolean) ``n``, or a
+non-numeric ``deadline_ms``, is a ``BAD_REQUEST`` naming the field.
 
 Framing: one UTF-8 JSON object per ``\\n``-terminated line, both ways.
 
 Requests::
 
     {"id": 1, "op": "start", "kind": "spatial_join", "params": {...},
+     "n": 256,                            -- optional first-page size
      "deadline_ms": 2000}                 -- optional per-session deadline
     {"id": 2, "op": "fetch", "session": "s1", "n": 256}
     {"id": 3, "op": "close", "session": "s1"}
@@ -20,8 +31,9 @@ Requests::
 
 Responses echo the request ``id``::
 
-    {"id": 1, "ok": true, "session": "s1"}
-    {"id": 2, "ok": true, "rows": [...], "eof": false}
+    {"id": 1, "ok": true, "session": "s1", "rows": [...], "eof": false}
+    {"id": 2, "ok": true, "rows": [...], "eof": true,
+     "summary": {"rows": 300, "kind": "spatial_join", "exhausted": true}}
     {"id": 3, "ok": false, "error": {"code": "UNKNOWN_SESSION",
                                      "message": "..."}}
 

@@ -156,14 +156,16 @@ class QueryService:
         if part is not None and bool(params.get("primary_only", False)):
             # Drop halo replicas *before* the exact geometry test: a row
             # streams from the one shard owning the tile of its low
-            # corner clamped into the search region (window_owner), so
+            # corner clamped into the search region (window_owners), so
             # the router's simple concatenation is duplicate-free — and
             # rejected replicas never pay a geometry fetch or exact test.
+            # One ownership test per candidate array.
             expand = args[1] if operator == "SDO_WITHIN_DISTANCE" else 0.0
             window = query.mbr
 
-            def owned(mbr, _rid):
-                return part.window_owner(mbr, window, expand) == part.shard
+            def owned(candidates):
+                mbrs = [mbr for mbr, _rid in candidates]
+                return part.window_owners(mbrs, window, expand) == part.shard
 
             index = self.db.spatial_index_on(table, column)
             rowids = index.fetch(operator, args, ctx, prefilter=owned)

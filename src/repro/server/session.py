@@ -24,7 +24,13 @@ from repro.engine.parallel import WorkerContext
 from repro.obs import trace
 from repro.server.protocol import ERR_DEADLINE
 
-__all__ = ["SessionCancelled", "ServerSession"]
+__all__ = ["HOP", "SessionCancelled", "ServerSession"]
+
+#: a row stream may yield ``HOP`` between rows to mark that its next row
+#: costs another wire round trip (the router's gather stream does, before
+#: each shard fetch): the first page, sent in the ``start`` response,
+#: ends there; later fetches step over it
+HOP = object()
 
 
 class SessionCancelled(ServerError):
@@ -99,12 +105,14 @@ class ServerSession:
                 f"session {self.session_id} exceeded its deadline",
             )
 
-    def fetch(self, n: int) -> Tuple[List[Any], bool]:
+    def fetch(self, n: int, first: bool = False) -> Tuple[List[Any], bool]:
         """Return up to ``n`` rows and an end-of-results flag.
 
         Mirrors ``TableFunction.fetch``: an exhausted session keeps
         returning ``([], True)``.  The deadline is rechecked between rows
         so a long page cannot overshoot it by more than one row's work.
+        The ``first`` page stops early, not exhausted, where the row
+        stream yields :data:`HOP`.
         """
         if self.closed:
             if self._cancelled is not None:
@@ -135,11 +143,15 @@ class ServerSession:
                 if lock is not None:
                     lock.acquire()
                 try:
-                    for _ in range(n):
+                    while len(out) < n:
                         try:
-                            out.append(next(self._rows))
+                            row = next(self._rows)
                         except StopIteration:
                             self.exhausted = True
+                            break
+                        if row is not HOP:
+                            out.append(row)
+                        elif first:
                             break
                         if self._cancelled is not None:
                             raise SessionCancelled(*self._cancelled)

@@ -231,6 +231,44 @@ class TestHedging:
             assert cluster.router.resilience.get("hedges", 0) >= 1
 
 
+    def test_slow_first_page_is_hedged_and_the_straggler_closed(self):
+        """The first page rides in the sub-session start, so a slow start
+        is hedged like a slow fetch; the abandoned start's session is
+        closed once its late response arrives."""
+        rows = make_rows(40, seed=22)
+        plan = NetFaultPlan(5)
+        with LocalCluster(
+            2,
+            BOX,
+            n_entries_hint=40,
+            halo=1.0,
+            chaos_plan=plan,
+            retry=RetryPolicy(
+                max_attempts=6, budget=50, backoff=0.02, hedge_ms=100
+            ),
+            gather_page=8,
+        ) as cluster:
+            cluster.create_spatial_table("shapes")
+            cluster.load("shapes", rows)
+            plan.latency["shard0.down"] = (0.3, 0.0)
+            healer = threading.Timer(0.25, plan.heal)
+            healer.start()
+            try:
+                with cluster.client() as client:
+                    session = client.start("window", window_params())
+                    got = sorted(row[0] for row in session.rows(page=16))
+            finally:
+                healer.cancel()
+                plan.heal()
+            assert got == sorted(r[0] for r in rows)
+            assert cluster.router.resilience.get("hedges", 0) >= 1
+            shard0 = cluster.router.handles[0]
+            deadline = time.monotonic() + 5.0
+            while shard0.request("stats")["stats"]["sessions"]["active"]:
+                assert time.monotonic() < deadline, "a hedged start leaked"
+                time.sleep(0.05)
+
+
 class TestDeadlineBoundsRetries:
     def test_retries_never_outlive_the_session_deadline(self):
         """With a dead shard and a generous retry policy, the session

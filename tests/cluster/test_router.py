@@ -6,9 +6,11 @@ import pytest
 
 from repro import Database, Geometry
 from repro.cluster.local import LocalCluster
+from repro.cluster.partition import GridPartitioner
+from repro.cluster.router import RouterService
 from repro.geometry.mbr import MBR
-from repro.geometry.wkt import to_wkt
-from repro.server.client import RemoteError
+from repro.geometry.wkt import from_wkt, to_wkt
+from repro.server.client import QueryClient, RemoteError
 from repro.server.protocol import ERR_SHARD_FAILED
 
 BOX = MBR(0.0, 0.0, 100.0, 100.0)
@@ -86,6 +88,114 @@ class TestWindowFanOut:
         assert total == N_ROWS
         assert sum(summary["rows_per_shard"].values()) == N_ROWS
         assert summary["failed_shards"] == []
+
+
+def _session_requests(metrics):
+    requests = metrics.snapshot(0)["requests"]
+    return {
+        op: requests.get(op, {}).get("count", 0)
+        for op in ("start", "fetch", "close")
+    }
+
+
+class TestOneRequestPerHop:
+    """A window whose result fits one page costs one request at every
+    hop: one client->router ``start``, one ``start`` per target shard."""
+
+    @pytest.mark.parametrize(
+        "win", [(20, 20, 24, 24), (0, 30, 100, 36)], ids=["narrow", "wide"]
+    )
+    def test_routed_window_costs_one_request_per_hop(self, fleet, win):
+        cluster, ref, _rows = fleet
+        window = Geometry.rectangle(*win)
+        targets = cluster.partitioner.shards_for_mbr(window.mbr, expand=0.0)
+        shards = {
+            shard: QueryClient(port=cluster.endpoint_port(shard))
+            for shard in range(cluster.nshards)
+        }
+        try:
+            def shard_counts():
+                return {
+                    shard: {
+                        op: c.stats()["requests"].get(op, {}).get("count", 0)
+                        for op in ("start", "fetch", "close")
+                    }
+                    for shard, c in shards.items()
+                }
+
+            router = cluster.server.server.metrics
+            before, shard_before = _session_requests(router), shard_counts()
+            with cluster.client() as client:
+                rows = client.start(
+                    "window",
+                    {"table": "shapes", "column": "geom", "wkt": to_wkt(window)},
+                ).all()
+            after, shard_after = _session_requests(router), shard_counts()
+        finally:
+            for c in shards.values():
+                c.close()
+        table = ref.table("shapes")
+        assert sorted(r[0] for r in rows) == sorted(
+            table.value(r, "id")
+            for r in ref.select_rowids(
+                "shapes", "geom", "SDO_RELATE", [window, "ANYINTERACT"]
+            )
+        )
+        assert {op: after[op] - before[op] for op in after} == {
+            "start": 1, "fetch": 0, "close": 0
+        }
+        for shard in shards:
+            sent = {
+                op: shard_after[shard][op] - shard_before[shard][op]
+                for op in ("start", "fetch", "close")
+            }
+            want = 1 if shard in targets else 0
+            assert sent == {"start": want, "fetch": 0, "close": 0}, shard
+        if win == (0, 30, 100, 36):
+            assert len(targets) > 1  # the wide window really fans out
+
+
+class _RecordingHandle:
+    """A shard handle that records put batches; every session it starts
+    ends with its eof page, so a ``close`` would be one request too many."""
+
+    def __init__(self, shard):
+        self.shard = shard
+        self.statements = []
+
+    def start(self, kind, params, deadline_ms=None, trace_ctx=None, n=None):
+        self.statements.extend(params["statements"])
+        return {"session": "s1", "rows": [], "eof": True}
+
+    def close_session(self, session_id):
+        raise AssertionError("put closed a session its eof page had ended")
+
+
+class TestPutPlacement:
+    def test_batch_placement_matches_per_row_routing(self):
+        part = GridPartitioner.build(BOX, 3, 400, halo=1.5)
+        spec = part.spec
+        rng = random.Random(3)
+        rows = []
+        for i in range(200):
+            # Half the rectangles start exactly on a tile edge.
+            if i % 2:
+                x = spec.min_x + rng.randrange(spec.nx) * spec.tile_w
+                y = spec.min_y + rng.randrange(spec.ny) * spec.tile_h
+            else:
+                x, y = rng.uniform(0, 95), rng.uniform(0, 95)
+            w = spec.tile_w if i % 3 == 0 else rng.uniform(0.1, 4.0)
+            rows.append([i, to_wkt(Geometry.rectangle(x, y, x + w, y + 1.0))])
+        handles = [_RecordingHandle(shard) for shard in range(3)]
+        result = RouterService(handles, part).put("shapes", rows)
+        assert result["placed"] == len(rows)
+        for row_id, wkt in rows:
+            placed = {
+                h.shard
+                for h in handles
+                if any(f"values ({row_id}, " in st for st in h.statements)
+            }
+            assert placed == part.shards_for_mbr(from_wkt(wkt).mbr)
 
 
 class TestKnnMerge:
@@ -177,6 +287,7 @@ class TestStatsRollup:
                 "window",
                 {"table": "shapes", "column": "geom",
                  "wkt": "POLYGON ((0 0, 10 0, 10 10, 0 10, 0 0))"},
+                n=1,
             ).all()
             stats = client.stats()
         assert set(stats["shards"]) == {"0", "1", "2", "router"}

@@ -304,9 +304,9 @@ def test_prefilter_rejects_before_fetch_and_test(kernel_always):
     twin = Twin("RTREE", _dataset("mixed"))
     seen = []
 
-    def owned(mbr, rowid):
-        seen.append(rowid)
-        return rowid.slot % 3 != 0
+    def owned(candidates):
+        seen.extend(rowid for _mbr, rowid in candidates)
+        return [rowid.slot % 3 != 0 for _mbr, rowid in candidates]
 
     for query in QUERIES.values():
         for operator, args, exact in _probes(query):

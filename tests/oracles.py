@@ -242,7 +242,7 @@ def index_fetch_reference(index, operator, args, ctx=None, exact=True, prefilter
         candidates = (
             (rowid, False)
             for mbr, rowid in found
-            if prefilter is None or prefilter(mbr, rowid)
+            if prefilter is None or prefilter([(mbr, rowid)])[0]
         )
     for rowid, certain in candidates:
         if op_name == "SDO_FILTER" or not exact or certain:

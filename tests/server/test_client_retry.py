@@ -230,7 +230,7 @@ class TestRealServerIntegration:
         db = build_db()
         with BackgroundServer(db, max_sessions=1) as handle:
             with QueryClient(port=handle.port) as holder:
-                blocker = holder.start("sql", {"statement": "select id from a_tab"})
+                blocker = holder.start("sql", {"statement": "select id from a_tab"}, n=1)
                 releaser = threading.Timer(0.15, blocker.close)
                 releaser.start()
                 try:

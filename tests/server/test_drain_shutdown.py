@@ -51,7 +51,7 @@ class TestDrainDeadlineCancelsTyped:
         handle = BackgroundServer(db, drain_timeout=1.0).start()
         try:
             with QueryClient(port=handle.port) as client:
-                session = client.start("spatial_join", JOIN_PARAMS)
+                session = client.start("spatial_join", JOIN_PARAMS, n=1)
                 rows, eof = session.fetch(2)
                 assert rows and not eof
                 handle.server.request_shutdown()

@@ -148,7 +148,7 @@ class TestQueryKinds:
         assert rows
 
     def test_close_midway_reports_not_exhausted(self, client):
-        session = client.start("spatial_join", JOIN_PARAMS)
+        session = client.start("spatial_join", JOIN_PARAMS, n=1)
         session.fetch(2)
         summary = session.close()
         assert summary["rows"] == 2
@@ -250,17 +250,18 @@ class TestQueryKinds:
 
     def test_bad_operator_arguments_fail_whatever_the_window_holds(self, client):
         """Validated once per probe, before the primary filter: an empty
-        window is no longer a way to get rows=[] out of a bad mask."""
+        window is no longer a way to get rows=[] out of a bad mask.  The
+        probe runs with the first page, so ``start`` answers the error."""
         empty = to_wkt(Geometry.rectangle(900, 900, 901, 901))
         for params, named in (
             ({"operator": "SDO_RELATE", "mask": "BOGUS"}, "mask"),
             ({"operator": "SDO_WITHIN_DISTANCE", "distance": -1.0}, "distance"),
         ):
-            session = client.start(
-                "window", {"table": "a_tab", "column": "geom", "wkt": empty, **params}
-            )
             with pytest.raises(RemoteError, match=f"OperatorError.*{named}"):
-                session.fetch(10)
+                client.start(
+                    "window",
+                    {"table": "a_tab", "column": "geom", "wkt": empty, **params},
+                )
 
     def test_malformed_frame_gets_error_not_hangup(self, client):
         client.send_raw(b"this is not json\n")
@@ -332,7 +333,7 @@ class TestRobustness:
         with QueryClient(port=handle.port) as observer:
             before = observer.stats()["sessions"]["closed_disconnect"]
             rogue = QueryClient(port=handle.port)
-            session = rogue.start("spatial_join", JOIN_PARAMS)
+            session = rogue.start("spatial_join", JOIN_PARAMS, n=1)
             session.fetch(3)  # mid-stream: rows fetched, far from eof
             rogue.close()  # vanish without close
 
@@ -350,7 +351,7 @@ class TestRobustness:
         handle, _ = served
         with QueryClient(port=handle.port) as c:
             before = c.stats()["sessions"]["cancelled_deadline"]
-            session = c.start("spatial_join", JOIN_PARAMS, deadline_ms=20)
+            session = c.start("spatial_join", JOIN_PARAMS, deadline_ms=20, n=1)
             time.sleep(0.08)  # let the deadline lapse before fetching
             with pytest.raises(RemoteError) as info:
                 session.fetch(10)
@@ -366,7 +367,7 @@ class TestRobustness:
     def test_stats_counts_queries_and_rows(self, served):
         handle, db = served
         with QueryClient(port=handle.port) as c:
-            session = c.start("spatial_join", JOIN_PARAMS)
+            session = c.start("spatial_join", JOIN_PARAMS, n=1)
             n_pairs = len(session.all(page=11))
             stats = poll_stats(
                 c, lambda s: s["queries"]["spatial_join"]["rows"] >= n_pairs
@@ -383,7 +384,7 @@ class TestBackpressure:
         db = build_db()
         with BackgroundServer(db, max_sessions=1) as handle:
             with QueryClient(port=handle.port) as c:
-                first = c.start("spatial_join", JOIN_PARAMS)
+                first = c.start("spatial_join", JOIN_PARAMS, n=1)
                 with pytest.raises(RemoteError) as info:
                     c.start("spatial_join", JOIN_PARAMS)
                 assert info.value.code == ERR_OVERLOADED
@@ -440,7 +441,7 @@ class TestGracefulShutdown:
         handle = BackgroundServer(db).start()
         try:
             with QueryClient(port=handle.port) as c:
-                session = c.start("spatial_join", JOIN_PARAMS)
+                session = c.start("spatial_join", JOIN_PARAMS, n=1)
                 first_page, _ = session.fetch(4)
                 handle.server.request_shutdown()
                 deadline = time.monotonic() + 5

@@ -53,7 +53,7 @@ class TestMidFetchEngineCrash:
         service = BlowUpAfter(db, good_rows=3)
         with BackgroundServer(db, service=service) as handle:
             with QueryClient(port=handle.port) as c:
-                session = c.start("sql", {"statement": "irrelevant"})
+                session = c.start("sql", {"statement": "irrelevant"}, n=1)
                 with pytest.raises(RemoteError) as info:
                     session.fetch(10)  # asks past the crash point
                 assert info.value.code == ERR_INTERNAL
@@ -92,9 +92,9 @@ class TestMidFetchEngineCrash:
         with BackgroundServer(db, service=BlowUpAfter(db, good_rows=0)) as handle:
             with QueryClient(port=handle.port) as c:
                 for _ in range(5):
-                    session = c.start("sql", {"statement": "x"})
+                    # The crash is the first row: start's own page fails.
                     with pytest.raises(RemoteError):
-                        session.fetch(1)
+                        c.start("sql", {"statement": "x"})
                 assert c.ping()
                 assert c.stats()["sessions"]["active"] == 0
 
