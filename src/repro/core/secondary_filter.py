@@ -19,7 +19,7 @@ import enum
 import math
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple, Union
 
 from repro.engine.indextype import _relate_form, _within_distance_form
 from repro.engine.parallel import WorkerContext
@@ -29,6 +29,7 @@ from repro.geometry import kernels
 from repro.geometry.distance import within_distance
 from repro.geometry.geometry import Geometry
 from repro.geometry.interior import interior_rectangle
+from repro.geometry.packed import PackedRing, as_geometry
 from repro.geometry.predicates import relate
 from repro.index.rtree.join import CandidatePair
 from repro.storage.heap import RowId
@@ -50,11 +51,17 @@ class GeometryCache:
     A cache miss charges full fetch cost (``geom_fetch_base`` + per-vertex);
     a hit charges only a buffer-get.  The hit ratio is the mechanism by
     which candidate fetch order shows up in simulated time.
+
+    Entries are what :meth:`Table.fetch_packed` returns: a heap row's
+    polygon of one exterior ring is a :class:`PackedRing` (its vertex array
+    is all the pair kernel reads), anything else a :class:`Geometry`.
     """
 
     def __init__(self, capacity: int = 2048):
         self.capacity = max(1, capacity)
-        self._entries: "OrderedDict[Tuple[str, RowId], Geometry]" = OrderedDict()
+        self._entries: "OrderedDict[Tuple[str, RowId], Union[Geometry, PackedRing]]" = (
+            OrderedDict()
+        )
         self.hits = 0
         self.misses = 0
 
@@ -65,7 +72,7 @@ class GeometryCache:
 
     def fetch(
         self, table: Table, rowid: RowId, column_index: int, ctx: Optional[WorkerContext]
-    ) -> Geometry:
+    ) -> Union[Geometry, PackedRing]:
         key = (table.name, rowid)
         cached = self._entries.get(key)
         if cached is not None:
@@ -78,7 +85,7 @@ class GeometryCache:
         # Routed through the table so columnar-resident rows are served
         # (and charged) from their chunk; heap rows keep the historical
         # geom_fetch charges.
-        geom = table.fetch_geometry(rowid, column_index, ctx)
+        geom = table.fetch_packed(rowid, column_index, ctx)
         self._entries[key] = geom
         while len(self._entries) > self.capacity:
             self._entries.popitem(last=False)
@@ -107,7 +114,10 @@ class JoinPredicate:
         _mask, distance = _within_distance_form((None, self.distance))
         object.__setattr__(self, "distance", distance)
 
-    def evaluate(self, g1: Geometry, g2: Geometry) -> bool:
+    def evaluate(
+        self, g1: Union[Geometry, PackedRing], g2: Union[Geometry, PackedRing]
+    ) -> bool:
+        g1, g2 = as_geometry(g1), as_geometry(g2)
         if self.distance > 0.0:
             return within_distance(g1, g2, self.distance)
         return relate(g1, g2, self.mask)
@@ -176,7 +186,7 @@ class SecondaryFilter:
         rect = self._interior.get(key)
         if rect is None:
             geom = self.cache.fetch(table, rowid, column_index, ctx)
-            rect = interior_rectangle(geom)
+            rect = interior_rectangle(as_geometry(geom))
             self._interior[key] = rect
             while len(self._interior) > self._interior_capacity:
                 self._interior.popitem(last=False)
@@ -246,8 +256,8 @@ class SecondaryFilter:
         fetch = self.cache.fetch
         verdicts = [False] * len(ordered)
         pending: List[int] = []
-        geoms_a: List[Geometry] = []
-        geoms_b: List[Geometry] = []
+        geoms_a: List[Union[Geometry, PackedRing]] = []
+        geoms_b: List[Union[Geometry, PackedRing]] = []
         nv = 0
         for k, (rid_a, rid_b, mbr_a, mbr_b) in enumerate(ordered):
             if self.use_interior and self._fast_accept(rid_a, rid_b, mbr_a, mbr_b, ctx):

@@ -22,7 +22,7 @@ from repro.errors import EngineError
 from repro.engine.cursor import Cursor, GeneratorCursor
 from repro.engine.types import Row, RowSchema
 from repro.storage.catalog import ColumnMeta, TableMeta
-from repro.storage.codec import decode_column, decode_row, encode_row
+from repro.storage.codec import decode_column, decode_ring_column, decode_row, encode_row
 from repro.storage.columnar import MISSING, ColumnarSegment
 from repro.storage.heap import HeapFile, RowId
 
@@ -95,13 +95,28 @@ class Table:
         existed.  The charge difference is the measured columnar win; the
         returned geometry is identical either way.
         """
+        return self._fetch_geometry(rowid, column_index, ctx, False)
+
+    def fetch_packed(self, rowid: RowId, column_index: int, ctx=None):
+        """:meth:`fetch_geometry` for the join's secondary filter: a heap
+        row's polygon of one exterior ring comes back as a
+        :class:`~repro.geometry.packed.PackedRing` over the record bytes
+        (:func:`~repro.storage.codec.decode_ring_column`), no
+        :class:`Geometry` built.  Same charges; any other row, and every
+        columnar-resident one, is the :class:`Geometry`."""
+        return self._fetch_geometry(rowid, column_index, ctx, True)
+
+    def _fetch_geometry(self, rowid: RowId, column_index: int, ctx, packed: bool):
         seg = self.columnar
         if seg is not None:
             geom = seg.geometry_at(rowid, ctx)
             if geom is not MISSING:
                 return geom
-        row = self.fetch(rowid)
-        geom = row[column_index]
+        data = self.heap.read(rowid)
+        if packed:
+            geom = decode_ring_column(data, column_index)
+        else:
+            geom = decode_row(data)[column_index]
         if ctx is not None:
             ctx.charge("geom_fetch_base")
             if geom is not None:

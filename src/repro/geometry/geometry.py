@@ -54,7 +54,7 @@ class Ring:
     Rings know their signed area and can answer point-location queries.
     """
 
-    __slots__ = ("coords", "_mbr", "_signed_area", "_coords_array")
+    __slots__ = ("coords", "_mbr", "_signed_area", "_coords_array", "_closed_array")
 
     def __init__(self, coords: Sequence[Coord]):
         pts = [(float(x), float(y)) for x, y in coords]
@@ -66,6 +66,7 @@ class Ring:
         self._mbr: Optional[MBR] = None
         self._signed_area: Optional[float] = None
         self._coords_array = None
+        self._closed_array = None
 
     def __len__(self) -> int:
         return len(self.coords)
@@ -88,6 +89,7 @@ class Ring:
         self._mbr = None
         self._signed_area = None
         self._coords_array = None
+        self._closed_array = None
 
     @property
     def mbr(self) -> MBR:
@@ -108,6 +110,18 @@ class Ring:
 
             cached = np.asarray(self.coords, dtype=np.float64).reshape(-1, 2)
             self._coords_array = cached
+        return cached
+
+    def closed_array(self):
+        """:meth:`coords_array` with vertex 0 repeated as row ``n``, so edge
+        ``k`` runs from row ``k`` to row ``k + 1``; cached the same way."""
+        cached = self._closed_array
+        if cached is None:
+            import numpy as np
+
+            c = self.coords_array()
+            cached = np.concatenate((c, c[:1]))
+            self._closed_array = cached
         return cached
 
     @property

@@ -34,6 +34,7 @@ import numpy as np
 
 from repro.errors import GeometryError
 from repro.geometry.geometry import Geometry, GeometryType, Ring
+from repro.geometry.packed import PackedRing, as_geometry
 from repro.geometry.segments import EPSILON
 
 __all__ = [
@@ -641,7 +642,8 @@ def _points_within_distance_np(g1: Geometry, pts, dist: float) -> List[bool]:
 # Array-at-a-time pair kernel.
 #
 # The secondary filter hands over a whole ordered candidate array — pair k
-# is ``(geoms_a[k], geoms_b[k])`` — and gets one verdict per pair.  Two
+# is ``(geoms_a[k], geoms_b[k])``, each a Geometry or a PackedRing — and
+# gets one verdict per pair.  Two
 # polygons can only interact where their MBRs overlap, so each pair keeps
 # just the edges whose box meets its clip window ``MBR(a) ∩ MBR(b)``
 # (grown by the tolerance); the surviving ragged a×b edge pairs of many
@@ -665,14 +667,12 @@ def _pairs_np(geoms_a, geoms_b, dist: float) -> List[bool]:
     rank = dict(zip(distinct, range(len(distinct))))
     slot = np.fromiter(map(rank.__getitem__, map(id, every)), dtype=np.intp, count=2 * n)
     ia, ib = slot[:n], slot[n:]
-    # The flat path takes hole-free polygons; each one's cached edge rows
-    # are exactly its ring, vertex i to vertex i + 1.
-    poly = GeometryType.POLYGON
-    edges = [
-        g.edges_array() if g.geom_type is poly and not g.holes else None
-        for g in distinct.values()
-    ]
-    count = np.asarray([0 if e is None else len(e) for e in edges], dtype=np.intp)
+    # The flat path takes hole-free polygons as closed vertex arrays: ring
+    # edge i runs from row i to row i + 1.
+    rings = list(map(_closed_ring, distinct.values()))
+    count = np.fromiter(
+        (0 if r is None else len(r) - 1 for r in rings), dtype=np.intp, count=len(rings)
+    )
     flat = (count[ia] > 0) & (count[ib] > 0)
     # A self-join's identity pair always qualifies, as the scalar path
     # concludes the long way round; skipping it also keeps exact-zero
@@ -686,7 +686,7 @@ def _pairs_np(geoms_a, geoms_b, dist: float) -> List[bool]:
         done = int(load[start - 1]) if start else 0
         end = max(start + 1, int(np.searchsorted(load, done + _PAIR_SLICE_ELEMS, "right")))
         ks = todo[start:end]
-        out[ks] = _poly_pairs_slice(edges, ia[ks], ib[ks], dist)
+        out[ks] = _poly_pairs_slice(rings, ia[ks], ib[ks], dist)
         start = end
     out = out.tolist()
     # Everything else (points, lines, holes, multi-part): runs sharing a
@@ -694,11 +694,12 @@ def _pairs_np(geoms_a, geoms_b, dist: float) -> List[bool]:
     rest = np.nonzero(~flat)[0].tolist()
     i = 0
     while i < len(rest):
-        a = geoms_a[rest[i]]
+        probe = geoms_a[rest[i]]
         j = i + 1
-        while j < len(rest) and geoms_a[rest[j]] is a:
+        while j < len(rest) and geoms_a[rest[j]] is probe:
             j += 1
-        others = [geoms_b[k] for k in rest[i:j]]
+        a = as_geometry(probe)
+        others = [as_geometry(geoms_b[k]) for k in rest[i:j]]
         pts = _all_points_array(others)
         if pts is not None and not dist:
             verdicts = _points_intersect_geometry(a, pts[:, 0], pts[:, 1]).tolist()
@@ -714,31 +715,49 @@ def _pairs_np(geoms_a, geoms_b, dist: float) -> List[bool]:
     return out
 
 
+def _closed_ring(g):
+    """The closed vertex array of a hole-free polygon, else None."""
+    if type(g) is PackedRing:
+        return g.vertices
+    if g.geom_type is GeometryType.POLYGON and not g.holes:
+        return g.exterior.closed_array()
+    return None
+
+
 def _ragged_arange(counts):
     """``arange(c)`` for every ``c`` of ``counts``, concatenated."""
     starts = counts.cumsum() - counts
     return np.arange(int(counts.sum()), dtype=np.intp) - starts.repeat(counts)
 
 
-def _poly_pairs_slice(edges, ia, ib, dist: float):
+def _poly_pairs_slice(rings, ia, ib, dist: float):
     """One slice of the pair kernel: pair ``k`` is hole-free polygons
-    ``ia[k]`` and ``ib[k]`` of ``edges``, never the same one."""
+    ``ia[k]`` and ``ib[k]`` of ``rings`` (closed vertex arrays), never the
+    same one."""
     n = len(ia)
     # Edge soup of the slice's distinct geometries, built once: rows
     # x1, y1, x2, y2 of ``soup``, edge boxes ``lo`` / ``hi`` (x row, y row).
-    used = np.zeros(len(edges), dtype=bool)
+    # The rings' vertices lie back to back, so soup column c is the edge
+    # from vertex c to vertex c + 1: ring g's n edges start at its vertex 0,
+    # column ``first[g]``, and the column after them, which joins two
+    # rings, is never read.
+    used = np.zeros(len(rings), dtype=bool)
     used[ia] = used[ib] = True
     slot = used.cumsum() - 1
     ia, ib = slot[ia], slot[ib]
-    rings = [edges[g] for g in np.nonzero(used)[0].tolist()]
-    count = np.fromiter(map(len, rings), dtype=np.intp, count=len(rings))
-    first = count.cumsum() - count
-    soup = np.ascontiguousarray(np.concatenate(rings, axis=0).T)
+    rings = [rings[g] for g in np.nonzero(used)[0].tolist()]
+    size = np.fromiter(map(len, rings), dtype=np.intp, count=len(rings))
+    first = size.cumsum() - size
+    count = size - 1
+    verts = np.concatenate(rings).T
+    soup = np.empty((4, verts.shape[1] - 1))
+    soup[:2] = verts[:, :-1]
+    soup[2:] = verts[:, 1:]
     lo = np.minimum(soup[:2], soup[2:])
     hi = np.maximum(soup[:2], soup[2:])
     # Per-ring bounds: identical floats to each polygon's stored MBR.
-    mbr_lo = np.minimum.reduceat(lo, first, axis=1)
-    mbr_hi = np.maximum.reduceat(hi, first, axis=1)
+    mbr_lo = np.minimum.reduceat(verts, first, axis=1)
+    mbr_hi = np.maximum.reduceat(verts, first, axis=1)
     a_lo, a_hi = mbr_lo.take(ia, axis=1), mbr_hi.take(ia, axis=1)
     b_lo, b_hi = mbr_lo.take(ib, axis=1), mbr_hi.take(ib, axis=1)
     meet = ((a_lo <= b_hi) & (b_lo <= a_hi)).all(axis=0)
@@ -747,7 +766,7 @@ def _poly_pairs_slice(edges, ia, ib, dist: float):
         # An edge pair within ``dist`` has boxes within ``dist`` up to the
         # rounding of the distance expressions; the slack dwarfs that at
         # any coordinate magnitude.
-        tol = dist + EPSILON * max(1.0, float(np.abs(soup).max()))
+        tol = dist + EPSILON * max(1.0, float(np.abs(verts).max()))
     else:
         near, tol = meet, EPSILON
     found = np.zeros(n, dtype=bool)
@@ -860,7 +879,8 @@ def evaluate_predicate_pairs(
 ) -> Optional[List[bool]]:
     """Evaluate a join predicate for a whole candidate array at once.
 
-    Pair ``k`` is ``(geoms_a[k], geoms_b[k])``.  Returns ``None`` when the
+    Pair ``k`` is ``(geoms_a[k], geoms_b[k])``, each a :class:`Geometry` or
+    a :class:`~repro.geometry.packed.PackedRing`.  Returns ``None`` when the
     mask is outside the batchable subset (the caller then falls back to
     scalar evaluation).  Supported: the within-distance predicate
     (``distance > 0``) and the intersection masks ``ANYINTERACT`` /
@@ -877,7 +897,16 @@ def _evaluate_pairs(geoms_a, geoms_b, mask, distance):
         names = [n.strip() for n in mask.upper().split("+")] if mask else []
         if not names or any(n not in ("ANYINTERACT", "INTERSECT") for n in names):
             return None
-    return _pairs_np(geoms_a, geoms_b, dist)
+    out = _pairs_np(geoms_a, geoms_b, 0.0)
+    if dist:
+        # ``distance.distance_sq`` is 0 for geometries that intersect, so
+        # the intersection verdicts above settle those pairs; the distance
+        # pass gets only the rest.
+        rest = [k for k, ok in enumerate(out) if not ok]
+        far = _pairs_np([geoms_a[k] for k in rest], [geoms_b[k] for k in rest], dist)
+        for k, ok in zip(rest, far):
+            out[k] = ok
+    return out
 
 
 def evaluate_predicate_batch(

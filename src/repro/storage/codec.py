@@ -16,16 +16,27 @@ import sys
 from array import array
 from typing import Any, List, Sequence, Tuple
 
+import numpy as np
+
 from repro.errors import StorageError
 from repro.geometry.geometry import Geometry
 from repro.geometry.mbr import MBR
-from repro.geometry.sdo import SdoGeometry, from_sdo, to_sdo
+from repro.geometry.packed import pack_ring
+from repro.geometry.sdo import (
+    ETYPE_EXTERIOR,
+    GTYPE_POLYGON,
+    INTERP_VERTEX_LIST,
+    SdoGeometry,
+    from_sdo,
+    to_sdo,
+)
 from repro.storage.heap import RowId
 
 __all__ = [
     "encode_row",
     "decode_row",
     "decode_column",
+    "decode_ring_column",
     "encode_value",
     "decode_value",
     "encode_f64_array",
@@ -62,12 +73,15 @@ def encode_row(values: Sequence[Any]) -> bytes:
 
 def decode_row(data: bytes) -> Tuple[Any, ...]:
     """Decode bytes produced by :func:`encode_row`."""
-    (count,) = _U32.unpack_from(data, 0)
-    offset = _U32.size
-    values: List[Any] = []
-    for _ in range(count):
-        value, offset = _decode_from(data, offset)
-        values.append(value)
+    try:
+        (count,) = _U32.unpack_from(data, 0)
+        offset = _U32.size
+        values: List[Any] = []
+        for _ in range(count):
+            value, offset = _decode_from(data, offset)
+            values.append(value)
+    except (struct.error, IndexError, UnicodeDecodeError):
+        raise StorageError("row buffer short or corrupt") from None
     if offset != len(data):
         raise StorageError(f"trailing bytes after row decode: {len(data) - offset}")
     return tuple(values)
@@ -92,6 +106,51 @@ def decode_column(data: bytes, index: int) -> Any:
     if offset > len(data):
         raise StorageError(f"column {index} overruns buffer")
     return value
+
+
+def decode_ring_column(data: bytes, index: int) -> Any:
+    """``decode_row(data)[index]``, except that a polygon stored as one
+    exterior vertex-list ring comes back as a
+    :class:`~repro.geometry.packed.PackedRing` viewing the record's bytes
+    when :func:`~repro.geometry.packed.pack_ring` vouches for it.
+
+    Every other column is decoded and trailing bytes are refused, as in
+    :func:`decode_row`; a short or corrupt row raises ``StorageError``.
+    """
+    try:
+        (count,) = _U32.unpack_from(data, 0)
+        if not 0 <= index < count:
+            raise StorageError(f"column {index} out of range for a row of {count}")
+        offset = _U32.size
+        for column in range(count):
+            if column == index:
+                result, offset = _decode_ring_from(data, offset)
+            else:
+                _value, offset = _decode_from(data, offset)
+    except (struct.error, IndexError, UnicodeDecodeError):
+        raise StorageError(f"row buffer short or corrupt at column {index}") from None
+    if offset != len(data):
+        raise StorageError(f"trailing bytes after row decode: {len(data) - offset}")
+    return result
+
+
+# Tag, gtype, elem_info length and the one triplet of a polygon stored as a
+# single exterior vertex-list ring, then the ordinate count.
+_RING_HEADER = struct.Struct("<B6I")
+_RING_FORM = [_TAG_GEOMETRY, GTYPE_POLYGON, 3, 1, ETYPE_EXTERIOR, INTERP_VERTEX_LIST]
+
+
+def _decode_ring_from(data: bytes, offset: int) -> Tuple[Any, int]:
+    """:func:`_decode_from`, or a packed ring where one is vouched for."""
+    start = offset + _RING_HEADER.size
+    if start <= len(data):
+        *form, n_ord = _RING_HEADER.unpack_from(data, offset)
+        end = start + 8 * n_ord
+        if form == _RING_FORM and n_ord % 2 == 0 and end <= len(data):
+            ring = pack_ring(np.frombuffer(data, "<f8", n_ord, start).reshape(-1, 2))
+            if ring is not None:
+                return ring, end
+    return _decode_from(data, offset)
 
 
 def encode_value(value: Any) -> bytes:

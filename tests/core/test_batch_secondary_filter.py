@@ -93,6 +93,7 @@ class TestBatchIdentity:
         import math
 
         from repro.geometry.geometry import Geometry
+        from repro.geometry.packed import PackedRing
 
         def disc(cx, cy):
             turn = 2 * math.pi / 400
@@ -109,7 +110,7 @@ class TestBatchIdentity:
         kernel = kernels.evaluate_predicate_pairs
 
         def live_geometries():
-            return sum(isinstance(o, Geometry) for o in gc.get_objects())
+            return sum(isinstance(o, (Geometry, PackedRing)) for o in gc.get_objects())
 
         def recording(geoms_a, geoms_b, mask, distance):
             vertices.append(sum(g.num_vertices for g in (*geoms_a, *geoms_b)))

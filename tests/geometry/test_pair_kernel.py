@@ -219,7 +219,7 @@ class TestCountersAndMemory:
                     geoms_b += [grid[y][x + 1], grid[x + 1][y]]
         del geoms_a[4096:], geoms_b[4096:]
         for g in flat:
-            g.edges_array()  # the per-geometry cache is not the kernel's memory
+            g.exterior.closed_array()  # the per-geometry cache is not the kernel's memory
         tracemalloc.start()
         try:
             got = kernels.evaluate_predicate_pairs(geoms_a, geoms_b, "ANYINTERACT")
