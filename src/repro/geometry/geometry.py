@@ -62,6 +62,9 @@ class Ring:
             pts = pts[:-1]  # normalise away an explicit closing vertex
         if len(pts) < 3:
             raise GeometryError(f"ring needs >= 3 distinct vertices, got {len(pts)}")
+        for x, y in pts:
+            if not (math.isfinite(x) and math.isfinite(y)):
+                raise GeometryError(f"non-finite ring vertex ({x}, {y})")
         self.coords: Tuple[Coord, ...] = tuple(pts)
         self._mbr: Optional[MBR] = None
         self._signed_area: Optional[float] = None
@@ -223,8 +226,6 @@ class Geometry:
         "parts",
         "_mbr",
         "_nvertices",
-        "_coords_array",
-        "_edges_array",
     )
 
     def __init__(
@@ -242,8 +243,6 @@ class Geometry:
         self.parts = parts
         self._mbr: Optional[MBR] = None
         self._nvertices: Optional[int] = None
-        self._coords_array = None
-        self._edges_array = None
 
     # ------------------------------------------------------------------
     # Factories
@@ -433,50 +432,14 @@ class Geometry:
                 for hole in part.holes:
                     yield from hole.coords
 
-    def coords_array(self):
-        """Cached ``(n, 2)`` float64 ndarray of every vertex.
-
-        Vertex order matches :meth:`vertices`.  Never invalidated —
-        geometries are immutable, so the decode cost is paid once per
-        fetched geometry, not once per predicate evaluation.  Only the
-        vectorized kernels call this.
-        """
-        cached = self._coords_array
-        if cached is None:
-            import numpy as np
-
-            cached = np.asarray(list(self.vertices()), dtype=np.float64).reshape(
-                -1, 2
-            )
-            self._coords_array = cached
-        return cached
-
-    def edges_array(self):
-        """Cached ``(m, 4)`` float64 ndarray of every boundary segment.
-
-        Row layout is ``(x1, y1, x2, y2)`` in :meth:`boundary_edges` order
-        (polygon edges include hole boundaries; points contribute nothing).
-        Cached forever, like :meth:`coords_array`.
-        """
-        cached = self._edges_array
-        if cached is None:
-            import numpy as np
-
-            cached = np.asarray(
-                [(a[0], a[1], b[0], b[1]) for a, b in self.boundary_edges()],
-                dtype=np.float64,
-            ).reshape(-1, 4)
-            self._edges_array = cached
-        return cached
-
     def contains_point(self, x: float, y: float) -> bool:
         """True if (x, y) lies on or inside the geometry."""
         for part in self.simple_parts():
             if part.geom_type is GeometryType.POINT:
                 px, py = part.coords[0]
                 dx, dy = px - x, py - y
-                # Squared comparison (see repro.geometry.kernels: the
-                # vectorized kernels replicate exactly these operations).
+                # Squared comparison: the library-wide distance convention
+                # (see repro.geometry.kernels).
                 if dx * dx + dy * dy <= EPSILON * EPSILON:
                     return True
             elif part.geom_type is GeometryType.LINESTRING:
@@ -521,7 +484,7 @@ class Geometry:
         return f"Geometry({self.geom_type.value}, {self.num_vertices} vertices)"
 
     # Pickling (geometries ride process-executor task payloads): ship only
-    # the defining fields, not the derived ndarray caches.
+    # the defining fields, not the derived caches.
     def __getstate__(self):
         return (self.geom_type, self.coords, self.exterior, self.holes, self.parts)
 
@@ -529,8 +492,6 @@ class Geometry:
         self.geom_type, self.coords, self.exterior, self.holes, self.parts = state
         self._mbr = None
         self._nvertices = None
-        self._coords_array = None
-        self._edges_array = None
 
 
 def _chain_length(coords: Sequence[Coord], closed: bool) -> float:

@@ -2,11 +2,14 @@
 
 The paper's two-stage query pipeline bottoms out in exact geometry tests:
 the secondary filter of the spatial join (§4.2).  This module evaluates
-those tests over *batches* — a whole array of candidate pairs, all edge
-pairs of two chains at once, a node's entries against one window — with
-numpy.  There is one implementation per entry point; the scalar functions
-in :mod:`repro.geometry.predicates`, :mod:`repro.geometry.segments` and
-:mod:`repro.geometry.distance` are the oracle the tests compare it to.
+those tests over *batches* — a whole array of candidate pairs, a node's
+entries against one window — with numpy.  Candidate pairs of hole-free
+polygons go through one ragged ring pair kernel: the edges of many pairs
+laid out as flat arrays and tested in one pass.  Every other pair (points,
+lines, holed and multi-part shapes) takes one call of the scalar predicate
+in :mod:`repro.geometry.predicates` / :mod:`repro.geometry.distance`,
+which, with :mod:`repro.geometry.segments`, is also the oracle the tests
+compare the kernels to.
 
 Bit-identical results
 ---------------------
@@ -19,7 +22,7 @@ last ULP.  Two library-wide conventions make this practical:
 * all distance comparisons happen in *squared* space (``math.hypot`` and
   ``np.hypot`` may differ by one ULP; ``dx*dx + dy*dy`` cannot);
 * the epsilon-scaled orientation test is a fixed expression shared by
-  ``segments.orientation`` and :func:`_orient_arr` below.
+  ``segments.orientation`` and :func:`_orient_signs` below.
 
 The parity suites (``tests/geometry/test_kernels_parity.py`` and
 ``test_pair_kernel.py``) enforce the contract over randomized and
@@ -33,8 +36,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.errors import GeometryError
-from repro.geometry.geometry import Geometry, GeometryType, Ring
+from repro.geometry.distance import within_distance
+from repro.geometry.geometry import Geometry, GeometryType
 from repro.geometry.packed import PackedRing, as_geometry
+from repro.geometry.predicates import intersects
 from repro.geometry.segments import EPSILON
 
 __all__ = [
@@ -48,11 +53,6 @@ __all__ = [
     "evaluate_predicate_batch",
     "evaluate_predicate_pairs",
 ]
-
-# Cap on the element count of any intermediate (n, m) pair matrix; larger
-# batches are processed in row chunks so peak memory stays bounded
-# (~8 MB per float64 temporary at this setting).
-_CHUNK_ELEMS = 1 << 20
 
 # The ragged pair kernel's bound, applied twice: to the edges (both sides)
 # of the candidate pairs resolved per slice, and to the edge pairs expanded
@@ -195,23 +195,18 @@ def tile_ranges_batch(
 # ======================================================================
 # Segment-pair kernels
 # ======================================================================
-def _row_chunks(n: int, m: int):
-    """Slices over the rows of an (n, m) pair matrix, bounded by _CHUNK_ELEMS."""
-    if n == 0:
-        return
-    step = max(1, _CHUNK_ELEMS // max(m, 1))
-    for start in range(0, n, step):
-        yield slice(start, min(start + step, n))
+def _orient_signs(bqx, bqy, b_abs, drx, dry):
+    """Vectorized ``segments.orientation`` against a shared base vector
+    (``dq`` and ``|dqx| + |dqy|`` hoisted by the caller).
 
-
-def _orient_arr(px, py, qx, qy, rx, ry):
-    """Vectorized ``segments.orientation``: identical cross/tolerance math."""
-    dqx, dqy = qx - px, qy - py
-    drx, dry = rx - px, ry - py
-    cross = dqx * dry - dqy * drx
-    scale = np.abs(dqx) + np.abs(dqy) + np.abs(drx) + np.abs(dry)
+    Same cross and tolerance floats as the scalar test — the scale sum
+    keeps its left-to-right association — with the sign landing in two
+    bool masks: strictly positive, strictly negative.
+    """
+    cross = bqx * dry - bqy * drx
+    scale = b_abs + np.abs(drx) + np.abs(dry)
     tol = EPSILON * np.maximum(scale, 1.0)
-    return (cross > tol).astype(np.int8) - (cross < -tol).astype(np.int8)
+    return cross > tol, cross < -tol
 
 
 def _bounds_arr(px, py, ax, ay, bx, by):
@@ -222,20 +217,6 @@ def _bounds_arr(px, py, ax, ay, bx, by):
         & (np.minimum(ay, by) - EPSILON <= py)
         & (py <= np.maximum(ay, by) + EPSILON)
     )
-
-
-def _orient_signs(bqx, bqy, b_abs, drx, dry):
-    """Strictly-positive / strictly-negative orientation masks against a
-    shared base vector (``dq`` and ``|dqx| + |dqy|`` hoisted by the caller).
-
-    Same cross and tolerance floats as ``_orient_arr`` — the scale sum
-    keeps its left-to-right association — but the sign lands in two bool
-    masks, skipping the int8 materialization on the hot path.
-    """
-    cross = bqx * dry - bqy * drx
-    scale = b_abs + np.abs(drx) + np.abs(dry)
-    tol = EPSILON * np.maximum(scale, 1.0)
-    return cross > tol, cross < -tol
 
 
 def _edge_boxes_apart(ax, ay, bx, by, cx, cy, dx, dy, tol):
@@ -252,30 +233,15 @@ def _edge_boxes_apart(ax, ay, bx, by, cx, cy, dx, dy, tol):
     )
 
 
-def _pair_operands(operands, idx):
-    """The eight operands of the pairs at ``idx`` (a ``nonzero`` tuple).
-
-    Edge ``ab`` varies along the first axis of the pair layout and edge
-    ``cd`` along the last: rows and columns of the all-pairs matrix, one
-    and the same axis of the flat arrays.
-    """
-    ia, ic = idx[0], idx[-1]
-    return (*(v.ravel()[ia] for v in operands[:4]), *(v[ic] for v in operands[4:]))
-
-
 def _orient_hits(ax, ay, bx, by, cx, cy, dx, dy):
-    """``segments_intersect`` of edges ``ab`` vs ``cd`` past its box reject:
-    the orientation and collinear-bounds terms alone.
+    """``segments_intersect`` of edge ``ab`` vs edge ``cd`` past its box
+    reject: the orientation and collinear-bounds terms alone.
 
-    Two operand layouts share this one body: ``(n, 1)`` columns against
-    ``(m,)`` arrays broadcast to the all-pairs matrix, and equal-length
-    flat arrays test edge pair ``k`` only (the ragged pair kernel).
-
-    The four orientations share their base-vector differences and abs
-    sums (``o1``/``o2`` sit on edge ``ab``, ``o3``/``o4`` on ``cd``), and
-    signs stay as bool-mask pairs: ``o_i != o_j`` becomes a pair of mask
-    comparisons, ``o_i == 0`` becomes neither-mask.  Kernel-call count is
-    what dominates on small matrices, so every fused op counts.
+    The operands are equal-length flat arrays; entry ``k`` tests edge pair
+    ``k`` only.  The four orientations share their base-vector differences
+    and abs sums (``o1``/``o2`` sit on edge ``ab``, ``o3``/``o4`` on
+    ``cd``), and signs stay as bool-mask pairs: ``o_i != o_j`` becomes a
+    pair of mask comparisons, ``o_i == 0`` becomes neither-mask.
     """
     abx, aby = bx - ax, by - ay
     ab_abs = np.abs(abx) + np.abs(aby)
@@ -292,9 +258,9 @@ def _orient_hits(ax, ay, bx, by, cx, cy, dx, dy):
     # entries, not on every pair.
     nz = (p1 | n1) & (p2 | n2) & (p3 | n3) & (p4 | n4)
     if not nz.all():
-        z = np.nonzero(~nz)
-        axz, ayz, bxz, byz, cxz, cyz, dxz, dyz = _pair_operands(
-            (ax, ay, bx, by, cx, cy, dx, dy), z
+        z = np.nonzero(~nz)[0]
+        axz, ayz, bxz, byz, cxz, cyz, dxz, dyz = (
+            v[z] for v in (ax, ay, bx, by, cx, cy, dx, dy)
         )
         hz = hit[z]
         hz |= ~(p1[z] | n1[z]) & _bounds_arr(cxz, cyz, axz, ayz, bxz, byz)
@@ -306,31 +272,16 @@ def _orient_hits(ax, ay, bx, by, cx, cy, dx, dy):
 
 
 def _intersect_cols(*operands):
-    """Vectorized ``segments_intersect``; layouts as ``_orient_hits``.
+    """Vectorized ``segments_intersect``; operands as ``_orient_hits``.
 
     The definition's box reject can only turn a hit into a miss, and hits
     are few: the boxes of those entries alone are tested.
     """
     hit = _orient_hits(*operands)
     if hit.any():
-        h = np.nonzero(hit)
-        hit[h] = ~_edge_boxes_apart(*_pair_operands(operands, h), EPSILON)
+        h = np.nonzero(hit)[0]
+        hit[h] = ~_edge_boxes_apart(*(v[h] for v in operands), EPSILON)
     return hit
-
-
-def _intersect_matrix(ea, eb):
-    """Vectorized ``segments_intersect`` over all edge pairs."""
-    return _intersect_cols(*(ea[:, k : k + 1] for k in range(4)), *(eb[:, k] for k in range(4)))
-
-
-def _cross_any(ea, eb) -> bool:
-    """True if any edge of ``ea`` intersects any edge of ``eb`` (chunked)."""
-    if len(ea) == 0 or len(eb) == 0:
-        return False
-    for sl in _row_chunks(len(ea), len(eb)):
-        if bool(_intersect_matrix(ea[sl], eb).any()):
-            return True
-    return False
 
 
 def _point_segment_dist_sq_arr(px, py, ax, ay, bx, by):
@@ -360,282 +311,6 @@ def _endpoint_distance_sq_cols(ax, ay, bx, by, cx, cy, dx, dy):
             _point_segment_dist_sq_arr(dx, dy, ax, ay, bx, by),
         ),
     )
-
-
-def _seg_distance_sq_matrix(ea, eb):
-    """Vectorized ``segments.segment_segment_distance_sq`` over all pairs."""
-    ends = (*(ea[:, k : k + 1] for k in range(4)), *(eb[:, k] for k in range(4)))
-    return np.where(_intersect_cols(*ends), 0.0, _endpoint_distance_sq_cols(*ends))
-
-
-def _min_seg_distance_sq(ea, eb) -> float:
-    """Minimum squared distance over all edge pairs (chunked reduce)."""
-    best = float("inf")
-    for sl in _row_chunks(len(ea), len(eb)):
-        m = float(_seg_distance_sq_matrix(ea[sl], eb).min())
-        if m < best:
-            best = m
-            if best == 0.0:
-                return best
-    return best
-
-
-# ======================================================================
-# Point-location kernels
-# ======================================================================
-def _points_on_edges(px, py, edges) -> "np.ndarray":
-    """Per-point: does the point lie on any of ``edges``?  (on_segment batch)"""
-    out = np.zeros(px.shape[0], dtype=bool)
-    if len(edges) == 0:
-        return out
-    pxc, pyc = px[:, None], py[:, None]
-    ax, ay, bx, by = (edges[:, k] for k in range(4))
-    for sl in _row_chunks(px.shape[0], len(edges)):
-        o = _orient_arr(ax, ay, bx, by, pxc[sl], pyc[sl])
-        hit = (o == 0) & _bounds_arr(pxc[sl], pyc[sl], ax, ay, bx, by)
-        out[sl] = hit.any(axis=1)
-    return out
-
-
-def _shift_back(a):
-    """``np.roll(a, -1)`` without its axis-normalization overhead."""
-    out = np.empty_like(a)
-    out[:-1] = a[1:]
-    out[-1] = a[0]
-    return out
-
-
-def _shift_fwd(a):
-    """``np.roll(a, 1)`` without its axis-normalization overhead."""
-    out = np.empty_like(a)
-    out[1:] = a[:-1]
-    out[0] = a[-1]
-    return out
-
-
-def _ring_edge_arrays(ring: Ring):
-    c = ring.coords_array()
-    ax, ay = c[:, 0], c[:, 1]
-    bx, by = _shift_back(ax), _shift_back(ay)
-    return np.stack([ax, ay, bx, by], axis=1)
-
-
-def _ring_boundary_points(ring: Ring, px, py) -> "np.ndarray":
-    """Batch ``geometry._on_ring_boundary``."""
-    return _points_on_edges(px, py, _ring_edge_arrays(ring))
-
-
-def _ring_contains_points(ring: Ring, px, py) -> "np.ndarray":
-    """Batch ``Ring.contains_point``: MBR gate, boundary pre-check, ray cast."""
-    n_pts = px.shape[0]
-    res = np.zeros(n_pts, dtype=bool)
-    m = ring.mbr
-    sel = (m.min_x <= px) & (px <= m.max_x) & (m.min_y <= py) & (py <= m.max_y)
-    idx = np.nonzero(sel)[0]
-    if idx.size == 0:
-        return res
-    c = ring.coords_array()
-    n = len(c)
-    xi, yi = c[:, 0], c[:, 1]
-    # The scalar loop pairs vertex i with its predecessor j = i - 1 (mod n);
-    # edges run i -> i+1 (mod n).
-    xj, yj = _shift_fwd(xi), _shift_fwd(yi)
-    bx, by = _shift_back(xi), _shift_back(yi)
-    dqx, dqy = bx - xi, by - yi
-    dq_abs = np.abs(dqx) + np.abs(dqy)
-    step = max(1, _CHUNK_ELEMS // max(n, 1))
-    for start in range(0, idx.size, step):
-        sub = idx[start : start + step]
-        sx, sy = px[sub][:, None], py[sub][:, None]
-        # Boundary pre-check; the bounds tests run only on the (sparse)
-        # entries whose orientation is exactly zero.
-        pos, neg = _orient_signs(dqx, dqy, dq_abs, sx - xi, sy - yi)
-        nz = pos | neg
-        on_bnd = np.zeros(sub.size, dtype=bool)
-        if not nz.all():
-            zi, zj = np.nonzero(~nz)
-            ob = _bounds_arr(sx[zi, 0], sy[zi, 0], xi[zj], yi[zj], bx[zj], by[zj])
-            on_bnd[zi[ob]] = True
-        cond = (yi > sy) != (yj > sy)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            x_cross = (xj - xi) * (sy - yi) / (yj - yi) + xi
-        crossings = (cond & (sx < x_cross)).sum(axis=1)
-        inside = (crossings & 1).astype(bool)
-        res[sub] = on_bnd | inside
-    return res
-
-
-def _part_contains_points(part: Geometry, px, py) -> "np.ndarray":
-    """Batch point-in-primitive, replicating ``Geometry.contains_point``."""
-    if part.geom_type is GeometryType.POINT:
-        qx, qy = part.coords[0]
-        dx, dy = qx - px, qy - py
-        return dx * dx + dy * dy <= EPSILON * EPSILON
-    if part.geom_type is GeometryType.LINESTRING:
-        return _points_on_edges(px, py, part.edges_array())
-    assert part.exterior is not None
-    res = _ring_contains_points(part.exterior, px, py)
-    for hole in part.holes:
-        if not res.any():
-            break
-        strict = _ring_contains_points(hole, px, py) & ~_ring_boundary_points(
-            hole, px, py
-        )
-        res &= ~strict
-    return res
-
-
-def _points_intersect_geometry(geom: Geometry, px, py) -> "np.ndarray":
-    """Batch ``predicates.intersects(geom, POINT)``.
-
-    Unlike ``contains_point`` this includes the per-part MBR gates the
-    scalar ``intersects`` applies, which matter within EPSILON of a part's
-    bounding box (and make point-vs-point contact an exact equality).
-    """
-    m = geom.mbr
-    top = (m.min_x <= px) & (px <= m.max_x) & (m.min_y <= py) & (py <= m.max_y)
-    res = np.zeros(px.shape[0], dtype=bool)
-    for part in geom.simple_parts():
-        pm = part.mbr
-        gate = (pm.min_x <= px) & (px <= pm.max_x) & (pm.min_y <= py) & (py <= pm.max_y)
-        if part.geom_type is GeometryType.POINT:
-            qx, qy = part.coords[0]
-            res |= (px == qx) & (py == qy)
-        elif part.geom_type is GeometryType.LINESTRING:
-            res |= gate & _points_on_edges(px, py, part.edges_array())
-        else:
-            res |= gate & _part_contains_points(part, px, py)
-        if res.all():
-            break
-    return top & res
-
-
-# ======================================================================
-# Whole-geometry predicates (numpy implementations)
-# ======================================================================
-_TYPE_ORDER = {
-    GeometryType.POINT: 0,
-    GeometryType.LINESTRING: 1,
-    GeometryType.POLYGON: 2,
-}
-
-
-def _intersects_np(g1: Geometry, g2: Geometry) -> bool:
-    if not g1.mbr.intersects(g2.mbr):
-        return False
-    for a in g1.simple_parts():
-        for b in g2.simple_parts():
-            if a.mbr.intersects(b.mbr) and _simple_intersects_np(a, b):
-                return True
-    return False
-
-
-def _simple_intersects_np(a: Geometry, b: Geometry) -> bool:
-    if _TYPE_ORDER[a.geom_type] > _TYPE_ORDER[b.geom_type]:
-        a, b = b, a
-    ta, tb = a.geom_type, b.geom_type
-    if ta is GeometryType.POINT:
-        x, y = a.coords[0]
-        return b.contains_point(x, y)
-    if ta is GeometryType.LINESTRING and tb is GeometryType.LINESTRING:
-        return _cross_any(a.edges_array(), b.edges_array())
-    if ta is GeometryType.LINESTRING:  # line vs polygon
-        if _cross_any(a.edges_array(), b.edges_array()):
-            return True
-        x, y = a.coords[0]
-        return b.contains_point(x, y)
-    # polygon vs polygon
-    if _cross_any(a.edges_array(), b.edges_array()):
-        return True
-    ax, ay = a.exterior.coords[0]  # type: ignore[union-attr]
-    if b.contains_point(ax, ay):
-        return True
-    bx, by = b.exterior.coords[0]  # type: ignore[union-attr]
-    return a.contains_point(bx, by)
-
-
-def _distance_sq_np(g1: Geometry, g2: Geometry, stop_below_sq: float = 0.0) -> float:
-    """Vectorized ``distance.distance_sq``; same pruning, full-matrix mins."""
-    if g1.mbr.intersects(g2.mbr) and _intersects_np(g1, g2):
-        return 0.0
-    best = float("inf")
-    for a in g1.simple_parts():
-        for b in g2.simple_parts():
-            if _mbr_distance_sq(a, b) >= best:
-                continue
-            d = _simple_distance_sq_np(a, b)
-            if d < best:
-                best = d
-                if best <= stop_below_sq:
-                    return best
-    return best
-
-
-def _mbr_distance_sq(a: Geometry, b: Geometry) -> float:
-    ma, mb = a.mbr, b.mbr
-    dx = max(mb.min_x - ma.max_x, ma.min_x - mb.max_x, 0.0)
-    dy = max(mb.min_y - ma.max_y, ma.min_y - mb.max_y, 0.0)
-    return dx * dx + dy * dy
-
-
-def _simple_distance_sq_np(a: Geometry, b: Geometry) -> float:
-    if _TYPE_ORDER[a.geom_type] > _TYPE_ORDER[b.geom_type]:
-        a, b = b, a
-    ta, tb = a.geom_type, b.geom_type
-    if ta is GeometryType.POINT and tb is GeometryType.POINT:
-        (x1, y1), (x2, y2) = a.coords[0], b.coords[0]
-        dx, dy = x2 - x1, y2 - y1
-        return dx * dx + dy * dy
-    if ta is GeometryType.POINT:
-        px, py = a.coords[0]
-        e = b.edges_array()
-        return float(
-            _point_segment_dist_sq_arr(
-                px, py, e[:, 0], e[:, 1], e[:, 2], e[:, 3]
-            ).min()
-        )
-    return _min_seg_distance_sq(a.edges_array(), b.edges_array())
-
-
-def _within_distance_np(g1: Geometry, g2: Geometry, dist: float) -> bool:
-    """``distance.within_distance`` for ``dist > 0``."""
-    if not g1.mbr.expand(dist).intersects(g2.mbr):
-        return False
-    d2 = dist * dist
-    return _distance_sq_np(g1, g2, stop_below_sq=d2) <= d2
-
-
-# ======================================================================
-# Join-predicate kernels
-# ======================================================================
-def _all_points_array(geoms: Sequence[Geometry]):
-    """(n, 2) array when every candidate is a simple POINT, else None."""
-    for g in geoms:
-        if g.geom_type is not GeometryType.POINT:
-            return None
-    return np.asarray([g.coords[0] for g in geoms], dtype=np.float64).reshape(-1, 2)
-
-
-def _has_point_parts(g: Geometry) -> bool:
-    return any(p.geom_type is GeometryType.POINT for p in g.simple_parts())
-
-
-def _points_within_distance_np(g1: Geometry, pts, dist: float) -> List[bool]:
-    """within_distance of one edge-bearing geometry vs many points, batched."""
-    px, py = pts[:, 0], pts[:, 1]
-    exp = g1.mbr.expand(dist)
-    gate = (exp.min_x <= px) & (px <= exp.max_x) & (exp.min_y <= py) & (py <= exp.max_y)
-    inter = _points_intersect_geometry(g1, px, py)
-    edges = g1.edges_array()
-    best = np.full(px.shape[0], np.inf)
-    ax, ay, bx, by = (edges[:, k] for k in range(4))
-    for sl in _row_chunks(px.shape[0], len(edges)):
-        d = _point_segment_dist_sq_arr(
-            px[sl][:, None], py[sl][:, None], ax, ay, bx, by
-        )
-        best[sl] = d.min(axis=1)
-    result = gate & (inter | (best <= dist * dist))
-    return result.tolist()
 
 
 # ----------------------------------------------------------------------
@@ -689,29 +364,11 @@ def _pairs_np(geoms_a, geoms_b, dist: float) -> List[bool]:
         out[ks] = _poly_pairs_slice(rings, ia[ks], ib[ks], dist)
         start = end
     out = out.tolist()
-    # Everything else (points, lines, holes, multi-part): runs sharing a
-    # probe keep the all-points batch, the remainder goes pair by pair.
-    rest = np.nonzero(~flat)[0].tolist()
-    i = 0
-    while i < len(rest):
-        probe = geoms_a[rest[i]]
-        j = i + 1
-        while j < len(rest) and geoms_a[rest[j]] is probe:
-            j += 1
-        a = as_geometry(probe)
-        others = [as_geometry(geoms_b[k]) for k in rest[i:j]]
-        pts = _all_points_array(others)
-        if pts is not None and not dist:
-            verdicts = _points_intersect_geometry(a, pts[:, 0], pts[:, 1]).tolist()
-        elif pts is not None and not _has_point_parts(a):
-            verdicts = _points_within_distance_np(a, pts, dist)
-        elif dist:
-            verdicts = [_within_distance_np(a, b, dist) for b in others]
-        else:
-            verdicts = [_intersects_np(a, b) for b in others]
-        for k, ok in zip(rest[i:j], verdicts):
-            out[k] = ok
-        i = j
+    # Every other pair (points, lines, holes, multi-part) takes the scalar
+    # predicate the kernel is held to, in the pair's own order.
+    for k in np.nonzero(~flat)[0].tolist():
+        a, b = as_geometry(geoms_a[k]), as_geometry(geoms_b[k])
+        out[k] = within_distance(a, b, dist) if dist else intersects(a, b)
     return out
 
 

@@ -13,6 +13,7 @@ what the full decode returns.  Anything else is the caller's to decode.
 
 from __future__ import annotations
 
+import math
 from functools import reduce
 from operator import add, mul, sub
 from typing import Optional, Union
@@ -53,15 +54,15 @@ def pack_ring(vertices) -> Optional[PackedRing]:
     ``Ring.signed_area`` computes — the same products and subtractions,
     added left to right from 0.0 — so a zero-area, sliver or clockwise
     ring, which ``Ring.oriented`` would reverse, is refused.  A NaN or
-    infinite ordinate makes that sum NaN or infinite; NaN is refused by
-    the comparison, and an infinite sum only keeps a ring the full decode
-    keeps as well.
+    infinite ordinate, which ``Ring`` rejects, makes that sum NaN or
+    infinite, so a non-finite sum is refused too (an overflowing sum of
+    finite ordinates just takes the full decode).
     """
     if len(vertices) < 4 or vertices[0].tobytes() != vertices[-1].tobytes():
         return None
     xs, ys = vertices.T.tolist()
     total = reduce(add, map(sub, map(mul, xs, ys[1:]), map(mul, xs[1:], ys)), 0.0)
-    if not total / 2.0 > 0.0:
+    if not 0.0 < total / 2.0 < math.inf:
         return None
     return PackedRing(vertices)
 

@@ -12,9 +12,9 @@ between the buffer-cache row store and its IMCUs.  A
   vertices` order), so a whole chunk's coordinates decode with a single
   buffer read and per-row access is pointer arithmetic — the
   "zero per-row decode" path: :meth:`ColumnarChunk.coords_view` returns
-  an ndarray **aliasing** the chunk buffer and is pre-seeded into each
-  rebuilt geometry's ``_coords_array`` cache, so the numpy batch kernels
-  never rebuild per-geometry arrays;
+  an ndarray **aliasing** the chunk buffer, and each rebuilt polygon
+  ring's ``_coords_array`` cache is pre-seeded with such a view, so the
+  ring pair kernel never rebuilds a ring's vertex array;
 * ring structure as per-ring role codes + delta/varint-encoded lengths,
   and a dictionary for the (few distinct) SDO gtypes — the lightweight
   compression layer;
@@ -257,9 +257,9 @@ class ColumnarChunk:
     def geometry(self, i: int) -> Optional[Geometry]:
         """Row *i*'s geometry (``None`` for NULL), built lazily and cached.
 
-        Rebuilt geometries get their ``_coords_array`` / ring caches
-        pre-seeded with chunk-aliasing views, and ``_mbr`` seeded from the
-        MBR plane, so downstream kernels do no per-row decode at all.
+        Rebuilt polygon rings get their ``_coords_array`` caches pre-seeded
+        with chunk-aliasing views, and ``_mbr`` is seeded from the MBR
+        plane, so the ring pair kernel does no per-row decode at all.
         """
         cached = self._geoms[i]
         if cached is not _UNSET:
@@ -286,22 +286,18 @@ class ColumnarChunk:
             return [(xy[2 * k], xy[2 * k + 1]) for k in range(start, start + ln)]
 
         parts: List[Geometry] = []
-        aligned = True  # every ring kept its stored vertex order
         r = 0
         while r < len(rings):
             role, start, ln = rings[r]
             if role == _ROLE_POINT:
                 part = Geometry.point(xy[2 * start], xy[2 * start + 1])
-                self._seed(part, start, 1)
                 r += 1
             elif role == _ROLE_CHAIN:
                 part = Geometry.linestring(coords(start, ln))
-                self._seed(part, start, ln)
                 r += 1
             elif role == _ROLE_EXTERIOR:
                 outer = Ring(coords(start, ln)).oriented(ccw=True)
                 self._seed_ring(outer, start, ln)
-                part_start, nverts = start, ln
                 holes: List[Ring] = []
                 r += 1
                 while r < len(rings) and rings[r][0] == _ROLE_HOLE:
@@ -309,16 +305,10 @@ class ColumnarChunk:
                     hole = Ring(coords(hstart, hln)).oriented(ccw=False)
                     self._seed_ring(hole, hstart, hln)
                     holes.append(hole)
-                    nverts += hln
                     r += 1
                 part = Geometry(
                     GeometryType.POLYGON, exterior=outer, holes=tuple(holes)
                 )
-                ring_views = [outer._coords_array] + [h._coords_array for h in holes]
-                if all(v is not None for v in ring_views):
-                    self._seed(part, part_start, nverts)
-                else:
-                    aligned = False
             else:  # pragma: no cover - encoder never emits a dangling hole
                 raise StorageError(f"orphan hole ring in chunk row {i}")
             parts.append(part)
@@ -335,14 +325,7 @@ class ColumnarChunk:
             raise StorageError(f"unknown columnar gtype {gtype}")
         geom._mbr = self.mbr(i)
         geom._nvertices = self.vert_off[i + 1] - self.vert_off[i]
-        if aligned and geom._coords_array is None:
-            geom._coords_array = self._view(
-                self.vert_off[i], geom._nvertices
-            )
         return geom
-
-    def _seed(self, geom: Geometry, start: int, n: int) -> None:
-        geom._coords_array = self._view(start, n)
 
     def _seed_ring(self, ring: Ring, start: int, n: int) -> None:
         # A reversed ring (degenerate orientation) no longer matches the

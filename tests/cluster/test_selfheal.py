@@ -1,8 +1,8 @@
 """The self-healing gate: seeded network chaos plus a SIGKILLed leader,
 and the cluster must recover *unattended* — the health plane detects the
 death, the coordinator promotes the WAL follower, and queries issued
-during the failure window come back exact — with the numpy kernels, and
-with their scalar oracles (``tests/oracles.py``) in the forked shards.
+during the failure window come back exact.  (``test_cluster_join.py``
+replays cluster answers against the scalar oracles of ``tests/oracles.py``.)
 
 ``CHAOS_SEED`` parameterises the fault plan so the CI matrix can sweep
 seeds; any value must pass (``NetFaultPlan.random`` never draws an
@@ -14,15 +14,12 @@ import random
 import time
 from collections import Counter
 
-import pytest
-
 from repro import Database, Geometry
 from repro.cluster.chaos import NetFaultPlan
 from repro.cluster.local import LocalCluster
 from repro.cluster.router import RetryPolicy
 from repro.geometry.mbr import MBR
 from repro.geometry.wkt import to_wkt
-from tests.oracles import IMPLS, kernel_impl
 
 SEED = int(os.environ.get("CHAOS_SEED", "1337"))
 BOX = MBR(0.0, 0.0, 100.0, 100.0)
@@ -69,86 +66,84 @@ def wait_for(condition, timeout=20.0):
     return False
 
 
-@pytest.mark.parametrize("backend", IMPLS)
-def test_leader_kill_heals_unattended_with_exact_results(backend):
+def test_leader_kill_heals_unattended_with_exact_results():
     rows = make_rows()
-    with kernel_impl(backend):
-        reference = Counter(single_node_join(rows))
-        plan = NetFaultPlan(SEED)
-        with LocalCluster(
-            3,
-            BOX,
-            n_entries_hint=N_ROWS,
-            halo=2.0,
-            replicated=True,
-            durable=True,
-            auto_heal=True,
-            chaos_plan=plan,
-            health_kwargs=dict(
-                interval=0.05, timeout=0.5, suspect_after=1, down_after=3
-            ),
-            retry=RetryPolicy(
-                max_attempts=12, budget=64, backoff=0.05, backoff_cap=0.4
-            ),
-            breaker_threshold=1000,
-            client_timeout=10.0,
-        ) as cluster:
-            cluster.create_spatial_table("shapes")
-            totals = cluster.load("shapes", rows)
-            assert totals["placed"] == N_ROWS  # every row below is ACKED
+    reference = Counter(single_node_join(rows))
+    plan = NetFaultPlan(SEED)
+    with LocalCluster(
+        3,
+        BOX,
+        n_entries_hint=N_ROWS,
+        halo=2.0,
+        replicated=True,
+        durable=True,
+        auto_heal=True,
+        chaos_plan=plan,
+        health_kwargs=dict(
+            interval=0.05, timeout=0.5, suspect_after=1, down_after=3
+        ),
+        retry=RetryPolicy(
+            max_attempts=12, budget=64, backoff=0.05, backoff_cap=0.4
+        ),
+        breaker_threshold=1000,
+        client_timeout=10.0,
+    ) as cluster:
+        cluster.create_spatial_table("shapes")
+        totals = cluster.load("shapes", rows)
+        assert totals["placed"] == N_ROWS  # every row below is ACKED
 
-            # Arm the seeded random fault *now*, re-based onto the live
-            # chunk counters: DDL and ingest are acked and out of the
-            # blast radius, the failure window below takes the hit.
-            fault = NetFaultPlan.random(SEED)
-            for site, fire_at in fault.reset.items():
-                plan.reset[site] = plan.chunk_calls.get(site, 0) + fire_at
-            plan.latency.update(fault.latency)
-            plan.drip.update(fault.drip)
+        # Arm the seeded random fault *now*, re-based onto the live
+        # chunk counters: DDL and ingest are acked and out of the
+        # blast radius, the failure window below takes the hit.
+        fault = NetFaultPlan.random(SEED)
+        for site, fire_at in fault.reset.items():
+            plan.reset[site] = plan.chunk_calls.get(site, 0) + fire_at
+        plan.latency.update(fault.latency)
+        plan.drip.update(fault.drip)
 
-            cluster.kill_leader()  # SIGKILL; nobody calls failover()
+        cluster.kill_leader()  # SIGKILL; nobody calls failover()
 
-            # Queries issued while the leader is a corpse: the retry
-            # layer must ride out the detection + promotion window.
-            with cluster.client() as client:
-                session = client.start(
-                    "spatial_join",
-                    {
-                        "table_a": "shapes",
-                        "column_a": "geom",
-                        "table_b": "shapes",
-                        "column_b": "geom",
-                    },
-                )
-                during = Counter(
-                    (a, b) for a, b in session.rows(page=128)
-                )
-            assert during == reference, (
-                "join during the failure window diverged from the "
-                "single-node reference"
+        # Queries issued while the leader is a corpse: the retry
+        # layer must ride out the detection + promotion window.
+        with cluster.client() as client:
+            session = client.start(
+                "spatial_join",
+                {
+                    "table_a": "shapes",
+                    "column_a": "geom",
+                    "table_b": "shapes",
+                    "column_b": "geom",
+                },
             )
-
-            # Zero acked-write loss: the promoted replica serves every
-            # row the load was acknowledged for.
-            with cluster.client() as client:
-                session = client.start(
-                    "window",
-                    {
-                        "table": "shapes",
-                        "column": "geom",
-                        "wkt": FULL_WINDOW,
-                    },
-                )
-                got = sorted(row[0] for row in session.rows(page=256))
-            assert got == sorted(r[0] for r in rows)
-
-            # The recovery was automatic and exactly-once.
-            assert wait_for(lambda: cluster._failed_over), (
-                "health plane never promoted the follower"
+            during = Counter(
+                (a, b) for a, b in session.rows(page=128)
             )
-            if cluster.coordinator is not None:
-                cluster.coordinator.wait_idle(10.0)
-            assert cluster.router.resilience.get("failovers", 0) == 1
-            kinds = [e["kind"] for e in cluster.resilience_events()]
-            assert "failover_started" in kinds
-            assert "failover_done" in kinds
+        assert during == reference, (
+            "join during the failure window diverged from the "
+            "single-node reference"
+        )
+
+        # Zero acked-write loss: the promoted replica serves every
+        # row the load was acknowledged for.
+        with cluster.client() as client:
+            session = client.start(
+                "window",
+                {
+                    "table": "shapes",
+                    "column": "geom",
+                    "wkt": FULL_WINDOW,
+                },
+            )
+            got = sorted(row[0] for row in session.rows(page=256))
+        assert got == sorted(r[0] for r in rows)
+
+        # The recovery was automatic and exactly-once.
+        assert wait_for(lambda: cluster._failed_over), (
+            "health plane never promoted the follower"
+        )
+        if cluster.coordinator is not None:
+            cluster.coordinator.wait_idle(10.0)
+        assert cluster.router.resilience.get("failovers", 0) == 1
+        kinds = [e["kind"] for e in cluster.resilience_events()]
+        assert "failover_started" in kinds
+        assert "failover_done" in kinds

@@ -29,7 +29,7 @@ from repro.engine.table import Table
 from repro.errors import GeometryError, StorageError
 from repro.geometry import kernels
 from repro.geometry.geometry import Geometry
-from repro.geometry.packed import PackedRing
+from repro.geometry.packed import PackedRing, pack_ring
 from repro.storage.codec import decode_ring_column, decode_row, encode_row, encode_value
 from tests.oracles import secondary_filter_reference
 
@@ -323,3 +323,17 @@ def test_hostile_bytes_give_the_decode_or_a_typed_error():
                     predicate = JoinPredicate(distance=dist)
                     assert verdicts == [predicate.evaluate(geom, p) for p in PROBES]
     assert packed and fallback and refused, (packed, fallback, refused)
+
+
+def test_non_finite_stored_ring_is_refused_by_both_decodes():
+    # An infinite x at vertex 1 makes the shoelace sum +inf: positive, yet
+    # not a ring the full decode keeps.
+    data = bytearray(encode_row((7, Geometry.polygon([(0.0, -1.0), (1.0, 0.0), (0.0, 1.0)]))))
+    x1_at = _N_ELEM_AT + 4 + 4 * struct.unpack_from("<I", data, _N_ELEM_AT)[0] + 4 + 16
+    assert struct.unpack_from("<d", data, x1_at)[0] == 1.0
+    struct.pack_into("<d", data, x1_at, math.inf)
+    ring = np.array([(0.0, -1.0), (math.inf, 0.0), (0.0, 1.0), (0.0, -1.0)])
+    assert pack_ring(ring) is None
+    for decode in (decode_row, lambda d: decode_ring_column(d, 1)):
+        with pytest.raises(GeometryError, match="non-finite"):
+            decode(bytes(data))

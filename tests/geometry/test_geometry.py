@@ -99,6 +99,18 @@ class TestPolygon:
         poly = Geometry.polygon(SQUARE, holes=[HOLE])
         assert poly.area == 16.0 - 4.0
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_vertex_rejected(self, bad):
+        # Accepted, such a polygon got a finite MBR from its finite vertices
+        # while the pair kernel's NaN ring bounds failed every meet test:
+        # scalar and batch verdicts disagreed on a shared edge.
+        with pytest.raises(GeometryError, match="non-finite"):
+            Geometry.polygon([(0, 0), (1, 0), (bad, 1)])
+        with pytest.raises(GeometryError, match="non-finite"):
+            Geometry.polygon(SQUARE, holes=[[(1, 1), (1, bad), (3, 3)]])
+        with pytest.raises(GeometryError, match="non-finite"):
+            Ring([(bad, 0), (1, 0), (1, 1)])
+
     def test_hole_outside_rejected(self):
         with pytest.raises(GeometryError):
             Geometry.polygon(SQUARE, holes=[[(10, 10), (11, 10), (11, 11)]])

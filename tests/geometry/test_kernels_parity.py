@@ -168,15 +168,22 @@ class TestPredicateParity:
 
 
 # ----------------------------------------------------------------------
-# Edge-pair matrices: the shared core of every line/polygon fallback
-# (``_cross_any``, ``_min_seg_distance_sq``).
+# Edge-pair columns: the core of the ring pair kernel
+# (``_intersect_cols``, ``_endpoint_distance_sq_cols``).
 # ----------------------------------------------------------------------
 def _edge_matrices(ea, eb):
+    """Every ``(ea[i], eb[j])`` pair through the kernel's flat layout
+    (edge pair ``k`` at entry ``k`` of eight equal-length columns), folded
+    back to ``[i][j]`` lists."""
     ea = np.asarray(ea, dtype=np.float64).reshape(-1, 4)
     eb = np.asarray(eb, dtype=np.float64).reshape(-1, 4)
-    hits = kernels._intersect_matrix(ea, eb).tolist()
-    dist_sq = kernels._seg_distance_sq_matrix(ea, eb).tolist()
-    return hits, dist_sq
+    rows_a = ea.repeat(len(eb), axis=0).T.copy()
+    rows_b = np.tile(eb, (len(ea), 1)).T.copy()
+    ends = (*rows_a, *rows_b)
+    hits = kernels._intersect_cols(*ends)
+    dist_sq = np.where(hits, 0.0, kernels._endpoint_distance_sq_cols(*ends))
+    shape = (len(ea), len(eb))
+    return hits.reshape(shape).tolist(), dist_sq.reshape(shape).tolist()
 
 
 class TestSegmentKernelParity:
@@ -233,7 +240,7 @@ class TestSegmentKernelParity:
 
 
 # ----------------------------------------------------------------------
-# Point-in-polygon: all-point candidate runs take one batched probe.
+# Point-in-polygon: one probe geometry against many point candidates.
 # ----------------------------------------------------------------------
 class TestPointInPolygonParity:
     def _cases(self):

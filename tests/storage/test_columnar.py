@@ -140,19 +140,27 @@ class TestZeroDecodeViews:
             assert np.shares_memory(view, full)
 
     def test_rebuilt_geometry_coords_array_preseeded(self):
-        # The seeded cache must equal what lazy computation would build,
-        # and must alias the chunk buffer (no per-row decode).
+        # Every rebuilt polygon ring's seeded cache must equal what lazy
+        # computation would build, and must alias the chunk buffer (no
+        # per-row decode).
         _rows, _rowids, geoms, blob, _zone = make_chunk()
         chunk = ColumnarChunk.decode(blob)
         full = np.frombuffer(chunk.xy, dtype=np.float64)
+        seen = 0
         for i, g in enumerate(geoms):
             if g is None:
                 continue
-            rebuilt = chunk.geometry(i)
-            seeded = rebuilt._coords_array
-            assert seeded is not None
-            assert np.shares_memory(seeded, full)
-            assert np.array_equal(rebuilt.coords_array(), g.coords_array())
+            for part, orig in zip(chunk.geometry(i).simple_parts(), g.simple_parts()):
+                if part.exterior is None:
+                    continue
+                for ring, orig_ring in zip((part.exterior, *part.holes),
+                                           (orig.exterior, *orig.holes)):
+                    seeded = ring._coords_array
+                    assert seeded is not None
+                    assert np.shares_memory(seeded, full)
+                    assert np.array_equal(ring.coords_array(), orig_ring.coords_array())
+                    seen += 1
+        assert seen == 5
 
     def test_ring_views_preseeded_for_polygons(self):
         _rows, _rowids, geoms, blob, _zone = make_chunk()
