@@ -11,6 +11,14 @@ makes first-table fetches sweep the heap near-sequentially and maximises
 geometry-cache hits — which the :class:`GeometryCache` here makes
 measurable (the fetch-order ablation bench compares SORTED vs RANDOM
 through exactly this code path).
+
+A candidate array is resolved as arrays: its rowids are packed into int64
+keys once, one ``np.lexsort`` orders it, :meth:`GeometryCache.fetch_sequence`
+touches the cache once per distinct row of each segment of the access
+sequence and charges the repeat hits in bulk, and the pair kernel decides
+the array a group of ``kernels.GROUP_VERTICES`` at a time.  Results,
+cache state and every charge are those of resolving the ordered array
+one candidate at a time (``tests/oracles.py::secondary_filter_reference``).
 """
 
 from __future__ import annotations
@@ -18,8 +26,10 @@ from __future__ import annotations
 import enum
 import math
 from collections import OrderedDict
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Tuple, Union
+from dataclasses import dataclass
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple, Union
+
+import numpy as np
 
 from repro.engine.indextype import _relate_form, _within_distance_form
 from repro.engine.parallel import WorkerContext
@@ -36,6 +46,15 @@ from repro.storage.heap import RowId
 
 __all__ = ["FetchOrder", "GeometryCache", "SecondaryFilter", "JoinPredicate"]
 
+# A rowid packs into one int64 key as ``page << 16 | slot``: a heap page
+# (``pager.PAGE_SIZE`` bytes) holds far fewer than 2**16 slots, so keys
+# order as (page, slot) do.  The b side of a join of two tables (or two
+# columns) is tagged with a high bit, as the cache keys rows apart.
+_SLOT_BITS = 16
+_B_SIDE = 1 << 62
+
+CacheKey = Tuple[str, int, RowId]  # (table name, column index, rowid)
+
 
 class FetchOrder(enum.Enum):
     """Candidate processing order for the secondary filter."""
@@ -46,7 +65,8 @@ class FetchOrder(enum.Enum):
 
 
 class GeometryCache:
-    """Bounded LRU cache of fetched geometries, keyed by (table, rowid).
+    """Bounded LRU cache of fetched geometries, keyed by (table, column,
+    rowid).
 
     A cache miss charges full fetch cost (``geom_fetch_base`` + per-vertex);
     a hit charges only a buffer-get.  The hit ratio is the mechanism by
@@ -59,9 +79,7 @@ class GeometryCache:
 
     def __init__(self, capacity: int = 2048):
         self.capacity = max(1, capacity)
-        self._entries: "OrderedDict[Tuple[str, RowId], Union[Geometry, PackedRing]]" = (
-            OrderedDict()
-        )
+        self._entries: "OrderedDict[CacheKey, Union[Geometry, PackedRing]]" = OrderedDict()
         self.hits = 0
         self.misses = 0
 
@@ -73,7 +91,7 @@ class GeometryCache:
     def fetch(
         self, table: Table, rowid: RowId, column_index: int, ctx: Optional[WorkerContext]
     ) -> Union[Geometry, PackedRing]:
-        key = (table.name, rowid)
+        key = (table.name, column_index, rowid)
         cached = self._entries.get(key)
         if cached is not None:
             self.hits += 1
@@ -91,8 +109,114 @@ class GeometryCache:
             self._entries.popitem(last=False)
         return geom
 
+    def fetch_sequence(
+        self,
+        keys: np.ndarray,
+        locate: Callable[[int], Tuple[Table, RowId, int]],
+        ctx: Optional[WorkerContext],
+    ) -> Tuple[np.ndarray, Iterator[Tuple[int, list]]]:
+        """Serve accesses ``keys[0], keys[1], …`` as one :meth:`fetch` each would.
+
+        ``keys[i]`` is an int64 identity of access ``i``'s row (equal keys
+        for equal cache keys) and ``locate(i)`` the ``(table, rowid,
+        column_index)`` that :meth:`fetch` takes for it.
+
+        The sequence is cut into maximal segments of at most ``capacity``
+        distinct keys.  Per segment, :meth:`fetch` runs once per distinct
+        key in first-access order, every other access is counted as a hit
+        with one ``buffer_get_hit`` charge for all of them, and the
+        distinct keys then move to the end in last-access order.  Hits,
+        misses, evictions, the final LRU order and the charges are those
+        of one :meth:`fetch` per access, because a repeat only moves a key
+        already touched in the segment to the end.  Touched keys are all
+        newer than every untouched key, whichever way they are ordered
+        among themselves, so repeats never change which key is least
+        recent; a miss evicts the least recent key, and with at most
+        ``capacity`` touched keys that is always an untouched one.  So
+        every first access meets the cache the per-access run would,
+        every repeat finds its key still cached (a hit), and the touched
+        keys end in last-access order behind the untouched ones.
+
+        Returns ``(entry, segments)``.  Iterating ``segments`` serves one
+        segment per step and yields ``(end, geoms)``: the segment ends
+        before access ``end`` and ``geoms`` are its distinct rows in
+        first-access order.  Access ``i`` is geometry number ``entry[i]``,
+        counting the yielded geometries of all segments in turn.
+        """
+        first, last, entry = _distinct_accesses(keys)
+        ends = [len(keys)]
+        if len(first) > self.capacity:
+            # Cut greedily, then number each segment's distinct keys apart.
+            ends, seen = [], set()
+            for i, key in enumerate(entry.tolist()):
+                if key not in seen:
+                    if len(seen) == self.capacity:
+                        ends.append(i)
+                        seen = set()
+                    seen.add(key)
+            ends.append(len(keys))
+            segment = np.zeros(len(keys), dtype=np.int64)
+            segment[ends[:-1]] = 1
+            first, last, entry = _distinct_accesses(
+                np.cumsum(segment) * len(first) + entry
+            )
+        bounds = np.searchsorted(first, ends).tolist()
+        by_last = np.argsort(last).tolist()
+        return entry, self._serve(ends, bounds, first.tolist(), by_last, locate, ctx)
+
+    def _serve(self, ends, bounds, first, by_last, locate, ctx):
+        """The segments of :meth:`fetch_sequence`: segment ``s`` ends
+        before access ``ends[s]`` and owns the distinct keys numbered
+        ``bounds[s - 1]`` to ``bounds[s] - 1``, first accessed at
+        ``first`` and in last-access order in ``by_last``."""
+        fetch, move_to_end = self.fetch, self._entries.move_to_end
+        start = lo = 0
+        for end, hi in zip(ends, bounds):
+            geoms, keys = [], []
+            for i in first[lo:hi]:
+                table, rowid, column_index = locate(i)
+                geoms.append(fetch(table, rowid, column_index, ctx))
+                keys.append((table.name, column_index, rowid))
+            repeats = end - start - (hi - lo)
+            if repeats:
+                self.hits += repeats
+                if ctx is not None:
+                    ctx.charge("buffer_get_hit", repeats)
+            for k in by_last[lo:hi]:
+                move_to_end(keys[k - lo])
+            yield end, geoms
+            start, lo = end, hi
+
     def clear(self) -> None:
         self._entries.clear()
+
+
+def _distinct_accesses(seq: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The distinct values of ``seq``, numbered in first-access order:
+    their first positions (ascending), their last positions, and the
+    number of every access's value."""
+    order = np.argsort(seq, kind="stable")
+    run = seq[order]
+    head = np.ones(len(run), dtype=bool)
+    np.not_equal(run[1:], run[:-1], out=head[1:])
+    tail = np.ones(len(run), dtype=bool)
+    tail[:-1] = head[1:]
+    first, last = order[head], order[tail]
+    by_first = np.argsort(first)
+    number = np.empty(len(first), dtype=np.intp)
+    number[by_first] = np.arange(len(first))
+    entry = np.empty(len(run), dtype=np.intp)
+    entry[order] = number[np.cumsum(head) - 1]
+    return first[by_first], last[by_first], entry
+
+
+def _row_keys(candidates: Sequence[CandidatePair], side: int) -> np.ndarray:
+    """The packed (page, slot) keys of one side's rowids."""
+    return np.fromiter(
+        [c[side].page << _SLOT_BITS | c[side].slot for c in candidates],
+        dtype=np.int64,
+        count=len(candidates),
+    )
 
 
 @dataclass(frozen=True)
@@ -171,7 +295,7 @@ class SecondaryFilter:
             if interior_cache_capacity is None
             else interior_cache_capacity,
         )
-        self._interior: "OrderedDict[Tuple[str, RowId], object]" = OrderedDict()
+        self._interior: "OrderedDict[CacheKey, object]" = OrderedDict()
 
     def _is_intersect_predicate(self) -> bool:
         return self.predicate.distance == 0.0 and self.predicate.mask.upper() in (
@@ -182,7 +306,7 @@ class SecondaryFilter:
     def _interior_of(self, table: Table, rowid: RowId, column_index: int, ctx):
         """Interior rectangle for a row (cached; the real system stores
         these in the spatial index at creation time)."""
-        key = (table.name, rowid)
+        key = (table.name, column_index, rowid)
         rect = self._interior.get(key)
         if rect is None:
             geom = self.cache.fetch(table, rowid, column_index, ctx)
@@ -199,23 +323,26 @@ class SecondaryFilter:
         self.cache.clear()
         self._interior.clear()
 
-    def order_candidates(self, candidates: List[CandidatePair]) -> List[CandidatePair]:
+    def _permutation(self, keys_a: np.ndarray, keys_b: np.ndarray) -> np.ndarray:
+        """Processing order of an array, as candidate positions."""
         if self.fetch_order is FetchOrder.SORTED:
-            # Flat int key: same (page, slot) lexicographic order as
-            # comparing the RowIds, without per-comparison dataclass calls.
-            return sorted(
-                candidates,
-                key=lambda c: (c[0].page, c[0].slot, c[1].page, c[1].slot),
-            )
+            # Stable, so ties keep their produced order, as ``sorted`` did.
+            return np.lexsort((keys_b, keys_a))
         if self.fetch_order is FetchOrder.RANDOM:
             if self._rng is None:
                 import random
 
                 self._rng = random.Random(self.rng_seed)
-            shuffled = list(candidates)
-            self._rng.shuffle(shuffled)
-            return shuffled
-        return list(candidates)
+            # The shuffle depends only on the length: the same permutation
+            # as shuffling the candidates themselves.
+            order = list(range(len(keys_a)))
+            self._rng.shuffle(order)
+            return np.array(order, dtype=np.intp)
+        return np.arange(len(keys_a))
+
+    def order_candidates(self, candidates: List[CandidatePair]) -> List[CandidatePair]:
+        order = self._permutation(_row_keys(candidates, 0), _row_keys(candidates, 1))
+        return [candidates[i] for i in order.tolist()]
 
     def process(
         self,
@@ -226,41 +353,109 @@ class SecondaryFilter:
         with trace.span(
             "join.secondary_filter", ctx, candidates=len(candidates)
         ) as sp:
-            results: List[Tuple[RowId, RowId]] = []
-            if ctx is not None:
+            n = len(candidates)
+            if ctx is not None and n > 1 and self.fetch_order is FetchOrder.SORTED:
                 # Ordering the array is itself work (paper §4.2 sorts it).
-                n = len(candidates)
-                if n > 1 and self.fetch_order is FetchOrder.SORTED:
-                    ctx.charge("sort_per_item", n * math.log2(n))
-            ordered = self.order_candidates(candidates)
-            self._process_array(ordered, results, ctx)
+                ctx.charge("sort_per_item", n * math.log2(n))
+            keys_a, keys_b = _row_keys(candidates, 0), _row_keys(candidates, 1)
+            order = self._permutation(keys_a, keys_b)
+            self.candidates_seen += n
+            if self.use_interior:
+                verdicts = self._resolve_each(candidates, order, ctx)
+            else:
+                verdicts = self._resolve_array(
+                    candidates, order, keys_a[order], keys_b[order], ctx
+                )
+            chosen = order[verdicts].tolist()
+            results = [(candidates[i][0], candidates[i][1]) for i in chosen]
+            if ctx is not None and results:
+                ctx.charge("result_row", len(results))
             self.results_produced += len(results)
             sp.set_tag("results", len(results))
             sp.set_tag("cache_hit_ratio", self.cache.hit_ratio)
         return results
 
-    def _process_array(
-        self,
-        ordered: List[CandidatePair],
-        results: List[Tuple[RowId, RowId]],
-        ctx: Optional[WorkerContext],
-    ) -> None:
-        """Resolve an ordered candidate array with the pair kernel.
+    def _resolve_array(self, candidates, order, keys_a, keys_b, ctx) -> np.ndarray:
+        """Verdicts of the ordered array ``candidates[order]``.
 
-        Fast-accepts and fetches run candidate by candidate, so cache state,
-        hit/miss counters and every charge match a per-candidate loop; only
-        the exact tests are deferred, to the end of the array or of a group
-        of `kernels.GROUP_VERTICES`, whichever comes first.
+        The access sequence a₀ b₀ a₁ b₁ … goes to the cache a segment at a
+        time, and kernel groups are cut where the running vertex count of
+        the candidates reaches ``kernels.GROUP_VERTICES``.  Geometry is
+        held from the open group's first access on, so at most the cache's
+        capacity plus one group of decoded rows is alive at a time.
         """
-        self.candidates_seen += len(ordered)
+        n = len(order)
+        keys = np.empty(2 * n, dtype=np.int64)
+        keys[0::2] = keys_a
+        same_rows = (self.table_a.name, self._col_a) == (self.table_b.name, self._col_b)
+        keys[1::2] = keys_b if same_rows else keys_b | _B_SIDE
+        sides = ((self.table_a, self._col_a), (self.table_b, self._col_b))
+        positions = order.tolist()
+
+        def locate(i: int):
+            table, column_index = sides[i & 1]
+            return table, candidates[positions[i >> 1]][i & 1], column_index
+
+        verdicts = np.zeros(n, dtype=bool)
+        if not n:
+            return verdicts
+        entry, segments = self.cache.fetch_sequence(keys, locate, ctx)
+        uses = np.bincount(entry).tolist()
+        pool: list = []  # geometries number base, base + 1, … of ``entry``
+        base = lo = 0  # lo: the open group's first candidate
+        load = 0  # vertices fetched since access 2 * lo
+        for end, geoms in segments:
+            fresh = base + len(pool)
+            pool.extend(geoms)
+            load += sum(
+                g.num_vertices * u for g, u in zip(geoms, uses[fresh : fresh + len(geoms)])
+            )
+            last = end == 2 * n
+            if load < kernels.GROUP_VERTICES and not last:
+                continue  # no group can be complete yet
+            pooled = np.fromiter(pool, dtype=object, count=len(pool))
+            vertices = np.fromiter(
+                (g.num_vertices for g in pool), dtype=np.int64, count=len(pool)
+            )[entry[2 * lo : end] - base]
+            # Running vertex count of the candidates complete so far.
+            ready = (end >> 1) - lo
+            running = np.cumsum(
+                vertices[0 : 2 * ready : 2] + vertices[1 : 2 * ready : 2]
+            )
+            done = 0
+            while done < ready:
+                floor = int(running[done - 1]) if done else 0
+                cut = int(np.searchsorted(running, floor + kernels.GROUP_VERTICES)) + 1
+                if cut > ready:
+                    if not last:
+                        break
+                    cut = ready
+                group = pooled[entry[2 * (lo + done) : 2 * (lo + cut)] - base].tolist()
+                verdicts[lo + done : lo + cut] = self._exact_tests(
+                    group[0::2], group[1::2], int(running[cut - 1]) - floor, ctx
+                )
+                done = cut
+            lo += done
+            load = int(vertices[2 * done :].sum())
+            # Release the geometry of resolved groups.
+            keep = int(entry[2 * lo : end].min()) if 2 * lo < end else base + len(pool)
+            del pool[: keep - base]
+            base = keep
+        return verdicts
+
+    def _resolve_each(self, candidates, order, ctx) -> np.ndarray:
+        """:meth:`_resolve_array` with the interior fast-accept: its cache
+        misses interleave with the exact fetches, so this path fetches
+        candidate by candidate."""
         fetch = self.cache.fetch
-        verdicts = [False] * len(ordered)
+        verdicts = np.zeros(len(order), dtype=bool)
         pending: List[int] = []
         geoms_a: List[Union[Geometry, PackedRing]] = []
         geoms_b: List[Union[Geometry, PackedRing]] = []
         nv = 0
-        for k, (rid_a, rid_b, mbr_a, mbr_b) in enumerate(ordered):
-            if self.use_interior and self._fast_accept(rid_a, rid_b, mbr_a, mbr_b, ctx):
+        for k, i in enumerate(order.tolist()):
+            rid_a, rid_b, mbr_a, mbr_b = candidates[i]
+            if self._fast_accept(rid_a, rid_b, mbr_a, mbr_b, ctx):
                 self.fast_accepts += 1
                 verdicts[k] = True
                 continue
@@ -271,29 +466,25 @@ class SecondaryFilter:
             geoms_a.append(g1)
             geoms_b.append(g2)
             if nv >= kernels.GROUP_VERTICES:
-                self._resolve_group(pending, geoms_a, geoms_b, nv, verdicts, ctx)
+                verdicts[pending] = self._exact_tests(geoms_a, geoms_b, nv, ctx)
                 pending, geoms_a, geoms_b, nv = [], [], [], 0
         if pending:
-            self._resolve_group(pending, geoms_a, geoms_b, nv, verdicts, ctx)
-        before = len(results)
-        results.extend((c[0], c[1]) for c, ok in zip(ordered, verdicts) if ok)
-        if ctx is not None and len(results) > before:
-            ctx.charge("result_row", len(results) - before)
+            verdicts[pending] = self._exact_tests(geoms_a, geoms_b, nv, ctx)
+        return verdicts
 
-    def _resolve_group(self, pending, geoms_a, geoms_b, nv, verdicts, ctx) -> None:
-        """Exact tests of candidates ``pending`` in one pair-kernel call."""
+    def _exact_tests(self, geoms_a, geoms_b, nv, ctx) -> List[bool]:
+        """Exact tests of one group of candidates in one pair-kernel call."""
         if ctx is not None:
-            ctx.charge("exact_test_base", len(pending))
+            ctx.charge("exact_test_base", len(geoms_a))
             ctx.charge("exact_test_per_vertex", nv)
         resolved = kernels.evaluate_predicate_pairs(
             geoms_a, geoms_b, self.predicate.mask, self.predicate.distance
         )
         if resolved is not None:
-            self.batched_candidates += len(pending)
-        else:  # unsupported mask: scalar per candidate
-            resolved = [self.predicate.evaluate(a, b) for a, b in zip(geoms_a, geoms_b)]
-        for k, ok in zip(pending, resolved):
-            verdicts[k] = ok
+            self.batched_candidates += len(geoms_a)
+            return resolved
+        # unsupported mask: scalar per candidate
+        return [self.predicate.evaluate(a, b) for a, b in zip(geoms_a, geoms_b)]
 
     def _fast_accept(self, rid_a, rid_b, mbr_a, mbr_b, ctx) -> bool:
         """Sound intersection certificates from interior approximations.

@@ -168,11 +168,9 @@ class SpatialJoinFunction(TableFunction):
                 self.stats.candidate_pairs += len(candidates)
                 results = self._filter.process(candidates, ctx)
                 self.stats.result_pairs += len(results)
-                for pair in results:
-                    if len(out) < max_rows:
-                        out.append(pair)
-                    else:
-                        self._out_buffer.append(pair)
+                room = max_rows - len(out)
+                out.extend(results[:room])
+                self._out_buffer.extend(results[room:])
             self.stats.mbr_tests = self._join.pairs_tested
             self.stats.cache_hit_ratio = self._filter.cache.hit_ratio
             fetch_span.set_tag("rows", len(out))

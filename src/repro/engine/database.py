@@ -151,8 +151,9 @@ class Database:
         if kind == "QUADTREE" and "domain" not in parameters:
             parameters["domain"] = self._infer_domain(table, column)
 
-        index = self.indextypes.create(kind, name, table, column, **parameters)
+        # A bad degree fails before the index is registered.
         executor = make_executor(parallel, self.cost_model, use_processes)
+        index = self.indextypes.create(kind, name, table, column, **parameters)
 
         # Every build goes through the table-function path so degree 1 and
         # degree N run the same code under one cost model.

@@ -49,9 +49,16 @@ __all__ = [
     "SerialExecutor",
     "SimulatedExecutor",
     "ProcessExecutor",
+    "MAX_DEGREE",
 ]
 
 T = TypeVar("T")
+
+#: The largest degree of parallelism an executor is built for: 4x the
+#: largest any bench or test runs (512; the paper's largest is 16).  A
+#: simulated executor scans every worker's meter per task, so an unbounded
+#: degree from a request is unbounded work.
+MAX_DEGREE = 2048
 
 Task = Callable[["WorkerContext"], T]
 
@@ -235,6 +242,21 @@ def _portable_error(exc: BaseException) -> BaseException:
         return EngineError(f"{type(exc).__name__}: {exc}")
 
 
+class _FirstTask:
+    """A worker's view of the shared task queue: its own first task, then
+    whatever the queue hands out."""
+
+    def __init__(self, first: int, queue) -> None:
+        self._first: Optional[int] = first
+        self._queue = queue
+
+    def get(self) -> Optional[int]:
+        if self._first is None:
+            return self._queue.get()
+        first, self._first = self._first, None
+        return first
+
+
 def _process_worker(worker_id, tasks, task_queue, conn) -> None:
     """Slave-process loop: pull task indices until the ``None`` sentinel.
 
@@ -288,11 +310,12 @@ def _process_worker(worker_id, tasks, task_queue, conn) -> None:
 class ProcessExecutor(ParallelExecutor):
     """Real-process executor: Oracle's slave *processes*, literally.
 
-    Forked children pull task indices from a shared queue (demand-driven)
-    and stream results back over per-worker pipes.  Because children are
-    forks, the *tasks* never need to pickle — only their results and meter
-    counts do.  On platforms without the ``fork`` start method ``run``
-    raises :class:`~repro.errors.EngineError`.
+    Forked children each run one task of their own, then pull task
+    indices from a shared queue (demand-driven), and stream results back
+    over per-worker pipes.  Because children are forks, the *tasks* never
+    need to pickle — only their results and meter counts do.  On
+    platforms without the ``fork`` start method ``run`` raises
+    :class:`~repro.errors.EngineError`.
 
     A worker that *dies* (killed, segfaulted, OOMed) mid-task does not
     poison the batch: its in-flight task is requeued and retried on a
@@ -341,7 +364,10 @@ class ProcessExecutor(ParallelExecutor):
 
         nworkers = min(self.degree, len(tasks))
         task_queue = mp.Queue()
-        for index in range(len(tasks)):
+        # Task ``w`` is worker ``w``'s first; the rest go to whichever
+        # worker asks first.  So every worker runs at least one task, even
+        # when one forks late and the others could have drained the queue.
+        for index in range(nworkers, len(tasks)):
             task_queue.put(index)
         # Exit sentinels are sent only once every task has a result: a task
         # requeued after a worker death must reach a survivor before the
@@ -357,7 +383,12 @@ class ProcessExecutor(ParallelExecutor):
             procs.append(
                 mp.Process(
                     target=_process_worker,
-                    args=(worker_id, list(tasks), task_queue, send_conn),
+                    args=(
+                        worker_id,
+                        list(tasks),
+                        _FirstTask(worker_id, task_queue),
+                        send_conn,
+                    ),
                     daemon=True,
                 )
             )
@@ -520,8 +551,11 @@ def make_executor(
     """Executor factory used throughout the library.
 
     Degree 1 always maps to :class:`SerialExecutor`; higher degrees map to
-    the simulated executor unless real processes are requested.
+    the simulated executor unless real processes are requested.  A degree
+    above :data:`MAX_DEGREE` is an :class:`~repro.errors.EngineError`.
     """
+    if degree > MAX_DEGREE:
+        raise EngineError(f"parallel degree must be <= {MAX_DEGREE}, got {degree}")
     if degree == 1:
         return SerialExecutor(cost_model)
     if use_processes:

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import os
 import threading
-from typing import Any, Dict, Iterator, Tuple
+from typing import Any, Dict, Iterator, Optional, Tuple
 
 from repro.errors import JoinError, OperatorError, ServerError
 from repro.engine.database import Database
@@ -38,7 +38,7 @@ from repro.geometry.wkt import from_wkt
 from repro.obs import trace
 from repro.server.protocol import jsonify_row, rowid_to_wire
 
-__all__ = ["BadRequest", "QueryService"]
+__all__ = ["BadRequest", "MAX_CANDIDATE_ARRAY_SIZE", "QueryService"]
 
 
 class BadRequest(ServerError):
@@ -52,10 +52,19 @@ def _require(params: Dict[str, Any], *names: str) -> Tuple[Any, ...]:
     return tuple(params[n] for n in names)
 
 
-def _positive_int(params: Dict[str, Any], name: str, default: int) -> int:
+#: The largest candidate array a wire join may ask for (Ablation B's
+#: largest): the secondary filter holds and orders a whole array at once.
+MAX_CANDIDATE_ARRAY_SIZE = 32768
+
+
+def _positive_int(
+    params: Dict[str, Any], name: str, default: int, most: Optional[int] = None
+) -> int:
     value = params.get(name, default)
     if type(value) is not int or value < 1:
         raise BadRequest(f"{name} must be an integer >= 1, got {value!r}")
+    if most is not None and value > most:
+        raise BadRequest(f"{name} must be <= {most}, got {value!r}")
     return value
 
 
@@ -246,7 +255,10 @@ class QueryService:
             )
         parallel = _positive_int(params, "parallel", 1)
         candidate_array_size = _positive_int(
-            params, "candidate_array_size", DEFAULT_CANDIDATE_ARRAY_SIZE
+            params,
+            "candidate_array_size",
+            DEFAULT_CANDIDATE_ARRAY_SIZE,
+            MAX_CANDIDATE_ARRAY_SIZE,
         )
         use_processes = bool(params.get("use_processes", False))
         cpus = os.cpu_count() or 1

@@ -150,3 +150,28 @@ class TestSecondaryFilter:
             JoinPredicate(), cache_capacity=13, use_interior=True,
         )
         assert f._interior_capacity == 13
+
+
+def test_two_columns_of_one_table_are_cached_apart():
+    """The cache keys a row by column as well as by table and rowid: a
+    join of two geometry columns of one table must not hand one column's
+    geometry to the other side (an L and a square inside its MBR that it
+    does not touch; same row on both sides)."""
+    db = Database()
+    db.sql("create table t (id number, g1 sdo_geometry, g2 sdo_geometry)")
+    db.sql(
+        "insert into t values (1, "
+        "sdo_geometry('POLYGON ((0 0, 10 0, 10 1, 1 1, 1 10, 0 10, 0 0))'), "
+        "sdo_geometry('POLYGON ((5 5, 6 5, 6 6, 5 6, 5 5))'))"
+    )
+    db.create_spatial_index("t_g1", "t", "g1", kind="RTREE")
+    db.create_spatial_index("t_g2", "t", "g2", kind="RTREE")
+    assert db.nested_loop_join("t", "g1", "t", "g2").pairs == []
+    assert db.spatial_join("t", "g1", "t", "g2").pairs == []
+    for use_interior in (False, True):
+        table = db.table("t")
+        (rid, row), = table.scan()
+        f = SecondaryFilter(
+            table, "g1", table, "g2", JoinPredicate(), use_interior=use_interior
+        )
+        assert f.process([(rid, rid, row[1].mbr, row[2].mbr)]) == []

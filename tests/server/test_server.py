@@ -15,10 +15,11 @@ import pytest
 
 from repro import Database, Geometry
 from repro.datasets import load_geometries
-from repro.engine.parallel import ProcessExecutor, WorkerContext
+from repro.engine.parallel import MAX_DEGREE, ProcessExecutor, WorkerContext, make_executor
+from repro.errors import CatalogError, EngineError
 from repro.geometry.wkt import to_wkt
 from repro.server import BackgroundServer, QueryClient, QueryService, RemoteError
-from repro.server.service import BadRequest
+from repro.server.service import MAX_CANDIDATE_ARRAY_SIZE, BadRequest
 from repro.server.protocol import (
     ERR_BAD_REQUEST,
     ERR_DEADLINE,
@@ -221,7 +222,7 @@ class TestQueryKinds:
     ):
         """``use_processes`` forks one slave per degree: a degree above
         ``os.cpu_count()`` is refused before any fork; simulated degrees
-        stay unbounded."""
+        are bounded only by ``MAX_DEGREE``."""
         _, db = served
         too_many = {**JOIN_PARAMS, "parallel": 512, "strategy": "GRID"}
         forks = []
@@ -237,6 +238,50 @@ class TestQueryKinds:
         monkeypatch.undo()
         rows = client.start("spatial_join", too_many).all(page=4096)
         assert wire_pairs_to_tuples(sorted(rows)) == sorted(expected_join_pairs(db))
+
+    @pytest.mark.parametrize(
+        "kind, params",
+        [
+            ("spatial_join", {**JOIN_PARAMS, "parallel": 100000}),
+            ("spatial_join", {**JOIN_PARAMS, "parallel": 100000, "strategy": "GRID"}),
+            ("sql", {"statement": "select * from TABLE(spatial_join("
+                     "'a_tab','geom','b_tab','geom','intersect', 0, 100000))"}),
+            ("sql", {"statement": "create index a_idx2 on a_tab(geom) indextype "
+                     "is spatial_index parameters ('kind=RTREE') parallel 100000"}),
+        ],
+        ids=["join", "grid", "sql-join", "create-index"],
+    )
+    def test_degree_above_the_bound_is_a_bad_request(self, served, client, kind, params):
+        """A degree above ``MAX_DEGREE`` is refused before any work (a
+        simulated executor scans every worker's meter per task), as an
+        ``EngineError`` the wire answers as BAD_REQUEST; the connection
+        stays usable and no index is left behind."""
+        _, db = served
+        with pytest.raises(EngineError, match=f"<= {MAX_DEGREE}"):
+            make_executor(MAX_DEGREE + 1)
+        assert make_executor(MAX_DEGREE).degree == MAX_DEGREE
+        with pytest.raises(RemoteError, match="parallel degree") as info:
+            client.start(kind, params)
+        assert info.value.code == ERR_BAD_REQUEST
+        rows = client.start("spatial_join", JOIN_PARAMS).all(page=4096)
+        assert wire_pairs_to_tuples(rows) == expected_join_pairs(db)
+        with pytest.raises(CatalogError):
+            db.spatial_index("a_idx2")
+
+    def test_candidate_array_size_is_bounded(self, served, client):
+        """One request cannot make the filter hold every candidate of a
+        join in one array: above ``MAX_CANDIDATE_ARRAY_SIZE`` is
+        BAD_REQUEST; the bound itself runs."""
+        _, db = served
+        too_big = {**JOIN_PARAMS, "candidate_array_size": MAX_CANDIDATE_ARRAY_SIZE + 1}
+        with pytest.raises(BadRequest, match="candidate_array_size must be <= 32768"):
+            QueryService(db).open("spatial_join", too_big, WorkerContext(0))
+        with pytest.raises(RemoteError, match="candidate_array_size") as info:
+            client.start("spatial_join", too_big)
+        assert info.value.code == ERR_BAD_REQUEST
+        largest = {**JOIN_PARAMS, "candidate_array_size": MAX_CANDIDATE_ARRAY_SIZE}
+        rows = client.start("spatial_join", largest).all(page=4096)
+        assert wire_pairs_to_tuples(rows) == expected_join_pairs(db)
 
     def test_use_threads_on_the_wire_is_ignored(self, served, client):
         """No engine entry point runs tasks on threads; the key is an
