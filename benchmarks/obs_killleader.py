@@ -9,7 +9,7 @@ auto-heal, nobody calls ``failover()``) but this time the metrics/SLO
 plane and distributed tracing are attached, and the *assertions* are
 about what observability captured rather than about recovery itself:
 
-1. the ``cluster.replication.lag_seconds`` gauge **spikes** after the
+1. the ``repro_cluster_replication_lag_seconds`` gauge **spikes** after the
    kill (the follower reports time-since-caught-up while the leader is
    dead) and the spike is visible in the store's ring buffer;
 2. the per-shard **breaker-state metric** is present in the store;
@@ -158,7 +158,7 @@ def main() -> int:
             lag_before = [
                 v
                 for _, v in plane.store.range_query(
-                    "cluster.replication.lag_seconds"
+                    "repro_cluster_replication_lag_seconds"
                 )
             ]
             kill_wall = time.perf_counter()
@@ -181,10 +181,10 @@ def main() -> int:
             lag_all = [
                 v
                 for _, v in store.range_query(
-                    "cluster.replication.lag_seconds"
+                    "repro_cluster_replication_lag_seconds"
                 )
             ]
-            breaker_shards = store.match("cluster.breaker.state")
+            breaker_shards = store.match("repro_cluster_breaker_state")
             elapsed_since_kill = time.perf_counter() - kill_wall
     finally:
         trace.disable()

@@ -310,7 +310,21 @@ class LocalCluster:
             **self.router_kwargs,
         )
         if self.obs_plane:
-            self.plane = self._build_plane()
+            # The plane pulls: its one collector reads the router
+            # server's registry, added below once that server exists.
+            from repro.obs.plane import (
+                ObservabilityPlane,
+                default_cluster_slos,
+                registry_collector,
+            )
+
+            self.plane = ObservabilityPlane(
+                slos=default_cluster_slos()
+                if self.obs_slos is None
+                else list(self.obs_slos),
+                interval=self.obs_interval,
+                **self.obs_kwargs,
+            )
         self.server = BackgroundServer(
             None,
             server_factory=RouterServer,
@@ -320,9 +334,12 @@ class LocalCluster:
             plane=self.plane,
         ).start()
         self.port = self.server.port
+        metrics = self.server.server.metrics
+        self._declare_cluster_gauges(metrics)
         if self.plane is not None:
-            # Scrape only once the router server (whose metrics the
-            # collectors read) is live.
+            self.plane.add_collector(
+                registry_collector(metrics, self.plane.engine.slos), name="router"
+            )
             self.plane.start()
         if self.monitor is not None:
             if self.auto_heal:
@@ -339,108 +356,65 @@ class LocalCluster:
         return self
 
     # ------------------------------------------------------------------
-    def _build_plane(self):
-        """Metrics/SLO plane over the whole topology (``obs_plane=True``).
+    def _declare_cluster_gauges(self, metrics) -> None:
+        """State only the cluster harness can see — replication lag,
+        scatter fan-out, deadline misses, breakers, chaos faults, shard
+        health — as live families on the router's registry, so /metrics,
+        the plane and the dashboard all read them."""
+        breaker_code = {"closed": 0, "open": 1, "half_open": 2}
 
-        Collectors pull — the router, breakers, follower and chaos plan
-        just keep the counters they already kept, so a cluster without a
-        plane pays nothing.  The router-server snapshot collector binds
-        ``self.server`` lazily (the server starts after this runs).
-        """
-        from repro.obs.plane import (
-            ObservabilityPlane,
-            default_cluster_slos,
-            server_metrics_collector,
-        )
+        def live(attr, read):
+            # Read at collect time; no samples while ``self.<attr>`` is
+            # None (the follower after a failover, an unset monitor/plan).
+            def collect():
+                source = getattr(self, attr)
+                return [] if source is None else read(source)
+            return collect
 
-        slos = (
-            list(self.obs_slos)
-            if self.obs_slos is not None
-            else default_cluster_slos()
-        )
-        plane = ObservabilityPlane(
-            slos=slos, interval=self.obs_interval, **self.obs_kwargs
-        )
-        plane.add_collector(
-            server_metrics_collector(
-                lambda: self.server.server.metrics.snapshot()
-            ),
-            name="router_server",
-        )
-        plane.add_collector(self._cluster_collector(), name="cluster")
-        return plane
+        def breakers(read):
+            return live("router", lambda router: [
+                ((shard,), read(breaker.status()))
+                for shard, breaker in router.breakers.items()
+            ])
 
-    def _cluster_collector(self):
-        """Gauges only the cluster harness can see: replication lag,
-        breaker states, chaos faults, scatter fan-out, shard health."""
-        breaker_code = {"closed": 0.0, "open": 1.0, "half_open": 2.0}
-
-        def collect(store, now: float) -> None:
-            follower = self.follower  # may become None after failover
-            if follower is not None:
-                store.observe(
-                    "cluster.replication.lag_lsn",
-                    None,
-                    float(follower.lag_lsn),
-                    now,
-                )
-                store.observe(
-                    "cluster.replication.lag_seconds",
-                    None,
-                    follower.lag_seconds,
-                    now,
-                )
-            router = self.router
-            if router is not None:
-                store.observe(
-                    "cluster.scatter.fanout",
-                    None,
-                    float(router.last_fanout),
-                    now,
-                )
-                for shard, n in dict(router.deadline_misses).items():
-                    store.observe(
-                        "cluster.deadline_misses",
-                        {"shard": shard},
-                        float(n),
-                        now,
-                    )
-                for shard, breaker in router.breakers.items():
-                    status = breaker.status()
-                    labels = {"shard": shard}
-                    store.observe(
-                        "cluster.breaker.state",
-                        labels,
-                        breaker_code.get(status["state"], -1.0),
-                        now,
-                    )
-                    store.observe(
-                        "cluster.breaker.opens",
-                        labels,
-                        float(status["opens"]),
-                        now,
-                    )
-                    store.observe(
-                        "cluster.breaker.open_seconds_total",
-                        labels,
-                        float(status["open_seconds_total"]),
-                        now,
-                    )
-            plan = self.chaos_plan
-            if plan is not None:
-                for key, n in plan.active_fault_counts().items():
-                    store.observe(f"cluster.chaos.{key}", None, float(n), now)
-            monitor = self.monitor
-            if monitor is not None:
-                for shard, health in monitor.status().items():
-                    store.observe(
-                        "cluster.health.up",
-                        {"shard": shard},
-                        1.0 if health["state"] == "up" else 0.0,
-                        now,
-                    )
-
-        return collect
+        for name, kind, help_text, labels, collect in (
+            ("replication_lag_lsn", "gauge",
+             "WAL records the follower is behind the leader.", (),
+             live("follower", lambda f: [((), float(f.lag_lsn))])),
+            ("replication_lag_seconds", "gauge",
+             "Seconds since the follower was last caught up with the leader.", (),
+             live("follower", lambda f: [((), float(f.lag_seconds))])),
+            ("scatter_fanout", "gauge", "Shards the most recent scatter touched.",
+             (), live("router", lambda router: [((), router.last_fanout)])),
+            ("deadline_misses_total", "counter",
+             "Shard responses that missed the per-shard deadline.", ("shard",),
+             live("router", lambda router: [
+                 ((shard,), n)
+                 for shard, n in sorted(dict(router.deadline_misses).items())
+             ])),
+            ("breaker_state", "gauge",
+             "Circuit breaker per shard: 0 closed, 1 open, 2 half-open.", ("shard",),
+             breakers(lambda status: breaker_code.get(status["state"], -1))),
+            ("breaker_opens_total", "counter", "Times each shard's breaker opened.",
+             ("shard",), breakers(lambda status: status["opens"])),
+            ("breaker_open_seconds_total", "counter",
+             "Seconds each shard's breaker has spent open.", ("shard",),
+             breakers(lambda status: status["open_seconds_total"])),
+            ("chaos_faults", "gauge",
+             "Network faults the chaos plan has active, by kind.", ("fault",),
+             live("chaos_plan", lambda plan: [
+                 ((fault,), n) for fault, n in plan.active_fault_counts().items()
+             ])),
+            ("shard_up", "gauge",
+             "1 while the health monitor sees the shard up, else 0.", ("shard",),
+             live("monitor", lambda monitor: [
+                 ((shard,), int(health["state"] == "up"))
+                 for shard, health in monitor.status().items()
+             ])),
+        ):
+            metrics.declare(
+                f"repro_cluster_{name}", kind, help_text, labels, collect=collect
+            )
 
     # ------------------------------------------------------------------
     def client(self, **kwargs: Any) -> QueryClient:

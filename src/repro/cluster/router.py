@@ -94,7 +94,6 @@ from repro.obs import trace
 from repro.server import protocol
 from repro.server.app import SpatialQueryServer
 from repro.server.client import QueryClient, RemoteError
-from repro.server.metrics import aggregate_snapshots
 from repro.server.service import BadRequest
 from repro.server.session import HOP, SessionCancelled
 from repro.cluster.health import OPEN, CircuitBreaker
@@ -1248,15 +1247,20 @@ class RouterService:
     def note_failure(self, handle: ShardHandle) -> None:
         self.failures[handle.shard] = self.failures.get(handle.shard, 0) + 1
 
-    def shard_stats(self, raw: bool = True) -> List[Dict[str, Any]]:
-        """Per-shard stats snapshots (dead shards are skipped)."""
-        snaps = []
+    def shard_stats(self, rollup) -> Dict[str, Dict[str, Any]]:
+        """Sum every shard's stats into the ``rollup`` registry; return the
+        per-shard sections by shard id.  A shard that does not answer, or
+        whose snapshot the rollup refuses, counts through note_failure."""
+        shards = {}
         for handle in self.handles:
             try:
-                snaps.append(handle.request("stats", raw=raw)["stats"])
-            except (ReproError, OSError):
+                snap = handle.request("stats", raw=True)["stats"]
+                rollup.merge_snapshot(snap)
+            except (ReproError, OSError, ValueError):
                 self.note_failure(handle)
-        return snaps
+                continue
+            shards[str(snap.get("shard_id", handle.shard))] = _shard_sections(snap)
+        return shards
 
     def stitch_traces(self, root=None) -> int:
         """Adopt shards' finished spans into the router's tracer.
@@ -1294,10 +1298,12 @@ class RouterServer(SpatialQueryServer):
 
     ``db`` is ``None`` — the router holds no engine, only shard clients —
     and the extra-ops table gains the router verbs (``put``,
-    ``topology``, ``health``).  Stats and metrics aggregate the shard
-    fleet: latency histograms merge bucket-exact through
-    ``latency_raw``, counters sum, and per-shard storage/meter sections
-    stay visible under ``shards``.
+    ``topology``, ``health``).  Stats and metrics roll the shard fleet
+    up: every stats family of the shards' and the router's registries
+    sums into one (latency histograms bucket-exact through
+    ``latency_raw``), live families are read on the router, and
+    per-shard storage/session/meter sections stay visible under
+    ``shards``.
     """
 
     def __init__(self, db=None, *args: Any, router: RouterService, **kwargs: Any):
@@ -1336,15 +1342,33 @@ class RouterServer(SpatialQueryServer):
             request_id, **await self._run_blocking(self.router.resilience_status)
         )
 
+    def _rollup(self):
+        """The fleet's registry and the per-shard sections (the router's
+        own under ``"router"``)."""
+        rollup = self.metrics.twin()
+        shards = self.router.shard_stats(rollup)
+        own = self.metrics.snapshot(raw=True)
+        rollup.merge_snapshot(own)
+        shards["router"] = _shard_sections(own)
+        return rollup, shards
+
     def _stats_payload(self, raw: bool = False) -> Dict[str, Any]:
-        snaps = self.router.shard_stats(raw=True)
-        snaps.append(
-            dict(self.metrics.snapshot(len(self._sessions), raw=True),
-                 shard_id="router")
+        rollup, shards = self._rollup()
+        return dict(
+            rollup.snapshot(), shards=shards, topology=self.router.topology()
         )
-        aggregate = aggregate_snapshots(snaps)
-        aggregate["topology"] = self.router.topology()
-        return aggregate
+
+    def _metrics_text(self) -> str:
+        from repro.obs.exporters import prometheus_text
+
+        return prometheus_text(self._rollup()[0])
+
+
+def _shard_sections(snap: Dict[str, Any]) -> Dict[str, Any]:
+    # Per-shard meters stay visible so a bench can compute the cluster
+    # makespan (max over shards of simulated seconds); page counts from
+    # different files are not additive, so storage stays per shard too.
+    return {key: snap.get(key, {}) for key in ("storage", "sessions", "meters")}
 
 
 def _sql_literal(value: Any) -> str:

@@ -6,11 +6,17 @@ Three parts:
   a zero-overhead disabled path, wire-propagated trace contexts, and
   ``REPRO_TRACE`` gating.
 * :mod:`repro.obs.exporters` — Chrome trace-event JSON (Perfetto),
-  JSON-lines, and Prometheus-style text exposition + lint.
+  JSON-lines, and the Prometheus text exposition (+ lint) of a
+  :class:`~repro.server.metrics.ServerMetrics` registry.
 * :mod:`repro.obs.plane` — the in-process ring-buffer TSDB
   (:class:`~repro.obs.plane.MetricStore`), scrape-loop
-  :class:`~repro.obs.plane.ObservabilityPlane`, and the SLO burn-rate
-  engine with typed alerts.
+  :class:`~repro.obs.plane.ObservabilityPlane` whose stock collector
+  observes that same registry under its family names, and the SLO
+  burn-rate engine with typed alerts (exposed as live ``repro_slo_*``
+  families on the registry).
+
+The metric families themselves — names, types, labels and which reader
+shows which — are declared once, in :mod:`repro.server.metrics`.
 
 ``trace`` is imported eagerly (it depends only on the stdlib, so any
 layer — storage, geometry, engine — can import :mod:`repro.obs` without

@@ -25,6 +25,10 @@ __all__ = ["spark", "series_points", "qps_from_points", "render_top", "render_ht
 
 _BLOCKS = "▁▂▃▄▅▆▇█"
 
+#: families the panels read summed over every label set (the latency
+#: histogram bucket-merged), which the plane's registry collector stores
+SUMMED_FAMILIES = ("repro_requests_total", "repro_query_latency")
+
 
 def spark(values: Sequence[float], width: int = 40) -> str:
     """Render ``values`` as a fixed-width unicode sparkline.
@@ -54,22 +58,13 @@ def series_points(
     name: str,
     labels: Optional[Dict[str, Any]] = None,
 ) -> List[Tuple[float, float]]:
-    """The ``(ts, value)`` tail of one series in a plane snapshot.
-
-    ``labels=None`` matches the first series of that name (any labels);
-    a dict matches exactly (string-compared, like the store's keys).
-    """
-    want = (
-        None
-        if labels is None
-        else {str(k): str(v) for k, v in labels.items()}
-    )
+    """The ``(ts, value)`` tail of the series ``name{labels}`` in a plane
+    snapshot; labels match exactly (string-compared, like the store's
+    keys), ``None`` meaning none."""
+    want = {str(k): str(v) for k, v in (labels or {}).items()}
     for series in plane.get("series", []):
-        if series["name"] != name:
-            continue
-        if want is not None and series.get("labels", {}) != want:
-            continue
-        return [(p[0], p[1]) for p in series.get("points", [])]
+        if series["name"] == name and series.get("labels", {}) == want:
+            return [(p[0], p[1]) for p in series.get("points", [])]
     return []
 
 
@@ -82,7 +77,7 @@ def qps_from_points(points: Sequence[Tuple[float, float]]) -> List[float]:
     """Per-second rates between consecutive samples of a counter series.
 
     Resets (value drops across a restart) clip to 0 rather than going
-    negative — same convention as ``MetricStore.rate``.
+    negative.
     """
     out: List[float] = []
     for (t0, v0), (t1, v1) in zip(points, points[1:]):
@@ -125,14 +120,14 @@ def _shard_rows(
         if shard is None:
             continue
         r = row(shard)
-        if series["name"] == "cluster.health.up" and "state" not in r:
+        if series["name"] == "repro_cluster_shard_up" and "state" not in r:
             r["state"] = "up" if (series.get("latest") or 0) >= 1 else "down"
-        if series["name"] == "cluster.breaker.state" and "breaker" not in r:
+        if series["name"] == "repro_cluster_breaker_state" and "breaker" not in r:
             code = series.get("latest")
             r["breaker"] = {0: "closed", 1: "open", 2: "half_open"}.get(
                 int(code) if code is not None else -1, "?"
             )
-        if series["name"] == "cluster.deadline_misses":
+        if series["name"] == "repro_cluster_deadline_misses_total":
             r["deadline_misses"] = series.get("latest")
     return [shards[k] for k in sorted(shards, key=str)]
 
@@ -143,16 +138,20 @@ def _panels(
     health: Optional[Dict[str, Any]] = None,
 ) -> Dict[str, Any]:
     """The computed view-model both renderers draw from."""
-    requests = series_points(plane, "server.requests_total")
-    qps = qps_from_points(requests)
-    p50 = [v for _, v in series_points(plane, "server.latency.p50_ms")]
-    if not p50:
-        p50 = [v for _, v in series_points(plane, "server.query.p50_ms")]
-    p99 = [v for _, v in series_points(plane, "server.latency.p99_ms")]
-    lag_lsn = _latest(plane, "cluster.replication.lag_lsn")
-    lag_s = _latest(plane, "cluster.replication.lag_seconds")
-    lag_series = [v for _, v in series_points(plane, "cluster.replication.lag_seconds")]
-    fanout = _latest(plane, "cluster.scatter.fanout")
+    # Every op's requests and every query kind's latency: the unlabelled
+    # sums of SUMMED_FAMILIES (histograms bucket-wise, as the router
+    # merges its shards).
+    qps = qps_from_points(series_points(plane, "repro_requests_total"))
+    p50, p99 = (
+        [v for _, v in series_points(plane, "repro_query_latency_ms", {"stat": stat})]
+        for stat in ("p50", "p99")
+    )
+    lag_lsn = _latest(plane, "repro_cluster_replication_lag_lsn")
+    lag_s = _latest(plane, "repro_cluster_replication_lag_seconds")
+    lag_series = [
+        v for _, v in series_points(plane, "repro_cluster_replication_lag_seconds")
+    ]
+    fanout = _latest(plane, "repro_cluster_scatter_fanout")
     return {
         "shards": _shard_rows(plane, topology, health),
         "qps": qps,

@@ -7,9 +7,8 @@
 * :func:`spans_to_jsonl` — one JSON object per span, for ad-hoc
   ``jq``-style analysis.
 * :func:`prometheus_text` — Prometheus text exposition (version 0.0.4)
-  of a :meth:`ServerMetrics.snapshot` dict plus storage and
-  geometry-kernel counters; :func:`lint_prometheus` validates the line
-  format (used by tests and the CI ``obs`` job).
+  of a :class:`~repro.server.metrics.ServerMetrics` registry;
+  :func:`lint_prometheus` validates the line format.
 * :func:`aggregate_spans` — per-span-name rollup (count, meter delta,
   simulated seconds) used by ``EXPLAIN ANALYZE``.
 """
@@ -18,7 +17,7 @@ from __future__ import annotations
 
 import json
 import re
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Union
+from typing import Any, Dict, Iterable, List, Sequence, Union
 
 from repro.engine.cost import CostModel, DEFAULT_COST_MODEL
 from repro.obs.trace import Span, Tracer
@@ -215,177 +214,19 @@ def _fmt_value(value: Any) -> str:
     return repr(number)
 
 
-class _Expo:
-    """Accumulates families in declaration order, one TYPE line each.
-
-    ``extra_labels`` are merged into every sample — a shard server passes
-    ``{"shard": id}`` so one scrape config can pool all shards' series.
-    """
-
-    def __init__(self, extra_labels: Optional[Dict[str, Any]] = None) -> None:
-        self.lines: List[str] = []
-        self._declared: set = set()
-        self._extra = dict(extra_labels or {})
-
-    def family(self, name: str, mtype: str, help_text: str) -> None:
-        if name in self._declared:
-            return
-        self._declared.add(name)
-        self.lines.append(f"# HELP {name} {help_text}")
-        self.lines.append(f"# TYPE {name} {mtype}")
-
-    def sample(self, name: str, labels: Dict[str, Any], value: Any) -> None:
-        merged = dict(self._extra, **labels) if self._extra else labels
-        self.lines.append(f"{name}{_fmt_labels(merged)} {_fmt_value(value)}")
-
-    def text(self) -> str:
-        return "\n".join(self.lines) + "\n"
-
-
-def prometheus_text(
-    snapshot: Dict[str, Any],
-    kernel: Optional[Dict[str, Any]] = None,
-) -> str:
-    """Render a ``ServerMetrics.snapshot()`` dict (with its ``storage``
-    section) plus optional geometry-kernel counters as Prometheus text.
-
-    A snapshot carrying ``shard_id`` (one shard of a cluster) gets a
-    ``shard`` label on every sample."""
-    extra = (
-        {"shard": snapshot["shard_id"]} if "shard_id" in snapshot else None
-    )
-    expo = _Expo(extra)
-
-    requests = snapshot.get("requests", {})
-    expo.family("repro_requests_total", "counter", "Wire requests by op.")
-    for op in sorted(requests):
-        expo.sample("repro_requests_total", {"op": op}, requests[op].get("count", 0))
-    expo.family(
-        "repro_request_errors_total", "counter", "Failed wire requests by op."
-    )
-    for op in sorted(requests):
-        expo.sample(
-            "repro_request_errors_total", {"op": op}, requests[op].get("errors", 0)
-        )
-
-    queries = snapshot.get("queries", {})
-    expo.family(
-        "repro_query_rows_total", "counter", "Rows served by query kind."
-    )
-    for kind in sorted(queries):
-        expo.sample("repro_query_rows_total", {"kind": kind}, queries[kind].get("rows", 0))
-    expo.family(
-        "repro_query_errors_total", "counter", "Failed queries by kind."
-    )
-    for kind in sorted(queries):
-        expo.sample(
-            "repro_query_errors_total", {"kind": kind}, queries[kind].get("errors", 0)
-        )
-    expo.family(
-        "repro_query_latency_ms",
-        "gauge",
-        "Request latency summary (milliseconds) by kind and statistic.",
-    )
-    for kind in sorted(queries):
-        latency = queries[kind].get("latency", {})
-        for stat in ("mean_ms", "p50_ms", "p90_ms", "p99_ms", "max_ms"):
-            expo.sample(
-                "repro_query_latency_ms",
-                {"kind": kind, "stat": stat[:-3]},
-                latency.get(stat, 0.0),
-            )
-    expo.family(
-        "repro_query_latency_count", "counter", "Latency samples by kind."
-    )
-    for kind in sorted(queries):
-        expo.sample(
-            "repro_query_latency_count",
-            {"kind": kind},
-            queries[kind].get("latency", {}).get("count", 0),
-        )
-
-    meters = snapshot.get("meters", {})
-    expo.family(
-        "repro_meter_units_total",
-        "counter",
-        "Simulated work units charged, by query kind and unit kind.",
-    )
-    for kind in sorted(meters):
-        for unit in sorted(meters[kind]):
-            expo.sample(
-                "repro_meter_units_total",
-                {"kind": kind, "unit": unit},
-                meters[kind][unit],
-            )
-
-    sessions = snapshot.get("sessions", {})
-    expo.family(
-        "repro_sessions_active", "gauge", "Sessions currently open."
-    )
-    expo.sample("repro_sessions_active", {}, sessions.get("active", 0))
-    expo.family(
-        "repro_sessions_total", "counter", "Session lifecycle events."
-    )
-    for event in sorted(sessions):
-        if event == "active":
-            continue
-        expo.sample("repro_sessions_total", {"event": event}, sessions[event])
-
-    resilience = snapshot.get("resilience", {})
-    if resilience:
-        expo.family(
-            "repro_resilience_total",
-            "counter",
-            "Cluster resilience events (retries, hedges, re-scatters, "
-            "breaker trips, failovers).",
-        )
-        for event in sorted(resilience):
-            expo.sample(
-                "repro_resilience_total", {"event": event}, resilience[event]
-            )
-
-    storage = snapshot.get("storage", {})
-    expo.family(
-        "repro_storage_info",
-        "gauge",
-        "Storage configuration (durability mode as a label).",
-    )
-    expo.sample(
-        "repro_storage_info",
-        {"durability": storage.get("durability", "none")},
-        1,
-    )
-    numeric_keys = [
-        k
-        for k in sorted(storage)
-        if k != "durability" and isinstance(storage[k], (int, float))
-    ]
-    expo.family(
-        "repro_storage", "gauge", "Storage counters from storage_stats()."
-    )
-    for key in numeric_keys:
-        expo.sample("repro_storage", {"stat": key}, storage[key])
-
-    if kernel:
-        expo.family(
-            "repro_kernel_calls_total",
-            "counter",
-            "Batch-kernel invocations by entry point.",
-        )
-        expo.family(
-            "repro_kernel_items_total",
-            "counter",
-            "Items processed by batch kernels, by entry point.",
-        )
-        for entry in sorted(kernel.get("calls", {})):
-            expo.sample(
-                "repro_kernel_calls_total", {"entry": entry}, kernel["calls"][entry]
-            )
-        for entry in sorted(kernel.get("items", {})):
-            expo.sample(
-                "repro_kernel_items_total", {"entry": entry}, kernel["items"][entry]
-            )
-    return expo.text()
+def prometheus_text(metrics) -> str:
+    """Render a :class:`~repro.server.metrics.ServerMetrics` registry as
+    Prometheus text: HELP and TYPE from each family's declaration, then
+    one line per sample of its :meth:`exposition
+    <repro.server.metrics.ServerMetrics.exposition>`.  A live family whose
+    callback raises is left out; the rest still render."""
+    lines: List[str] = []
+    for name, mtype, help_text, samples in metrics.exposition(failed=[]):
+        lines.append(f"# HELP {name} {help_text}")
+        lines.append(f"# TYPE {name} {mtype}")
+        for labels, value in samples:
+            lines.append(f"{name}{_fmt_labels(labels)} {_fmt_value(value)}")
+    return "\n".join(lines) + "\n"
 
 
 # -- exposition lint --------------------------------------------------------

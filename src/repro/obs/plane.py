@@ -4,12 +4,8 @@ Three cooperating pieces, all dependency-free and lock-safe:
 
 * :class:`MetricStore` — a ring-buffer time-series database.  Each
   ``(name, labels)`` series keeps a bounded deque of raw ``(ts, value)``
-  points under a fixed retention window, plus coarser *rollup* buckets
-  (min/max/sum/count per ``rollup_every`` seconds) retained much longer,
-  so dashboards get full-resolution recent history and downsampled
-  long-range history from a few hundred KB of memory.  ``range_query()``
-  reads raw points, ``rate()`` computes a counter-reset-aware per-second
-  rate, ``rollup_query()`` reads the downsampled aggregates.
+  points under a fixed retention window.  ``range_query()`` reads raw
+  points, ``increase()`` a counter-reset-aware increase.
 
 * :class:`SLOEngine` — declarative :class:`SLO` objectives (availability
   from counter pairs, latency/gauge ceilings from gauge series) evaluated
@@ -17,15 +13,15 @@ Three cooperating pieces, all dependency-free and lock-safe:
   workbook: a *page* fires when both the 5-minute and 1-hour burn rates
   exceed 14.4× budget, a *ticket* when both the 6-hour and 24-hour rates
   exceed 6×.  Transitions append typed :class:`Alert` records to an event
-  log; current state exports as a Prometheus ``repro_slo_*`` family.
+  log; :meth:`SLOEngine.declare` puts the current state on a metrics
+  registry as the live ``repro_slo_*`` families.
 
 * :class:`ObservabilityPlane` — a collector registry plus a background
-  scrape thread.  Collectors are plain callables ``fn(store, now)`` that
-  read existing snapshot surfaces (``ServerMetrics.snapshot()``,
-  ``storage_stats()``, kernel counters, replication/breaker/chaos state)
-  and ``observe()`` into the store — a *pull* model, so when no plane is
-  attached the instrumented subsystems pay nothing beyond keeping the
-  counters they already kept.
+  scrape thread.  Collectors are plain callables ``fn(store, now)``; the
+  stock one, :func:`registry_collector`, observes every sample of a
+  :class:`~repro.server.metrics.ServerMetrics` registry under its family
+  name — a *pull* model, so when no plane is attached the instrumented
+  subsystems pay nothing beyond keeping the counters they already kept.
 
 Windows scale with ``time_scale`` so tests (and the chaos CI job) can
 exercise real burn-rate math in hundreds of milliseconds.
@@ -36,8 +32,12 @@ from __future__ import annotations
 import json
 import threading
 import time
+from bisect import bisect_left, bisect_right
 from collections import deque
+from operator import itemgetter
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
+
+from repro.obs.dashboard import SUMMED_FAMILIES
 
 __all__ = [
     "Alert",
@@ -47,8 +47,13 @@ __all__ = [
     "ObservabilityPlane",
     "SLO",
     "SLOEngine",
+    "default_cluster_slos",
+    "registry_collector",
     "series_key",
 ]
+
+
+_ts, _value = itemgetter(0), itemgetter(1)
 
 
 def series_key(name: str, labels: Optional[Dict[str, Any]] = None) -> Tuple:
@@ -59,33 +64,27 @@ def series_key(name: str, labels: Optional[Dict[str, Any]] = None) -> Tuple:
 
 
 class _Series:
-    """One ring buffer of raw points plus its rollup buckets."""
+    """One ring buffer of raw points."""
 
-    __slots__ = ("name", "labels", "points", "rollups", "observed")
+    __slots__ = ("name", "labels", "points")
 
     def __init__(self, name: str, labels: Dict[str, str], maxlen: int) -> None:
         self.name = name
         self.labels = labels
         self.points: deque = deque(maxlen=maxlen)  # (ts, value)
-        self.rollups: Dict[float, List[float]] = {}  # bucket -> [min,max,sum,n]
-        self.observed = 0
 
 
 class MetricStore:
-    """Lock-safe in-process ring-buffer TSDB with downsampling rollups."""
+    """Lock-safe in-process ring-buffer TSDB."""
 
     def __init__(
         self,
         retention: float = 600.0,
         max_points: int = 2048,
-        rollup_every: float = 10.0,
-        rollup_retention: float = 3600.0,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
         self.retention = float(retention)
         self.max_points = int(max_points)
-        self.rollup_every = float(rollup_every)
-        self.rollup_retention = float(rollup_retention)
         self.clock = clock
         self._series: Dict[Tuple, _Series] = {}
         self._lock = threading.Lock()
@@ -113,30 +112,10 @@ class MetricStore:
                 series = _Series(name, canon, self.max_points)
                 self._series[key] = series
             series.points.append((now, value))
-            series.observed += 1
-            bucket = now - (now % self.rollup_every)
-            agg = series.rollups.get(bucket)
-            if agg is None:
-                series.rollups[bucket] = [value, value, value, 1.0]
-            else:
-                if value < agg[0]:
-                    agg[0] = value
-                if value > agg[1]:
-                    agg[1] = value
-                agg[2] += value
-                agg[3] += 1.0
-            self._evict_locked(series, now)
-
-    def _evict_locked(self, series: _Series, now: float) -> None:
-        horizon = now - self.retention
-        points = series.points
-        while points and points[0][0] < horizon:
-            points.popleft()
-        if series.rollups:
-            roll_horizon = now - self.rollup_retention
-            stale = [b for b in series.rollups if b < roll_horizon]
-            for b in stale:
-                del series.rollups[b]
+            horizon = now - self.retention
+            points = series.points
+            while points and points[0][0] < horizon:
+                points.popleft()
 
     # -- reads -------------------------------------------------------------
     def _get(self, name: str, labels: Optional[Dict[str, Any]]) -> Optional[_Series]:
@@ -161,61 +140,10 @@ class MetricStore:
         """Raw ``(ts, value)`` points within ``[start, end]``, time-ordered."""
         with self._lock:
             series = self._get(name, labels)
-            if series is None:
-                return []
-            return [
-                (ts, v)
-                for ts, v in series.points
-                if (start is None or ts >= start)
-                and (end is None or ts <= end)
-            ]
-
-    def rollup_query(
-        self,
-        name: str,
-        labels: Optional[Dict[str, Any]] = None,
-        start: Optional[float] = None,
-        end: Optional[float] = None,
-    ) -> List[Tuple[float, float, float, float, int]]:
-        """Downsampled ``(bucket_ts, min, max, mean, count)`` aggregates."""
-        with self._lock:
-            series = self._get(name, labels)
-            if series is None:
-                return []
-            out = []
-            for bucket in sorted(series.rollups):
-                if start is not None and bucket + self.rollup_every < start:
-                    continue
-                if end is not None and bucket > end:
-                    continue
-                mn, mx, total, n = series.rollups[bucket]
-                out.append((bucket, mn, mx, total / n if n else 0.0, int(n)))
-            return out
-
-    def rate(
-        self,
-        name: str,
-        labels: Optional[Dict[str, Any]] = None,
-        window: float = 60.0,
-        now: Optional[float] = None,
-    ) -> float:
-        """Per-second increase of a cumulative counter over ``window``.
-
-        Counter resets (a value *dropping*, e.g. across a shard restart)
-        contribute the post-reset value rather than a negative delta —
-        the standard Prometheus ``rate()`` semantics.
-        """
-        now = self.clock() if now is None else now
-        points = self.range_query(name, labels, start=now - window, end=now)
-        if len(points) < 2:
-            return 0.0
-        increase = 0.0
-        prev = points[0][1]
-        for _, value in points[1:]:
-            increase += value - prev if value >= prev else value
-            prev = value
-        elapsed = points[-1][0] - points[0][0]
-        return increase / elapsed if elapsed > 0 else 0.0
+            points = [] if series is None else list(series.points)
+        lo = 0 if start is None else bisect_left(points, start, key=_ts)
+        hi = len(points) if end is None else bisect_right(points, end, key=_ts)
+        return points[lo:hi]
 
     def increase(
         self,
@@ -238,22 +166,16 @@ class MetricStore:
 
     # -- listings ----------------------------------------------------------
     def series(self) -> List[Dict[str, Any]]:
-        """All series: name, labels, point/rollup counts, latest value."""
+        """All series: name, labels, latest value."""
         with self._lock:
-            out = []
-            for series in self._series.values():
-                latest = series.points[-1] if series.points else None
-                out.append(
-                    {
-                        "name": series.name,
-                        "labels": dict(series.labels),
-                        "points": len(series.points),
-                        "rollups": len(series.rollups),
-                        "observed": series.observed,
-                        "latest": latest[1] if latest else None,
-                        "latest_ts": latest[0] if latest else None,
-                    }
-                )
+            out = [
+                {
+                    "name": series.name,
+                    "labels": dict(series.labels),
+                    "latest": series.points[-1][1] if series.points else None,
+                }
+                for series in self._series.values()
+            ]
             out.sort(key=lambda s: (s["name"], sorted(s["labels"].items())))
             return out
 
@@ -311,9 +233,11 @@ class SLO:
 
     * ``availability`` — ``total_metric``/``error_metric`` are cumulative
       counters; the bad-event ratio is ``increase(error)/increase(total)``.
-    * ``latency`` / ``gauge_ceiling`` — ``metric`` is a gauge series
-      (e.g. a scraped p99 or a replication-lag reading); a sample is bad
-      when it exceeds ``threshold``.
+    * ``latency`` / ``gauge_ceiling`` — ``metric`` names gauge series
+      (e.g. scraped p99s or a replication-lag reading); a sample is bad
+      when it exceeds ``threshold``.  Every series of that name whose
+      labels include ``labels`` is judged on its own, and the worst
+      series' bad fraction is the SLO's.
 
     ``objective`` is the good fraction promised (0.999 → 0.1% budget);
     the *burn rate* over a window is ``bad_ratio / (1 - objective)``.
@@ -380,13 +304,15 @@ class SLO:
                 self.error_metric, self.labels, window=window, now=now
             )
             return max(0.0, min(1.0, errors / total))
-        points = store.range_query(
-            self.metric, self.labels, start=now - window, end=now
-        )
-        if not points:
-            return None
-        bad = sum(1 for _, v in points if v > self.threshold)
-        return bad / len(points)
+        over = float(self.threshold).__lt__
+        ratios = []
+        for labels in store.match(self.metric, **(self.labels or {})):
+            points = store.range_query(
+                self.metric, labels, start=now - window, end=now
+            )
+            if points:
+                ratios.append(sum(map(over, map(_value, points))) / len(points))
+        return max(ratios, default=None)
 
     def burn_rate(
         self, store: MetricStore, window: float, now: float
@@ -397,17 +323,8 @@ class SLO:
         return ratio / self.budget
 
     def to_dict(self) -> Dict[str, Any]:
-        return {
-            "name": self.name,
-            "kind": self.kind,
-            "objective": self.objective,
-            "metric": self.metric,
-            "labels": dict(self.labels) if self.labels else None,
-            "threshold": self.threshold,
-            "total_metric": self.total_metric,
-            "error_metric": self.error_metric,
-            "description": self.description,
-        }
+        out = {slot: getattr(self, slot) for slot in self.__slots__}
+        return dict(out, labels=dict(self.labels) if self.labels else None)
 
 
 class Alert:
@@ -472,144 +389,87 @@ class SLOEngine:
         self.alerts: List[Alert] = []
         self.alerts_total: Dict[Tuple[str, str], int] = {}
         self._firing: Dict[Tuple[str, str], Alert] = {}
+        #: (slo, window) -> burn rate as of the last evaluate()
+        self._burns: Dict[Tuple[str, str], float] = {}
         self._lock = threading.Lock()
 
-    def add(self, slo: SLO) -> None:
-        with self._lock:
-            self.slos.append(slo)
-
     # -- evaluation --------------------------------------------------------
-    def burn_rates(self, now: Optional[float] = None) -> Dict[str, Dict[str, float]]:
-        """Current burn rate per SLO per (scaled) window, for display."""
-        now = self.clock() if now is None else now
-        out: Dict[str, Dict[str, float]] = {}
-        for slo in list(self.slos):
-            rates: Dict[str, float] = {}
-            for bw in self.windows:
-                for label, seconds in (
-                    (f"{bw.short_s:g}s", bw.short_s),
-                    (f"{bw.long_s:g}s", bw.long_s),
-                ):
-                    burn = slo.burn_rate(
-                        self.store, seconds * self.time_scale, now
-                    )
-                    if burn is not None:
-                        rates[label] = round(burn, 4)
-            out[slo.name] = rates
+    def burn_rates(self) -> Dict[str, Dict[str, float]]:
+        """Burn rate per SLO per (unscaled) window, as last evaluated."""
+        out: Dict[str, Dict[str, float]] = {s.name: {} for s in list(self.slos)}
+        for (name, window), burn in self._burns.items():
+            out.setdefault(name, {})[window] = burn
         return out
 
     def evaluate(self, now: Optional[float] = None) -> List[Alert]:
         """One evaluation pass; returns newly-logged transitions."""
         now = self.clock() if now is None else now
         transitions: List[Alert] = []
+        burns: Dict[Tuple[str, str], float] = {}
         for slo in list(self.slos):
             for bw in self.windows:
-                short = slo.burn_rate(
-                    self.store, bw.short_s * self.time_scale, now
+                short, long_ = (
+                    slo.burn_rate(self.store, seconds * self.time_scale, now)
+                    for seconds in (bw.short_s, bw.long_s)
                 )
-                long_ = slo.burn_rate(
-                    self.store, bw.long_s * self.time_scale, now
-                )
+                for seconds, burn in ((bw.short_s, short), (bw.long_s, long_)):
+                    if burn is not None:
+                        burns[(slo.name, f"{seconds:g}s")] = round(burn, 4)
                 hot = (
                     short is not None
                     and long_ is not None
-                    and short >= bw.factor
-                    and long_ >= bw.factor
+                    and min(short, long_) >= bw.factor
                 )
                 key = (slo.name, bw.severity)
                 with self._lock:
-                    firing = key in self._firing
-                    if hot and not firing:
-                        alert = Alert(
-                            slo.name,
-                            bw.severity,
-                            "firing",
-                            now,
-                            short,
-                            long_,
-                            (bw.short_s, bw.long_s),
-                        )
+                    if hot == (key in self._firing):
+                        continue
+                    alert = Alert(
+                        slo.name,
+                        bw.severity,
+                        "firing" if hot else "resolved",
+                        now,
+                        short or 0.0,
+                        long_ or 0.0,
+                        (bw.short_s, bw.long_s),
+                    )
+                    if hot:
                         self._firing[key] = alert
                         self.alerts_total[key] = self.alerts_total.get(key, 0) + 1
-                        self._log_locked(alert)
-                        transitions.append(alert)
-                    elif not hot and firing:
+                    else:
                         del self._firing[key]
-                        alert = Alert(
-                            slo.name,
-                            bw.severity,
-                            "resolved",
-                            now,
-                            short or 0.0,
-                            long_ or 0.0,
-                            (bw.short_s, bw.long_s),
-                        )
-                        self._log_locked(alert)
-                        transitions.append(alert)
+                    self.alerts.append(alert)
+                    del self.alerts[: max(0, len(self.alerts) - self.max_alerts)]
+                transitions.append(alert)
+        self._burns = burns
         return transitions
-
-    def _log_locked(self, alert: Alert) -> None:
-        self.alerts.append(alert)
-        if len(self.alerts) > self.max_alerts:
-            del self.alerts[: len(self.alerts) - self.max_alerts]
 
     def firing(self) -> List[Alert]:
         with self._lock:
             return list(self._firing.values())
 
     # -- exposition --------------------------------------------------------
-    def prometheus_into(self, expo) -> None:
-        """Emit the ``repro_slo_*`` family into an exporter accumulator."""
-        expo.family(
-            "repro_slo_objective",
-            "gauge",
-            "Declared good-fraction objective per SLO.",
-        )
-        for slo in list(self.slos):
-            expo.sample(
-                "repro_slo_objective",
-                {"slo": slo.name, "kind": slo.kind},
-                slo.objective,
-            )
-        expo.family(
-            "repro_slo_burn_rate",
-            "gauge",
-            "Error-budget burn rate per SLO and window.",
-        )
-        for name, rates in self.burn_rates().items():
-            for window, burn in rates.items():
-                expo.sample(
-                    "repro_slo_burn_rate",
-                    {"slo": name, "window": window},
-                    burn,
-                )
-        expo.family(
-            "repro_slo_alert_firing",
-            "gauge",
-            "1 when the SLO alert is currently firing.",
-        )
-        with self._lock:
-            firing_keys = set(self._firing)
-            totals = dict(self.alerts_total)
-        for slo in list(self.slos):
-            for bw in self.windows:
-                key = (slo.name, bw.severity)
-                expo.sample(
-                    "repro_slo_alert_firing",
-                    {"slo": slo.name, "severity": bw.severity},
-                    1 if key in firing_keys else 0,
-                )
-        expo.family(
-            "repro_slo_alerts_total",
-            "counter",
-            "Alert firings per SLO and severity since start.",
-        )
-        for (name, severity), count in sorted(totals.items()):
-            expo.sample(
-                "repro_slo_alerts_total",
-                {"slo": name, "severity": severity},
-                count,
-            )
+    def declare(self, metrics) -> None:
+        """Put the live ``repro_slo_*`` families on a metrics registry."""
+        for name, kind, help_text, labels, collect in (
+            ("objective", "gauge", "Declared good-fraction objective per SLO.",
+             ("slo", "kind"),
+             lambda: [((s.name, s.kind), s.objective) for s in list(self.slos)]),
+            ("burn_rate", "gauge",
+             "Error-budget burn rate per SLO and window, as last evaluated.",
+             ("slo", "window"), lambda: list(self._burns.items())),
+            ("alert_firing", "gauge", "1 when the SLO alert is currently firing.",
+             ("slo", "severity"),
+             lambda: [
+                 ((slo.name, bw.severity), int((slo.name, bw.severity) in self._firing))
+                 for slo in list(self.slos)
+                 for bw in self.windows
+             ]),
+            ("alerts_total", "counter",
+             "Alert firings per SLO and severity since start.",
+             ("slo", "severity"), lambda: sorted(dict(self.alerts_total).items())),
+        ):
+            metrics.declare(f"repro_slo_{name}", kind, help_text, labels, collect=collect)
 
 
 # ---------------------------------------------------------------------------
@@ -727,77 +587,37 @@ class ObservabilityPlane:
     def snapshot_json(self, points: int = 120) -> str:
         return json.dumps(self.snapshot(points))
 
-    def prometheus_text(self) -> str:
-        """The ``repro_slo_*`` family as Prometheus exposition text."""
-        from repro.obs.exporters import _Expo
-
-        expo = _Expo()
-        self.engine.prometheus_into(expo)
-        return expo.text()
-
 
 # ---------------------------------------------------------------------------
 # Stock collectors
 # ---------------------------------------------------------------------------
 
 
-def server_metrics_collector(
-    snapshot_fn: Callable[[], Dict[str, Any]],
-    labels: Optional[Dict[str, Any]] = None,
+def registry_collector(
+    metrics, slos: Iterable[SLO] = ()
 ) -> Callable[[MetricStore, float], None]:
-    """Collector over a ``ServerMetrics.snapshot()``-shaped callable.
-
-    Feeds request counters/errors per op, per-kind query latency
-    percentiles and counts, active sessions, resilience counters, and a
-    roll-up ``server.latency.p99_ms`` gauge (worst kind) the stock
-    latency SLO watches.
-    """
-    base = dict(labels) if labels else {}
+    """The stock collector: every sample of a
+    :class:`~repro.server.metrics.ServerMetrics` registry's exposition,
+    under its family name and labels.  The families read summed over all
+    their label sets — the dashboard's :data:`SUMMED_FAMILIES
+    <repro.obs.dashboard.SUMMED_FAMILIES>` and the counters of each
+    unlabelled availability SLO in ``slos`` (read at every scrape) — also
+    land as one unlabelled series, histograms merged bucket-wise.  A live
+    family whose callback raises is left out and the collector then
+    raises, so the plane counts it in ``collector_errors``."""
 
     def collect(store: MetricStore, now: float) -> None:
-        snap = snapshot_fn()
-        total = errors = 0
-        for op, counts in (snap.get("requests") or {}).items():
-            n = int(counts.get("count", 0))
-            e = int(counts.get("errors", 0))
-            total += n
-            errors += e
-            store.observe(
-                "server.requests", {**base, "op": op}, n, ts=now
-            )
-            store.observe(
-                "server.request_errors", {**base, "op": op}, e, ts=now
-            )
-        store.observe("server.requests_total", base, total, ts=now)
-        store.observe("server.request_errors_total", base, errors, ts=now)
-        worst_p99 = 0.0
-        for kind, q in (snap.get("queries") or {}).items():
-            lat = q.get("latency") or {}
-            klabels = {**base, "kind": kind}
-            store.observe(
-                "server.query.count", klabels, lat.get("count", 0), ts=now
-            )
-            store.observe(
-                "server.query.p50_ms", klabels, lat.get("p50_ms", 0.0), ts=now
-            )
-            store.observe(
-                "server.query.p99_ms", klabels, lat.get("p99_ms", 0.0), ts=now
-            )
-            store.observe(
-                "server.query.rows", klabels, q.get("rows", 0), ts=now
-            )
-            worst_p99 = max(worst_p99, float(lat.get("p99_ms", 0.0)))
-        store.observe("server.latency.p99_ms", base, worst_p99, ts=now)
-        sessions = snap.get("sessions") or {}
-        store.observe(
-            "server.sessions.active", base, sessions.get("active", 0), ts=now
-        )
-        for event, count in (snap.get("resilience") or {}).items():
-            store.observe(
-                "cluster.resilience", {**base, "event": event}, count, ts=now
-            )
+        summed = set(SUMMED_FAMILIES)
+        for slo in slos:
+            if slo.kind == "availability" and not slo.labels:
+                summed.update((slo.total_metric, slo.error_metric))
+        failed: List[str] = []
+        for name, _type, _help, samples in metrics.exposition(summed, failed):
+            for labels, value in samples:
+                store.observe(name, labels, value, ts=now)
+        if failed:
+            raise RuntimeError(f"live families failed: {', '.join(failed)}")
 
-    collect.__name__ = "server_metrics"
     return collect
 
 
@@ -812,23 +632,27 @@ def default_cluster_slos(
             "availability",
             kind="availability",
             objective=availability,
-            total_metric="server.requests_total",
-            error_metric="server.request_errors_total",
+            total_metric="repro_requests_total",
+            error_metric="repro_request_errors_total",
             description="fraction of wire requests answered without error",
         ),
         SLO(
             "p99-latency",
             kind="latency",
             objective=0.99,
-            metric="server.latency.p99_ms",
+            metric="repro_query_latency_ms",
+            labels={"stat": "p99"},
             threshold=p99_ms,
-            description=f"worst per-kind p99 stays under {p99_ms:g}ms",
+            description=(
+                f"p99 of every query kind, and of all kinds merged, "
+                f"stays under {p99_ms:g}ms"
+            ),
         ),
         SLO(
             "replication-lag",
             kind="gauge_ceiling",
             objective=0.99,
-            metric="cluster.replication.lag_seconds",
+            metric="repro_cluster_replication_lag_seconds",
             threshold=lag_seconds,
             description=f"follower stays within {lag_seconds:g}s of the leader",
         ),

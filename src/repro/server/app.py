@@ -80,11 +80,18 @@ class SpatialQueryServer:
         self.default_deadline_ms = default_deadline_ms
         self.drain_timeout = drain_timeout
         self.shard_id = shard_id
-        self.metrics = ServerMetrics(shard_id=shard_id)
+        self.metrics = ServerMetrics(
+            shard_id=shard_id,
+            active_sessions=lambda: len(self._sessions),
+            storage=self._storage_stats,
+        )
         self.replica_acked_lsn = 0  # highest LSN a follower has acked
         self.replica_lag_lsn = 0  # the follower's self-reported lag
-        #: optional ObservabilityPlane served over the ``obs.plane`` op
+        #: optional ObservabilityPlane served over the ``obs.plane`` op;
+        #: its SLO state rides /metrics as the ``repro_slo_*`` families
         self.plane = plane
+        if plane is not None:
+            plane.engine.declare(self.metrics)
         # session id -> wire trace id / local trace id, kept after close
         # (bounded) so ``trace.get`` works for a query that just finished.
         self._session_traces: "OrderedDict[str, Dict[str, Any]]" = OrderedDict()
@@ -252,21 +259,13 @@ class SpatialQueryServer:
         ``raw=True`` (requested by a router) ships latency bucket counts
         alongside the percentile estimates so the rollup merges exactly.
         """
-        return self.metrics.snapshot(
-            len(self._sessions), storage=self._storage_stats(), raw=raw
-        )
+        return self.metrics.snapshot(raw=raw)
 
     def _metrics_text(self) -> str:
         """The Prometheus exposition (overridable: the router rolls up)."""
-        from repro.geometry import kernels
         from repro.obs.exporters import prometheus_text
 
-        text = prometheus_text(
-            self._stats_payload(), kernel=kernels.counters()
-        )
-        if self.plane is not None:
-            text += self.plane.prometheus_text()
-        return text
+        return prometheus_text(self.metrics)
 
     # ------------------------------------------------------------------
     # Extra (cluster/replication) ops
@@ -470,8 +469,8 @@ class SpatialQueryServer:
                 ),
             )
         if op == "metrics":
-            # Prometheus text exposition of the same snapshot plus
-            # geometry-kernel counters (scrape-friendly sibling of "stats").
+            # Prometheus text exposition of the same registry
+            # (scrape-friendly sibling of "stats").
             self.metrics.record_request(op, ok=True)
             return protocol.ok_response(
                 request_id, text=await self._run_blocking(self._metrics_text)

@@ -1,31 +1,30 @@
-"""Runtime metrics for the query service.
+"""Runtime metrics for the query service: one registry of declared families.
 
-The ``stats`` endpoint reports three layers of observability:
-
-* **requests** — per-op counters (count/errors) for every wire operation;
-* **queries** — per-kind request/latency histograms (count, error count,
-  rows served, p50/p90/p99/max latency in milliseconds);
-* **meters** — the engine's own :class:`~repro.engine.cost.WorkMeter` op
-  counters (MBR tests, node visits, exact predicate evaluations, ...)
-  aggregated per query kind, so the simulated-cost accounting that drives
-  the benchmarks is visible for served traffic too;
-* **sessions** — lifecycle counters (opened / closed / cancelled by
-  deadline / closed by client disconnect / rejected) plus the live count,
-  which is how tests assert the server does not leak sessions.
-
-All mutators take an internal lock: fetches run on a thread pool, so the
-metrics object is the one piece of server state shared across threads.
+Every signal a server reports is a :class:`Family` declared once on its
+:class:`ServerMetrics` (name, type, help, labels, and the ``stats`` path
+for the families ``stats`` shows).  The four readers are each one loop
+over those families: ``stats`` (:meth:`ServerMetrics.snapshot`),
+``/metrics`` (:func:`repro.obs.exporters.prometheus_text` over
+:meth:`ServerMetrics.exposition`), the router rollup
+(:meth:`ServerMetrics.merge_snapshot`) and the observability plane
+(:func:`repro.obs.plane.registry_collector`).  A family either records
+— the ``record_*`` / ``bump_*`` / ``merge_meter`` calls, under one lock,
+since fetches run on a thread pool — or is *live*: a callback read at
+collect time (storage and kernel counters, SLO state, cluster gauges).
 """
 
 from __future__ import annotations
 
 import threading
 from bisect import bisect_left
-from typing import Any, Dict, List, Optional
+from typing import (
+    Any, Callable, Collection, Dict, Iterable, Iterator, List, Optional, Tuple,
+)
 
 from repro.engine.cost import WorkMeter
+from repro.geometry import kernels
 
-__all__ = ["LatencyHistogram", "ServerMetrics", "aggregate_snapshots"]
+__all__ = ["Family", "LatencyHistogram", "ServerMetrics"]
 
 
 def _bucket_bounds() -> List[float]:
@@ -60,6 +59,50 @@ _STORAGE_ZERO: Dict[str, Any] = {
     "columnar_journal_rows": 0,
     "columnar_zone_prunes": 0,
 }
+
+_SESSION_EVENTS = (
+    "opened", "closed", "exhausted", "cancelled_deadline", "closed_disconnect",
+    "cancelled_shutdown", "rejected_overload", "rejected_shutdown",
+)
+# Resilience events (cluster router): zero-initialised so the exposition
+# schema is stable whether or not faults ever happen.
+_RESILIENCE_EVENTS = (
+    "retries", "rescatters", "hedges", "write_retries", "breaker_open",
+    "failovers", "scatters", "scatter_width_total", "deadline_misses",
+    "trace_drain_failed",
+)
+
+#: the families every server records: name, type, help, labels, stats path
+_RECORDED = (
+    ("repro_requests_total", "counter", "Wire requests by op.",
+     ("op",), "requests.*.count"),
+    ("repro_request_errors_total", "counter", "Failed wire requests by op.",
+     ("op",), "requests.*.errors"),
+    ("repro_query_rows_total", "counter", "Rows served by query kind.",
+     ("kind",), "queries.*.rows"),
+    ("repro_query_errors_total", "counter", "Failed queries by kind.",
+     ("kind",), "queries.*.errors"),
+    ("repro_query_latency", "histogram",
+     "Request latency summary (milliseconds) by kind and statistic.",
+     ("kind",), "queries.*.latency"),
+    ("repro_meter_units_total", "counter",
+     "Simulated work units charged, by query kind and unit kind.",
+     ("kind", "unit"), "meters.*.*"),
+    ("repro_sessions_active", "gauge", "Sessions currently open.",
+     (), "sessions.active"),
+    ("repro_sessions_total", "counter", "Session lifecycle events.",
+     ("event",), "sessions.*"),
+    ("repro_resilience_total", "counter",
+     "Cluster resilience events (retries, hedges, re-scatters, breaker "
+     "trips, failovers).", ("event",), "resilience.*"),
+)
+
+#: the summary statistics a histogram exposes, in exposition order
+_STATS = ("mean", "p50", "p90", "p99", "max")
+
+
+def _is_number(value: Any) -> bool:
+    return isinstance(value, (int, float))
 
 
 class LatencyHistogram:
@@ -121,229 +164,322 @@ class LatencyHistogram:
         }
 
     @classmethod
-    def from_raw(cls, raw: Dict[str, Any]) -> "LatencyHistogram":
-        """Rebuild a histogram from :meth:`raw` output (possibly produced
-        by a process whose bucket table had a different length)."""
+    def from_raw(cls, raw: Any) -> "LatencyHistogram":
+        """Rebuild a histogram from another process's :meth:`raw` dump.
+
+        Raises ``ValueError`` unless the dump has this process's bucket
+        count, non-negative integer counts and a total that is their sum:
+        a histogram from another process is never trusted unchecked.
+        """
+        counts = raw.get("counts") if isinstance(raw, dict) else None
+        if not (
+            isinstance(counts, list)
+            and len(counts) == len(_BOUNDS) + 1
+            and all(isinstance(c, int) and c >= 0 for c in counts)
+            and raw.get("total") == sum(counts)
+            and _is_number(raw.get("sum_seconds"))
+            and _is_number(raw.get("max_seconds"))
+        ):
+            raise ValueError("latency histogram does not match this bucket table")
         hist = cls()
-        hist.merge_raw(raw)
+        hist.counts = list(counts)
+        hist.total = raw["total"]
+        hist.sum_seconds = float(raw["sum_seconds"])
+        hist.max_seconds = float(raw["max_seconds"])
         return hist
 
-    @staticmethod
-    def _aligned(counts: List[int], target_len: int) -> List[int]:
-        """Fit a bucket-count list to ``target_len`` buckets.
-
-        The overflow bucket lives at the *end*; growing pads zeros before
-        it (new finite buckets cover latencies the short table overflowed
-        into conservatively), shrinking folds the surplus finite buckets
-        into the overflow.  Either way no sample is lost or misfiled into
-        a mid-range bucket.
-        """
-        counts = [int(c) for c in counts]
-        if not counts:
-            return [0] * target_len
-        if len(counts) == target_len:
-            return counts
-        if len(counts) < target_len:
-            pad = target_len - len(counts)
-            return counts[:-1] + [0] * pad + counts[-1:]
-        keep = target_len - 1
-        return counts[:keep] + [sum(counts[keep:])]
-
-    def merge_raw(self, raw: Dict[str, Any]) -> None:
-        """Fold a :meth:`raw` dump into this histogram."""
-        other_counts = self._aligned(
-            list(raw.get("counts", [])), len(self.counts)
-        )
-        for i, c in enumerate(other_counts):
-            self.counts[i] += c
-        self.total += int(raw.get("total", 0))
-        self.sum_seconds += float(raw.get("sum_seconds", 0.0))
-        self.max_seconds = max(self.max_seconds, float(raw.get("max_seconds", 0.0)))
+    def copy(self) -> "LatencyHistogram":
+        return LatencyHistogram.from_raw(self.raw())
 
     def merge(self, other: "LatencyHistogram") -> None:
-        """Fold another histogram into this one (bucket-wise sum).
+        """Fold another histogram into this one (bucket-wise sum)."""
+        for i, c in enumerate(other.counts):
+            self.counts[i] += c
+        self.total += other.total
+        self.sum_seconds += other.sum_seconds
+        self.max_seconds = max(self.max_seconds, other.max_seconds)
 
-        Tolerates a mismatched bucket count (an older process with a
-        shorter/longer bound table) via :meth:`_aligned`.
-        """
-        self.merge_raw(other.raw())
+
+def _total(values: List[Any]) -> Any:
+    """Counter values summed, or histograms merged bucket-wise."""
+    if not isinstance(values[0], LatencyHistogram):
+        return sum(values)
+    total = LatencyHistogram()
+    for hist in values:
+        total.merge(hist)
+    return total
+
+
+class Family:
+    """One declared metric family: ``kind`` is ``counter``, ``gauge`` or
+    ``histogram`` (a :class:`LatencyHistogram` per label set); ``stat`` is
+    its dotted ``stats`` path, ``*`` parts taking the label values (None:
+    not in ``stats``); ``collect``, if given, returns the live
+    ``(label values, value)`` pairs, else ``values`` holds the recorded
+    ones."""
+
+    __slots__ = ("name", "kind", "help", "labels", "stat", "collect", "values")
+
+    def __init__(self, name, kind, help_text, labels=(), stat=None, collect=None):
+        self.name = name
+        self.kind = kind
+        self.help = help_text
+        self.labels = tuple(labels)
+        self.stat = tuple(stat.split(".")) if stat else None
+        self.collect: Optional[Callable[[], Iterable[Tuple[tuple, Any]]]] = collect
+        self.values: Dict[tuple, Any] = {}
+
+    def add(self, key: tuple, value: Any) -> None:
+        """Sum ``value`` into the sample at ``key`` (caller holds the lock)."""
+        if self.kind == "histogram":
+            self.values.setdefault(key, LatencyHistogram()).merge(value)
+        else:
+            self.values[key] = self.values.get(key, 0) + value
+
+
+def _walk(node: Any, path: tuple, reserved: set, at: tuple = ()) -> Iterator:
+    """``(label values, container, leaf key)`` for every leaf of a stats
+    dict under ``path``; a ``*`` binds every key that no other family's
+    path names literally (``sessions.*`` skips ``sessions.active``)."""
+    if not isinstance(node, dict):
+        raise ValueError(f"stats section {'.'.join(at)!r} is not an object")
+    head, rest = path[0], path[1:]
+    if head == "*":
+        keys = [k for k in node if at + (k,) not in reserved]
+    else:
+        keys = [head] if head in node else []
+    for key in keys:
+        bound = (key,) if head == "*" else ()
+        if not rest:
+            yield bound, node, key
+            continue
+        for labels, parent, leaf in _walk(node[key], rest, reserved, at + (key,)):
+            yield bound + labels, parent, leaf
 
 
 class ServerMetrics:
-    """Thread-safe aggregate of everything the ``stats`` endpoint reports.
+    """Thread-safe registry of everything ``stats`` and ``/metrics`` report.
 
-    ``shard_id`` tags every snapshot (and the Prometheus exposition) when
-    this server is one shard of a cluster, so the router's rollup and a
-    scraper hitting a shard directly agree on provenance.
+    ``shard_id`` tags every snapshot and labels every exposition sample
+    of one shard of a cluster.  ``active_sessions`` and ``storage`` are
+    the server's live readings (open sessions, ``storage_stats()``);
+    without them the registry reports 0 and the zeroed storage schema.
     """
 
-    def __init__(self, shard_id: Optional[int] = None) -> None:
+    def __init__(
+        self,
+        shard_id: Optional[Any] = None,
+        active_sessions: Optional[Callable[[], int]] = None,
+        storage: Callable[[], Dict[str, Any]] = dict,
+    ) -> None:
         self.shard_id = shard_id
+        self.storage = storage
         self._lock = threading.Lock()
-        self._requests: Dict[str, Dict[str, int]] = {}
-        self._latency: Dict[str, LatencyHistogram] = {}
-        self._rows: Dict[str, int] = {}
-        self._errors: Dict[str, int] = {}
-        self._meters: Dict[str, WorkMeter] = {}
-        self.sessions = {
-            "opened": 0,
-            "closed": 0,
-            "exhausted": 0,
-            "cancelled_deadline": 0,
-            "closed_disconnect": 0,
-            "cancelled_shutdown": 0,
-            "rejected_overload": 0,
-            "rejected_shutdown": 0,
-        }
-        # Resilience events (cluster router): zero-initialised so the
-        # exposition schema is stable whether or not faults ever happen.
-        self.resilience = {
-            "retries": 0,
-            "rescatters": 0,
-            "hedges": 0,
-            "write_retries": 0,
-            "breaker_open": 0,
-            "failovers": 0,
-            "scatters": 0,
-            "scatter_width_total": 0,
-            "deadline_misses": 0,
-            "trace_drain_failed": 0,
-        }
+        self.families: List[Family] = []
+        (
+            self._requests, self._request_errors, self._rows,
+            self._query_errors, self._latency, self._meters, active,
+            self._sessions, self._resilience,
+        ) = [self.declare(*spec) for spec in _RECORDED]
+        active.values[()] = 0
+        if active_sessions is not None:
+            active.collect = lambda: [((), active_sessions())]
+        self._sessions.values.update(((e,), 0) for e in _SESSION_EVENTS)
+        self._resilience.values.update(((e,), 0) for e in _RESILIENCE_EVENTS)
+        self.declare(
+            "repro_storage_info", "gauge",
+            "Storage configuration (durability mode as a label).",
+            ("durability",),
+            collect=lambda: [((self._storage_section()["durability"],), 1)],
+        )
+        self.declare(
+            "repro_storage", "gauge", "Storage counters from storage_stats().",
+            ("stat",),
+            collect=lambda: sorted(
+                ((k,), v) for k, v in self._storage_section().items()
+            ),
+        )
+        for part, help_text in (
+            ("calls", "Batch-kernel invocations by entry point."),
+            ("items", "Items processed by batch kernels, by entry point."),
+        ):
+            self.declare(
+                f"repro_kernel_{part}_total", "counter", help_text, ("entry",),
+                collect=lambda part=part: sorted(
+                    ((entry,), n) for entry, n in kernels.counters()[part].items()
+                ),
+            )
 
-    # ------------------------------------------------------------------
-    def record_request(self, op: str, ok: bool) -> None:
+    def declare(self, name, kind, help_text, labels=(), stat=None, collect=None):
+        """Add a :class:`Family` (same arguments); every reader lists
+        families in declaration order."""
+        family = Family(name, kind, help_text, labels, stat, collect)
         with self._lock:
-            entry = self._requests.setdefault(op, {"count": 0, "errors": 0})
-            entry["count"] += 1
-            if not ok:
-                entry["errors"] += 1
+            self.families.append(family)
+        return family
+
+    # -- recording ------------------------------------------------------
+    def record_request(self, op: str, ok: bool) -> None:
+        key = (op,)
+        with self._lock:
+            self._requests.add(key, 1)
+            self._request_errors.add(key, not ok)
 
     def record_query(
         self, kind: str, seconds: float, rows: int, ok: bool = True
     ) -> None:
         """One query-serving request (a ``start`` or ``fetch``) finished."""
+        key = (kind,)
         with self._lock:
-            self._latency.setdefault(kind, LatencyHistogram()).record(seconds)
-            self._rows[kind] = self._rows.get(kind, 0) + rows
-            if not ok:
-                self._errors[kind] = self._errors.get(kind, 0) + 1
+            hist = self._latency.values.get(key)
+            if hist is None:
+                hist = self._latency.values[key] = LatencyHistogram()
+            hist.record(seconds)
+            self._rows.add(key, rows)
+            self._query_errors.add(key, not ok)
 
     def merge_meter(self, kind: str, meter: WorkMeter) -> None:
         """Fold one finished session's op counters into the per-kind total."""
         with self._lock:
-            self._meters.setdefault(kind, WorkMeter()).merge(meter)
+            for unit, n in meter.counts.items():
+                self._meters.add((kind, unit), n)
 
     def bump_session(self, event: str, n: int = 1) -> None:
         with self._lock:
-            self.sessions[event] = self.sessions.get(event, 0) + n
+            self._sessions.add((event,), n)
 
     def bump_resilience(self, event: str, n: int = 1) -> None:
         """One retry/hedge/re-scatter/breaker/failover event occurred."""
         with self._lock:
-            self.resilience[event] = self.resilience.get(event, 0) + n
+            self._resilience.add((event,), n)
 
-    # ------------------------------------------------------------------
-    def snapshot(
-        self,
-        active_sessions: int = 0,
-        storage: Optional[Dict[str, Any]] = None,
-        raw: bool = False,
-    ) -> Dict[str, Any]:
-        """All counters; ``storage`` (the engine's ``storage_stats()``)
-        rides along under its own key so operators see WAL volume and
-        crash-recovery work next to the serving metrics.  ``raw=True``
-        additionally ships each latency histogram's bucket counts
-        (``latency_raw``) so a router can merge per-shard histograms
-        exactly instead of averaging percentile estimates."""
+    # -- reading --------------------------------------------------------
+    def _storage_section(self) -> Dict[str, Any]:
+        """``storage_stats()`` over the zeroed schema."""
+        return dict(_STORAGE_ZERO, **self.storage())
+
+    def collect(
+        self, stats_only: bool = False, failed: Optional[List[str]] = None
+    ) -> List[Tuple[Family, List[Tuple[tuple, Any]]]]:
+        """Every family (with ``stats_only``, every family with a stats
+        path) and its samples: recorded ones copied under the lock (in
+        recording order), live ones read from their callbacks.  A live
+        family whose callback raises is left out and its name appended to
+        ``failed``; without a ``failed`` list the error propagates."""
         with self._lock:
-            queries = {}
-            for kind, hist in self._latency.items():
-                queries[kind] = {
-                    "latency": hist.snapshot(),
-                    "rows": self._rows.get(kind, 0),
-                    "errors": self._errors.get(kind, 0),
-                }
-                if raw:
-                    queries[kind]["latency_raw"] = hist.raw()
-            snap = {
-                "requests": {
-                    op: dict(counts) for op, counts in self._requests.items()
-                },
-                "queries": queries,
-                "meters": {
-                    kind: {
-                        unit: count for unit, count in sorted(m.counts.items())
-                    }
-                    for kind, m in self._meters.items()
-                },
-                "sessions": dict(self.sessions, active=active_sessions),
-                "resilience": dict(self.resilience),
-                "storage": dict(_STORAGE_ZERO, **storage)
-                if storage
-                else dict(_STORAGE_ZERO),
+            families = [f for f in self.families if f.stat or not stats_only]
+            recorded = {
+                id(f): [
+                    (k, v.copy() if f.kind == "histogram" else v)
+                    for k, v in f.values.items()
+                ]
+                for f in families
+                if f.collect is None
             }
-            if self.shard_id is not None:
-                snap["shard_id"] = self.shard_id
-            return snap
+        out = []
+        for family in families:
+            if family.collect is None:
+                out.append((family, recorded[id(family)]))
+                continue
+            try:
+                out.append((family, list(family.collect())))
+            except Exception:  # noqa: BLE001 - one bad reading hides only its family
+                if failed is None:
+                    raise
+                failed.append(family.name)
+        return out
 
+    def snapshot(self, raw: bool = False) -> Dict[str, Any]:
+        """The ``stats`` JSON: every family with a stats path, then
+        ``storage``; ``raw=True`` adds each histogram's buckets
+        (``latency_raw``) so a router merges them exactly."""
+        out: Dict[str, Any] = {}
+        for family, samples in self.collect(stats_only=True):
+            section = out.setdefault(family.stat[0], {})
+            for key, value in samples:
+                labels = iter(key)
+                node = section
+                path = [next(labels) if p == "*" else p for p in family.stat[1:]]
+                for part in path[:-1]:
+                    node = node.setdefault(part, {})
+                if family.kind == "histogram":
+                    node[path[-1]] = value.snapshot()
+                    if raw:
+                        node[path[-1] + "_raw"] = value.raw()
+                else:
+                    node[path[-1]] = value
+        out["storage"] = self._storage_section()
+        if self.shard_id is not None:
+            out["shard_id"] = self.shard_id
+        return out
 
-def aggregate_snapshots(snaps: List[Dict[str, Any]]) -> Dict[str, Any]:
-    """Merge per-shard :meth:`ServerMetrics.snapshot` dicts into one.
+    def exposition(
+        self, summed: Collection[str] = (), failed: Optional[List[str]] = None
+    ) -> List[Tuple[str, str, str, List[Tuple[Dict[str, Any], Any]]]]:
+        """Every family as Prometheus ``(name, type, help, [(labels,
+        value)])``: a recorded family's samples sorted by labels, a live
+        one's in callback order, non-numbers left out.  A histogram is a
+        ``<name>_ms{stat}`` gauge and a ``<name>_count`` counter.  Each
+        labelled family named in ``summed`` gains one unlabelled sample
+        of all its label sets: counters summed, histograms bucket-wise.
+        ``failed`` is as for :meth:`collect`."""
+        extra = {"shard": self.shard_id} if self.shard_id is not None else {}
+        out = []
+        for family, samples in self.collect(failed=failed):
+            if family.collect is None:
+                samples.sort(key=lambda kv: kv[0])
+            histogram = family.kind == "histogram"
+            named = [
+                (dict(extra, **dict(zip(family.labels, key))), value)
+                for key, value in samples
+                if histogram or _is_number(value)
+            ]
+            if family.name in summed and named and family.labels:
+                named.append((dict(extra), _total([v for _, v in named])))
+            if not histogram:
+                out.append((family.name, family.kind, family.help, named))
+                continue
+            summaries = [(labels, hist.snapshot()) for labels, hist in named]
+            out.append((family.name + "_ms", "gauge", family.help, [
+                (dict(labels, stat=stat), summary[stat + "_ms"])
+                for labels, summary in summaries
+                for stat in _STATS
+            ]))
+            out.append((
+                family.name + "_count", "counter",
+                f"Latency samples by {', '.join(family.labels)}.",
+                [(labels, summary["count"]) for labels, summary in summaries],
+            ))
+        return out
 
-    Request/row/error/session counters sum; latency histograms merge
-    bucket-wise through :class:`LatencyHistogram` (using ``latency_raw``
-    when the shard shipped it, so cluster-wide percentiles come from real
-    counts, not averaged per-shard percentiles); meters sum per unit.
-    The per-shard ``storage`` sections are kept under ``shards`` keyed by
-    shard id rather than summed — page counts from different files are
-    not meaningfully additive.
-    """
-    out: Dict[str, Any] = {
-        "requests": {},
-        "queries": {},
-        "meters": {},
-        "sessions": {},
-        "resilience": {},
-        "storage": dict(_STORAGE_ZERO),
-        "shards": {},
-    }
-    hists: Dict[str, LatencyHistogram] = {}
-    for i, snap in enumerate(snaps):
-        shard_key = str(snap.get("shard_id", i))
-        out["shards"][shard_key] = {
-            "storage": snap.get("storage", {}),
-            "sessions": snap.get("sessions", {}),
-            # Per-shard meters stay visible so a bench can compute the
-            # cluster makespan (max over shards of simulated seconds).
-            "meters": snap.get("meters", {}),
-        }
-        for op, counts in snap.get("requests", {}).items():
-            entry = out["requests"].setdefault(op, {"count": 0, "errors": 0})
-            entry["count"] += counts.get("count", 0)
-            entry["errors"] += counts.get("errors", 0)
-        for kind, q in snap.get("queries", {}).items():
-            entry = out["queries"].setdefault(kind, {"rows": 0, "errors": 0})
-            entry["rows"] += q.get("rows", 0)
-            entry["errors"] += q.get("errors", 0)
-            hist = hists.setdefault(kind, LatencyHistogram())
-            if "latency_raw" in q:
-                hist.merge_raw(q["latency_raw"])
-            else:
-                # Estimate-only fallback: count the samples at the shard's
-                # reported mean so totals stay right even without raw data.
-                latency = q.get("latency", {})
-                count = int(latency.get("count", 0))
-                mean_s = float(latency.get("mean_ms", 0.0)) / 1000.0
-                for _ in range(count):
-                    hist.record(mean_s)
-        for kind, units in snap.get("meters", {}).items():
-            entry = out["meters"].setdefault(kind, {})
-            for unit, n in units.items():
-                entry[unit] = entry.get(unit, 0.0) + n
-        for event, n in snap.get("sessions", {}).items():
-            out["sessions"][event] = out["sessions"].get(event, 0) + n
-        for event, n in snap.get("resilience", {}).items():
-            out["resilience"][event] = out["resilience"].get(event, 0) + n
-    for kind, hist in hists.items():
-        out["queries"][kind]["latency"] = hist.snapshot()
-    return out
+    # -- rollup ---------------------------------------------------------
+    def twin(self) -> "ServerMetrics":
+        """An empty registry to roll snapshots up into: every stats family
+        records afresh, every other family is still read live here."""
+        twin = ServerMetrics(storage=self.storage)
+        fresh = {f.name: f for f in twin.families}
+        twin.families = [fresh[f.name] if f.stat else f for f in self.families]
+        return twin
+
+    def merge_snapshot(self, snap: Dict[str, Any]) -> None:
+        """Sum another process's ``snapshot(raw=True)`` into this registry:
+        counters and gauges per label set, histograms bucket-wise from
+        ``*_raw``.  Raises ``ValueError``, merging nothing, on a sample
+        that is not a number or a histogram ``from_raw`` refuses."""
+        families = [f for f in self.families if f.stat]
+        reserved = {f.stat for f in families if "*" not in f.stat}
+        parsed = []
+        for family in families:
+            for key, parent, leaf in _walk(snap, family.stat, reserved):
+                if family.kind == "histogram":
+                    value = LatencyHistogram.from_raw(parent.get(leaf + "_raw"))
+                else:
+                    value = parent[leaf]
+                    if not _is_number(value):
+                        raise ValueError(
+                            f"{family.name}{list(key)} is not a number: {value!r}"
+                        )
+                parsed.append((family, key, value))
+        with self._lock:
+            for family, key, value in parsed:
+                family.add(key, value)

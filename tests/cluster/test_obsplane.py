@@ -14,6 +14,7 @@ from repro.cluster.local import LocalCluster
 from repro.geometry.mbr import MBR
 from repro.geometry.wkt import to_wkt
 from repro.obs import trace
+from repro.obs.exporters import lint_prometheus
 from repro.obs.trace import build_tree
 
 BOX = MBR(0.0, 0.0, 100.0, 100.0)
@@ -138,12 +139,12 @@ class TestClusterPlane:
         assert plane is not None
         plane.scrape_once()
         store = plane.store
-        assert store.latest("cluster.scatter.fanout") is not None
-        assert store.latest("cluster.replication.lag_seconds") is not None
+        assert store.latest("repro_cluster_scatter_fanout") is not None
+        assert store.latest("repro_cluster_replication_lag_seconds") is not None
         for shard in (0, 1):
-            assert store.latest("cluster.health.up", {"shard": shard}) == 1.0
-            assert store.latest("cluster.breaker.state", {"shard": shard}) == 0.0
-        assert store.latest("server.requests_total") is not None
+            assert store.latest("repro_cluster_shard_up", {"shard": shard}) == 1.0
+            assert store.latest("repro_cluster_breaker_state", {"shard": shard}) == 0.0
+        assert store.latest("repro_requests_total", {"op": "start"}) is not None
         assert plane.collector_errors == {}
 
     def test_slos_evaluate_and_export(self, traced_cluster):
@@ -151,9 +152,13 @@ class TestClusterPlane:
         plane.scrape_once()
         burns = plane.engine.burn_rates()
         assert set(burns) == {"availability", "p99-latency", "replication-lag"}
-        text = plane.prometheus_text()
+        with traced_cluster.client() as client:
+            text = client.metrics()
+        assert lint_prometheus(text) == []
         assert "repro_slo_objective" in text
         assert 'repro_slo_alert_firing{severity="page",slo="availability"} 0' in text
+        # the cluster gauges ride the same exposition
+        assert 'repro_cluster_breaker_state{shard="0"} 0' in text
 
     def test_plane_off_by_default(self):
         with LocalCluster(2, BOX, n_entries_hint=8, halo=2.0) as cluster:

@@ -11,6 +11,7 @@ from repro.cluster.router import RouterService
 from repro.geometry.mbr import MBR
 from repro.geometry.wkt import from_wkt, to_wkt
 from repro.server.client import QueryClient, RemoteError
+from repro.server.metrics import ServerMetrics
 from repro.server.protocol import ERR_SHARD_FAILED
 
 BOX = MBR(0.0, 0.0, 100.0, 100.0)
@@ -345,3 +346,34 @@ class TestPartialFailure:
         assert failed == [2]
         assert rows, "surviving shards returned nothing"
         assert set(summary["rows_per_shard"]) <= {"0", "1"}
+
+
+class _StatsHandle:
+    """A shard handle that answers ``stats`` with a canned snapshot."""
+
+    def __init__(self, shard, snap):
+        self.shard = shard
+        self.snap = snap
+
+    def request(self, op, **fields):
+        assert op == "stats" and fields == {"raw": True}
+        return {"stats": self.snap}
+
+
+class TestStatsRollupRefusal:
+    def test_foreign_bucket_table_is_skipped_and_counted(self):
+        good, bad = ServerMetrics(shard_id=0), ServerMetrics(shard_id=1)
+        good.record_query("window", 0.01, 3)
+        bad.record_query("window", 0.02, 4)
+        bad_snap = bad.snapshot(raw=True)
+        bad_snap["queries"]["window"]["latency_raw"]["counts"].append(0)
+        router = RouterService(
+            [_StatsHandle(0, good.snapshot(raw=True)), _StatsHandle(1, bad_snap)],
+            GridPartitioner.build(BOX, 2, 10),
+        )
+        rollup = ServerMetrics().twin()
+        shards = router.shard_stats(rollup)
+        assert set(shards) == {"0"}
+        assert router.failures == {1: 1}
+        window = rollup.snapshot()["queries"]["window"]
+        assert window["rows"] == 3 and window["latency"]["count"] == 1

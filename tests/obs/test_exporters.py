@@ -97,8 +97,8 @@ class TestAggregate:
 
 
 class TestPrometheus:
-    def _snapshot(self):
-        metrics = ServerMetrics()
+    def _metrics(self):
+        metrics = ServerMetrics(active_sessions=lambda: 1)
         metrics.record_request("start", ok=True)
         metrics.record_request("fetch", ok=False)
         metrics.record_query("sql", 0.01, rows=5)
@@ -106,16 +106,20 @@ class TestPrometheus:
         meter.add("mbr_test", 3)
         metrics.merge_meter("sql", meter)
         metrics.bump_session("opened")
-        return metrics.snapshot(active_sessions=1)
+        return metrics
 
-    def test_exposition_is_lint_clean(self):
-        text = prometheus_text(
-            self._snapshot(),
-            kernel={
+    def test_exposition_is_lint_clean(self, monkeypatch):
+        from repro.geometry import kernels
+
+        monkeypatch.setattr(
+            kernels,
+            "counters",
+            lambda: {
                 "calls": {"mbr_filter_indices": 2},
                 "items": {"mbr_filter_indices": 9},
             },
         )
+        text = prometheus_text(self._metrics())
         assert lint_prometheus(text) == []
         assert 'repro_requests_total{op="start"} 1' in text
         assert 'repro_request_errors_total{op="fetch"} 1' in text
@@ -125,9 +129,9 @@ class TestPrometheus:
         assert 'repro_kernel_calls_total{entry="mbr_filter_indices"} 2' in text
 
     def test_storage_zeros_without_durability(self):
-        # the snapshot must expose a stable zeroed storage schema even
+        # the registry must expose a stable zeroed storage schema even
         # when the database runs with durability="none"
-        text = prometheus_text(ServerMetrics().snapshot())
+        text = prometheus_text(ServerMetrics())
         assert 'repro_storage_info{durability="none"} 1' in text
         assert 'repro_storage{stat="wal_bytes"} 0' in text
         assert 'repro_storage{stat="recovered_pages"} 0' in text
@@ -136,7 +140,7 @@ class TestPrometheus:
     def test_label_escaping(self):
         metrics = ServerMetrics()
         metrics.record_request('we"ird\\op', ok=True)
-        text = prometheus_text(metrics.snapshot())
+        text = prometheus_text(metrics)
         assert lint_prometheus(text) == []
 
 

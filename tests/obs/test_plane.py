@@ -1,7 +1,7 @@
 """Metrics store, SLO burn-rate engine and the scrape plane (no sockets).
 
-Everything runs on an injected fake clock so retention, rollups and
-burn-rate windows are exact, not timing-dependent.
+Everything runs on an injected fake clock so retention and burn-rate
+windows are exact, not timing-dependent.
 """
 
 import pytest
@@ -13,8 +13,12 @@ from repro.obs.plane import (
     ObservabilityPlane,
     SLOEngine,
     default_cluster_slos,
+    registry_collector,
     series_key,
 )
+from repro.obs.dashboard import render_top
+from repro.obs.exporters import lint_prometheus, prometheus_text
+from repro.server.metrics import ServerMetrics
 
 
 class FakeClock:
@@ -68,14 +72,6 @@ class TestMetricStore:
             store.observe("g", None, float(i))
         assert len(store.range_query("g")) == 4
 
-    def test_rate_of_counter(self):
-        clock = FakeClock()
-        store = MetricStore(clock=clock)
-        for v in (0, 10, 20, 30):
-            store.observe("c", None, float(v))
-            clock.advance(1.0)
-        assert store.rate("c", window=10.0) == pytest.approx(10.0)
-
     def test_rate_survives_counter_reset(self):
         clock = FakeClock()
         store = MetricStore(clock=clock)
@@ -84,20 +80,6 @@ class TestMetricStore:
             store.observe("c", None, float(v))
             clock.advance(1.0)
         assert store.increase("c", window=10.0) == pytest.approx(140.0)
-
-    def test_rollups_downsample(self):
-        clock = FakeClock()
-        store = MetricStore(rollup_every=10.0, clock=clock)
-        for i in range(25):
-            store.observe("g", None, float(i))
-            clock.advance(1.0)
-        buckets = store.rollup_query("g")
-        assert len(buckets) >= 2
-        # (bucket_ts, min, max, mean, count) schema
-        _, mn, mx, mean, count = buckets[0]
-        assert count == 10
-        assert mn == 0.0 and mx == 9.0
-        assert mean == pytest.approx(4.5)
 
     def test_match_filters_series(self):
         store = MetricStore(clock=FakeClock())
@@ -210,20 +192,13 @@ class TestSLOEngine:
         engine = SLOEngine(store, [_availability_slo()], windows=FAST, clock=clock)
         self._feed(store, clock, 70, total_per_s=10, err_per_s=5)
         engine.evaluate()
-        from repro.obs.exporters import _Expo
-
-        expo = _Expo()
-        engine.prometheus_into(expo)
-        text = expo.text()
+        metrics = ServerMetrics()
+        engine.declare(metrics)
+        text = prometheus_text(metrics)
         assert '# TYPE repro_slo_objective gauge' in text
         assert 'repro_slo_alert_firing{severity="page",slo="avail"} 1' in text
         assert 'repro_slo_alerts_total{severity="page",slo="avail"} 1' in text
-        # Prometheus text lint: every non-comment line is name{...} value
-        for line in text.strip().splitlines():
-            if line.startswith("#"):
-                continue
-            name, _, value = line.rpartition(" ")
-            assert name and float(value) is not None
+        assert lint_prometheus(text) == []
 
 
 class TestObservabilityPlane:
@@ -281,7 +256,9 @@ class TestObservabilityPlane:
         plane = ObservabilityPlane(
             slos=default_cluster_slos(), clock=FakeClock()
         )
-        assert "repro_slo_objective" in plane.prometheus_text()
+        metrics = ServerMetrics()
+        plane.engine.declare(metrics)
+        assert "repro_slo_objective" in prometheus_text(metrics)
 
     def test_background_thread_scrapes(self):
         import time as _time
@@ -299,3 +276,83 @@ class TestObservabilityPlane:
             plane.stop()
         assert plane.scrapes > 0
         assert plane.store.latest("tick") == 1.0
+
+
+class TestRegistryCollector:
+    def test_plane_reads_the_registry_under_family_names(self):
+        metrics = ServerMetrics()
+        metrics.record_request("start", ok=True)
+        metrics.record_request("start", ok=False)
+        metrics.bump_session("opened")
+        plane = ObservabilityPlane(
+            slos=default_cluster_slos(), clock=FakeClock()
+        )
+        plane.add_collector(registry_collector(metrics, plane.engine.slos))
+        plane.scrape_once()
+        store = plane.store
+        assert store.latest("repro_requests_total", {"op": "start"}) == 2.0
+        assert store.latest("repro_request_errors_total", {"op": "start"}) == 1.0
+        # the families an SLO or a panel reads summed also land summed
+        # over their label sets; no other family does
+        assert store.latest("repro_requests_total") == 2.0
+        assert store.latest("repro_request_errors_total") == 1.0
+        assert store.latest("repro_sessions_total", {"event": "opened"}) == 1.0
+        assert store.latest("repro_sessions_total") is None
+        assert store.latest("repro_sessions_active") == 0.0
+        assert plane.collector_errors == {}
+
+    def test_latency_slo_watches_the_worst_query_kind(self):
+        """A slow kind carrying 1% of the traffic cannot move the p99 of
+        all kinds merged, but its own p99 still burns the budget."""
+        metrics = ServerMetrics()
+        for _ in range(990):
+            metrics.record_query("window", 0.001, 1)
+        for _ in range(10):
+            metrics.record_query("knn", 0.500, 1)
+        plane = ObservabilityPlane(
+            slos=default_cluster_slos(p99_ms=250.0), clock=FakeClock()
+        )
+        plane.add_collector(registry_collector(metrics, plane.engine.slos))
+        plane.scrape_once()
+        store = plane.store
+        assert store.latest("repro_query_latency_ms", {"stat": "p99"}) < 250.0
+        slo = next(s for s in plane.engine.slos if s.name == "p99-latency")
+        assert slo.bad_ratio(store, 60.0, plane.clock()) == 1.0
+
+    def test_a_raising_live_family_is_counted_and_skipped(self):
+        metrics = ServerMetrics()
+        metrics.record_request("start", ok=True)
+
+        def broken():
+            raise RuntimeError("reading failed")
+
+        metrics.declare("repro_broken", "gauge", "Always fails.", collect=broken)
+        plane = ObservabilityPlane(clock=FakeClock())
+        plane.add_collector(registry_collector(metrics), name="router")
+        plane.scrape_once()
+        # the other families still land; the failure is counted
+        assert plane.store.latest("repro_requests_total", {"op": "start"}) == 1.0
+        assert plane.collector_errors == {"router": 1}
+        text = prometheus_text(metrics)
+        assert lint_prometheus(text) == []
+        assert "repro_broken" not in text
+        assert 'repro_requests_total{op="start"} 1' in text
+        assert metrics.snapshot()["requests"]["start"]["count"] == 1
+
+    def test_dashboard_p50_merges_every_query_kind(self):
+        """950 fast requests of one kind and 50 slow ones of another:
+        the p50 over all traffic is the fast kind's, not whichever kind's
+        series happens to sort first."""
+        metrics = ServerMetrics()
+        for _ in range(950):
+            metrics.record_query("window", 0.001, 1)
+        for _ in range(50):
+            metrics.record_query("knn", 0.200, 1)
+        plane = ObservabilityPlane(clock=FakeClock())
+        plane.add_collector(registry_collector(metrics))
+        plane.scrape_once()
+        screen = render_top(plane.snapshot())
+        p50 = float(screen.split("p50ms", 1)[1].split()[0])
+        assert p50 <= 2.0
+        p99 = float(screen.split("p99ms", 1)[1].split()[0])
+        assert p99 == pytest.approx(200.0)

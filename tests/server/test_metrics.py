@@ -113,13 +113,62 @@ class TestSnapshotStorageSchema:
         }
 
     def test_storage_merges_real_stats_over_zeros(self):
-        snap = ServerMetrics().snapshot(
-            storage={"durability": "wal", "wal_bytes": 77, "commits": 3}
-        )
+        snap = ServerMetrics(
+            storage=lambda: {"durability": "wal", "wal_bytes": 77, "commits": 3}
+        ).snapshot()
         assert snap["storage"]["durability"] == "wal"
         assert snap["storage"]["wal_bytes"] == 77
         assert snap["storage"]["commits"] == 3
         assert snap["storage"]["recovered_pages"] == 0  # zero-filled
+
+
+def _bucket_table(n):
+    return {"counts": [1] * n, "total": n, "sum_seconds": 1.0, "max_seconds": 2.0}
+
+
+def _assert_snapshot_refused(latency_raw):
+    """A shard snapshot whose knn histogram is ``latency_raw`` (``None``:
+    no buckets at all) is refused whole by a router rollup."""
+    shard = ServerMetrics(shard_id=0)
+    shard.record_request("start", ok=True)
+    shard.record_query("knn", 0.01, 3)
+    snap = shard.snapshot(raw=True)
+    if latency_raw is None:
+        del snap["queries"]["knn"]["latency_raw"]
+    else:
+        snap["queries"]["knn"]["latency_raw"] = latency_raw
+    rollup = ServerMetrics().twin()
+    with pytest.raises(ValueError):
+        rollup.merge_snapshot(snap)
+    # nothing of the refused snapshot was merged
+    assert rollup.snapshot() == ServerMetrics().snapshot()
+
+
+def _router_rollup(*snaps):
+    """Roll shard ``stats`` snapshots up the way the router does, through
+    :meth:`RouterService.shard_stats` over fake handles (``None``: a shard
+    that does not answer).  Returns the rollup's stats, the per-shard
+    sections and the router."""
+    from repro.cluster.partition import GridPartitioner
+    from repro.cluster.router import RouterService
+    from repro.geometry.mbr import MBR
+
+    class Handle:
+        def __init__(self, shard, snap):
+            self.shard, self.snap = shard, snap
+
+        def request(self, op, **fields):
+            if self.snap is None:
+                raise OSError("shard down")
+            return {"stats": self.snap}
+
+    handles = [Handle(i, snap) for i, snap in enumerate(snaps)]
+    router = RouterService(
+        handles, GridPartitioner.build(MBR(0, 0, 10, 10), len(handles), 10)
+    )
+    rollup = ServerMetrics().twin()
+    shards = router.shard_stats(rollup)
+    return rollup.snapshot(), shards, router
 
 
 class TestHistogramMerge:
@@ -136,40 +185,20 @@ class TestHistogramMerge:
         assert sum(a.counts) == 4
 
     def test_merge_from_shorter_bucket_table(self):
-        # An older shard whose bound table stopped earlier: its overflow
-        # bucket (last slot) must land in OUR overflow, and its finite
-        # buckets must keep their positions.
-        a = LatencyHistogram()
-        short = {
-            "counts": [3, 0, 0, 2],  # 3 in bucket 0, 2 overflowed
-            "total": 5,
-            "sum_seconds": 1.0,
-            "max_seconds": 200.0,
-        }
-        a.merge_raw(short)
-        assert a.total == 5
-        assert a.counts[0] == 3
-        assert a.counts[-1] == 2
-        assert sum(a.counts) == 5
+        # A bucket table that stops earlier than ours is not realigned:
+        # its buckets cannot be placed without guessing, so it is refused.
+        short = _bucket_table(len(_BOUNDS) - 2)
+        with pytest.raises(ValueError):
+            LatencyHistogram.from_raw(short)
+        _assert_snapshot_refused(short)
 
     def test_merge_from_longer_bucket_table(self):
-        # A future shard with MORE buckets: the surplus finite buckets
-        # fold into our overflow rather than being dropped.
-        a = LatencyHistogram()
-        n = len(a.counts)
-        long_counts = [1] * (n + 4)
-        a.merge_raw(
-            {
-                "counts": long_counts,
-                "total": n + 4,
-                "sum_seconds": 2.0,
-                "max_seconds": 300.0,
-            }
-        )
-        assert a.total == n + 4
-        assert sum(a.counts) == n + 4
-        assert a.counts[-1] == 5  # 4 surplus finite + their overflow
-        assert all(c == 1 for c in a.counts[:-1])
+        # A bucket table with more buckets than ours is not folded into
+        # our overflow bucket: it is refused.
+        long = _bucket_table(len(_BOUNDS) + 5)
+        with pytest.raises(ValueError):
+            LatencyHistogram.from_raw(long)
+        _assert_snapshot_refused(long)
 
     def test_raw_round_trip_preserves_percentiles(self):
         a = LatencyHistogram()
@@ -182,23 +211,40 @@ class TestHistogramMerge:
         a = LatencyHistogram()
         a.record(0.004)
         before = a.snapshot()
-        a.merge_raw({"counts": [], "total": 0, "sum_seconds": 0.0, "max_seconds": 0.0})
+        a.merge(LatencyHistogram.from_raw(LatencyHistogram().raw()))
         assert a.snapshot() == before
+
+
+class TestRefuseUncheckedHistograms:
+    """A histogram from another process is merged only when its bucket
+    table is this process's: otherwise the whole snapshot is refused
+    (the router then counts that shard as failed)."""
+
+    @pytest.mark.parametrize(
+        "latency_raw",
+        [
+            dict(_bucket_table(len(_BOUNDS) + 1), counts=[-1] + [1] * len(_BOUNDS)),
+            dict(_bucket_table(len(_BOUNDS) + 1), total=3),  # total != sum
+        ],
+        ids=["negative", "total"],
+    )
+    def test_foreign_histogram_refuses_the_snapshot(self, latency_raw):
+        with pytest.raises(ValueError):
+            LatencyHistogram.from_raw(latency_raw)
+        _assert_snapshot_refused(latency_raw)
 
 
 class TestAggregateSnapshots:
     def _snap(self, shard, ms_samples, rows=10):
-        m = ServerMetrics(shard_id=shard)
+        m = ServerMetrics(shard_id=shard, active_sessions=lambda: 1)
         for ms in ms_samples:
             m.record_query("window", ms / 1000.0, rows)
         m.bump_session("opened", 2)
-        return m.snapshot(active_sessions=1, raw=True)
+        return m.snapshot(raw=True)
 
     def test_counters_sum_and_histograms_merge_exactly(self):
-        from repro.server.metrics import aggregate_snapshots
-
-        out = aggregate_snapshots(
-            [self._snap(0, [1, 2, 3]), self._snap(1, [100, 200, 300])]
+        out, shards, _ = _router_rollup(
+            self._snap(0, [1, 2, 3]), self._snap(1, [100, 200, 300])
         )
         q = out["queries"]["window"]
         assert q["rows"] == 60
@@ -208,29 +254,34 @@ class TestAggregateSnapshots:
         assert q["latency"]["p99_ms"] >= 200.0
         assert out["sessions"]["opened"] == 4
         assert out["sessions"]["active"] == 2
-        assert set(out["shards"]) == {"0", "1"}
+        assert set(shards) == {"0", "1"}
 
     def test_fallback_without_raw_keeps_counts(self):
-        from repro.server.metrics import aggregate_snapshots
-
+        # A snapshot without latency_raw carries only estimates, which no
+        # rollup can merge exactly: it is refused, and the rollup keeps
+        # its own counts untouched.
         m = ServerMetrics(shard_id=7)
         for ms in (10, 20, 30):
             m.record_query("knn", ms / 1000.0, 1)
-        snap = m.snapshot()  # raw=False: estimate-only
-        assert "latency_raw" not in snap["queries"]["knn"]
-        out = aggregate_snapshots([snap])
-        assert out["queries"]["knn"]["latency"]["count"] == 3
+        assert "latency_raw" not in m.snapshot()["queries"]["knn"]
+        rollup = ServerMetrics().twin()
+        rollup.merge_snapshot(self._snap(0, [1, 2, 3]))
+        before = rollup.snapshot()
+        with pytest.raises(ValueError):
+            rollup.merge_snapshot(m.snapshot())
+        assert rollup.snapshot() == before
+        assert rollup.snapshot()["queries"]["window"]["latency"]["count"] == 3
+        _assert_snapshot_refused(None)
 
     def test_per_shard_meters_preserved(self):
         from repro.engine.cost import WorkMeter
-        from repro.server.metrics import aggregate_snapshots
 
         m = ServerMetrics(shard_id=3)
         meter = WorkMeter()
         meter.add("mbr_test", 40)
         m.merge_meter("window", meter)
-        out = aggregate_snapshots([m.snapshot(raw=True)])
-        assert out["shards"]["3"]["meters"]["window"]["mbr_test"] == 40
+        out, shards, _ = _router_rollup(m.snapshot(raw=True))
+        assert shards["3"]["meters"]["window"]["mbr_test"] == 40
         assert out["meters"]["window"]["mbr_test"] == 40
 
 
@@ -240,8 +291,6 @@ class TestAggregateHeterogeneous:
     has, and a fully-degraded scrape can arrive empty."""
 
     def test_missing_storage_section(self):
-        from repro.server.metrics import aggregate_snapshots
-
         durable = ServerMetrics(shard_id=0)
         durable.record_query("window", 0.01, 5)
         durable_snap = durable.snapshot(raw=True)
@@ -252,40 +301,42 @@ class TestAggregateHeterogeneous:
         memory_snap = in_memory.snapshot(raw=True)
         del memory_snap["storage"]  # in-memory shard: nothing to report
 
-        out = aggregate_snapshots([durable_snap, memory_snap])
+        out, shards, _ = _router_rollup(durable_snap, memory_snap)
         # Query counters still merge across both shards...
         assert out["queries"]["window"]["rows"] == 12
         assert out["queries"]["window"]["latency"]["count"] == 2
-        # ...and the storage views stay per-shard, absent one included.
-        assert out["shards"]["0"]["storage"]["pages"] == 12
-        assert out["shards"]["1"]["storage"] == {}
+        # ...and the storage views stay per-shard, absent one included;
+        # page counts are per file, so the rollup keeps its own schema.
+        assert shards["0"]["storage"]["pages"] == 12
+        assert shards["1"]["storage"] == {}
+        assert out["storage"]["num_pages"] == 0
 
     def test_mismatched_resilience_keys(self):
-        from repro.server.metrics import aggregate_snapshots
-
         a = ServerMetrics(shard_id=0)
         a.bump_resilience("retries", 3)
         a.bump_resilience("hedges", 1)
         b = ServerMetrics(shard_id=1)
         b.bump_resilience("retries", 2)
-        b.bump_resilience("trace_drain_failed", 1)  # unknown to shard 0
+        b.bump_resilience("restarts", 1)  # unknown to shard 0
 
-        out = aggregate_snapshots([a.snapshot(), b.snapshot()])
+        rollup = ServerMetrics().twin()
+        rollup.merge_snapshot(a.snapshot(raw=True))
+        rollup.merge_snapshot(b.snapshot(raw=True))
+        out = rollup.snapshot()
         assert out["resilience"]["retries"] == 5
         assert out["resilience"]["hedges"] == 1
-        assert out["resilience"]["trace_drain_failed"] == 1
+        assert out["resilience"]["restarts"] == 1
         # Zero-valued standard keys survive (dashboards key on them).
         assert out["resilience"]["deadline_misses"] == 0
 
     def test_zero_shard_input(self):
-        from repro.server.metrics import aggregate_snapshots
-
-        out = aggregate_snapshots([])
-        assert out["shards"] == {}
+        out, shards, router = _router_rollup(None, None)
+        assert shards == {}
+        assert router.failures == {0: 1, 1: 1}
         assert out["requests"] == {}
         assert out["queries"] == {}
-        assert out["resilience"] == {}
-        assert out["sessions"] == {}
+        assert out["meters"] == {}
+        assert out["sessions"]["active"] == 0
         # The storage rollup keeps its zero schema so consumers can
         # read fields without existence checks.
         assert out["storage"]["num_pages"] == 0
