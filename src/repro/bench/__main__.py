@@ -59,7 +59,7 @@ DESCRIPTIONS = {
     "table3": "parallel quadtree and R-tree index creation at 1 / 2 / 4 processors (Table 3)",
     "figure1": "subtree-pair decomposition of a two-R-tree join (Figure 1)",
     "figure2": "parallel quadtree creation pipeline: per-worker tessellation + B-tree tail (Figure 2)",
-    "ablation_sweep": "interior-tile / batching / approximation ablation",
+    "ablation_sweep": "primary-filter node pairing, NESTED vs SWEEP, on counties and stars (Ablation G)",
     "grid": "grid-partitioned parallel join vs serial ablation",
     "columnar": "slotted heap vs zone-mapped column chunks ablation",
     "cluster": "sharded router scaling + cross-shard join exactness",

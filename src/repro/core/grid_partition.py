@@ -351,7 +351,6 @@ class GridJoinContext:
         "tiles_b",
         "candidate_array_size",
         "fetch_order",
-        "use_interior",
         "rng_seed",
         "_filters",
     )
@@ -367,7 +366,6 @@ class GridJoinContext:
         tiles_b: Dict[int, TileEntries],
         candidate_array_size: int,
         fetch_order,
-        use_interior: bool,
         rng_seed: int,
     ):
         self.table_a = table_a
@@ -379,7 +377,6 @@ class GridJoinContext:
         self.tiles_b = tiles_b
         self.candidate_array_size = candidate_array_size
         self.fetch_order = fetch_order
-        self.use_interior = use_interior
         self.rng_seed = rng_seed
         self._filters: Dict[int, object] = {}
 
@@ -409,7 +406,6 @@ class GridJoinContext:
                 self.predicate,
                 fetch_order=self.fetch_order,
                 rng_seed=self.rng_seed,
-                use_interior=self.use_interior,
             )
             self._filters[worker_id] = filt
         return filt

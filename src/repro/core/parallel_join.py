@@ -88,7 +88,6 @@ class SpatialJoinFactory:
     predicate: JoinPredicate
     candidate_array_size: int = DEFAULT_CANDIDATE_ARRAY_SIZE
     fetch_order: FetchOrder = FetchOrder.SORTED
-    use_interior: bool = False
     strategy: JoinStrategy = JoinStrategy.SWEEP
     use_pair_cursor: bool = False
     rng_seed: int = 0
@@ -105,7 +104,6 @@ class SpatialJoinFactory:
             subtree_pair_cursor=cursor if self.use_pair_cursor else None,
             candidate_array_size=self.candidate_array_size,
             fetch_order=self.fetch_order,
-            use_interior=self.use_interior,
             strategy=self.strategy,
             rng_seed=self.rng_seed,
         )
@@ -157,7 +155,6 @@ def spatial_join(
     candidate_array_size: int = DEFAULT_CANDIDATE_ARRAY_SIZE,
     fetch_order: FetchOrder = FetchOrder.SORTED,
     executor: Optional[ParallelExecutor] = None,
-    use_interior: bool = False,
     strategy: JoinStrategy = JoinStrategy.SWEEP,
     rng_seed: int = 0,
 ) -> JoinResult:
@@ -179,7 +176,6 @@ def spatial_join(
         predicate=predicate,
         candidate_array_size=candidate_array_size,
         fetch_order=fetch_order,
-        use_interior=use_interior,
         strategy=strategy,
         use_pair_cursor=False,
         rng_seed=rng_seed,
@@ -204,7 +200,6 @@ def grid_parallel_join(
     predicate: JoinPredicate = JoinPredicate(),
     candidate_array_size: int = DEFAULT_CANDIDATE_ARRAY_SIZE,
     fetch_order: FetchOrder = FetchOrder.SORTED,
-    use_interior: bool = False,
     rng_seed: int = 0,
     grid_shape: Optional[Tuple[int, int]] = None,
     spec=None,
@@ -277,7 +272,6 @@ def grid_parallel_join(
             tiles_b,
             candidate_array_size,
             fetch_order,
-            use_interior,
             rng_seed,
         )
         tasks = make_tile_tasks(shared, stats, owned=owned)
@@ -315,7 +309,6 @@ def parallel_spatial_join(
     fetch_order: FetchOrder = FetchOrder.SORTED,
     descent_levels: Optional[Tuple[int, int]] = None,
     min_pairs_per_slave: int = 2,
-    use_interior: bool = False,
     strategy: JoinStrategy = JoinStrategy.SWEEP,
     rng_seed: int = 0,
 ) -> JoinResult:
@@ -352,7 +345,6 @@ def parallel_spatial_join(
         predicate=predicate,
         candidate_array_size=candidate_array_size,
         fetch_order=fetch_order,
-        use_interior=use_interior,
         strategy=strategy,
         use_pair_cursor=True,
         rng_seed=rng_seed,

@@ -38,7 +38,6 @@ from repro.obs import trace
 from repro.geometry import kernels
 from repro.geometry.distance import within_distance
 from repro.geometry.geometry import Geometry
-from repro.geometry.interior import interior_rectangle
 from repro.geometry.packed import PackedRing, as_geometry
 from repro.geometry.predicates import relate
 from repro.index.rtree.join import CandidatePair
@@ -260,8 +259,6 @@ class SecondaryFilter:
         fetch_order: FetchOrder = FetchOrder.SORTED,
         cache_capacity: int = 4096,
         rng_seed: int = 0,
-        use_interior: bool = False,
-        interior_cache_capacity: Optional[int] = None,
     ):
         self.table_a = table_a
         self.table_b = table_b
@@ -282,46 +279,10 @@ class SecondaryFilter:
         self.batched_candidates = 0
         self.candidates_seen = 0
         self.results_produced = 0
-        # Interior-approximation fast-accept (SSTD'01, the paper's ref [21]):
-        # only sound for plain intersection semantics.
-        self.use_interior = use_interior and self._is_intersect_predicate()
-        self.fast_accepts = 0
-        # Interior rectangles get the same LRU discipline and capacity knob
-        # as the geometry cache (defaulting to the same capacity) so one
-        # long join cannot grow the cache without bound.
-        self._interior_capacity = max(
-            1,
-            cache_capacity
-            if interior_cache_capacity is None
-            else interior_cache_capacity,
-        )
-        self._interior: "OrderedDict[CacheKey, object]" = OrderedDict()
-
-    def _is_intersect_predicate(self) -> bool:
-        return self.predicate.distance == 0.0 and self.predicate.mask.upper() in (
-            "ANYINTERACT",
-            "INTERSECT",
-        )
-
-    def _interior_of(self, table: Table, rowid: RowId, column_index: int, ctx):
-        """Interior rectangle for a row (cached; the real system stores
-        these in the spatial index at creation time)."""
-        key = (table.name, column_index, rowid)
-        rect = self._interior.get(key)
-        if rect is None:
-            geom = self.cache.fetch(table, rowid, column_index, ctx)
-            rect = interior_rectangle(as_geometry(geom))
-            self._interior[key] = rect
-            while len(self._interior) > self._interior_capacity:
-                self._interior.popitem(last=False)
-        else:
-            self._interior.move_to_end(key)
-        return rect
 
     def clear_caches(self) -> None:
-        """Release both the geometry and interior-rectangle caches."""
+        """Release the geometry cache."""
         self.cache.clear()
-        self._interior.clear()
 
     def _permutation(self, keys_a: np.ndarray, keys_b: np.ndarray) -> np.ndarray:
         """Processing order of an array, as candidate positions."""
@@ -360,12 +321,9 @@ class SecondaryFilter:
             keys_a, keys_b = _row_keys(candidates, 0), _row_keys(candidates, 1)
             order = self._permutation(keys_a, keys_b)
             self.candidates_seen += n
-            if self.use_interior:
-                verdicts = self._resolve_each(candidates, order, ctx)
-            else:
-                verdicts = self._resolve_array(
-                    candidates, order, keys_a[order], keys_b[order], ctx
-                )
+            verdicts = self._resolve_array(
+                candidates, order, keys_a[order], keys_b[order], ctx
+            )
             chosen = order[verdicts].tolist()
             results = [(candidates[i][0], candidates[i][1]) for i in chosen]
             if ctx is not None and results:
@@ -443,35 +401,6 @@ class SecondaryFilter:
             base = keep
         return verdicts
 
-    def _resolve_each(self, candidates, order, ctx) -> np.ndarray:
-        """:meth:`_resolve_array` with the interior fast-accept: its cache
-        misses interleave with the exact fetches, so this path fetches
-        candidate by candidate."""
-        fetch = self.cache.fetch
-        verdicts = np.zeros(len(order), dtype=bool)
-        pending: List[int] = []
-        geoms_a: List[Union[Geometry, PackedRing]] = []
-        geoms_b: List[Union[Geometry, PackedRing]] = []
-        nv = 0
-        for k, i in enumerate(order.tolist()):
-            rid_a, rid_b, mbr_a, mbr_b = candidates[i]
-            if self._fast_accept(rid_a, rid_b, mbr_a, mbr_b, ctx):
-                self.fast_accepts += 1
-                verdicts[k] = True
-                continue
-            g1 = fetch(self.table_a, rid_a, self._col_a, ctx)
-            g2 = fetch(self.table_b, rid_b, self._col_b, ctx)
-            nv += g1.num_vertices + g2.num_vertices
-            pending.append(k)
-            geoms_a.append(g1)
-            geoms_b.append(g2)
-            if nv >= kernels.GROUP_VERTICES:
-                verdicts[pending] = self._exact_tests(geoms_a, geoms_b, nv, ctx)
-                pending, geoms_a, geoms_b, nv = [], [], [], 0
-        if pending:
-            verdicts[pending] = self._exact_tests(geoms_a, geoms_b, nv, ctx)
-        return verdicts
-
     def _exact_tests(self, geoms_a, geoms_b, nv, ctx) -> List[bool]:
         """Exact tests of one group of candidates in one pair-kernel call."""
         if ctx is not None:
@@ -485,20 +414,3 @@ class SecondaryFilter:
             return resolved
         # unsupported mask: scalar per candidate
         return [self.predicate.evaluate(a, b) for a, b in zip(geoms_a, geoms_b)]
-
-    def _fast_accept(self, rid_a, rid_b, mbr_a, mbr_b, ctx) -> bool:
-        """Sound intersection certificates from interior approximations.
-
-        * interior(a) intersects interior(b)  => geometries intersect;
-        * interior(a) contains MBR(b)         => b lies inside a;
-        * interior(b) contains MBR(a)         => a lies inside b.
-        """
-        int_a = self._interior_of(self.table_a, rid_a, self._col_a, ctx)
-        int_b = self._interior_of(self.table_b, rid_b, self._col_b, ctx)
-        if ctx is not None:
-            ctx.charge("mbr_test", 3)
-        if int_a.intersects(int_b):
-            return True
-        if int_a.contains(mbr_b):
-            return True
-        return int_b.contains(mbr_a)

@@ -80,7 +80,6 @@ class SpatialJoinFunction(TableFunction):
         candidate_array_size: int = DEFAULT_CANDIDATE_ARRAY_SIZE,
         fetch_order: FetchOrder = FetchOrder.SORTED,
         cache_capacity: int = 4096,
-        use_interior: bool = False,
         strategy: JoinStrategy = JoinStrategy.SWEEP,
         rng_seed: int = 0,
     ):
@@ -104,7 +103,6 @@ class SpatialJoinFunction(TableFunction):
             fetch_order=fetch_order,
             cache_capacity=cache_capacity,
             rng_seed=rng_seed,
-            use_interior=use_interior,
         )
         self._join: Optional[RTreeJoinCursor] = None
         self._out_buffer: Deque[Tuple] = deque()

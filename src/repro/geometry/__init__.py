@@ -17,7 +17,6 @@ from repro.geometry.geojson import (
     to_geojson_str,
 )
 from repro.geometry.geometry import Geometry, GeometryType, Ring
-from repro.geometry.interior import interior_rectangle
 from repro.geometry.mbr import EMPTY_MBR, MBR, mbr_of_points, union_all
 from repro.geometry.predicates import (
     INTERACTION_MASKS,
@@ -51,7 +50,6 @@ __all__ = [
     "INTERACTION_MASKS",
     "distance",
     "within_distance",
-    "interior_rectangle",
     "SdoGeometry",
     "to_sdo",
     "from_sdo",

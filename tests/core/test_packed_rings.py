@@ -172,13 +172,6 @@ class TestJoinDifferential:
         )
         assert packed == objects
 
-    def test_interior_fast_accept(self, adb, monkeypatch):
-        packed, objects = both_paths(
-            monkeypatch,
-            lambda: outcome(adb.spatial_join("t", "geom", "t", "geom", use_interior=True)),
-        )
-        assert packed == objects
-
     def test_scalar_only_mask(self, adb, monkeypatch):
         packed, objects = both_paths(
             monkeypatch,
@@ -202,22 +195,24 @@ class TestFilterDifferential:
     @pytest.mark.parametrize("predicate", (
         JoinPredicate(), JoinPredicate(distance=0.3), JoinPredicate(mask="TOUCH"),
     ))
-    @pytest.mark.parametrize("use_interior", (False, True))
-    def test_random_order_small_cache(self, adb, monkeypatch, predicate, use_interior):
+    @pytest.mark.parametrize("clear_between", (False, True))
+    def test_random_order_small_cache(self, adb, monkeypatch, predicate, clear_between):
         cands = all_candidates(adb, "t", 0.3)
 
         def run(process):
             f = SecondaryFilter(
                 adb.table("t"), "geom", adb.table("t"), "geom", predicate,
                 fetch_order=FetchOrder.RANDOM, cache_capacity=5, rng_seed=7,
-                use_interior=use_interior, interior_cache_capacity=64,
             )
             ctx = WorkerContext(0)
             half = len(cands) // 2
-            pairs = process(f, cands[:half], ctx) + process(f, cands[half:], ctx)
+            pairs = process(f, cands[:half], ctx)
+            if clear_between:
+                f.clear_caches()
+            pairs += process(f, cands[half:], ctx)
             return (
                 pairs, ctx.meter.counts, f.cache.hits, f.cache.misses,
-                list(f.cache._entries), f.fast_accepts,
+                list(f.cache._entries),
             )
 
         packed, objects = both_paths(monkeypatch, lambda: run(SecondaryFilter.process))

@@ -131,26 +131,6 @@ class TestSecondaryFilter:
         f = self.make_filter(filter_db)
         assert len(f.process(cands)) == len(cands)
 
-    def test_interior_cache_is_bounded(self, filter_db):
-        """The interior-rectangle cache obeys its LRU capacity knob."""
-        f = SecondaryFilter(
-            filter_db.table("t"), "geom", filter_db.table("t"), "geom",
-            JoinPredicate(), use_interior=True, interior_cache_capacity=7,
-        )
-        assert f.use_interior
-        f.process(candidates_of(filter_db))
-        assert 0 < len(f._interior) <= 7
-        f.clear_caches()
-        assert len(f._interior) == 0
-        assert len(f.cache._entries) == 0
-
-    def test_interior_capacity_defaults_to_geometry_capacity(self, filter_db):
-        f = SecondaryFilter(
-            filter_db.table("t"), "geom", filter_db.table("t"), "geom",
-            JoinPredicate(), cache_capacity=13, use_interior=True,
-        )
-        assert f._interior_capacity == 13
-
 
 def test_two_columns_of_one_table_are_cached_apart():
     """The cache keys a row by column as well as by table and rowid: a
@@ -168,10 +148,7 @@ def test_two_columns_of_one_table_are_cached_apart():
     db.create_spatial_index("t_g2", "t", "g2", kind="RTREE")
     assert db.nested_loop_join("t", "g1", "t", "g2").pairs == []
     assert db.spatial_join("t", "g1", "t", "g2").pairs == []
-    for use_interior in (False, True):
-        table = db.table("t")
-        (rid, row), = table.scan()
-        f = SecondaryFilter(
-            table, "g1", table, "g2", JoinPredicate(), use_interior=use_interior
-        )
-        assert f.process([(rid, rid, row[1].mbr, row[2].mbr)]) == []
+    table = db.table("t")
+    (rid, row), = table.scan()
+    f = SecondaryFilter(table, "g1", table, "g2", JoinPredicate())
+    assert f.process([(rid, rid, row[1].mbr, row[2].mbr)]) == []

@@ -262,23 +262,17 @@ def secondary_filter_reference(filt, candidates, ctx=None):
     """What ``filt.process(candidates, ctx)`` must return, charge and count:
     the per-candidate loop the join's secondary filter ran before it
     resolved arrays with the pair kernel — order the array, then for each
-    candidate the interior fast-accept, both ``cache.fetch`` calls, one
-    ``exact_test_base``, ``exact_test_per_vertex`` for both geometries and
-    the scalar ``predicate.evaluate``.  It drives ``filt``'s own caches and
+    candidate both ``cache.fetch`` calls, one ``exact_test_base``,
+    ``exact_test_per_vertex`` for both geometries and the scalar
+    ``predicate.evaluate``.  It drives ``filt``'s own cache and
     counters, so compare it with ``process`` on a twin filter.
     """
     n = len(candidates)
     if ctx is not None and n > 1 and filt.fetch_order is FetchOrder.SORTED:
         ctx.charge("sort_per_item", n * math.log2(n))
     results = []
-    for rid_a, rid_b, mbr_a, mbr_b in filt.order_candidates(candidates):
+    for rid_a, rid_b, _mbr_a, _mbr_b in filt.order_candidates(candidates):
         filt.candidates_seen += 1
-        if filt.use_interior and filt._fast_accept(rid_a, rid_b, mbr_a, mbr_b, ctx):
-            filt.fast_accepts += 1
-            results.append((rid_a, rid_b))
-            if ctx is not None:
-                ctx.charge("result_row")
-            continue
         g1 = filt.cache.fetch(filt.table_a, rid_a, filt._col_a, ctx)
         g2 = filt.cache.fetch(filt.table_b, rid_b, filt._col_b, ctx)
         if ctx is not None:
