@@ -31,11 +31,12 @@ from repro.engine.parallel import (
 from repro.engine.table import Table
 from repro.engine.table_function import TableFunction, pipeline
 from repro.engine.types import Row
-from repro.geometry.geometry import Geometry
+from repro.geometry.mbr import MBR
 from repro.index.quadtree.quadtree import QuadtreeIndex
 from repro.index.rtree.bulkload import merge_subtrees, str_pack
 from repro.index.rtree.rtree import RTree
 from repro.index.rtree.spatial_index import RTreeIndex
+from repro.obs import trace
 from repro.storage.btree import BPlusTree
 from repro.storage.heap import RowId
 
@@ -108,8 +109,10 @@ class TessellateFunction(TableFunction):
 class MbrLoadFunction(TableFunction):
     """Parallel table function: load geometries and compute their MBRs.
 
-    Input rows: ``(rowid, geometry)``.  Output rows: ``(mbr, rowid)`` —
-    step (1) of the paper's parallel R-tree creation.
+    Input rows: ``(rowid, mbr, num_vertices)`` as read by
+    :meth:`~repro.engine.table.Table.scan_bounds` (``mbr`` None for a NULL
+    geometry).  Output rows: ``(mbr, rowid)`` — step (1) of the paper's
+    parallel R-tree creation.
     """
 
     def __init__(self, input_cursor: Cursor, batch: int = 256):
@@ -123,15 +126,15 @@ class MbrLoadFunction(TableFunction):
             rows = self._cursor.fetch(min(self._batch, max_rows - len(out)))
             if not rows:
                 break
-            for rowid, geom in rows:
-                if geom is None:
+            for rowid, mbr, num_vertices in rows:
+                if mbr is None:
                     continue
                 # Loading = fetching and decoding the geometry, then the
                 # MBR computation itself.
                 ctx.charge("geom_fetch_base")
-                ctx.charge("geom_fetch_per_vertex", geom.num_vertices)
-                ctx.charge("mbr_load_per_vertex", geom.num_vertices)
-                out.append((geom.mbr, rowid))
+                ctx.charge("geom_fetch_per_vertex", num_vertices)
+                ctx.charge("mbr_load_per_vertex", num_vertices)
+                out.append((mbr, rowid))
         return out
 
 
@@ -146,8 +149,20 @@ def create_quadtree_parallel(
     ``((code, rowid), interior)`` items; the runs are merged and the
     B-tree bulk-built (the parallel B-tree build's serial stitch).
     """
-    source = index.table.scan_cursor(with_rowid=True)
-    rows = [(r[0], r[index.table.schema.index_of(index.column) + 1]) for r in source]
+    with trace.span(
+        "index.build", kind="QUADTREE", degree=executor.degree
+    ) as build_span:
+        with trace.span("index.load"):
+            source = index.table.scan_cursor(with_rowid=True)
+            col = index.table.schema.index_of(index.column)
+            rows = [(r[0], r[col + 1]) for r in source]
+        build_span.set_tag("rows", len(rows))
+        return _tessellate_and_load(index, executor, rows)
+
+
+def _tessellate_and_load(
+    index: QuadtreeIndex, executor: ParallelExecutor, rows: List[Row]
+) -> BuildReport:
     partitions = partition_cursor(
         _ListCursorOf(rows), executor.degree, PartitionMethod.ANY
     )
@@ -177,10 +192,11 @@ def create_quadtree_parallel(
     _charge_scan_partition(tail, index.table, len(rows))
     runs = [r for r in run.results if r]
     total_tiles = sum(len(r) for r in runs)
-    if total_tiles:
-        tail.charge("sort_per_item", total_tiles * max(1.0, math.log2(len(runs) + 1)))
-        tail.charge("btree_node_visit", total_tiles / max(1, index.btree_order // 2))
-    index.btree = BPlusTree.bulk_load_runs(runs, order=index.btree_order)
+    with trace.span("index.pack"):
+        if total_tiles:
+            tail.charge("sort_per_item", total_tiles * max(1.0, math.log2(len(runs) + 1)))
+            tail.charge("btree_node_visit", total_tiles / max(1, index.btree_order // 2))
+        index.btree = BPlusTree.bulk_load_runs(runs, order=index.btree_order)
 
     return BuildReport(
         kind="QUADTREE",
@@ -196,10 +212,29 @@ def create_rtree_parallel(
     index: RTreeIndex,
     executor: ParallelExecutor,
 ) -> BuildReport:
-    """Create an R-tree index with degree-N MBR load + subtree clustering."""
-    source = index.table.scan_cursor(with_rowid=True)
-    col = index.table.schema.index_of(index.column)
-    rows = [(r[0], r[col + 1]) for r in source]
+    """Create an R-tree index with degree-N MBR load + subtree clustering.
+
+    The coordinator's scan reads each row's MBR and vertex count straight
+    from the stored ordinates (:meth:`Table.scan_bounds`); no geometry is
+    built.  The workers charge the load as the decode it stands for.
+    """
+    with trace.span(
+        "index.build", kind="RTREE", degree=executor.degree
+    ) as build_span:
+        with trace.span("index.load"):
+            col = index.table.schema.index_of(index.column)
+            rows = [
+                (rowid, mbr, num_vertices)
+                for rowid, mbr, num_vertices, _geometry in index.table.scan_bounds(col)
+            ]
+        build_span.set_tag("rows", len(rows))
+        with trace.span("index.pack"):
+            return _cluster_and_merge(index, executor, rows)
+
+
+def _cluster_and_merge(
+    index: RTreeIndex, executor: ParallelExecutor, rows: List[Row]
+) -> BuildReport:
     partitions = partition_cursor(
         _ListCursorOf(rows), executor.degree, PartitionMethod.RANGE,
         key=_rowid_mbr_x_key,
@@ -244,11 +279,11 @@ def _charge_scan_partition(ctx: WorkerContext, table: Table, nrows: int) -> None
 
 
 def _rowid_mbr_x_key(row: Row) -> float:
-    """RANGE-partition key: x-centre of the geometry (spatial locality)."""
-    geom: Geometry = row[1]
-    if geom is None:
+    """RANGE-partition key: x-centre of the geometry's MBR (spatial locality)."""
+    mbr: Optional[MBR] = row[1]
+    if mbr is None or mbr.is_empty:
         return 0.0
-    return geom.mbr.center[0] if not geom.mbr.is_empty else 0.0
+    return mbr.center[0]
 
 
 def _ListCursorOf(rows) -> Cursor:

@@ -273,12 +273,9 @@ class SecondaryFilter:
         self.rng_seed = rng_seed
         self._rng = None
         # Each candidate array is resolved by the vectorized pair kernel.
-        # Charges, statistics, result order and results are identical to
-        # per-candidate evaluation (the oracle,
+        # Charges, result order and results are identical to per-candidate
+        # evaluation (the oracle,
         # ``tests/oracles.py::secondary_filter_reference``).
-        self.batched_candidates = 0
-        self.candidates_seen = 0
-        self.results_produced = 0
 
     def clear_caches(self) -> None:
         """Release the geometry cache."""
@@ -320,7 +317,6 @@ class SecondaryFilter:
                 ctx.charge("sort_per_item", n * math.log2(n))
             keys_a, keys_b = _row_keys(candidates, 0), _row_keys(candidates, 1)
             order = self._permutation(keys_a, keys_b)
-            self.candidates_seen += n
             verdicts = self._resolve_array(
                 candidates, order, keys_a[order], keys_b[order], ctx
             )
@@ -328,7 +324,6 @@ class SecondaryFilter:
             results = [(candidates[i][0], candidates[i][1]) for i in chosen]
             if ctx is not None and results:
                 ctx.charge("result_row", len(results))
-            self.results_produced += len(results)
             sp.set_tag("results", len(results))
             sp.set_tag("cache_hit_ratio", self.cache.hit_ratio)
         return results
@@ -410,7 +405,6 @@ class SecondaryFilter:
             geoms_a, geoms_b, self.predicate.mask, self.predicate.distance
         )
         if resolved is not None:
-            self.batched_candidates += len(geoms_a)
             return resolved
         # unsupported mask: scalar per candidate
         return [self.predicate.evaluate(a, b) for a, b in zip(geoms_a, geoms_b)]

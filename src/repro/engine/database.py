@@ -34,6 +34,7 @@ from repro.engine.parallel import (
 from repro.engine.table import Table
 from repro.geometry.geometry import Geometry
 from repro.geometry.mbr import EMPTY_MBR, MBR
+from repro.obs import trace
 from repro.storage.buffer import BufferPool
 from repro.storage.catalog import Catalog, ColumnMeta, IndexMeta, TableMeta
 from repro.storage.checksum import crc32c, mask_crc
@@ -147,6 +148,9 @@ class Database:
         )
 
         table = self.table(table_name)
+        # A taken name fails before any build work or DML hook.
+        if self.catalog.has_index(name):
+            raise CatalogError(f"index {name!r} already exists")
         kind = kind.upper()
         if kind == "QUADTREE" and "domain" not in parameters:
             parameters["domain"] = self._infer_domain(table, column)
@@ -166,9 +170,6 @@ class Database:
             index.create(ctx)
             report = BuildReport(kind=kind, degree=1, run=executor.run([]))
 
-        if maintain:
-            index.attach_maintenance()
-
         # The definition a reopen rebuilds the index from: the quadtree's
         # domain is recorded even when inferred, since the data can move.
         meta = IndexMeta(
@@ -181,6 +182,8 @@ class Database:
         )
         self.catalog.register_index(meta)
         self._indexes[name.upper()] = index
+        if maintain:
+            index.attach_maintenance()
         return index, report
 
     def spatial_index(self, name: str) -> DomainIndex:
@@ -199,13 +202,16 @@ class Database:
 
     def drop_index(self, name: str) -> None:
         self.catalog.drop_index(name)
-        self._indexes.pop(name.upper(), None)
+        index = self._indexes.pop(name.upper(), None)
+        if index is not None:
+            index.detach_maintenance()
 
     def _infer_domain(self, table: Table, column: str) -> MBR:
         domain = EMPTY_MBR
-        for _rowid, geom in table.column_values(column):
-            if geom is not None:
-                domain = domain.union(geom.mbr)
+        col = table.schema.index_of(column)
+        for _rowid, mbr, _nv, _geometry in table.scan_bounds(col):
+            if mbr is not None:
+                domain = domain.union(mbr)
         if domain.is_empty:
             raise EngineError(
                 f"cannot infer quadtree domain: {table.name}.{column} has no data"
@@ -372,7 +378,9 @@ class Database:
     ) -> List[RowId]:
         """Window query by table scan (no index): primary + secondary filter.
 
-        On a plain heap table every row is decoded and MBR-tested.  On a
+        On a plain heap table every row's stored ordinates are bounded and
+        MBR-tested (:meth:`Table.scan_bounds`), and only the rows that pass
+        are decoded for the exact test.  On a
         compacted table the primary filter consults the chunk directory's
         zone maps first — chunks whose zone cannot intersect the window
         are skipped for a ``zone_skip`` charge without reading their
@@ -398,7 +406,7 @@ class Database:
                 or mbr.min_y - box[3] > distance
             )
 
-        candidates: List[Tuple[RowId, Geometry]] = []
+        candidates: List[Tuple[RowId, Optional[Geometry]]] = []
         seg = table.columnar
         if seg is not None:
             candidates.extend(seg.window_candidates(box, distance, ctx))
@@ -412,14 +420,15 @@ class Database:
                     candidates.append((rowid, geom))
             candidates.sort(key=lambda c: (c[0].page, c[0].slot))
         else:
-            for rowid, row in table.scan():
-                geom = row[col]
-                if geom is None:
+            # Only the rows whose MBR passes are decoded, and only for the
+            # exact test.
+            for rowid, mbr, _nv, geometry in table.scan_bounds(col):
+                if mbr is None:
                     continue
                 if ctx is not None:
                     ctx.charge("mbr_test")
-                if box_hits(geom.mbr):
-                    candidates.append((rowid, geom))
+                if box_hits(mbr):
+                    candidates.append((rowid, geometry() if exact else None))
         if not exact:
             return [rowid for rowid, _geom in candidates]
 
@@ -647,10 +656,11 @@ class Database:
             self._tables[name.upper()] = table
         # Indexes are derived state: rebuild each from its table, at its
         # recorded degree on simulated workers (opening never forks).
-        for iname, tname, column, kind, degree, params in indexes:
-            self.create_spatial_index(
-                iname, tname, column, kind=kind, parallel=degree, **dict(params)
-            )
+        with trace.span("database.rebuild_indexes", indexes=len(indexes)):
+            for iname, tname, column, kind, degree, params in indexes:
+                self.create_spatial_index(
+                    iname, tname, column, kind=kind, parallel=degree, **dict(params)
+                )
 
     # -- meta page chain -----------------------------------------------
     def _write_meta_chain(self, blob: bytes) -> None:

@@ -182,6 +182,7 @@ class DomainIndex:
         self.column = column
         self._column_index = table.schema.index_of(column)
         self._geom_cache: "OrderedDict[RowId, Geometry]" = OrderedDict()
+        self._hook = None  # the table's maintenance hook, while attached
 
     # -- lifecycle ---------------------------------------------------------
     def create(self, ctx: Optional[WorkerContext] = None) -> None:
@@ -303,6 +304,13 @@ class DomainIndex:
                     self.insert(rowid, new_geom)
 
         self.table.add_maintenance_hook(hook)
+        self._hook = hook
+
+    def detach_maintenance(self) -> None:
+        """Stop following base-table DML (a dropped index)."""
+        if self._hook is not None:
+            self.table.remove_maintenance_hook(self._hook)
+            self._hook = None
 
     def geometry_of(self, rowid: RowId, ctx: Optional[WorkerContext] = None) -> Geometry:
         """Fetch the indexed geometry for a rowid, through a bounded cache.

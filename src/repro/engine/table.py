@@ -16,13 +16,22 @@ holds the current version of each row.
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import Any, Callable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import EngineError
 from repro.engine.cursor import Cursor, GeneratorCursor
 from repro.engine.types import Row, RowSchema
 from repro.storage.catalog import ColumnMeta, TableMeta
-from repro.storage.codec import decode_column, decode_ring_column, decode_row, encode_row
+from repro.geometry.mbr import MBR
+from repro.storage.codec import (
+    BOUNDS_BATCH,
+    column_bounds,
+    decode_column,
+    decode_ring_column,
+    decode_row,
+    encode_row,
+)
 from repro.storage.columnar import MISSING, ColumnarSegment
 from repro.storage.heap import HeapFile, RowId
 
@@ -61,6 +70,12 @@ class Table:
         leave its own state unchanged.
         """
         self._maintenance_hooks.append(hook)
+
+    def remove_maintenance_hook(
+        self, hook: Callable[[str, RowId, Optional[Row], Optional[Row]], None]
+    ) -> None:
+        """Unregister a callback added by :meth:`add_maintenance_hook`."""
+        self._maintenance_hooks.remove(hook)
 
     # ------------------------------------------------------------------
     # DML
@@ -169,6 +184,39 @@ class Table:
         while pending is not None:
             yield pending, self.fetch(pending)
             pending = next(journal, None)
+
+    def scan_bounds(
+        self, column_index: int
+    ) -> Iterator[Tuple[RowId, Optional[MBR], int, Optional[Callable[[], Any]]]]:
+        """:meth:`scan` reduced to the bounds of one geometry column, for
+        readers that need only a row's MBR: ``(rowid, mbr, num_vertices,
+        geometry)`` per row, in scan order, where ``mbr`` and
+        ``num_vertices`` equal the decoded geometry's and ``geometry()``
+        returns it, decoded from the bytes already read; a NULL geometry
+        is ``(rowid, None, 0, None)``.
+
+        Heap records are bounded a batch at a time by
+        :func:`~repro.storage.codec.column_bounds` (no :class:`Geometry`
+        built for a ring record).  A compacted table's rows come from
+        :meth:`scan`, whose chunk geometries carry the MBR planes' bounds.
+        The pages read, and their order, are :meth:`scan`'s.
+        """
+        if self.columnar is not None:
+            for rowid, row in self.scan():
+                geom = row[column_index]
+                if geom is None:
+                    yield rowid, None, 0, None
+                else:
+                    yield rowid, geom.mbr, geom.num_vertices, lambda geom=geom: geom
+            return
+        records = self.heap.scan()
+        while True:
+            batch = list(islice(records, BOUNDS_BATCH))
+            if not batch:
+                return
+            bounds = column_bounds([data for _rowid, data in batch], column_index)
+            for (rowid, _data), bound in zip(batch, bounds):
+                yield (rowid, *bound)
 
     def scan_cursor(self, with_rowid: bool = False) -> Cursor:
         """Cursor over the table; optionally prefix each row with its rowid."""

@@ -62,12 +62,13 @@ class RTreeIndex(DomainIndex):
         partitions the scan across table-function workers.)
         """
         entries: List[Tuple[Any, RowId]] = []
-        for rowid, geom in self.table.column_values(self.column):
-            if geom is None:
+        rows = self.table.scan_bounds(self._column_index)
+        for rowid, mbr, num_vertices, _geometry in rows:
+            if mbr is None:
                 continue
             if ctx is not None:
-                ctx.charge("mbr_load_per_vertex", geom.num_vertices)
-            entries.append((geom.mbr, rowid))
+                ctx.charge("mbr_load_per_vertex", num_vertices)
+            entries.append((mbr, rowid))
         self.tree = str_pack(entries, fanout=self.fanout, fill=self.fill, ctx=ctx)
 
     def insert(

@@ -14,11 +14,12 @@ from __future__ import annotations
 import struct
 import sys
 from array import array
-from typing import Any, List, Sequence, Tuple
+from functools import partial
+from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.errors import StorageError
+from repro.errors import GeometryError, StorageError
 from repro.geometry.geometry import Geometry
 from repro.geometry.mbr import MBR
 from repro.geometry.packed import pack_ring
@@ -37,6 +38,8 @@ __all__ = [
     "decode_row",
     "decode_column",
     "decode_ring_column",
+    "column_bounds",
+    "BOUNDS_BATCH",
     "encode_value",
     "decode_value",
     "encode_f64_array",
@@ -137,6 +140,7 @@ def decode_ring_column(data: bytes, index: int) -> Any:
 # Tag, gtype, elem_info length and the one triplet of a polygon stored as a
 # single exterior vertex-list ring, then the ordinate count.
 _RING_HEADER = struct.Struct("<B6I")
+_XY = struct.Struct("<2d")
 _RING_FORM = [_TAG_GEOMETRY, GTYPE_POLYGON, 3, 1, ETYPE_EXTERIOR, INTERP_VERTEX_LIST]
 
 
@@ -151,6 +155,109 @@ def _decode_ring_from(data: bytes, offset: int) -> Tuple[Any, int]:
             if ring is not None:
                 return ring, end
     return _decode_from(data, offset)
+
+
+# Records bounded per numpy pass: enough to amortise the reductions, few
+# enough that a batch's ordinates stay small.
+BOUNDS_BATCH = 256
+
+Bounds = Tuple[Optional[MBR], int, Optional[Callable[[], Geometry]]]
+_NULL_BOUNDS: Bounds = (None, 0, None)
+
+
+def column_bounds(records: Sequence[bytes], index: int) -> List[Bounds]:
+    """Per record, ``(geom.mbr, geom.num_vertices, geometry)`` for its
+    geometry column ``geom = decode_row(data)[index]``, or ``(None, 0,
+    None)`` where that column is NULL; ``geometry()`` returns the value.
+
+    A ring record — one exterior vertex-list ring (``_RING_FORM``) of at
+    least 3 vertices whose closing row repeats row 0 bit for bit and whose
+    row before that does not equal row 0, in a row whose other columns
+    decode and that has no trailing bytes — is bounded from its
+    ordinates, the whole batch in four numpy reductions, and
+    ``geometry()`` decodes it from the record when called.  ``Ring``
+    drops the closing row and may reverse the rest, so the same values are
+    bounded; a bound that is not finite falls back (``Ring`` refuses the
+    vertex), and so does a bound of ±0.0 (``mbr_of_points`` keeps the first
+    of equal values, the reductions may keep either sign).  Every other
+    record takes the full :func:`decode_row`, in record order, so a record
+    it refuses raises what it raises, and ``geometry()`` returns the
+    decoded value.
+    """
+    out: List[Optional[Bounds]] = [None] * len(records)
+    fast: List[int] = []
+    spans: List[bytes] = []
+    rows: List[int] = []  # stored rows per ring, closing row included
+    for i, data in enumerate(records):
+        span = _ring_span(data, index)
+        if span is not None:
+            start, end = span
+            fast.append(i)
+            spans.append(data[start:end])
+            rows.append((end - start) // 16)
+    if fast:
+        flat = np.frombuffer(b"".join(spans), "<f8")
+        xs, ys = flat[0::2], flat[1::2]
+        starts = np.cumsum([0] + rows[:-1])
+        bounds = np.stack((
+            np.minimum.reduceat(xs, starts),
+            np.minimum.reduceat(ys, starts),
+            np.maximum.reduceat(xs, starts),
+            np.maximum.reduceat(ys, starts),
+        ), axis=1)
+        clean = (np.isfinite(bounds) & (bounds != 0.0)).all(axis=1)
+        for i, box, ok, n in zip(fast, bounds.tolist(), clean.tolist(), rows):
+            if ok:
+                out[i] = (MBR(*box), n - 1, partial(decode_column, records[i], index))
+    for i, data in enumerate(records):
+        if out[i] is None:
+            geom = decode_row(data)[index]
+            out[i] = _NULL_BOUNDS if geom is None else (
+                geom.mbr, geom.num_vertices, _constant(geom)
+            )
+    return out
+
+
+def _ring_span(data: bytes, index: int) -> Optional[Tuple[int, int]]:
+    """The ordinate byte span of column ``index`` when ``data`` is a ring
+    record (see :func:`column_bounds`), else None."""
+    try:
+        (count,) = _U32.unpack_from(data, 0)
+        if not 0 <= index < count:
+            return None
+        offset = _U32.size
+        span = None
+        for column in range(count):
+            if column != index:
+                _value, offset = _decode_from(data, offset)
+                continue
+            *form, n_ord = _RING_HEADER.unpack_from(data, offset)
+            start = offset + _RING_HEADER.size
+            offset = start + 8 * n_ord
+            # One exterior vertex-list ring of at least 4 stored rows, the
+            # last repeating the first bit for bit and the one before it
+            # not equal to the first: ``Ring`` drops the closing row, and
+            # reversing a ring whose last row equals its first drops one
+            # more, so only then are ``rows - 1`` vertices kept.
+            if (
+                form != _RING_FORM
+                or n_ord % 2
+                or n_ord < 8
+                or offset > len(data)
+                or data[start : start + 16] != data[offset - 16 : offset]
+                or _XY.unpack_from(data, start) == _XY.unpack_from(data, offset - 32)
+            ):
+                return None
+            span = start, offset
+    # What the other columns raise is the full decode's to report, in
+    # record order.
+    except (struct.error, IndexError, UnicodeDecodeError, GeometryError, StorageError):
+        return None
+    return span if offset == len(data) else None
+
+
+def _constant(value: Any) -> Callable[[], Any]:
+    return lambda: value
 
 
 def encode_value(value: Any) -> bytes:

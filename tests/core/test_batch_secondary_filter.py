@@ -4,6 +4,7 @@ seeded RANDOM fetch order, and the end-to-end join pinned and replayed
 through that reference."""
 
 import hashlib
+from unittest import mock
 
 import pytest
 
@@ -65,8 +66,9 @@ class TestBatchIdentity:
         cands = candidates_of(filter_db, slack=8.0)
         assert len(cands) > 200
         half = len(cands) // 2
-        filters, contexts, results = [], [], []
+        filters, contexts, results, batched = [], [], [], []
         for run in (SecondaryFilter.process, secondary_filter_reference):
+            kernels.reset_counters()
             f = make_filter(
                 filter_db, JoinPredicate(distance=distance), cache_capacity=5
             )
@@ -79,16 +81,17 @@ class TestBatchIdentity:
             results.append(pairs + run(f, cands[half:], ctx))
             filters.append(f)
             contexts.append(ctx)
+            batched.append(
+                kernels.counters()["items"].get("evaluate_predicate_pairs", 0)
+            )
         array, ref = filters
         assert results[0] == results[1]
         assert (array.cache.hits, array.cache.misses) == (ref.cache.hits, ref.cache.misses)
         assert list(array.cache._entries) == list(ref.cache._entries)
         assert array.cache.misses > 5  # the capacity really was exceeded
         assert contexts[0].meter.counts == contexts[1].meter.counts
-        assert (array.candidates_seen, array.results_produced) == (
-            ref.candidates_seen, ref.results_produced
-        )
-        assert array.batched_candidates == array.candidates_seen
+        # Every candidate went through the pair kernel; the oracle's none.
+        assert batched == [len(cands), 0]
 
     def test_pinned_geometries_are_bounded_by_a_constant(self, monkeypatch):
         """Every cache miss decodes a fresh object, so with a small cache a
@@ -136,8 +139,9 @@ class TestBatchIdentity:
     def test_batched_candidates_counter(self, filter_db):
         cands = candidates_of(filter_db)
         f = make_filter(filter_db)
+        kernels.reset_counters()
         f.process(list(cands))
-        assert f.batched_candidates > 0
+        assert kernels.counters()["items"]["evaluate_predicate_pairs"] == len(cands)
 
     def test_scalar_path_never_batches(self, filter_db):
         """A mask the pair kernel declines (``CONTAINS``) goes candidate by
@@ -147,8 +151,16 @@ class TestBatchIdentity:
         contains = JoinPredicate(mask="CONTAINS")
         f, f_ref = make_filter(filter_db, contains), make_filter(filter_db, contains)
         ctx, ctx_ref = WorkerContext(0), WorkerContext(0)
-        pairs = f.process(list(cands), ctx)
-        assert f.batched_candidates == 0
+        scalar = []
+        evaluate = JoinPredicate.evaluate
+
+        def counting(predicate, a, b):
+            scalar.append(1)
+            return evaluate(predicate, a, b)
+
+        with mock.patch.object(JoinPredicate, "evaluate", counting):
+            pairs = f.process(list(cands), ctx)
+        assert len(scalar) == len(cands)
         assert pairs == secondary_filter_reference(f_ref, list(cands), ctx_ref)
         assert len(pairs) >= 80  # every rectangle contains itself
         assert ctx.meter.counts == ctx_ref.meter.counts

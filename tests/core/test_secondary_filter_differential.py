@@ -84,7 +84,5 @@ def test_process_equals_the_per_candidate_reference(
                 filt.cache.misses,
                 ctx.meter.counts,
                 list(filt.cache._entries),
-                filt.candidates_seen,
-                filt.results_produced,
             ))
     assert runs[0] == runs[1]

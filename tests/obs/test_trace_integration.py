@@ -260,3 +260,49 @@ class TestTessellationAndWalSpans:
             db.close()
         assert tracer.find("wal.commit")
         assert tracer.find("wal.checkpoint")
+
+
+class TestIndexBuildSpans:
+    @pytest.mark.parametrize(
+        "kind, params",
+        [("RTREE", {"fanout": 8}), ("QUADTREE", {"tiling_level": 4})],
+    )
+    @pytest.mark.parametrize("degree", (1, 2))
+    def test_build_load_pack_spans_and_equal_charges(
+        self, random_rects, kind, params, degree
+    ):
+        db = Database()
+        load_geometries(db, "b", random_rects(40, seed=4))
+        _index, untraced = db.create_spatial_index(
+            "b_idx", "b", "geom", kind=kind, parallel=degree, **params
+        )
+        db.drop_index("b_idx")
+        with trace.tracing() as tracer:
+            _index, traced = db.create_spatial_index(
+                "b_idx", "b", "geom", kind=kind, parallel=degree, **params
+            )
+        assert [m.counts for m in traced.run.worker_meters] == [
+            m.counts for m in untraced.run.worker_meters
+        ]
+        assert traced.makespan_seconds == untraced.makespan_seconds
+        (build,) = tracer.find("index.build")
+        assert build.tags == {"kind": kind, "degree": degree, "rows": 40}
+        children = [s for s in tracer.spans if s.parent_id == build.span_id]
+        assert [s.name for s in children if s.name.startswith("index.")] == [
+            "index.load", "index.pack",
+        ]
+
+    def test_open_rebuild_span(self, tmp_path, random_rects):
+        path = str(tmp_path / "r.db")
+        db = Database.open(path, durability="wal")
+        load_geometries(db, "b", random_rects(20, seed=4))
+        db.create_spatial_index("b_r", "b", "geom")
+        db.create_spatial_index("b_q", "b", "geom", kind="QUADTREE", tiling_level=4)
+        db.close()
+        with trace.tracing() as tracer:
+            Database.open(path, durability="wal").close(checkpoint=False)
+        (rebuild,) = tracer.find("database.rebuild_indexes")
+        assert rebuild.tags["indexes"] == 2
+        builds = tracer.find("index.build")
+        assert [s.tags["kind"] for s in builds] == ["RTREE", "QUADTREE"]
+        assert all(s.parent_id == rebuild.span_id for s in builds)

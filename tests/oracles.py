@@ -258,21 +258,36 @@ def index_fetch_reference(index, operator, args, ctx=None, exact=True, prefilter
         index._charge_node_misses(ctx, visits_before)
 
 
+def scan_bounds_reference(table, column_index):
+    """What ``table.scan_bounds(column_index)`` must yield: the
+    decode-then-``.mbr`` loop the primary filters ran before they read
+    bounds from the stored ordinates — every row decoded by
+    ``Table.scan``, ``(rowid, geom.mbr, geom.num_vertices, geometry)``
+    with ``geometry()`` returning ``geom``, and ``(rowid, None, 0, None)``
+    for a NULL geometry.  Patched in for ``Table.scan_bounds``, it runs a
+    whole build or window scan the old way."""
+    for rowid, row in table.scan():
+        geom = row[column_index]
+        if geom is None:
+            yield rowid, None, 0, None
+        else:
+            yield rowid, geom.mbr, geom.num_vertices, lambda geom=geom: geom
+
+
 def secondary_filter_reference(filt, candidates, ctx=None):
     """What ``filt.process(candidates, ctx)`` must return, charge and count:
     the per-candidate loop the join's secondary filter ran before it
     resolved arrays with the pair kernel — order the array, then for each
     candidate both ``cache.fetch`` calls, one ``exact_test_base``,
     ``exact_test_per_vertex`` for both geometries and the scalar
-    ``predicate.evaluate``.  It drives ``filt``'s own cache and
-    counters, so compare it with ``process`` on a twin filter.
+    ``predicate.evaluate``.  It drives ``filt``'s own cache, so compare
+    it with ``process`` on a twin filter.
     """
     n = len(candidates)
     if ctx is not None and n > 1 and filt.fetch_order is FetchOrder.SORTED:
         ctx.charge("sort_per_item", n * math.log2(n))
     results = []
     for rid_a, rid_b, _mbr_a, _mbr_b in filt.order_candidates(candidates):
-        filt.candidates_seen += 1
         g1 = filt.cache.fetch(filt.table_a, rid_a, filt._col_a, ctx)
         g2 = filt.cache.fetch(filt.table_b, rid_b, filt._col_b, ctx)
         if ctx is not None:
@@ -282,5 +297,4 @@ def secondary_filter_reference(filt, candidates, ctx=None):
             results.append((rid_a, rid_b))
             if ctx is not None:
                 ctx.charge("result_row")
-    filt.results_produced += len(results)
     return results
