@@ -61,15 +61,16 @@ layer raises ``SHARD_FAILED`` to the client mid-stream, unless the
 session opted in with ``partial: true`` — then the stream skips the
 shard and reports it in the close summary's ``failed_shards``.
 
-Writes go through the router-only ``put`` op: each row is placed on its
-primary shard and halo-replicated (see
-:mod:`repro.cluster.partition`), and — when the leader is replicated —
-the router waits for the follower to ack the commit LSN before
-acknowledging the client (semi-synchronous replication, the contract
-the kill-the-leader failover test holds it to).  Writes retry only on
-failures that provably precede any server-side effect (refused
-connection, admission rejection): re-sending an INSERT after an
-ambiguous mid-flight loss could double-apply it.
+Writes go through the ``put`` op, which every server answers: the
+router's places each row on its primary shard and halo replicas (see
+:mod:`repro.cluster.partition`) and sends every target shard its rows in
+one shard ``put``; when the leader is replicated it waits for the
+follower to ack the commit LSN before acknowledging the client
+(semi-synchronous replication, the contract the kill-the-leader failover
+test holds it to).  Writes retry only on failures that provably precede
+any server-side effect (refused connection, admission rejection):
+re-sending rows after an ambiguous mid-flight loss could apply them
+twice.
 
 ``RouterService.lock`` is ``None`` deliberately: the single-node service
 serialises engine work behind one lock, but the router's whole point is
@@ -94,7 +95,7 @@ from repro.obs import trace
 from repro.server import protocol
 from repro.server.app import SpatialQueryServer
 from repro.server.client import QueryClient, RemoteError
-from repro.server.service import BadRequest
+from repro.server.service import BadRequest, put_request, put_rows
 from repro.server.session import HOP, SessionCancelled
 from repro.cluster.health import OPEN, CircuitBreaker
 from repro.cluster.partition import ClusterError, GridPartitioner
@@ -1136,66 +1137,54 @@ class RouterService:
     # ------------------------------------------------------------------
     # Writes (router-only op)
     # ------------------------------------------------------------------
-    def put(self, table: str, rows: Iterable[Any]) -> Dict[str, Any]:
+    def put(self, table: str, rows: Any) -> Dict[str, Any]:
         """Place ``[id, wkt]`` rows: primary + halo replicas, semi-sync.
 
-        Batches one INSERT list per target shard, commits the leader's
-        batch durably, and — when replicated — blocks until the follower
-        has acked the commit LSN.  Acknowledged rows therefore survive a
-        leader kill -9 by construction.  Retries are limited to failures
+        Every row is parsed once here, for its MBR, before any shard sees
+        the batch; each target shard then gets its rows, as sent, in one
+        ``put`` (applied all or none there).  The leader's batch commits
+        durably and — when replicated — the router blocks until the
+        follower has acked the commit LSN, so acknowledged rows survive a
+        leader kill -9 by construction.  Retries are limited to refusals
         that provably precede any effect (refused connection, admission
-        rejection) — an ambiguous mid-flight loss must surface, because
-        re-sending the INSERT could double-apply it.
+        rejection): after an ambiguous mid-flight loss the rows may have
+        landed, so re-sending could apply them twice.
         """
-        parsed: List[Tuple[Any, str]] = []
-        mbrs = []
-        for row in rows:
-            try:
-                row_id, wkt = row
-            except (TypeError, ValueError):
-                raise BadRequest("put rows must be [id, wkt] pairs") from None
-            try:
-                mbrs.append(from_wkt(wkt).mbr)
-            except ReproError as exc:
-                raise BadRequest(f"bad geometry for id {row_id!r}: {exc}") from None
-            parsed.append((row_id, wkt))
-        statements: Dict[int, List[str]] = {}
+        geoms = put_rows(rows)
+        shard_rows: Dict[int, List[Any]] = {}
         replicas = 0
         # One binning call places the whole batch.
-        for (row_id, wkt), targets in zip(
-            parsed, self.partitioner.shards_for_mbrs(mbrs)
+        for row, targets in zip(
+            rows, self.partitioner.shards_for_mbrs([g.mbr for _id, g in geoms])
         ):
-            statement = (
-                f"insert into {table} values "
-                f"({_sql_literal(row_id)}, sdo_geometry('{wkt}'))"
-            )
             for shard in sorted(targets):
-                statements.setdefault(shard, []).append(statement)
+                shard_rows.setdefault(shard, []).append(row)
             replicas += len(targets) - 1
-        placed = len(parsed)
         lsn: Optional[int] = None
-        for shard in sorted(statements):
-            handle = self.handles[shard]
+        for shard in sorted(shard_rows):
             if self.commit_shards is not None:
                 commit = shard in self.commit_shards
             else:
                 commit = self.replicated and shard == self.leader
-            lsn_here = self._put_shard(handle, statements[shard], commit)
+            lsn_here = self._put_shard(
+                self.handles[shard], table, shard_rows[shard], commit
+            )
             if commit and shard == self.leader:
                 lsn = lsn_here
         if lsn is not None and self.follower is not None:
             self.follower.wait_for(lsn, timeout=self.commit_timeout)
         return {
-            "placed": placed,
+            "placed": len(geoms),
             "replicas": replicas,
-            "shards": sorted(statements),
+            "shards": sorted(shard_rows),
             "lsn": lsn,
         }
 
     def _put_shard(
-        self, handle: ShardHandle, statements: List[str], commit: bool
+        self, handle: ShardHandle, table: str, rows: List[Any], commit: bool
     ) -> Optional[int]:
-        """Apply one shard's INSERT batch with effect-free-only retries."""
+        """Send one shard its rows, with effect-free-only retries.  A
+        shard's ``BAD_REQUEST`` (it applied none of them) is the client's."""
         shard = handle.shard
         breaker = self.breakers.get(shard)
         attempt = 0
@@ -1203,15 +1192,18 @@ class RouterService:
             if breaker is not None and not breaker.allow():
                 raise ShardFailed(shard, "circuit breaker open")
             try:
-                response = handle.start(
-                    "sql", {"statements": statements, "commit": commit}
+                response = handle.request(
+                    "put", table=table, rows=rows, commit=commit
                 )
-                lsn = response.get("lsn") if commit else None
-                if not response.get("eof"):
-                    handle.close_session(response["session"])
                 self._breaker_success(shard)
-                return lsn
+                return response.get("lsn") if commit else None
             except _WIRE_ERRORS as exc:
+                if (
+                    isinstance(exc, RemoteError)
+                    and exc.code == protocol.ERR_BAD_REQUEST
+                ):
+                    self._breaker_success(shard)
+                    raise BadRequest(f"shard {shard}: {exc.remote_message}") from None
                 self.note_failure(handle)
                 self._breaker_failure(shard)
                 attempt += 1
@@ -1321,10 +1313,7 @@ class RouterServer(SpatialQueryServer):
         self._extra_ops["health"] = self._op_health
 
     async def _op_put(self, request_id, message) -> Dict[str, Any]:
-        table = message.get("table")
-        rows = message.get("rows")
-        if not table or not isinstance(rows, list):
-            raise BadRequest("put needs a table name and a rows list")
+        table, rows = put_request(message)
         started = time.perf_counter()
         result = await self._run_blocking(self.router.put, table, rows)
         self.metrics.record_query(
@@ -1369,12 +1358,3 @@ def _shard_sections(snap: Dict[str, Any]) -> Dict[str, Any]:
     # makespan (max over shards of simulated seconds); page counts from
     # different files are not additive, so storage stays per shard too.
     return {key: snap.get(key, {}) for key in ("storage", "sessions", "meters")}
-
-
-def _sql_literal(value: Any) -> str:
-    if isinstance(value, bool):
-        return "1" if value else "0"
-    if isinstance(value, (int, float)):
-        return repr(value)
-    escaped = str(value).replace("'", "''")
-    return f"'{escaped}'"

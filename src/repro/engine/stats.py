@@ -18,7 +18,6 @@ from typing import Dict, Optional
 
 from repro.errors import CatalogError
 from repro.engine.table import Table
-from repro.geometry.geometry import Geometry
 from repro.geometry.mbr import EMPTY_MBR, MBR
 
 __all__ = [
@@ -61,38 +60,39 @@ class TableStats:
 
 
 def analyze_table(table: Table) -> TableStats:
-    """Full-scan statistics collection for one table."""
+    """Full-scan statistics collection for one table.
+
+    Each geometry column is read through :meth:`Table.scan_bounds`: only
+    the bounds and vertex count of a row are needed, so no
+    :class:`~repro.geometry.geometry.Geometry` is built for a ring record.
+    """
     stats = TableStats(table_name=table.name)
     geom_columns = [
-        c.name for c in table.meta.columns if c.type_tag.upper() == "SDO_GEOMETRY"
+        (index, c.name)
+        for index, c in enumerate(table.meta.columns)
+        if c.type_tag.upper() == "SDO_GEOMETRY"
     ]
-    accum: Dict[str, ColumnGeometryStats] = {
-        name.upper(): ColumnGeometryStats(column=name) for name in geom_columns
-    }
-    sums: Dict[str, list] = {name.upper(): [0.0, 0.0, 0.0] for name in geom_columns}
-
-    for _rowid, row in table.scan():
-        stats.row_count += 1
-        for name in geom_columns:
-            value = table.schema.value(row, name)
-            if not isinstance(value, Geometry):
+    if not geom_columns:
+        stats.row_count = sum(1 for _ in table.scan())
+    for index, name in geom_columns:
+        col = ColumnGeometryStats(column=name)
+        rows = 0
+        sum_w = sum_h = sum_v = 0.0
+        for _rowid, mbr, num_vertices, _geometry in table.scan_bounds(index):
+            rows += 1
+            if mbr is None:
                 continue
-            col = accum[name.upper()]
             col.geometry_count += 1
-            col.layer_mbr = col.layer_mbr.union(value.mbr)
-            s = sums[name.upper()]
-            s[0] += value.mbr.width
-            s[1] += value.mbr.height
-            s[2] += value.num_vertices
-
-    for name in geom_columns:
-        col = accum[name.upper()]
+            col.layer_mbr = col.layer_mbr.union(mbr)
+            sum_w += mbr.width
+            sum_h += mbr.height
+            sum_v += num_vertices
+        stats.row_count = rows
         if col.geometry_count:
-            s = sums[name.upper()]
-            col.avg_width = s[0] / col.geometry_count
-            col.avg_height = s[1] / col.geometry_count
-            col.avg_vertices = s[2] / col.geometry_count
-    stats.geometry_columns = accum
+            col.avg_width = sum_w / col.geometry_count
+            col.avg_height = sum_h / col.geometry_count
+            col.avg_vertices = sum_v / col.geometry_count
+        stats.geometry_columns[name.upper()] = col
     return stats
 
 

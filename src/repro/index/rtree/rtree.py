@@ -10,7 +10,11 @@ Height bookkeeping: a node's ``level`` is its height above the leaves
 
 from __future__ import annotations
 
+import math
+from functools import lru_cache
 from typing import Iterator, List, Optional, Tuple
+
+import numpy as np
 
 from repro.errors import IndexBuildError
 from repro.engine.parallel import WorkerContext
@@ -128,87 +132,87 @@ class RTree:
     def _choose_subtree(
         self, node: RTreeNode, mbr: MBR, ctx: Optional[WorkerContext]
     ) -> Entry:
-        """Least-enlargement child (ties: smaller area)."""
-        best: Optional[Entry] = None
-        best_key: Tuple[float, float] = (float("inf"), float("inf"))
-        for entry in node.entries:
-            if ctx is not None:
-                ctx.charge("mbr_test")
-            key = (entry.mbr.enlargement(mbr), entry.mbr.area)
-            if key < best_key:
-                best_key = key
+        """Least-enlargement child (ties: smaller area), on plain floats."""
+        entries = node.entries
+        if ctx is not None:
+            ctx.charge("mbr_test", len(entries))
+        x0, y0, x1, y1 = mbr.min_x, mbr.min_y, mbr.max_x, mbr.max_y
+        best = entries[0]
+        best_enlargement = best_area = math.inf
+        for entry in entries:
+            m = entry.mbr
+            ex0, ey0, ex1, ey1 = m.min_x, m.min_y, m.max_x, m.max_y
+            area = (ex1 - ex0) * (ey1 - ey0)
+            enlargement = _grown_area(ex0, ey0, ex1, ey1, x0, y0, x1, y1) - area
+            if enlargement < best_enlargement or (
+                enlargement == best_enlargement and area < best_area
+            ):
+                best_enlargement = enlargement
+                best_area = area
                 best = entry
-        assert best is not None
         return best
 
     def _split(
         self, node: RTreeNode, ctx: Optional[WorkerContext] = None
     ) -> RTreeNode:
-        """Guttman quadratic split: returns the new sibling node."""
+        """Guttman quadratic split: returns the new sibling node.
+
+        Seeds come from one numpy pass over the node's coordinate vectors;
+        PickNext runs on float tuples.  Both keep the scalar definition's
+        arithmetic order and strict tie rules, so the groups are the ones
+        ``MBR.union``/``MBR.enlargement`` would choose.
+        """
         entries = node.entries
         if ctx is not None:
             # Quadratic seed picking compares every entry pair, and the
             # split writes two fresh nodes.
             ctx.charge("mbr_test", len(entries) * len(entries))
             ctx.charge("page_write", 2)
-        seed_a, seed_b = self._pick_seeds(entries)
-        group_a = [entries[seed_a]]
-        group_b = [entries[seed_b]]
-        mbr_a = entries[seed_a].mbr
-        mbr_b = entries[seed_b].mbr
-        remaining = [e for i, e in enumerate(entries) if i not in (seed_a, seed_b)]
+        coords = node.coords()
+        seed_a, seed_b = _pick_seeds(coords)
+        boxes = list(zip(*coords))
+        group_a = [seed_a]
+        group_b = [seed_b]
+        ax0, ay0, ax1, ay1 = boxes[seed_a]
+        bx0, by0, bx1, by1 = boxes[seed_b]
+        remaining = [i for i in range(len(entries)) if i not in (seed_a, seed_b)]
 
         while remaining:
             # Force-assign if one group must absorb the rest to reach min fill.
             if len(group_a) + len(remaining) <= self.min_entries:
-                for e in remaining:
-                    group_a.append(e)
-                    mbr_a = mbr_a.union(e.mbr)
+                group_a.extend(remaining)
                 break
             if len(group_b) + len(remaining) <= self.min_entries:
-                for e in remaining:
-                    group_b.append(e)
-                    mbr_b = mbr_b.union(e.mbr)
+                group_b.extend(remaining)
                 break
+            area_a = (ax1 - ax0) * (ay1 - ay0)
+            area_b = (bx1 - bx0) * (by1 - by0)
             # PickNext: entry with the largest preference difference.
             best_idx = 0
             best_diff = -1.0
-            for i, e in enumerate(remaining):
-                d_a = mbr_a.enlargement(e.mbr)
-                d_b = mbr_b.enlargement(e.mbr)
-                diff = abs(d_a - d_b)
+            for n, i in enumerate(remaining):
+                x0, y0, x1, y1 = boxes[i]
+                diff = abs(
+                    _grown_area(ax0, ay0, ax1, ay1, x0, y0, x1, y1) - area_a
+                    - (_grown_area(bx0, by0, bx1, by1, x0, y0, x1, y1) - area_b)
+                )
                 if diff > best_diff:
                     best_diff = diff
-                    best_idx = i
+                    best_idx = n
             chosen = remaining.pop(best_idx)
-            d_a = mbr_a.enlargement(chosen.mbr)
-            d_b = mbr_b.enlargement(chosen.mbr)
-            if (d_a, mbr_a.area, len(group_a)) <= (d_b, mbr_b.area, len(group_b)):
+            x0, y0, x1, y1 = boxes[chosen]
+            d_a = _grown_area(ax0, ay0, ax1, ay1, x0, y0, x1, y1) - area_a
+            d_b = _grown_area(bx0, by0, bx1, by1, x0, y0, x1, y1) - area_b
+            if (d_a, area_a, len(group_a)) <= (d_b, area_b, len(group_b)):
                 group_a.append(chosen)
-                mbr_a = mbr_a.union(chosen.mbr)
+                ax0, ay0, ax1, ay1 = _union(ax0, ay0, ax1, ay1, x0, y0, x1, y1)
             else:
                 group_b.append(chosen)
-                mbr_b = mbr_b.union(chosen.mbr)
+                bx0, by0, bx1, by1 = _union(bx0, by0, bx1, by1, x0, y0, x1, y1)
 
-        node.entries = group_a
+        node.entries = [entries[i] for i in group_a]
         node.invalidate_coords()
-        return RTreeNode(level=node.level, entries=group_b)
-
-    @staticmethod
-    def _pick_seeds(entries: List[Entry]) -> Tuple[int, int]:
-        """Pair with the largest dead space when combined."""
-        worst = (-1.0, 0, 1)
-        n = len(entries)
-        for i in range(n):
-            for j in range(i + 1, n):
-                waste = (
-                    entries[i].mbr.union(entries[j].mbr).area
-                    - entries[i].mbr.area
-                    - entries[j].mbr.area
-                )
-                if waste > worst[0]:
-                    worst = (waste, i, j)
-        return worst[1], worst[2]
+        return RTreeNode(level=node.level, entries=[entries[i] for i in group_b])
 
     # ------------------------------------------------------------------
     # Delete
@@ -359,6 +363,50 @@ class RTree:
                 raise IndexBuildError("entry MBR does not cover child MBR")
             total += self._check_node(e.child)
         return total
+
+
+def _union(ax0, ay0, ax1, ay1, x0, y0, x1, y1):
+    """``MBR.union`` of box a with box b, as floats (same min/max picks)."""
+    return (
+        x0 if x0 < ax0 else ax0,
+        y0 if y0 < ay0 else ay0,
+        x1 if x1 > ax1 else ax1,
+        y1 if y1 > ay1 else ay1,
+    )
+
+
+def _grown_area(ax0, ay0, ax1, ay1, x0, y0, x1, y1) -> float:
+    """Area of box a's union with box b: ``a.union(b).area``."""
+    return ((x1 if x1 > ax1 else ax1) - (x0 if x0 < ax0 else ax0)) * (
+        (y1 if y1 > ay1 else ay1) - (y0 if y0 < ay0 else ay0)
+    )
+
+
+def _pick_seeds(coords) -> Tuple[int, int]:
+    """The pair (i < j) with the largest dead space when combined, first in
+    row-major order; ``(0, 1)`` when no waste exceeds -1.0.  Waste is
+    ``union area - area_i - area_j`` in that order, as ``MBR`` computes it."""
+    x0, y0, x1, y1 = (np.frombuffer(c) for c in coords)
+    n = len(x0)
+    area = (x1 - x0) * (y1 - y0)
+    union = (
+        np.maximum(x1[:, None], x1[None, :]) - np.minimum(x0[:, None], x0[None, :])
+    ) * (np.maximum(y1[:, None], y1[None, :]) - np.minimum(y0[:, None], y0[None, :]))
+    waste = union - area[:, None] - area[None, :]
+    # Only pairs i < j compete, and a NaN waste never wins a comparison.
+    waste[~(_upper_triangle(n) & (waste == waste))] = -math.inf
+    flat = int(np.argmax(waste))
+    if waste.flat[flat] > -1.0:
+        return divmod(flat, n)
+    return 0, 1
+
+
+@lru_cache(maxsize=16)
+def _upper_triangle(n: int) -> np.ndarray:
+    """The ``i < j`` mask of an ``n``-entry split (shared, read-only)."""
+    mask = np.triu(np.ones((n, n), dtype=bool), k=1)
+    mask.flags.writeable = False
+    return mask
 
 
 def _subtree_leaves(node: RTreeNode) -> Iterator[Tuple[MBR, RowId]]:

@@ -44,7 +44,7 @@ from repro.engine.parallel import WorkerContext
 from repro.obs import trace
 from repro.server import protocol
 from repro.server.metrics import ServerMetrics
-from repro.server.service import BadRequest, QueryService
+from repro.server.service import BadRequest, QueryService, put_request
 from repro.server.session import ServerSession, SessionCancelled
 
 __all__ = ["SpatialQueryServer", "BackgroundServer", "serve"]
@@ -279,7 +279,9 @@ class SpatialQueryServer:
     def _register_extra_ops(self) -> None:
         """Ops beyond :data:`protocol.OPS` this server answers.
 
-        The base server registers the leader half of WAL replication
+        The base server registers ``put`` (the one write verb: a batch of
+        ``[id, wkt]`` rows for one table, applied all or none), the
+        leader half of WAL replication
         (durable commit, log tailing, LSN acks, snapshot bootstrap) when
         the database is WAL-backed, plus ``trace.drain`` so a router can
         stitch shard spans into its own trace and ``trace.get`` so a
@@ -289,6 +291,7 @@ class SpatialQueryServer:
         table rather than the ``OPS`` tuple, so an op unknown to *this*
         server is still rejected with ``UNKNOWN_OP``.
         """
+        self._extra_ops["put"] = self._op_put
         self._extra_ops["trace.drain"] = self._op_trace_drain
         self._extra_ops["trace.get"] = self._op_trace_get
         if self.plane is not None:
@@ -298,6 +301,33 @@ class SpatialQueryServer:
             self._extra_ops["wal.tail"] = self._op_wal_tail
             self._extra_ops["wal.ack"] = self._op_wal_ack
             self._extra_ops["wal.snapshot"] = self._op_wal_snapshot
+
+    async def _op_put(self, request_id, message) -> Dict[str, Any]:
+        """Apply ``rows`` to ``table`` (optionally ``commit``) under the
+        admission control of a session start, so a refusal is effect-free
+        and retriable."""
+        if self._inflight >= self.max_inflight:
+            return self._at_capacity(request_id)
+        refused = self._refusal(request_id)
+        if refused is not None:
+            return refused
+        table, rows = put_request(message)
+        started = time.perf_counter()
+        self._inflight += 1
+        result = None
+        try:
+            result = await self._run_blocking(
+                self.service.put, table, rows, bool(message.get("commit", False))
+            )
+        finally:
+            self._inflight -= 1
+            self.metrics.record_query(
+                "put",
+                time.perf_counter() - started,
+                len(rows) if result is not None else 0,
+                ok=result is not None,
+            )
+        return protocol.ok_response(request_id, **result)
 
     async def _op_commit(self, request_id, message) -> Dict[str, Any]:
         """Durable commit of everything written so far; returns its LSN."""
@@ -479,13 +509,7 @@ class SpatialQueryServer:
         # Admission control: bound the work queued behind the bridge.
         if op in ("start", "fetch") and self._inflight >= self.max_inflight:
             self.metrics.record_request(op, ok=False)
-            self.metrics.bump_session("rejected_overload")
-            return protocol.error_response(
-                request_id,
-                protocol.ERR_OVERLOADED,
-                f"server at capacity ({self.max_inflight} requests in "
-                "flight); retry later",
-            )
+            return self._at_capacity(request_id)
         handler = {
             "start": self._op_start,
             "fetch": self._op_fetch,
@@ -528,20 +552,9 @@ class SpatialQueryServer:
         A first page that is also the last closes the session in the same
         hop and carries its close ``summary``.
         """
-        if self._draining:
-            self.metrics.bump_session("rejected_shutdown")
-            return protocol.error_response(
-                request_id,
-                protocol.ERR_SHUTTING_DOWN,
-                "server is shutting down; no new sessions",
-            )
-        if len(self._sessions) >= self.max_sessions:
-            self.metrics.bump_session("rejected_overload")
-            return protocol.error_response(
-                request_id,
-                protocol.ERR_OVERLOADED,
-                f"session limit reached ({self.max_sessions}); retry later",
-            )
+        refused = self._refusal(request_id)
+        if refused is not None:
+            return refused
         kind = message.get("kind")
         if kind not in protocol.KINDS:
             return protocol.error_response(
@@ -607,6 +620,35 @@ class SpatialQueryServer:
             fields["trace"] = wire_trace
         return self._page_response(
             request_id, session, page, started, conn_sessions, fields
+        )
+
+    def _refusal(self, request_id: Any) -> Optional[Dict[str, Any]]:
+        """The answer refusing a new session or write before it has any
+        effect (``SHUTTING_DOWN`` / ``OVERLOADED``), or ``None`` to admit."""
+        if self._draining:
+            self.metrics.bump_session("rejected_shutdown")
+            return protocol.error_response(
+                request_id,
+                protocol.ERR_SHUTTING_DOWN,
+                "server is shutting down; no new sessions",
+            )
+        if len(self._sessions) >= self.max_sessions:
+            self.metrics.bump_session("rejected_overload")
+            return protocol.error_response(
+                request_id,
+                protocol.ERR_OVERLOADED,
+                f"session limit reached ({self.max_sessions}); retry later",
+            )
+        return None
+
+    def _at_capacity(self, request_id: Any) -> Dict[str, Any]:
+        """The ``OVERLOADED`` answer of a request past ``max_inflight``."""
+        self.metrics.bump_session("rejected_overload")
+        return protocol.error_response(
+            request_id,
+            protocol.ERR_OVERLOADED,
+            f"server at capacity ({self.max_inflight} requests in "
+            "flight); retry later",
         )
 
     def _open_session(self, kind, params, ctx, deadline, session_span, n):

@@ -25,6 +25,7 @@ decides whether to restart the query from the top.
 from __future__ import annotations
 
 import random
+import select
 import socket
 import time
 from typing import Any, Dict, Iterator, List, Optional, Tuple
@@ -125,11 +126,18 @@ class QueryClient:
         transparently either, even with no sessions: the server may have
         executed the request and only the response was lost, so re-sending
         a state-creating op such as ``start`` would duplicate it — a
-        ``RetriableError(code="TIMEOUT")`` is raised instead.
+        ``RetriableError(code="TIMEOUT")`` is raised instead.  A write
+        (:data:`~repro.server.protocol.WRITE_OPS`) is likewise never
+        re-sent once it may have reached the server: a connection the
+        server had already closed is replaced before sending, and one lost
+        after sending raises ``RetriableError(code="AMBIGUOUS")``.
         """
+        write = op in protocol.WRITE_OPS
         last_exc: Optional[BaseException] = None
         for attempt in range(self.retries):
             try:
+                if write and self._sock is not None and self._peer_closed():
+                    self._disconnect()
                 return self._request_once(op, fields)
             except RemoteError as exc:
                 if (
@@ -164,6 +172,14 @@ class QueryClient:
                         "automatically",
                         code="TIMEOUT",
                     ) from exc
+                if write and not isinstance(exc, ConnectionRefusedError):
+                    self._disconnect()
+                    raise RetriableError(
+                        f"connection lost after '{op}' was sent ({exc}); the "
+                        "outcome is ambiguous: the server may have applied "
+                        "it — not re-sent",
+                        code="AMBIGUOUS",
+                    ) from exc
                 # Drop the dead connection in every case — a long-lived
                 # caller (the WAL follower's tail loop, a health prober)
                 # retries at its own pace and must get a fresh socket on
@@ -177,6 +193,15 @@ class QueryClient:
         raise last_exc if last_exc is not None else ProtocolError(
             "request retries exhausted"
         )
+
+    def _peer_closed(self) -> bool:
+        """True when the server has already closed this connection, so a
+        request written to it could not be read."""
+        try:
+            readable, _, _ = select.select([self._sock], [], [], 0)
+            return bool(readable) and not self._sock.recv(1, socket.MSG_PEEK)
+        except OSError:
+            return True
 
     def _disconnect(self) -> None:
         try:

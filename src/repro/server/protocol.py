@@ -69,6 +69,7 @@ __all__ = [
     "OPS",
     "OBS_OPS",
     "WAL_OPS",
+    "WRITE_OPS",
     "ROUTER_OPS",
     "KINDS",
     "ERR_BAD_REQUEST",
@@ -105,9 +106,13 @@ OBS_OPS = ("trace.get", "obs.plane")
 #: durable commit, log tailing and LSN acks, snapshot bootstrap) plus span
 #: shipping for router-side trace stitching
 WAL_OPS = ("commit", "wal.tail", "wal.ack", "wal.snapshot", "trace.drain")
-#: extra ops only the cluster router answers (partitioned writes, topology,
-#: resilience status: breaker states, retry counters, shard health)
-ROUTER_OPS = ("put", "topology", "health")
+#: the one write verb, answered by every server: a shard applies a batch
+#: of ``[id, wkt]`` rows to one table, all or none; the router places each
+#: row on its shards first and sends every shard its rows through it
+WRITE_OPS = ("put",)
+#: extra ops only the cluster router answers (topology, resilience status:
+#: breaker states, retry counters, shard health)
+ROUTER_OPS = ("topology", "health")
 
 ERR_BAD_REQUEST = "BAD_REQUEST"
 ERR_UNKNOWN_OP = "UNKNOWN_OP"

@@ -18,6 +18,9 @@ Each supported kind builds a *lazy* row iterator (JSON-safe rows) plus an
   :meth:`~repro.engine.database.Database.spatial_join` (optionally on real
   processes) and pages the combined result.
 
+Writes are not sessions: :meth:`QueryService.put` applies a batch of
+``[id, wkt]`` rows to one table, all or none (the server's ``put`` op).
+
 Engine objects are not thread-safe, and sessions execute on a thread
 pool; the service's ``lock`` serialises engine work page by page, which
 interleaves concurrent sessions fairly (concurrency comes from paging,
@@ -28,17 +31,24 @@ from __future__ import annotations
 
 import os
 import threading
-from typing import Any, Dict, Iterator, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
-from repro.errors import JoinError, OperatorError, ServerError
+from repro.errors import JoinError, OperatorError, ReproError, ServerError
 from repro.engine.database import Database
 from repro.engine.parallel import WorkerContext
 from repro.engine.table_function import pipeline
+from repro.geometry.geometry import Geometry
 from repro.geometry.wkt import from_wkt
 from repro.obs import trace
 from repro.server.protocol import jsonify_row, rowid_to_wire
 
-__all__ = ["BadRequest", "MAX_CANDIDATE_ARRAY_SIZE", "QueryService"]
+__all__ = [
+    "BadRequest",
+    "MAX_CANDIDATE_ARRAY_SIZE",
+    "QueryService",
+    "put_request",
+    "put_rows",
+]
 
 
 class BadRequest(ServerError):
@@ -50,6 +60,36 @@ def _require(params: Dict[str, Any], *names: str) -> Tuple[Any, ...]:
     if missing:
         raise BadRequest(f"missing required param(s): {', '.join(missing)}")
     return tuple(params[n] for n in names)
+
+
+def put_request(message: Dict[str, Any]) -> Tuple[str, Any]:
+    """The ``table`` (checked) and ``rows`` (see :func:`put_rows`) of a
+    wire ``put``."""
+    table = message.get("table")
+    if not isinstance(table, str) or not table:
+        raise BadRequest("put needs a table name")
+    return table, message.get("rows")
+
+
+def put_rows(rows: Any) -> List[Tuple[Any, Geometry]]:
+    """Validate the ``rows`` of a ``put``: a non-empty list of ``[id, wkt]``
+    pairs, returned as ``(id, geometry)``; anything else is a
+    ``BAD_REQUEST`` naming the first offending row."""
+    if not isinstance(rows, list) or not rows:
+        raise BadRequest("put rows must be a non-empty list of [id, wkt] pairs")
+    parsed = []
+    for n, row in enumerate(rows):
+        if (
+            not isinstance(row, (list, tuple))
+            or len(row) != 2
+            or not isinstance(row[1], str)
+        ):
+            raise BadRequest(f"put row {n} must be an [id, wkt] pair, got {row!r:.80}")
+        try:
+            parsed.append((row[0], from_wkt(row[1])))
+        except ReproError as exc:
+            raise BadRequest(f"bad geometry in put row {n} (id {row[0]!r}): {exc}") from None
+    return parsed
 
 
 #: The largest candidate array a wire join may ask for (Ablation B's
@@ -119,6 +159,40 @@ class QueryService:
                     return opener(params, ctx)
                 except (JoinError, OperatorError) as exc:
                     raise BadRequest(str(exc)) from None
+
+    # ------------------------------------------------------------------
+    def put(self, table_name: str, rows: Any, commit: bool = False) -> Dict[str, Any]:
+        """Insert ``[id, wkt]`` rows into one table, all of them or none.
+
+        Rows are parsed before any is applied, then inserted one by one
+        through :meth:`Table.insert` (so the index hooks fire).  A row the
+        table refuses undoes the rows before it, newest first, through
+        :meth:`Table.delete`, and the put answers ``BAD_REQUEST`` naming
+        that row.  With ``commit`` the rows are made durable and the
+        commit's LSN is returned (what a router waits for a follower to
+        ack before acknowledging its own client).
+        """
+        parsed = put_rows(rows)
+        with self.lock:
+            try:
+                table = self.db.table(table_name)
+            except ReproError as exc:
+                raise BadRequest(str(exc)) from None
+            inserted = []
+            for n, values in enumerate(parsed):
+                try:
+                    inserted.append(table.insert(values))
+                except BaseException as exc:
+                    for rowid in reversed(inserted):
+                        table.delete(rowid)
+                    if isinstance(exc, ReproError):
+                        raise BadRequest(
+                            f"put row {n} (id {values[0]!r}) refused, "
+                            f"no row applied: {exc}"
+                        ) from None
+                    raise
+            lsn = self.db.commit() if commit else None
+        return {"rows": len(inserted), "lsn": lsn}
 
     # ------------------------------------------------------------------
     def _parse_geometry(self, params: Dict[str, Any]):
@@ -209,28 +283,13 @@ class QueryService:
         return _wire_rowids(rowids), {"k": k}
 
     def _open_sql(self, params, ctx):
-        statements = params.get("statements")
-        if statements is not None:
-            if not isinstance(statements, list) or not statements:
-                raise BadRequest("statements must be a non-empty list")
-        else:
-            (statement,) = _require(params, "statement")
-            statements = [statement]
-        rowcount = 0
-        result = None
-        for statement in statements:
-            result = self.db.sql(statement)
-            rowcount += result.rowcount
+        (statement,) = _require(params, "statement")
+        result = self.db.sql(statement)
         extra = {
             "columns": list(result.columns),
-            "rowcount": rowcount,
+            "rowcount": result.rowcount,
             "message": result.message,
         }
-        if bool(params.get("commit", False)):
-            # Durable batch: everything above survives a crash, and the
-            # returned LSN is what the router waits for the follower to ack
-            # before acking its own client (semi-synchronous replication).
-            extra["lsn"] = self.db.commit()
         rows = iter([jsonify_row(row) for row in result.rows])
         return rows, extra
 

@@ -21,11 +21,11 @@ DDL = [
 
 
 def _commit_batch(client, statements):
-    """Run a durable statement batch on the leader; returns its LSN."""
-    session = client.start("sql", {"statements": statements, "commit": True})
-    lsn = session.extra["lsn"]
-    session.close()
-    return lsn
+    """Run statements on the leader, then commit them durably; returns the
+    commit's LSN."""
+    for statement in statements:
+        client.start("sql", {"statement": statement}).all()
+    return client.request("commit")["lsn"]
 
 
 @pytest.fixture()

@@ -12,7 +12,8 @@ from repro.geometry.mbr import MBR
 from repro.geometry.wkt import from_wkt, to_wkt
 from repro.server.client import QueryClient, RemoteError
 from repro.server.metrics import ServerMetrics
-from repro.server.protocol import ERR_SHARD_FAILED
+from repro.geometry.mbr import union_all
+from repro.server.protocol import ERR_BAD_REQUEST, ERR_SHARD_FAILED
 
 BOX = MBR(0.0, 0.0, 100.0, 100.0)
 N_ROWS = 100
@@ -157,19 +158,18 @@ class TestOneRequestPerHop:
 
 
 class _RecordingHandle:
-    """A shard handle that records put batches; every session it starts
-    ends with its eof page, so a ``close`` would be one request too many."""
+    """A shard handle that records the typed rows of every ``put`` it is
+    sent; a put is one request, never a session."""
 
     def __init__(self, shard):
         self.shard = shard
-        self.statements = []
+        self.rows = []
 
-    def start(self, kind, params, deadline_ms=None, trace_ctx=None, n=None):
-        self.statements.extend(params["statements"])
-        return {"session": "s1", "rows": [], "eof": True}
-
-    def close_session(self, session_id):
-        raise AssertionError("put closed a session its eof page had ended")
+    def request(self, op, **fields):
+        assert op == "put", op
+        assert fields["table"] == "shapes"
+        self.rows.extend(fields["rows"])
+        return {"rows": len(fields["rows"]), "lsn": None}
 
 
 class TestPutPlacement:
@@ -190,13 +190,12 @@ class TestPutPlacement:
         handles = [_RecordingHandle(shard) for shard in range(3)]
         result = RouterService(handles, part).put("shapes", rows)
         assert result["placed"] == len(rows)
-        for row_id, wkt in rows:
-            placed = {
-                h.shard
-                for h in handles
-                if any(f"values ({row_id}, " in st for st in h.statements)
-            }
-            assert placed == part.shards_for_mbr(from_wkt(wkt).mbr)
+        for row in rows:
+            placed = {h.shard for h in handles if row in h.rows}
+            assert placed == part.shards_for_mbr(from_wkt(row[1]).mbr)
+        # Each shard gets its rows as sent (the client's WKT), in batch order.
+        for h in handles:
+            assert h.rows == [row for row in rows if row in h.rows]
 
 
 class TestKnnMerge:
@@ -269,6 +268,71 @@ class TestPut:
                 client.request(
                     "put", table="shapes", rows=[[1, "NOT A WKT"]]
                 )
+
+    @staticmethod
+    def _everything(client):
+        session = client.start(
+            "window",
+            {"table": "shapes", "column": "geom",
+             "wkt": "POLYGON ((0 0, 100 0, 100 100, 0 100, 0 0))"},
+        )
+        return sorted(row[0] for row in session.rows(page=256))
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"table": "shapes", "rows": "not a list"},
+            {"table": "shapes", "rows": []},
+            {"table": "shapes", "rows": [[1, "POINT (5 5)", 3]]},
+            {"table": "shapes", "rows": [[900, "POINT (5 5)"], [901, "NOT A WKT"]]},
+            {"table": "no_such_table", "rows": [[900, "POINT (5 5)"], [901, "POINT (95 95)"]]},
+        ],
+        ids=["rows-not-a-list", "rows-empty", "wrong-arity", "bad-wkt", "unknown-table"],
+    )
+    def test_hostile_put_refused_with_nothing_applied(self, fleet, fields):
+        cluster, _ref, rows = fleet
+        with cluster.client() as client:
+            with pytest.raises(RemoteError) as excinfo:
+                client.request("put", **fields)
+            assert excinfo.value.code == ERR_BAD_REQUEST
+            assert self._everything(client) == sorted(r[0] for r in rows)
+            assert client.request("topology")["shards"] == 3
+
+    def test_refused_row_leaves_its_shard_unchanged(self, fleet):
+        """A batch placed wholly on one shard whose 5th row has a
+        non-numeric id: the shard undoes rows 1-4, and the router answers
+        BAD_REQUEST naming the row."""
+        cluster, _ref, rows = fleet
+        part = cluster.partitioner
+        batch = []
+        for i in range(400):
+            x, y = 3 + (i % 20) * 4.5, 3 + (i // 20) * 4.5
+            wkt = to_wkt(Geometry.rectangle(x, y, x + 0.5, y + 0.5))
+            if part.shards_for_mbr(from_wkt(wkt).mbr) == {0}:
+                batch.append([1000 + len(batch), wkt])
+            if len(batch) == 8:
+                break
+        assert len(batch) == 8
+        batch[4][0] = "x"
+        region = to_wkt(Geometry.from_mbr(
+            union_all([from_wkt(wkt).mbr for _id, wkt in batch])
+        ))
+        with cluster.client() as client:
+            count = client.start("sql", {"statement": "select count(*) from shapes"}).all()
+            before = client.start(
+                "window", {"table": "shapes", "column": "geom", "wkt": region}
+            ).all()
+            with pytest.raises(RemoteError) as excinfo:
+                client.request("put", table="shapes", rows=batch)
+            assert excinfo.value.code == ERR_BAD_REQUEST
+            assert "put row 4 (id 'x')" in excinfo.value.remote_message
+            assert client.start(
+                "sql", {"statement": "select count(*) from shapes"}
+            ).all() == count
+            assert client.start(
+                "window", {"table": "shapes", "column": "geom", "wkt": region}
+            ).all() == before
+            assert self._everything(client) == sorted(r[0] for r in rows)
 
     def test_topology_op(self, fleet):
         cluster, _ref, _rows = fleet

@@ -11,6 +11,7 @@ from repro.engine.stats import (
 )
 from repro.errors import CatalogError
 from repro.geometry.mbr import MBR
+from tests.oracles import analyze_table_reference
 
 
 @pytest.fixture
@@ -48,6 +49,58 @@ class TestAnalyze:
         msg = stats_db.sql("analyze table t compute statistics").message
         assert "200 rows" in msg
         assert stats_db.table_stats("t") is not None
+
+
+class TestAnalyzeMatchesDecodeReference:
+    """``analyze_table`` reads bounds; the reference decodes every row.
+    The statistics are equal field for field, float sums included."""
+
+    @staticmethod
+    def mixed_table(db):
+        table = db.create_table(
+            "m", [("id", "NUMBER"), ("a", "SDO_GEOMETRY"), ("b", "SDO_GEOMETRY")]
+        )
+        shapes = [
+            Geometry.rectangle(0.1, 0.2, 3.3, 4.7),
+            Geometry.point(-1.0, 3.0),
+            Geometry.linestring([(0, 0), (5, -2), (7.5, 1)]),
+            Geometry.polygon(
+                [(0, 0), (9, 0), (9, 9), (0, 9)], [[(2, 2), (4, 2), (4, 4)]]
+            ),
+            Geometry.polygon([(-0.0, 0.0), (1.5, 0.0), (0.75, 2.25)]),
+            None,
+        ]
+        for i in range(90):
+            a = shapes[i % len(shapes)]
+            b = shapes[(i * 5 + 1) % len(shapes)]
+            if a is not None and i % 4 == 0:
+                a = Geometry.rectangle(i * 0.37, i * 0.11, i * 0.37 + 1.9, i * 0.11 + 0.3)
+            table.insert((i, a, b))
+        return table
+
+    def test_heap_table(self, stats_db):
+        for table in (stats_db.table("t"), self.mixed_table(stats_db)):
+            assert analyze_table(table) == analyze_table_reference(table)
+
+    def test_compacted_and_journaled_table(self, stats_db):
+        table = self.mixed_table(stats_db)
+        stats_db.compact_table("m", "a", chunk_rows=16)
+        assert analyze_table(table) == analyze_table_reference(table)
+        rowids = [rowid for rowid, _row in table.scan()]
+        for rowid in rowids[::7]:
+            table.update(rowid, (-1, Geometry.rectangle(1, 1, 2.5, 2), None))
+        for rowid in rowids[3::11]:
+            table.delete(rowid)
+        table.insert((500, Geometry.rectangle(-3, -3, -1, -1), None))
+        assert table.columnar.journal_size() > 0
+        assert analyze_table(table) == analyze_table_reference(table)
+
+    def test_table_without_geometry(self, stats_db):
+        table = stats_db.create_table("n", [("id", "NUMBER")])
+        for i in range(5):
+            table.insert((i,))
+        assert analyze_table(table) == analyze_table_reference(table)
+        assert analyze_table(table).row_count == 5
 
 
 class TestEstimates:

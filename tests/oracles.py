@@ -41,6 +41,8 @@ from repro.index.quadtree.codes import TileGrid, morton_encode
 from repro.engine.parallel import WorkerContext
 from repro.index.quadtree.quadtree import QuadtreeIndex
 from repro.index.quadtree.tessellate import Tile, tessellate
+from repro.index.rtree.node import RTreeNode
+from repro.index.rtree.rtree import RTree
 
 IMPLS = ("numpy", "python")
 
@@ -274,6 +276,42 @@ def scan_bounds_reference(table, column_index):
             yield rowid, geom.mbr, geom.num_vertices, lambda geom=geom: geom
 
 
+def analyze_table_reference(table):
+    """What ``engine.stats.analyze_table(table)`` must return: every row
+    decoded by ``Table.scan``, each non-NULL geometry's ``.mbr`` and
+    ``.num_vertices`` summed in row order."""
+    from repro.engine.stats import ColumnGeometryStats, TableStats
+
+    stats = TableStats(table_name=table.name)
+    names = [
+        c.name for c in table.meta.columns if c.type_tag.upper() == "SDO_GEOMETRY"
+    ]
+    accum = {name.upper(): ColumnGeometryStats(column=name) for name in names}
+    sums = {name.upper(): [0.0, 0.0, 0.0] for name in names}
+    for _rowid, row in table.scan():
+        stats.row_count += 1
+        for name in names:
+            value = table.schema.value(row, name)
+            if not isinstance(value, Geometry):
+                continue
+            col = accum[name.upper()]
+            col.geometry_count += 1
+            col.layer_mbr = col.layer_mbr.union(value.mbr)
+            s = sums[name.upper()]
+            s[0] += value.mbr.width
+            s[1] += value.mbr.height
+            s[2] += value.num_vertices
+    for name in names:
+        col = accum[name.upper()]
+        if col.geometry_count:
+            s = sums[name.upper()]
+            col.avg_width = s[0] / col.geometry_count
+            col.avg_height = s[1] / col.geometry_count
+            col.avg_vertices = s[2] / col.geometry_count
+    stats.geometry_columns = accum
+    return stats
+
+
 def secondary_filter_reference(filt, candidates, ctx=None):
     """What ``filt.process(candidates, ctx)`` must return, charge and count:
     the per-candidate loop the join's secondary filter ran before it
@@ -298,3 +336,115 @@ def secondary_filter_reference(filt, candidates, ctx=None):
             if ctx is not None:
                 ctx.charge("result_row")
     return results
+
+
+# ----------------------------------------------------------------------
+# R-tree maintenance: Guttman's insert on MBR objects.
+# ----------------------------------------------------------------------
+def _choose_subtree_reference(self, node, mbr, ctx):
+    """Least-enlargement child (ties: smaller area), one ``mbr_test`` per
+    entry, through ``MBR.enlargement`` and tuple comparison."""
+    best = None
+    best_key = (float("inf"), float("inf"))
+    for entry in node.entries:
+        if ctx is not None:
+            ctx.charge("mbr_test")
+        key = (entry.mbr.enlargement(mbr), entry.mbr.area)
+        if key < best_key:
+            best_key = key
+            best = entry
+    assert best is not None
+    return best
+
+
+def _pick_seeds_reference(entries):
+    """The pair with the largest dead space, every pair in turn."""
+    worst = (-1.0, 0, 1)
+    n = len(entries)
+    for i in range(n):
+        for j in range(i + 1, n):
+            waste = (
+                entries[i].mbr.union(entries[j].mbr).area
+                - entries[i].mbr.area
+                - entries[j].mbr.area
+            )
+            if waste > worst[0]:
+                worst = (waste, i, j)
+    return worst[1], worst[2]
+
+
+def _split_reference(self, node, ctx=None):
+    """Guttman's quadratic split with an ``MBR`` per comparison."""
+    entries = node.entries
+    if ctx is not None:
+        ctx.charge("mbr_test", len(entries) * len(entries))
+        ctx.charge("page_write", 2)
+    seed_a, seed_b = _pick_seeds_reference(entries)
+    group_a = [entries[seed_a]]
+    group_b = [entries[seed_b]]
+    mbr_a = entries[seed_a].mbr
+    mbr_b = entries[seed_b].mbr
+    remaining = [e for i, e in enumerate(entries) if i not in (seed_a, seed_b)]
+    while remaining:
+        if len(group_a) + len(remaining) <= self.min_entries:
+            group_a.extend(remaining)
+            break
+        if len(group_b) + len(remaining) <= self.min_entries:
+            group_b.extend(remaining)
+            break
+        best_idx = 0
+        best_diff = -1.0
+        for i, e in enumerate(remaining):
+            diff = abs(mbr_a.enlargement(e.mbr) - mbr_b.enlargement(e.mbr))
+            if diff > best_diff:
+                best_diff = diff
+                best_idx = i
+        chosen = remaining.pop(best_idx)
+        d_a = mbr_a.enlargement(chosen.mbr)
+        d_b = mbr_b.enlargement(chosen.mbr)
+        if (d_a, mbr_a.area, len(group_a)) <= (d_b, mbr_b.area, len(group_b)):
+            group_a.append(chosen)
+            mbr_a = mbr_a.union(chosen.mbr)
+        else:
+            group_b.append(chosen)
+            mbr_b = mbr_b.union(chosen.mbr)
+    node.entries = group_a
+    node.invalidate_coords()
+    return RTreeNode(level=node.level, entries=group_b)
+
+
+@contextmanager
+def rtree_insert_reference() -> Iterator[None]:
+    """Run every ``RTree`` insert, split and delete-reinsert inside the
+    block on the ``MBR``-object Guttman code that ``RTree._choose_subtree``
+    and ``RTree._split`` must equal: same groups, same entry order, same
+    charges."""
+    with mock.patch.multiple(
+        RTree, _choose_subtree=_choose_subtree_reference, _split=_split_reference
+    ):
+        yield
+
+
+# ----------------------------------------------------------------------
+# Checksums: the reflected table-driven CRC-32C, a byte at a time.
+# ----------------------------------------------------------------------
+def _crc32c_byte_table():
+    table = []
+    for i in range(256):
+        crc = i
+        for _ in range(8):
+            crc = (crc >> 1) ^ 0x82F63B78 if crc & 1 else crc >> 1
+        table.append(crc)
+    return table
+
+
+_CRC32C_TABLE = _crc32c_byte_table()
+
+
+def crc32c_reference(data: bytes, crc: int = 0) -> int:
+    """What ``storage.checksum.crc32c(data, crc)`` must return: the
+    classic reflected table-driven CRC-32C loop."""
+    crc ^= 0xFFFFFFFF
+    for byte in data:
+        crc = _CRC32C_TABLE[(crc ^ byte) & 0xFF] ^ (crc >> 8)
+    return crc ^ 0xFFFFFFFF
