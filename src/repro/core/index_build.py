@@ -32,7 +32,7 @@ from repro.engine.table import Table
 from repro.engine.table_function import TableFunction, pipeline
 from repro.engine.types import Row
 from repro.geometry.mbr import MBR
-from repro.index.quadtree.quadtree import QuadtreeIndex
+from repro.index.quadtree.quadtree import TESSELLATE_BATCH, QuadtreeIndex
 from repro.index.rtree.bulkload import merge_subtrees, str_pack
 from repro.index.rtree.rtree import RTree
 from repro.index.rtree.spatial_index import RTreeIndex
@@ -72,37 +72,34 @@ class BuildReport:
 class TessellateFunction(TableFunction):
     """Parallel table function: tessellate geometries from an input cursor.
 
-    Input rows: ``(rowid, geometry)``.  Output rows: ``(tile_code, rowid,
-    interior)`` — the rows inserted into the quadtree's index table
-    (Figure 2's "Tesselate" boxes).
+    Input rows: ``(rowid, geometry)``, as :meth:`Table.scan_rings` reads
+    them.  Output rows: ``(tile_code, rowid, interior)`` — the rows inserted
+    into the quadtree's index table (Figure 2's "Tesselate" boxes).  Each
+    batch of input rows is tessellated in one kernel call.
     """
 
-    def __init__(self, input_cursor: Cursor, index: QuadtreeIndex, batch: int = 64):
+    def __init__(
+        self, input_cursor: Cursor, index: QuadtreeIndex, batch: int = TESSELLATE_BATCH
+    ):
         super().__init__()
         self._cursor = input_cursor
         self._index = index
         self._batch = batch
-        self._pending: List[Row] = []
+        self._pending: List[Row] = []  # the last batch's tiles ...
+        self._next = 0  # ... handed out up to here
 
     def _fetch(self, ctx: WorkerContext, max_rows: int) -> List[Row]:
-        out: List[Row] = []
-        while len(out) < max_rows:
-            if self._pending:
-                take = min(max_rows - len(out), len(self._pending))
-                out.extend(self._pending[:take])
-                self._pending = self._pending[take:]
-                continue
+        while self._next == len(self._pending):
             rows = self._cursor.fetch(self._batch)
             if not rows:
-                break
-            for rowid, geom in rows:
-                if geom is None:
-                    continue
-                ctx.charge("geom_fetch_base")
-                ctx.charge("geom_fetch_per_vertex", geom.num_vertices)
-                for tile in self._index.tessellate_row(rowid, geom, ctx):
-                    ctx.charge("tile_insert")
-                    self._pending.append((tile.code, rowid, tile.interior))
+                return []
+            rows = [row for row in rows if row[1] is not None]
+            if rows:
+                ctx.charge("geom_fetch_base", len(rows))
+                ctx.charge("geom_fetch_per_vertex", sum(g.num_vertices for _r, g in rows))
+            self._pending, self._next = self._index.tessellate_rows(rows, ctx), 0
+        out = self._pending[self._next : self._next + max_rows]
+        self._next += len(out)
         return out
 
 
@@ -153,9 +150,8 @@ def create_quadtree_parallel(
         "index.build", kind="QUADTREE", degree=executor.degree
     ) as build_span:
         with trace.span("index.load"):
-            source = index.table.scan_cursor(with_rowid=True)
             col = index.table.schema.index_of(index.column)
-            rows = [(r[0], r[col + 1]) for r in source]
+            rows = list(index.table.scan_rings(col))
         build_span.set_tag("rows", len(rows))
         return _tessellate_and_load(index, executor, rows)
 

@@ -17,7 +17,7 @@ import os
 import struct
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from repro.errors import CatalogError, EngineError, JoinError, StorageError
+from repro.errors import CatalogError, EngineError, FaultError, JoinError, StorageError
 from repro.engine.cost import CostModel, DEFAULT_COST_MODEL
 from repro.engine.indextype import (
     OPERATORS,
@@ -510,24 +510,28 @@ class Database:
                 f"write-ahead log {path + '.wal'!r}; open it with 'wal'"
             )
         opener = fault_plan.opener() if fault_plan is not None else None
-        if durability == "wal":
-            inner = FilePager(path, page_size=page_size, strict=False, opener=opener)
-            pager: Pager = WalPager(
-                inner, path + ".wal", opener=opener, fault_plan=fault_plan
-            )
-        else:
-            pager = FilePager(path, page_size=page_size, opener=opener)
-        db = cls(pager=pager, buffer_capacity=buffer_capacity, cost_model=cost_model)
-        db.durability = durability
-        db.path = path
-        if pager.num_pages > 0:
-            db._load_snapshot()
-        else:
-            # Reserve page 0 as the meta-snapshot root before any heap can
-            # claim it.
-            root = db.pool.allocate()
-            assert root == 0
-            db._meta_pages = [0]
+        pager: Pager = FilePager(
+            path, page_size=page_size, strict=durability == "none", opener=opener
+        )
+        try:
+            if durability == "wal":
+                pager = WalPager(pager, path + ".wal", opener=opener, fault_plan=fault_plan)
+            db = cls(pager=pager, buffer_capacity=buffer_capacity, cost_model=cost_model)
+            db.durability = durability
+            db.path = path
+            if pager.num_pages > 0:
+                db._load_snapshot()
+            else:
+                # Reserve page 0 as the meta-snapshot root before any heap
+                # can claim it.
+                root = db.pool.allocate()
+                assert root == 0
+                db._meta_pages = [0]
+        except FaultError:
+            raise  # a simulated kill leaves its files open, as a dead process does
+        except Exception:
+            pager.close()  # a refused store is closed, not left to the collector
+            raise
         return db
 
     def commit(self) -> Optional[int]:

@@ -218,6 +218,20 @@ class Table:
             for (rowid, _data), bound in zip(batch, bounds):
                 yield (rowid, *bound)
 
+    def scan_rings(self, column_index: int) -> Iterator[Tuple[RowId, Any]]:
+        """:meth:`scan` reduced to one geometry column, for readers that
+        take a polygon stored as one exterior ring as a
+        :class:`~repro.geometry.packed.PackedRing` (quadtree tessellation):
+        ``(rowid, value)`` per row, in scan order, heap records through
+        :func:`~repro.storage.codec.decode_ring_column`.  A compacted
+        table's rows come from :meth:`scan`."""
+        if self.columnar is not None:
+            for rowid, row in self.scan():
+                yield rowid, row[column_index]
+            return
+        for rowid, data in self.heap.scan():
+            yield rowid, decode_ring_column(data, column_index)
+
     def scan_cursor(self, with_rowid: bool = False) -> Cursor:
         """Cursor over the table; optionally prefix each row with its rowid."""
         if with_rowid:

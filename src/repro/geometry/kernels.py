@@ -233,9 +233,11 @@ def _edge_boxes_apart(ax, ay, bx, by, cx, cy, dx, dy, tol):
     )
 
 
-def _orient_hits(ax, ay, bx, by, cx, cy, dx, dy):
+def _orient_tests(ax, ay, bx, by, cx, cy, dx, dy):
     """``segments_intersect`` of edge ``ab`` vs edge ``cd`` past its box
-    reject: the orientation and collinear-bounds terms alone.
+    reject — the orientation and collinear-bounds terms alone — and
+    ``predicates._proper_crossing`` of the same pairs, from one set of
+    orientations: ``(hit, proper)``.
 
     The operands are equal-length flat arrays; entry ``k`` tests edge pair
     ``k`` only.  The four orientations share their base-vector differences
@@ -257,6 +259,7 @@ def _orient_hits(ax, ay, bx, by, cx, cy, dx, dy):
     # produces them — so the four bounds tests run on the gathered zero
     # entries, not on every pair.
     nz = (p1 | n1) & (p2 | n2) & (p3 | n3) & (p4 | n4)
+    proper = hit & nz
     if not nz.all():
         z = np.nonzero(~nz)[0]
         axz, ayz, bxz, byz, cxz, cyz, dxz, dyz = (
@@ -268,16 +271,16 @@ def _orient_hits(ax, ay, bx, by, cx, cy, dx, dy):
         hz |= ~(p3[z] | n3[z]) & _bounds_arr(axz, ayz, cxz, cyz, dxz, dyz)
         hz |= ~(p4[z] | n4[z]) & _bounds_arr(bxz, byz, cxz, cyz, dxz, dyz)
         hit[z] = hz
-    return hit
+    return hit, proper
 
 
 def _intersect_cols(*operands):
-    """Vectorized ``segments_intersect``; operands as ``_orient_hits``.
+    """Vectorized ``segments_intersect``; operands as ``_orient_tests``.
 
     The definition's box reject can only turn a hit into a miss, and hits
     are few: the boxes of those entries alone are tested.
     """
-    hit = _orient_hits(*operands)
+    hit = _orient_tests(*operands)[0]
     if hit.any():
         h = np.nonzero(hit)[0]
         hit[h] = ~_edge_boxes_apart(*(v[h] for v in operands), EPSILON)
@@ -467,22 +470,30 @@ def _soup_rings_contain(rings_of, gi, pts):
     res = np.zeros(len(gi), dtype=bool)
     inside = (mbr_lo.take(gi, axis=1) <= pts) & (pts <= mbr_hi.take(gi, axis=1))
     sel = np.nonzero(inside.all(axis=0))[0]
-    if not sel.size:
-        return res
-    c = count[gi[sel]]
-    pid = sel.repeat(c)
+    if sel.size:
+        on, odd = _soup_ring_hits(soup, first[gi[sel]], count[gi[sel]], pts.take(sel, axis=1))
+        res[sel] = on | odd
+    return res
+
+
+def _soup_ring_hits(soup, first, count, pts):
+    """Point ``pts[:, k]`` against the ``count[k]`` soup edges from column
+    ``first[k]``: is it on one (``on_segment``), and does the ray cast of
+    ``Ring.contains_point`` cross an odd number of them?"""
+    pid = np.arange(len(first)).repeat(count)
     sx, sy = pts.take(pid, axis=1)
     # A soup edge runs from the ray cast's predecessor vertex j to vertex i.
-    xj, yj, xi, yi = soup.take(first[gi[sel]].repeat(c) + _ragged_arange(c), axis=1)
+    xj, yj, xi, yi = soup.take(first.repeat(count) + _ragged_arange(count), axis=1)
     dqx, dqy = xi - xj, yi - yj
     pos, neg = _orient_signs(dqx, dqy, np.abs(dqx) + np.abs(dqy), sx - xj, sy - yj)
     z = np.nonzero(~(pos | neg))[0]
-    res[pid[z[_bounds_arr(sx[z], sy[z], xj[z], yj[z], xi[z], yi[z])]]] = True
+    on = np.zeros(len(first), dtype=bool)
+    on[pid[z[_bounds_arr(sx[z], sy[z], xj[z], yj[z], xi[z], yi[z])]]] = True
     cond = (yi > sy) != (yj > sy)
     with np.errstate(divide="ignore", invalid="ignore"):
         x_cross = (xj - xi) * (sy - yi) / (yj - yi) + xi
-    crossings = np.bincount(pid[cond & (sx < x_cross)], minlength=len(gi))
-    return res | (crossings & 1).astype(bool)
+    crossings = np.bincount(pid[cond & (sx < x_cross)], minlength=len(first))
+    return on, (crossings & 1).astype(bool)
 
 
 def _edge_pairs_any(soup, lo, hi, ea, ka, eb, kb, tol, dist: float):
@@ -516,7 +527,7 @@ def _edge_pairs_any(soup, lo, hi, ea, ka, eb, kb, tol, dist: float):
             continue
         ends_ab = (*soup.take(ai, axis=1), *soup.take(bi, axis=1))
         if not dist:
-            found[pid[_orient_hits(*ends_ab)]] = True
+            found[pid[_orient_tests(*ends_ab)[0]]] = True
             continue
         # ``segment_segment_distance_sq <= dist**2``: an endpoint within
         # ``dist`` settles it, and so the pair; only edge pairs of still

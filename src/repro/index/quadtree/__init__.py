@@ -2,11 +2,9 @@
 
 from repro.index.quadtree.codes import (
     TileGrid,
-    child_codes,
     descendant_range,
     morton_decode,
     morton_encode,
-    parent_code,
 )
 from repro.index.quadtree.join import quadtree_join_candidates, quadtree_tile_join
 from repro.index.quadtree.quadtree import DEFAULT_TILING_LEVEL, QuadtreeIndex
@@ -15,8 +13,6 @@ from repro.index.quadtree.tessellate import Tile, tessellate
 __all__ = [
     "morton_encode",
     "morton_decode",
-    "parent_code",
-    "child_codes",
     "descendant_range",
     "TileGrid",
     "Tile",

@@ -22,8 +22,6 @@ from repro.geometry.mbr import MBR
 __all__ = [
     "morton_encode",
     "morton_decode",
-    "parent_code",
-    "child_codes",
     "descendant_range",
     "TileGrid",
 ]
@@ -59,17 +57,6 @@ def morton_decode(code: int) -> Tuple[int, int]:
     if code < 0:
         raise IndexBuildError(f"negative tile code {code}")
     return _squash_bits(code), _squash_bits(code >> 1)
-
-
-def parent_code(code: int) -> int:
-    """Code of the tile's parent quadrant, one level up."""
-    return code >> 2
-
-
-def child_codes(code: int) -> Tuple[int, int, int, int]:
-    """Codes of the four child tiles, one level down (SW, SE, NW, NE)."""
-    base = code << 2
-    return (base, base + 1, base + 2, base + 3)
 
 
 def descendant_range(code: int, levels_down: int) -> Tuple[int, int]:

@@ -23,13 +23,16 @@ from repro.engine.table import Table
 from repro.geometry.geometry import Geometry
 from repro.geometry.mbr import MBR
 from repro.index.quadtree.codes import TileGrid
-from repro.index.quadtree.tessellate import Tile, tessellate
+from repro.index.quadtree.tessellate import Tile, tessellate, tessellate_batch
 from repro.storage.btree import BPlusTree
 from repro.storage.heap import RowId
 
-__all__ = ["QuadtreeIndex", "DEFAULT_TILING_LEVEL"]
+__all__ = ["QuadtreeIndex", "DEFAULT_TILING_LEVEL", "TESSELLATE_BATCH"]
 
 DEFAULT_TILING_LEVEL = 8
+# Rows tessellated per kernel call: the chunk that bounds the kernel's
+# transient arrays.
+TESSELLATE_BATCH = 64
 
 
 class QuadtreeIndex(DomainIndex):
@@ -64,44 +67,50 @@ class QuadtreeIndex(DomainIndex):
 
         (The parallel path — tessellation as a parallel table function
         feeding a parallel B-tree build — is in
-        :mod:`repro.core.index_build`.)
+        :mod:`repro.core.index_build`.)  Rows are tessellated
+        ``TESSELLATE_BATCH`` at a time, as that table function does.
         """
+        col = self.table.schema.index_of(self.column)
+        rows = [(r, g) for r, g in self.table.scan_rings(col) if g is not None]
         items: List[Tuple[Tuple[int, RowId], bool]] = []
-        for rowid, geom in self.table.column_values(self.column):
-            if geom is None:
-                continue
-            for tile in self.tessellate_row(rowid, geom, ctx):
-                if ctx is not None:
-                    ctx.charge("tile_insert")
-                items.append(((tile.code, rowid), tile.interior))
+        for i in range(0, len(rows), TESSELLATE_BATCH):
+            batch = self.tessellate_rows(rows[i : i + TESSELLATE_BATCH], ctx)
+            items += [((code, rowid), interior) for code, rowid, interior in batch]
         items.sort(key=lambda kv: kv[0])
         self.btree = BPlusTree.bulk_load(items, order=self.btree_order)
 
     def insert(
         self, rowid: RowId, geom: Geometry, ctx: Optional[WorkerContext] = None
     ) -> None:
-        for tile in self.tessellate_row(rowid, geom, ctx):
-            if ctx is not None:
-                ctx.charge("tile_insert")
-            self.btree.insert((tile.code, rowid), tile.interior)
+        for code, _rowid, interior in self.tessellate_rows([(rowid, geom)], ctx):
+            self.btree.insert((code, rowid), interior)
 
-    def tessellate_row(
-        self, rowid: RowId, geom: Geometry, ctx: Optional[WorkerContext] = None
-    ) -> List[Tile]:
-        """Tiles of a data geometry, which must lie inside the tiled square.
+    def tessellate_rows(
+        self, rows: Sequence[Tuple[RowId, Any]], ctx: Optional[WorkerContext] = None
+    ) -> List[Tuple[int, RowId, bool]]:
+        """Index-table rows ``(tile_code, rowid, interior)`` of data rows
+        ``(rowid, geometry)`` (a :class:`Geometry` or a
+        :class:`~repro.geometry.packed.PackedRing`): one
+        :func:`tessellate_batch` call, tiles in row order and code order
+        within a row, one ``tile_insert`` charge per tile.
 
-        A geometry outside it would get no tiles (or tiles for its inside
-        part only) and silently drop out of window answers; Oracle rejects
-        such a row with ORA-13011.  Query windows are clipped instead — they
-        go to :func:`tessellate` directly.
+        Every geometry must lie inside the tiled square.  One outside it
+        would get no tiles (or tiles for its inside part only) and silently
+        drop out of window answers; Oracle rejects such a row with
+        ORA-13011.  Query windows are clipped instead — they go to
+        :func:`tessellate` directly.
         """
-        square = self.grid.quadrant_mbr(0, 0, 0)
-        if not square.contains(geom.mbr):
-            raise IndexBuildError(
-                f"{self.name}: geometry of {rowid} has MBR {geom.mbr.as_tuple()} "
-                f"outside the index domain {square.as_tuple()}"
+        rowids = [rowid for rowid, _geom in rows]
+        try:
+            owner, codes, interior = tessellate_batch(
+                [geom for _rowid, geom in rows], self.grid, ctx, names=rowids
             )
-        return tessellate(geom, self.grid, ctx)
+        except IndexBuildError as exc:
+            raise IndexBuildError(f"{self.name}: {exc}") from None
+        if ctx is not None and len(codes):
+            ctx.charge("tile_insert", len(codes))
+        rowid = map(rowids.__getitem__, owner.tolist())
+        return list(zip(codes.tolist(), rowid, interior.tolist()))
 
     def delete(
         self, rowid: RowId, geom: Geometry, ctx: Optional[WorkerContext] = None

@@ -168,6 +168,7 @@ class FilePager(Pager):
         size = self._file.tell()
         if size % page_size != 0:
             if strict:
+                self._file.close()
                 raise PageError(
                     f"file {path} size {size} is not a multiple of page size {page_size}"
                 )

@@ -112,10 +112,14 @@ class WriteAheadLog:
         self.next_lsn = 1
         self.last_commit_lsn = 0
         self.bytes_appended = 0  # cumulative across truncations
-        if exists:
-            self._read_header()
-        else:
-            self._write_header()
+        try:
+            if exists:
+                self._read_header()
+            else:
+                self._write_header()
+        except WalError:  # a refused log is closed, not left to the collector
+            self._file.close()
+            raise
 
     # ------------------------------------------------------------------
     def _write_header(self) -> None:

@@ -8,6 +8,7 @@ import pytest
 
 from repro import Database, Geometry
 from repro.datasets import counties, load_geometries, stars
+from repro.storage import pager, wal
 
 
 @pytest.fixture(scope="session")
@@ -51,3 +52,18 @@ def indexed_db(random_rects):
         "shapes_qidx", "shapes", "geom", kind="QUADTREE", tiling_level=6
     )
     return db
+
+
+@pytest.fixture
+def opened_files(monkeypatch):
+    """Every file the storage layer opens with the builtin ``open`` during
+    the test, in order (so a test can check that a refusal closed them)."""
+    files = []
+
+    def tracking_open(*args, **kwargs):
+        files.append(open(*args, **kwargs))
+        return files[-1]
+
+    for module in (pager, wal):
+        monkeypatch.setattr(module, "open", tracking_open, raising=False)
+    return files

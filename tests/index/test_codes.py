@@ -6,12 +6,11 @@ from repro.errors import IndexBuildError
 from repro.geometry.mbr import MBR
 from repro.index.quadtree.codes import (
     TileGrid,
-    child_codes,
     descendant_range,
     morton_decode,
     morton_encode,
-    parent_code,
 )
+from tests.oracles import child_codes, parent_code
 
 
 class TestMorton:

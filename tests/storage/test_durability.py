@@ -183,6 +183,21 @@ class TestMetaChainCorruption:
         with pytest.raises(StorageError, match="unknown version 'SNAP1'"):
             Database.open(path, durability="none", page_size=PAGE)
 
+    def test_refused_snapshot_closes_the_store(self, tmp_path, monkeypatch, opened_files):
+        from repro.engine import database
+        from repro.errors import StorageError
+
+        for durability in ("none", "wal"):
+            path = str(tmp_path / f"{durability}.pages")
+            db = Database.open(path, durability=durability, page_size=PAGE)
+            populate(db, rows=2)
+            with monkeypatch.context() as patched:
+                patched.setattr(database, "_SNAP_VERSION", "SNAP1")
+                db.close()
+            with pytest.raises(StorageError, match="unknown version 'SNAP1'"):
+                Database.open(path, durability=durability, page_size=PAGE)
+        assert opened_files and all(f.closed for f in opened_files)
+
 
 class TestOpenValidation:
     def test_unknown_mode_rejected(self, tmp_path):

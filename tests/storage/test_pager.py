@@ -91,6 +91,13 @@ class TestFilePager:
         with pytest.raises(PageError):
             FilePager(str(path), page_size=128)
 
+    def test_misaligned_refusal_closes_the_file(self, tmp_path, opened_files):
+        path = tmp_path / "bad.pages"
+        path.write_bytes(b"x" * 100)
+        with pytest.raises(PageError):
+            FilePager(str(path), page_size=128)
+        assert len(opened_files) == 1 and opened_files[0].closed
+
     def test_out_of_range_read(self, tmp_path):
         p = FilePager(str(tmp_path / "r.pages"), page_size=128)
         with pytest.raises(PageError):

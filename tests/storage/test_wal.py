@@ -126,6 +126,13 @@ class TestWriteAheadLog:
         with pytest.raises(WalError, match="page size"):
             WriteAheadLog(path, PAGE * 2)
 
+    def test_page_size_refusal_closes_the_log(self, tmp_path, opened_files):
+        path = str(tmp_path / "x.wal")
+        WriteAheadLog(path, PAGE).close()
+        with pytest.raises(WalError, match="page size"):
+            WriteAheadLog(path, PAGE * 2)
+        assert len(opened_files) == 2 and all(f.closed for f in opened_files)
+
     def test_reset_truncates(self, tmp_path):
         wal = WriteAheadLog(str(tmp_path / "x.wal"), PAGE)
         wal.append_page(0, b"a" * PAGE)
