@@ -147,13 +147,6 @@ def _retriable_write(exc: BaseException) -> bool:
     return isinstance(exc, ConnectionRefusedError)
 
 
-#: scattered kinds whose shard-side *start* has side effects (the SQL
-#: broadcast executes its statement on admission) — an ambiguous
-#: mid-flight loss must not re-start their sub-sessions, or a CREATE or
-#: INSERT that did land gets applied twice
-_WRITE_KINDS = frozenset({"sql"})
-
-
 class ShardFailed(ServerError):
     """A shard died (or answered with an error) mid-scatter."""
 
@@ -762,12 +755,12 @@ class RouterService:
         (hedge path).  Non-retriable errors — a shard-side
         ``BAD_REQUEST``, an exhausted budget — propagate.  Write kinds
         only retry failures that provably precede any shard-side effect
-        (see ``_WRITE_KINDS``).
+        (see ``protocol.WRITE_KINDS``).
         """
         shard = handle.shard
         state = stream.state
         breaker = self.breakers.get(shard)
-        retriable = _retriable_write if stream.kind in _WRITE_KINDS else _retriable
+        retriable = _retriable_write if stream.kind in protocol.WRITE_KINDS else _retriable
         attempt = 0
         while True:
             if breaker is not None and not breaker.allow():
@@ -872,7 +865,7 @@ class RouterService:
             self._note_deadline_miss(sub.handle.shard, exc)
             # A write kind's statement already executed at start —
             # resuming would re-run it on a fresh sub-session.
-            if stream.kind in _WRITE_KINDS or not _retriable(exc):
+            if stream.kind in protocol.WRITE_KINDS or not _retriable(exc):
                 raise
             raise _Resume(exc) from exc
 

@@ -10,12 +10,7 @@ from repro.core.index_build import (
 )
 from repro.core.nested_loop import nested_loop_join
 from repro.core.parallel_join import JoinResult, parallel_spatial_join, spatial_join
-from repro.core.secondary_filter import (
-    FetchOrder,
-    GeometryCache,
-    JoinPredicate,
-    SecondaryFilter,
-)
+from repro.core.secondary_filter import FetchOrder, JoinPredicate, SecondaryFilter
 from repro.core.spatial_join import (
     DEFAULT_CANDIDATE_ARRAY_SIZE,
     JoinStats,
@@ -27,6 +22,7 @@ from repro.core.subtree import (
     subtree_pairs,
     subtree_roots,
 )
+from repro.engine.table import GeometryCache
 
 __all__ = [
     "SpatialJoinFunction",

@@ -8,8 +8,8 @@ Fetch order matters: Shekhar et al. showed the optimal order is
 NP-complete, and the paper adopts "sort the candidate pairs by the first
 rowid", expected within ~20% of the best approximations.  Sorted order
 makes first-table fetches sweep the heap near-sequentially and maximises
-geometry-cache hits — which the :class:`GeometryCache` here makes
-measurable (the fetch-order ablation bench compares SORTED vs RANDOM
+geometry-cache hits — which the join's
+:class:`~repro.engine.table.GeometryCache` makes measurable (the fetch-order ablation bench compares SORTED vs RANDOM
 through exactly this code path).
 
 A candidate array is resolved as arrays: its rowids are packed into int64
@@ -25,15 +25,14 @@ from __future__ import annotations
 
 import enum
 import math
-from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.engine.indextype import _relate_form, _within_distance_form
 from repro.engine.parallel import WorkerContext
-from repro.engine.table import Table
+from repro.engine.table import GeometryCache, Table
 from repro.obs import trace
 from repro.geometry import kernels
 from repro.geometry.distance import within_distance
@@ -43,7 +42,7 @@ from repro.geometry.predicates import relate
 from repro.index.rtree.join import CandidatePair
 from repro.storage.heap import RowId
 
-__all__ = ["FetchOrder", "GeometryCache", "SecondaryFilter", "JoinPredicate"]
+__all__ = ["FetchOrder", "SecondaryFilter", "JoinPredicate"]
 
 # A rowid packs into one int64 key as ``page << 16 | slot``: a heap page
 # (``pager.PAGE_SIZE`` bytes) holds far fewer than 2**16 slots, so keys
@@ -52,8 +51,6 @@ __all__ = ["FetchOrder", "GeometryCache", "SecondaryFilter", "JoinPredicate"]
 _SLOT_BITS = 16
 _B_SIDE = 1 << 62
 
-CacheKey = Tuple[str, int, RowId]  # (table name, column index, rowid)
-
 
 class FetchOrder(enum.Enum):
     """Candidate processing order for the secondary filter."""
@@ -61,152 +58,6 @@ class FetchOrder(enum.Enum):
     SORTED = "SORTED"  # sort by first rowid (the paper's choice)
     RANDOM = "RANDOM"  # arbitrary order (the strawman the paper rejects)
     AS_PRODUCED = "AS_PRODUCED"  # whatever order the index join emitted
-
-
-class GeometryCache:
-    """Bounded LRU cache of fetched geometries, keyed by (table, column,
-    rowid).
-
-    A cache miss charges full fetch cost (``geom_fetch_base`` + per-vertex);
-    a hit charges only a buffer-get.  The hit ratio is the mechanism by
-    which candidate fetch order shows up in simulated time.
-
-    Entries are what :meth:`Table.fetch_packed` returns: a heap row's
-    polygon of one exterior ring is a :class:`PackedRing` (its vertex array
-    is all the pair kernel reads), anything else a :class:`Geometry`.
-    """
-
-    def __init__(self, capacity: int = 2048):
-        self.capacity = max(1, capacity)
-        self._entries: "OrderedDict[CacheKey, Union[Geometry, PackedRing]]" = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-
-    @property
-    def hit_ratio(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
-    def fetch(
-        self, table: Table, rowid: RowId, column_index: int, ctx: Optional[WorkerContext]
-    ) -> Union[Geometry, PackedRing]:
-        key = (table.name, column_index, rowid)
-        cached = self._entries.get(key)
-        if cached is not None:
-            self.hits += 1
-            self._entries.move_to_end(key)
-            if ctx is not None:
-                ctx.charge("buffer_get_hit")
-            return cached
-        self.misses += 1
-        # Routed through the table so columnar-resident rows are served
-        # (and charged) from their chunk; heap rows keep the historical
-        # geom_fetch charges.
-        geom = table.fetch_packed(rowid, column_index, ctx)
-        self._entries[key] = geom
-        while len(self._entries) > self.capacity:
-            self._entries.popitem(last=False)
-        return geom
-
-    def fetch_sequence(
-        self,
-        keys: np.ndarray,
-        locate: Callable[[int], Tuple[Table, RowId, int]],
-        ctx: Optional[WorkerContext],
-    ) -> Tuple[np.ndarray, Iterator[Tuple[int, list]]]:
-        """Serve accesses ``keys[0], keys[1], …`` as one :meth:`fetch` each would.
-
-        ``keys[i]`` is an int64 identity of access ``i``'s row (equal keys
-        for equal cache keys) and ``locate(i)`` the ``(table, rowid,
-        column_index)`` that :meth:`fetch` takes for it.
-
-        The sequence is cut into maximal segments of at most ``capacity``
-        distinct keys.  Per segment, :meth:`fetch` runs once per distinct
-        key in first-access order, every other access is counted as a hit
-        with one ``buffer_get_hit`` charge for all of them, and the
-        distinct keys then move to the end in last-access order.  Hits,
-        misses, evictions, the final LRU order and the charges are those
-        of one :meth:`fetch` per access, because a repeat only moves a key
-        already touched in the segment to the end.  Touched keys are all
-        newer than every untouched key, whichever way they are ordered
-        among themselves, so repeats never change which key is least
-        recent; a miss evicts the least recent key, and with at most
-        ``capacity`` touched keys that is always an untouched one.  So
-        every first access meets the cache the per-access run would,
-        every repeat finds its key still cached (a hit), and the touched
-        keys end in last-access order behind the untouched ones.
-
-        Returns ``(entry, segments)``.  Iterating ``segments`` serves one
-        segment per step and yields ``(end, geoms)``: the segment ends
-        before access ``end`` and ``geoms`` are its distinct rows in
-        first-access order.  Access ``i`` is geometry number ``entry[i]``,
-        counting the yielded geometries of all segments in turn.
-        """
-        first, last, entry = _distinct_accesses(keys)
-        ends = [len(keys)]
-        if len(first) > self.capacity:
-            # Cut greedily, then number each segment's distinct keys apart.
-            ends, seen = [], set()
-            for i, key in enumerate(entry.tolist()):
-                if key not in seen:
-                    if len(seen) == self.capacity:
-                        ends.append(i)
-                        seen = set()
-                    seen.add(key)
-            ends.append(len(keys))
-            segment = np.zeros(len(keys), dtype=np.int64)
-            segment[ends[:-1]] = 1
-            first, last, entry = _distinct_accesses(
-                np.cumsum(segment) * len(first) + entry
-            )
-        bounds = np.searchsorted(first, ends).tolist()
-        by_last = np.argsort(last).tolist()
-        return entry, self._serve(ends, bounds, first.tolist(), by_last, locate, ctx)
-
-    def _serve(self, ends, bounds, first, by_last, locate, ctx):
-        """The segments of :meth:`fetch_sequence`: segment ``s`` ends
-        before access ``ends[s]`` and owns the distinct keys numbered
-        ``bounds[s - 1]`` to ``bounds[s] - 1``, first accessed at
-        ``first`` and in last-access order in ``by_last``."""
-        fetch, move_to_end = self.fetch, self._entries.move_to_end
-        start = lo = 0
-        for end, hi in zip(ends, bounds):
-            geoms, keys = [], []
-            for i in first[lo:hi]:
-                table, rowid, column_index = locate(i)
-                geoms.append(fetch(table, rowid, column_index, ctx))
-                keys.append((table.name, column_index, rowid))
-            repeats = end - start - (hi - lo)
-            if repeats:
-                self.hits += repeats
-                if ctx is not None:
-                    ctx.charge("buffer_get_hit", repeats)
-            for k in by_last[lo:hi]:
-                move_to_end(keys[k - lo])
-            yield end, geoms
-            start, lo = end, hi
-
-    def clear(self) -> None:
-        self._entries.clear()
-
-
-def _distinct_accesses(seq: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The distinct values of ``seq``, numbered in first-access order:
-    their first positions (ascending), their last positions, and the
-    number of every access's value."""
-    order = np.argsort(seq, kind="stable")
-    run = seq[order]
-    head = np.ones(len(run), dtype=bool)
-    np.not_equal(run[1:], run[:-1], out=head[1:])
-    tail = np.ones(len(run), dtype=bool)
-    tail[:-1] = head[1:]
-    first, last = order[head], order[tail]
-    by_first = np.argsort(first)
-    number = np.empty(len(first), dtype=np.intp)
-    number[by_first] = np.arange(len(first))
-    entry = np.empty(len(run), dtype=np.intp)
-    entry[order] = number[np.cumsum(head) - 1]
-    return first[by_first], last[by_first], entry
 
 
 def _row_keys(candidates: Sequence[CandidatePair], side: int) -> np.ndarray:

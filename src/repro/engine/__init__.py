@@ -21,7 +21,6 @@ from repro.engine.indextype import (
     DomainIndex,
     IndexTypeRegistry,
     SpatialOperator,
-    evaluate_operator,
 )
 from repro.engine.parallel import (
     ParallelExecutor,
@@ -75,5 +74,4 @@ __all__ = [
     "IndexTypeRegistry",
     "SpatialOperator",
     "OPERATORS",
-    "evaluate_operator",
 ]

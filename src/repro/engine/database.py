@@ -34,6 +34,7 @@ from repro.engine.parallel import (
 from repro.engine.table import Table
 from repro.geometry.geometry import Geometry
 from repro.geometry.mbr import EMPTY_MBR, MBR
+from repro.geometry.packed import as_geometry
 from repro.obs import trace
 from repro.storage.buffer import BufferPool
 from repro.storage.catalog import Catalog, ColumnMeta, IndexMeta, TableMeta
@@ -380,7 +381,7 @@ class Database:
 
         On a plain heap table every row's stored ordinates are bounded and
         MBR-tested (:meth:`Table.scan_bounds`), and only the rows that pass
-        are decoded for the exact test.  On a
+        are read for the exact test, a one-ring polygon as a packed ring.  On a
         compacted table the primary filter consults the chunk directory's
         zone maps first — chunks whose zone cannot intersect the window
         are skipped for a ``zone_skip`` charge without reading their
@@ -406,17 +407,17 @@ class Database:
                 or mbr.min_y - box[3] > distance
             )
 
-        candidates: List[Tuple[RowId, Optional[Geometry]]] = []
+        candidates: List[Tuple[RowId, Any]] = []
         seg = table.columnar
         if seg is not None:
             candidates.extend(seg.window_candidates(box, distance, ctx))
             for rowid in sorted(seg.stale | seg.fresh):
-                geom = table.fetch_geometry(rowid, col, ctx)
+                geom = table.fetch_packed(rowid, col, ctx)
                 if geom is None:
                     continue
                 if ctx is not None:
                     ctx.charge("mbr_test")
-                if box_hits(geom.mbr):
+                if box_hits(as_geometry(geom).mbr):
                     candidates.append((rowid, geom))
             candidates.sort(key=lambda c: (c[0].page, c[0].slot))
         else:

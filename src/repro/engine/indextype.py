@@ -15,16 +15,16 @@ through a table function (which is exactly the paper's contribution).
 from __future__ import annotations
 
 import math
-from collections import OrderedDict
 from itertools import islice, repeat
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import IndexTypeError, OperatorError
 from repro.engine.parallel import WorkerContext
-from repro.engine.table import Table
+from repro.engine.table import GeometryCache, Table
 from repro.geometry import kernels
 from repro.geometry.distance import within_distance
 from repro.geometry.geometry import Geometry
+from repro.geometry.packed import PackedRing, as_geometry
 from repro.geometry.predicates import INTERACTION_MASKS, relate
 from repro.obs import trace
 from repro.storage.heap import RowId
@@ -34,7 +34,6 @@ __all__ = [
     "OPERATORS",
     "REFINE_ARRAY_ROWS",
     "KERNEL_MIN_VERTICES",
-    "evaluate_operator",
     "exact_verdicts",
     "DomainIndex",
     "IndexTypeRegistry",
@@ -127,26 +126,18 @@ OPERATORS: Dict[str, SpatialOperator] = {
 }
 
 
-def evaluate_operator(name: str, geom: Geometry, *args: Any) -> bool:
-    """Exact evaluation of a named operator (no index involved)."""
-    try:
-        op = OPERATORS[name.upper()]
-    except KeyError:
-        raise OperatorError(f"unknown operator {name!r}") from None
-    return op.evaluate(geom, *args)
-
-
 def exact_verdicts(
     op: SpatialOperator,
     args: Sequence[Any],
     form: Tuple[str, float],
-    geoms: Sequence[Geometry],
+    geoms: Sequence[Union[Geometry, PackedRing]],
     ctx: Optional[WorkerContext] = None,
 ) -> Tuple[List[bool], bool]:
     """``op(geom, *args)`` for a whole candidate array: the charges of one
     exact test per candidate, then one pair-kernel call — or, for arrays
     under ``KERNEL_MIN_VERTICES`` and the masks the kernel declines, the
-    scalar evaluator (second result ``False``)."""
+    scalar evaluator (second result ``False``), which builds the
+    :class:`Geometry` of a packed ring it tests."""
     query: Geometry = args[0]
     nv = sum(g.num_vertices for g in geoms)
     if ctx is not None and geoms:
@@ -156,7 +147,7 @@ def exact_verdicts(
         verdicts = kernels.evaluate_predicate_batch(query, geoms, *form)
         if verdicts is not None:
             return verdicts, True
-    return [op.evaluate(g, *args) for g in geoms], False
+    return [op.evaluate(as_geometry(g), *args) for g in geoms], False
 
 
 class DomainIndex:
@@ -171,9 +162,14 @@ class DomainIndex:
 
     kind: str = "ABSTRACT"
 
-    #: geometries kept hot by the row cache backing :meth:`geometry_of`;
-    #: fetches that miss pay full fetch cost, mirroring a buffer cache that
-    #: holds a bounded number of base-table blocks.
+    #: rows kept hot by the row cache (the join's :class:`GeometryCache`)
+    #: behind the secondary filter and :meth:`geometry_of`; fetches that
+    #: miss pay full fetch cost, mirroring a buffer cache that holds a
+    #: bounded number of base-table blocks.  Access patterns matter for cost
+    #: exactly as they do for a real buffer cache: repeated probes of a
+    #: small table stay hot, random probes of a table larger than the cache
+    #: mostly miss — which is what makes the nested-loop join degrade with
+    #: table size.
     GEOMETRY_CACHE_ROWS = 4096
 
     def __init__(self, name: str, table: Table, column: str):
@@ -181,7 +177,7 @@ class DomainIndex:
         self.table = table
         self.column = column
         self._column_index = table.schema.index_of(column)
-        self._geom_cache: "OrderedDict[RowId, Geometry]" = OrderedDict()
+        self._geom_cache = GeometryCache(self.GEOMETRY_CACHE_ROWS)
         self._hook = None  # the table's maintenance hook, while attached
 
     # -- lifecycle ---------------------------------------------------------
@@ -251,6 +247,7 @@ class DomainIndex:
         mid-array has been charged for the whole array.  No span stays open
         across a ``yield``.
         """
+        fetch, table, column = self._geom_cache.fetch, self.table, self._column_index
         rowids = iter(rowids)
         pending: List[RowId] = []
         while True:
@@ -261,12 +258,12 @@ class DomainIndex:
                 sure = repeat(False)
                 if certain is not None:
                     sure = [certain.get(rowid, False) for rowid in pending]
-                geoms: List[Geometry] = []
+                geoms: List[Union[Geometry, PackedRing]] = []
                 nv = used = 0
                 for rowid, ok in zip(pending, sure):
                     used += 1
                     if not ok:
-                        geoms.append(self.geometry_of(rowid, ctx))
+                        geoms.append(fetch(table, rowid, column, ctx))
                         nv += geoms[-1].num_vertices
                         if nv >= kernels.GROUP_VERTICES:
                             break
@@ -288,7 +285,7 @@ class DomainIndex:
         """Subscribe to base-table DML so the index stays in sync."""
 
         def hook(op: str, rowid: RowId, old_row, new_row) -> None:
-            self._geom_cache.pop(rowid, None)
+            self._geom_cache.discard(self.table, rowid, self._column_index)
             old_geom = old_row[self._column_index] if old_row is not None else None
             new_geom = new_row[self._column_index] if new_row is not None else None
             if op == "INSERT" and new_geom is not None:
@@ -313,27 +310,10 @@ class DomainIndex:
             self._hook = None
 
     def geometry_of(self, rowid: RowId, ctx: Optional[WorkerContext] = None) -> Geometry:
-        """Fetch the indexed geometry for a rowid, through a bounded cache.
-
-        Access patterns matter for cost exactly as they do for a real
-        buffer cache: repeated probes of a small table stay hot, random
-        probes of a table larger than the cache mostly miss — which is
-        what makes the nested-loop join degrade with table size.
-        """
-        cached = self._geom_cache.get(rowid)
-        if cached is not None:
-            self._geom_cache.move_to_end(rowid)
-            if ctx is not None:
-                ctx.charge("buffer_get_hit")
-            return cached
-        # Routed through the table so columnar-resident rows are served
-        # (and charged) from their chunk; heap rows keep the historical
-        # geom_fetch charges.
-        geom = self.table.fetch_geometry(rowid, self._column_index, ctx)
-        self._geom_cache[rowid] = geom
-        while len(self._geom_cache) > self.GEOMETRY_CACHE_ROWS:
-            self._geom_cache.popitem(last=False)
-        return geom
+        """The indexed geometry of a rowid, through the row cache."""
+        return as_geometry(
+            self._geom_cache.fetch(self.table, rowid, self._column_index, ctx)
+        )
 
 
 class IndexTypeRegistry:

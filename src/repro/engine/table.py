@@ -12,18 +12,28 @@ rows as of the last compaction.  The heap remains the store of record;
 DML is journaled against the segment and reads merge the two, so scans
 and geometry fetches are transparently served from whichever format
 holds the current version of each row.
+
+A :class:`GeometryCache` is the bounded row cache in front of
+:meth:`Table.fetch_packed`, shared by the join's secondary filter and the
+index operators' (``DomainIndex``).
 """
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from itertools import islice
-from typing import Any, Callable, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Iterator, List, Optional, Sequence, Tuple, Union
+
+import numpy as np
 
 from repro.errors import EngineError
 from repro.engine.cursor import Cursor, GeneratorCursor
+from repro.engine.parallel import WorkerContext
 from repro.engine.types import Row, RowSchema
 from repro.storage.catalog import ColumnMeta, TableMeta
+from repro.geometry.geometry import Geometry
 from repro.geometry.mbr import MBR
+from repro.geometry.packed import PackedRing
 from repro.storage.codec import (
     BOUNDS_BATCH,
     column_bounds,
@@ -35,7 +45,9 @@ from repro.storage.codec import (
 from repro.storage.columnar import MISSING, ColumnarSegment
 from repro.storage.heap import HeapFile, RowId
 
-__all__ = ["Table"]
+__all__ = ["Table", "GeometryCache"]
+
+CacheKey = Tuple[str, int, RowId]  # (table name, column index, rowid)
 
 
 class Table:
@@ -99,39 +111,25 @@ class Table:
     def fetch(self, rowid: RowId) -> Row:
         return decode_row(self.heap.read(rowid))
 
-    def fetch_geometry(self, rowid: RowId, column_index: int, ctx=None):
+    def fetch_packed(self, rowid: RowId, column_index: int, ctx=None):
         """The geometry at ``(rowid, column_index)``, charged per format.
 
         Columnar-resident rows are served from their chunk (amortised
-        ``physical_read`` on chunk load + one ``chunk_row_view``); rows
-        the segment cannot serve — journaled, or no segment at all — pay
-        the heap fetch (``geom_fetch_base`` + per-vertex decode), exactly
-        the charges the geometry caches applied before compaction
-        existed.  The charge difference is the measured columnar win; the
-        returned geometry is identical either way.
+        ``physical_read`` on chunk load + one ``chunk_row_view``) as a
+        :class:`Geometry`; rows the segment cannot serve — journaled, or
+        no segment at all — pay the heap fetch (``geom_fetch_base`` +
+        per-vertex decode), and a heap row's polygon of one exterior ring
+        comes back as a :class:`~repro.geometry.packed.PackedRing` over the
+        record bytes (:func:`~repro.storage.codec.decode_ring_column`), no
+        :class:`Geometry` built.  The charge difference is the measured
+        columnar win; ``as_geometry`` of the value is identical either way.
         """
-        return self._fetch_geometry(rowid, column_index, ctx, False)
-
-    def fetch_packed(self, rowid: RowId, column_index: int, ctx=None):
-        """:meth:`fetch_geometry` for the join's secondary filter: a heap
-        row's polygon of one exterior ring comes back as a
-        :class:`~repro.geometry.packed.PackedRing` over the record bytes
-        (:func:`~repro.storage.codec.decode_ring_column`), no
-        :class:`Geometry` built.  Same charges; any other row, and every
-        columnar-resident one, is the :class:`Geometry`."""
-        return self._fetch_geometry(rowid, column_index, ctx, True)
-
-    def _fetch_geometry(self, rowid: RowId, column_index: int, ctx, packed: bool):
         seg = self.columnar
         if seg is not None:
             geom = seg.geometry_at(rowid, ctx)
             if geom is not MISSING:
                 return geom
-        data = self.heap.read(rowid)
-        if packed:
-            geom = decode_ring_column(data, column_index)
-        else:
-            geom = decode_row(data)[column_index]
+        geom = decode_ring_column(self.heap.read(rowid), column_index)
         if ctx is not None:
             ctx.charge("geom_fetch_base")
             if geom is not None:
@@ -192,8 +190,10 @@ class Table:
         readers that need only a row's MBR: ``(rowid, mbr, num_vertices,
         geometry)`` per row, in scan order, where ``mbr`` and
         ``num_vertices`` equal the decoded geometry's and ``geometry()``
-        returns it, decoded from the bytes already read; a NULL geometry
-        is ``(rowid, None, 0, None)``.
+        reads it from the bytes already read (``as_geometry`` of it is the
+        decoded geometry; a heap ring record comes back as a
+        :class:`~repro.geometry.packed.PackedRing`); a NULL geometry is
+        ``(rowid, None, 0, None)``.
 
         Heap records are bounded a batch at a time by
         :func:`~repro.storage.codec.column_bounds` (no :class:`Geometry`
@@ -266,3 +266,153 @@ class Table:
             for hook in reversed(done):
                 hook(undo, rowid, new_row, old_row)
             raise
+
+
+class GeometryCache:
+    """Bounded LRU cache of fetched geometries, keyed by (table, column,
+    rowid).
+
+    A cache miss charges full fetch cost (``geom_fetch_base`` + per-vertex);
+    a hit charges only a buffer-get.  The hit ratio is the mechanism by
+    which candidate fetch order shows up in simulated time.
+
+    Entries are what :meth:`Table.fetch_packed` returns: a heap row's
+    polygon of one exterior ring is a :class:`PackedRing` (its vertex array
+    is all the pair kernel reads), anything else a :class:`Geometry`.
+    """
+
+    def __init__(self, capacity: int = 2048):
+        self.capacity = max(1, capacity)
+        self._entries: "OrderedDict[CacheKey, Union[Geometry, PackedRing]]" = OrderedDict()
+        self.hits = 0
+        self.misses = 0
+
+    @property
+    def hit_ratio(self) -> float:
+        total = self.hits + self.misses
+        return self.hits / total if total else 0.0
+
+    def fetch(
+        self, table: Table, rowid: RowId, column_index: int, ctx: Optional[WorkerContext]
+    ) -> Union[Geometry, PackedRing]:
+        key = (table.name, column_index, rowid)
+        cached = self._entries.get(key)
+        if cached is not None:
+            self.hits += 1
+            self._entries.move_to_end(key)
+            if ctx is not None:
+                ctx.charge("buffer_get_hit")
+            return cached
+        self.misses += 1
+        # Routed through the table so columnar-resident rows are served
+        # (and charged) from their chunk; heap rows keep the historical
+        # geom_fetch charges.
+        geom = table.fetch_packed(rowid, column_index, ctx)
+        self._entries[key] = geom
+        while len(self._entries) > self.capacity:
+            self._entries.popitem(last=False)
+        return geom
+
+    def fetch_sequence(
+        self,
+        keys: np.ndarray,
+        locate: Callable[[int], Tuple[Table, RowId, int]],
+        ctx: Optional[WorkerContext],
+    ) -> Tuple[np.ndarray, Iterator[Tuple[int, list]]]:
+        """Serve accesses ``keys[0], keys[1], …`` as one :meth:`fetch` each would.
+
+        ``keys[i]`` is an int64 identity of access ``i``'s row (equal keys
+        for equal cache keys) and ``locate(i)`` the ``(table, rowid,
+        column_index)`` that :meth:`fetch` takes for it.
+
+        The sequence is cut into maximal segments of at most ``capacity``
+        distinct keys.  Per segment, :meth:`fetch` runs once per distinct
+        key in first-access order, every other access is counted as a hit
+        with one ``buffer_get_hit`` charge for all of them, and the
+        distinct keys then move to the end in last-access order.  Hits,
+        misses, evictions, the final LRU order and the charges are those
+        of one :meth:`fetch` per access, because a repeat only moves a key
+        already touched in the segment to the end.  Touched keys are all
+        newer than every untouched key, whichever way they are ordered
+        among themselves, so repeats never change which key is least
+        recent; a miss evicts the least recent key, and with at most
+        ``capacity`` touched keys that is always an untouched one.  So
+        every first access meets the cache the per-access run would,
+        every repeat finds its key still cached (a hit), and the touched
+        keys end in last-access order behind the untouched ones.
+
+        Returns ``(entry, segments)``.  Iterating ``segments`` serves one
+        segment per step and yields ``(end, geoms)``: the segment ends
+        before access ``end`` and ``geoms`` are its distinct rows in
+        first-access order.  Access ``i`` is geometry number ``entry[i]``,
+        counting the yielded geometries of all segments in turn.
+        """
+        first, last, entry = _distinct_accesses(keys)
+        ends = [len(keys)]
+        if len(first) > self.capacity:
+            # Cut greedily, then number each segment's distinct keys apart.
+            ends, seen = [], set()
+            for i, key in enumerate(entry.tolist()):
+                if key not in seen:
+                    if len(seen) == self.capacity:
+                        ends.append(i)
+                        seen = set()
+                    seen.add(key)
+            ends.append(len(keys))
+            segment = np.zeros(len(keys), dtype=np.int64)
+            segment[ends[:-1]] = 1
+            first, last, entry = _distinct_accesses(
+                np.cumsum(segment) * len(first) + entry
+            )
+        bounds = np.searchsorted(first, ends).tolist()
+        by_last = np.argsort(last).tolist()
+        return entry, self._serve(ends, bounds, first.tolist(), by_last, locate, ctx)
+
+    def _serve(self, ends, bounds, first, by_last, locate, ctx):
+        """The segments of :meth:`fetch_sequence`: segment ``s`` ends
+        before access ``ends[s]`` and owns the distinct keys numbered
+        ``bounds[s - 1]`` to ``bounds[s] - 1``, first accessed at
+        ``first`` and in last-access order in ``by_last``."""
+        fetch, move_to_end = self.fetch, self._entries.move_to_end
+        start = lo = 0
+        for end, hi in zip(ends, bounds):
+            geoms, keys = [], []
+            for i in first[lo:hi]:
+                table, rowid, column_index = locate(i)
+                geoms.append(fetch(table, rowid, column_index, ctx))
+                keys.append((table.name, column_index, rowid))
+            repeats = end - start - (hi - lo)
+            if repeats:
+                self.hits += repeats
+                if ctx is not None:
+                    ctx.charge("buffer_get_hit", repeats)
+            for k in by_last[lo:hi]:
+                move_to_end(keys[k - lo])
+            yield end, geoms
+            start, lo = end, hi
+
+    def discard(self, table: Table, rowid: RowId, column_index: int) -> None:
+        """Forget a row whose stored value changed (a DML hook)."""
+        self._entries.pop((table.name, column_index, rowid), None)
+
+    def clear(self) -> None:
+        self._entries.clear()
+
+
+def _distinct_accesses(seq: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The distinct values of ``seq``, numbered in first-access order:
+    their first positions (ascending), their last positions, and the
+    number of every access's value."""
+    order = np.argsort(seq, kind="stable")
+    run = seq[order]
+    head = np.ones(len(run), dtype=bool)
+    np.not_equal(run[1:], run[:-1], out=head[1:])
+    tail = np.ones(len(run), dtype=bool)
+    tail[:-1] = head[1:]
+    first, last = order[head], order[tail]
+    by_first = np.argsort(first)
+    number = np.empty(len(first), dtype=np.intp)
+    number[by_first] = np.arange(len(first))
+    entry = np.empty(len(run), dtype=np.intp)
+    entry[order] = number[np.cumsum(head) - 1]
+    return first[by_first], last[by_first], entry

@@ -127,12 +127,15 @@ class QueryClient:
         executed the request and only the response was lost, so re-sending
         a state-creating op such as ``start`` would duplicate it — a
         ``RetriableError(code="TIMEOUT")`` is raised instead.  A write
-        (:data:`~repro.server.protocol.WRITE_OPS`) is likewise never
+        (:data:`~repro.server.protocol.WRITE_OPS`, or a ``start`` of one of
+        the :data:`~repro.server.protocol.WRITE_KINDS`) is likewise never
         re-sent once it may have reached the server: a connection the
         server had already closed is replaced before sending, and one lost
         after sending raises ``RetriableError(code="AMBIGUOUS")``.
         """
-        write = op in protocol.WRITE_OPS
+        write = op in protocol.WRITE_OPS or (
+            op == "start" and fields.get("kind") in protocol.WRITE_KINDS
+        )
         last_exc: Optional[BaseException] = None
         for attempt in range(self.retries):
             try:

@@ -70,6 +70,7 @@ __all__ = [
     "OBS_OPS",
     "WAL_OPS",
     "WRITE_OPS",
+    "WRITE_KINDS",
     "ROUTER_OPS",
     "KINDS",
     "ERR_BAD_REQUEST",
@@ -110,6 +111,11 @@ WAL_OPS = ("commit", "wal.tail", "wal.ack", "wal.snapshot", "trace.drain")
 #: of ``[id, wkt]`` rows to one table, all or none; the router places each
 #: row on its shards first and sends every shard its rows through it
 WRITE_OPS = ("put",)
+#: session kinds whose ``start`` has side effects (a ``sql`` start executes
+#: its statement on admission): like a write op, such a start is never
+#: re-sent once it may have been delivered, or a CREATE or INSERT that did
+#: land is applied twice
+WRITE_KINDS = frozenset({"sql"})
 #: extra ops only the cluster router answers (topology, resilience status:
 #: breaker states, retry counters, shard health)
 ROUTER_OPS = ("topology", "health")

@@ -161,21 +161,24 @@ def _decode_ring_from(data: bytes, offset: int) -> Tuple[Any, int]:
 # enough that a batch's ordinates stay small.
 BOUNDS_BATCH = 256
 
-Bounds = Tuple[Optional[MBR], int, Optional[Callable[[], Geometry]]]
+Bounds = Tuple[Optional[MBR], int, Optional[Callable[[], Any]]]
 _NULL_BOUNDS: Bounds = (None, 0, None)
 
 
 def column_bounds(records: Sequence[bytes], index: int) -> List[Bounds]:
     """Per record, ``(geom.mbr, geom.num_vertices, geometry)`` for its
     geometry column ``geom = decode_row(data)[index]``, or ``(None, 0,
-    None)`` where that column is NULL; ``geometry()`` returns the value.
+    None)`` where that column is NULL; ``as_geometry(geometry())`` is the
+    value.
 
     A ring record — one exterior vertex-list ring (``_RING_FORM``) of at
     least 3 vertices whose closing row repeats row 0 bit for bit and whose
     row before that does not equal row 0, in a row whose other columns
     decode and that has no trailing bytes — is bounded from its
     ordinates, the whole batch in four numpy reductions, and
-    ``geometry()`` decodes it from the record when called.  ``Ring``
+    ``geometry()`` reads it from the record when called, through
+    :func:`decode_ring_column` (a packed ring where ``pack_ring`` vouches
+    for it).  ``Ring``
     drops the closing row and may reverse the rest, so the same values are
     bounded; a bound that is not finite falls back (``Ring`` refuses the
     vertex), and so does a bound of ±0.0 (``mbr_of_points`` keeps the first
@@ -208,7 +211,7 @@ def column_bounds(records: Sequence[bytes], index: int) -> List[Bounds]:
         clean = (np.isfinite(bounds) & (bounds != 0.0)).all(axis=1)
         for i, box, ok, n in zip(fast, bounds.tolist(), clean.tolist(), rows):
             if ok:
-                out[i] = (MBR(*box), n - 1, partial(decode_column, records[i], index))
+                out[i] = (MBR(*box), n - 1, partial(decode_ring_column, records[i], index))
     for i, data in enumerate(records):
         if out[i] is None:
             geom = decode_row(data)[index]

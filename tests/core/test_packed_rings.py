@@ -3,8 +3,9 @@ one exterior ring as a vertex array over the record bytes, no ``Geometry``
 built.
 
 Every test here runs a scenario twice — as shipped, and on the object
-path, where ``Table.fetch_packed`` is ``Table.fetch_geometry`` and every
-fetched row is decoded into a ``Geometry`` — and wants the same pairs in
+path, where ``Table.fetch_packed`` is
+``tests/oracles.py::fetch_geometry_reference`` and every fetched row is
+decoded into a ``Geometry`` — and wants the same pairs in
 the same order, the same charges kind by kind, the same cache hits,
 misses and LRU order.  The rows are chosen to break a careless packed
 decode: zero-area and sliver exteriors (stored reversed, reversed again on
@@ -31,7 +32,7 @@ from repro.geometry import kernels
 from repro.geometry.geometry import Geometry
 from repro.geometry.packed import PackedRing, pack_ring
 from repro.storage.codec import decode_ring_column, decode_row, encode_row, encode_value
-from tests.oracles import secondary_filter_reference
+from tests.oracles import fetch_geometry_reference, secondary_filter_reference
 
 
 def adversarial_geometries():
@@ -83,7 +84,7 @@ def adb():
 def object_path(monkeypatch):
     """Within the block every fetched row is a ``Geometry``."""
     with monkeypatch.context() as patch:
-        patch.setattr(Table, "fetch_packed", Table.fetch_geometry)
+        patch.setattr(Table, "fetch_packed", fetch_geometry_reference)
         yield
 
 

@@ -63,11 +63,11 @@ class TestGeometryCacheInDomainIndex:
 
     def test_capacity_bounded(self, probe_db):
         index = probe_db.spatial_index("t_idx")
-        index.GEOMETRY_CACHE_ROWS = 8  # shrink for the test
+        index._geom_cache.capacity = 8  # shrink for the test
         rids = list(probe_db.table("t").heap.rowids())[:20]
         for rid in rids:
             index.geometry_of(rid)
-        assert len(index._geom_cache) <= 8
+        assert len(index._geom_cache._entries) <= 8
 
 
 class TestStatementOverhead:

@@ -3,13 +3,9 @@
 import pytest
 
 from repro.errors import IndexTypeError, OperatorError
-from repro.engine.indextype import (
-    OPERATORS,
-    DomainIndex,
-    IndexTypeRegistry,
-    evaluate_operator,
-)
+from repro.engine.indextype import OPERATORS, DomainIndex, IndexTypeRegistry
 from repro.geometry.geometry import Geometry
+from tests.oracles import evaluate_operator
 
 
 def square(x, y, s=2.0):

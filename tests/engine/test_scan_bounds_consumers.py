@@ -184,12 +184,17 @@ class TestHeapWindowScan:
         import repro.storage.codec as codec
 
         window = next(self.windows(star_db))
-        with mock.patch.object(codec, "from_sdo", wraps=codec.from_sdo) as decoded:
+        with mock.patch.object(codec, "from_sdo", wraps=codec.from_sdo) as decoded, \
+                mock.patch.object(
+                    codec, "decode_ring_column", wraps=codec.decode_ring_column
+                ) as read:
             candidates = star_db.window_scan("t", "geom", window, exact=False)
-            decoded.reset_mock()
+            read.reset_mock()
             star_db.window_scan("t", "geom", window, exact=exact)
         assert candidates
-        assert decoded.call_count == (len(candidates) if exact else 0)
+        # Each row whose MBR passes is read once, as a packed ring.
+        assert read.call_count == (len(candidates) if exact else 0)
+        assert decoded.call_count == 0
 
 
 class TestDroppedAndRefusedIndexes:

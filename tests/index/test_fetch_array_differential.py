@@ -9,7 +9,11 @@ scalar evaluator in the shipped code as well, so most tests here set that
 constant to 0 and make every array the kernel accepts go through it.  Each scenario runs on twin databases — same
 rows, same index, same probes in the same sequence — so the row caches of
 the two sides evolve together and a divergence in LRU state shows up as a
-charge difference on a later probe.
+charge difference on a later probe.  The oracle's twin is on the object
+path (``tests/oracles.py::use_object_path``): its row cache is the old
+``OrderedDict`` LRU of decoded ``Geometry``s where the shipped one is a
+``GeometryCache`` holding packed rings, and the two caches' hits, misses
+and LRU order must still be equal.
 """
 
 import random
@@ -24,8 +28,9 @@ from repro.engine.parallel import WorkerContext
 from repro.errors import OperatorError
 from repro.geometry import kernels
 from repro.geometry.mbr import MBR
+from repro.geometry.packed import as_geometry
 from repro.geometry.predicates import INTERACTION_MASKS
-from tests.oracles import index_fetch_reference
+from tests.oracles import index_fetch_reference, use_object_path
 
 KINDS = ("RTREE", "QUADTREE")
 DOMAIN = MBR(-8, -8, 8, 8)  # level 5 puts the tile lines on the half-integers
@@ -141,6 +146,7 @@ class Twin:
                 "t_idx", "t", "geom", kind=kind, **parameters
             )
             self.sides.append((db, table, index))
+        use_object_path(*self.sides[1][1:])
         self.index, self.twin = self.sides[0][2], self.sides[1][2]
 
     def check(self, operator, args, exact=True, **kw):
@@ -150,8 +156,14 @@ class Twin:
         want = list(index_fetch_reference(self.twin, operator, args, ref_ctx, exact, **kw))
         assert got == want, (operator, args[1:], exact)
         assert ctx.meter.counts == ref_ctx.meter.counts, (operator, args[1:], exact)
-        assert list(self.index._geom_cache) == list(self.twin._geom_cache)
+        assert cache_state(self.index) == cache_state(self.twin)
         return got
+
+
+def cache_state(index):
+    """A row cache's hits, misses and keys in LRU order."""
+    cache = index._geom_cache
+    return cache.hits, cache.misses, list(cache._entries)
 
 
 @pytest.fixture
@@ -188,7 +200,7 @@ def test_small_row_cache_keeps_the_hit_miss_sequence(kind, monkeypatch):
         for distance in (0, 0.25):
             twin.check("SDO_WITHIN_DISTANCE", (query, distance))
         twin.check("SDO_RELATE", (query, "TOUCH"))
-    assert len(twin.index._geom_cache) == 5
+    assert len(twin.index._geom_cache._entries) == 5
 
 
 # ----------------------------------------------------------------------
@@ -327,12 +339,13 @@ def test_abandoned_probe(kind, monkeypatch):
     probe.close()
     # Exactly the first array was fetched; what the cache holds is the table's.
     table = twin.sides[0][1]
-    assert len(twin.index._geom_cache) == 4
-    for rowid, geom in twin.index._geom_cache.items():
-        assert geom == table.fetch(rowid)[1]
+    entries = twin.index._geom_cache._entries
+    assert len(entries) == 4
+    for (_name, _column, rowid), entry in entries.items():
+        assert as_geometry(entry) == table.fetch(rowid)[1]
     # The oracle side catches up on the same rows, then the two agree again.
     assert first == next(index_fetch_reference(twin.twin, "SDO_RELATE", (window,)))
-    for rowid in list(twin.index._geom_cache)[1:]:
+    for _name, _column, rowid in list(entries)[1:]:
         twin.twin.geometry_of(rowid)
     assert len(twin.check("SDO_RELATE", (window, "ANYINTERACT"))) == 12
     assert len(twin.check("SDO_WITHIN_DISTANCE", (window, 0.25))) == 12

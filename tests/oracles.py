@@ -14,7 +14,12 @@ child relation the tile-code tests check).
 one candidate at a time — fetch, charge, scalar operator — which the
 array-at-a-time ``fetch`` must equal in rowids, order and charges, and
 :func:`secondary_filter_reference` is the join's ``SecondaryFilter.process``
-the same way.
+the same way.  :func:`fetch_geometry_reference` is the object path every
+row fetch took before heap rings were read packed (``decode_row``, a
+``Geometry`` always), and :class:`ObjectRowCache` the index operators'
+row cache of that time; :func:`use_object_path` puts a table and its
+indexes on them, so a twin database can run the old fetch beside the
+shipped one.
 
 Tests use the oracles two ways.  Kernel-level tests call both and compare
 the results directly.  System-level tests that are parametrised
@@ -29,12 +34,15 @@ processes inherit the substitution, like any other module state.)
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from contextlib import contextmanager
+from functools import partial
 from typing import Iterator, List, Optional, Tuple
 from unittest import mock
 
 from repro.core.secondary_filter import FetchOrder, JoinPredicate
 from repro.engine.indextype import OPERATORS
+from repro.errors import OperatorError
 from repro.geometry import kernels
 from repro.geometry.geometry import Geometry, GeometryType
 from repro.geometry.mbr import MBR
@@ -45,6 +53,8 @@ from repro.index.quadtree.quadtree import QuadtreeIndex
 from repro.index.quadtree.tessellate import Tile, tessellate
 from repro.index.rtree.node import RTreeNode
 from repro.index.rtree.rtree import RTree
+from repro.storage.codec import decode_row
+from repro.storage.columnar import MISSING
 
 IMPLS = ("numpy", "python")
 
@@ -271,6 +281,81 @@ def index_fetch_reference(index, operator, args, ctx=None, exact=True, prefilter
             yield rowid
     if visits_before is not None:
         index._charge_node_misses(ctx, visits_before)
+
+
+def evaluate_operator(name: str, geom: Geometry, *args) -> bool:
+    """Exact evaluation of a named operator (no index involved)."""
+    try:
+        op = OPERATORS[name.upper()]
+    except KeyError:
+        raise OperatorError(f"unknown operator {name!r}") from None
+    return op.evaluate(geom, *args)
+
+
+def fetch_geometry_reference(table, rowid, column_index, ctx=None):
+    """What ``as_geometry(table.fetch_packed(rowid, column_index, ctx))``
+    must return, with the same charges: a columnar-resident row from its
+    chunk, any other row through the full ``decode_row`` of its heap
+    record (``geom_fetch_base`` + ``geom_fetch_per_vertex``) — always a
+    ``Geometry``, never a packed ring."""
+    seg = table.columnar
+    if seg is not None:
+        geom = seg.geometry_at(rowid, ctx)
+        if geom is not MISSING:
+            return geom
+    geom = decode_row(table.heap.read(rowid))[column_index]
+    if ctx is not None:
+        ctx.charge("geom_fetch_base")
+        if geom is not None:
+            ctx.charge("geom_fetch_per_vertex", geom.num_vertices)
+    return geom
+
+
+class ObjectRowCache:
+    """The row cache behind ``DomainIndex.geometry_of`` before the index
+    operators shared the join's ``GeometryCache``: an ``OrderedDict`` LRU
+    of decoded geometries (:func:`fetch_geometry_reference`), charging a
+    ``buffer_get_hit`` per hit.  It counts hits and misses and keys rows
+    ``(table name, column index, rowid)`` as the shipped cache does, so the
+    two compare entry for entry."""
+
+    def __init__(self, capacity):
+        self.capacity = capacity
+        self._entries = OrderedDict()
+        self.hits = self.misses = 0
+
+    def fetch(self, table, rowid, column_index, ctx=None):
+        key = (table.name, column_index, rowid)
+        cached = self._entries.get(key)
+        if cached is not None:
+            self.hits += 1
+            self._entries.move_to_end(key)
+            if ctx is not None:
+                ctx.charge("buffer_get_hit")
+            return cached
+        self.misses += 1
+        geom = fetch_geometry_reference(table, rowid, column_index, ctx)
+        self._entries[key] = geom
+        while len(self._entries) > self.capacity:
+            self._entries.popitem(last=False)
+        return geom
+
+    def discard(self, table, rowid, column_index):
+        self._entries.pop((table.name, column_index, rowid), None)
+
+
+def use_object_path(table, *indexes):
+    """Put one ``Table`` instance, and the given domain indexes on it, on
+    the object path: its row fetches are :func:`fetch_geometry_reference`,
+    its bounds scan is :func:`scan_bounds_reference` and each index's row
+    cache is an empty :class:`ObjectRowCache`, so every geometry handed to
+    a row cache, an exact test or a window scan is a decoded
+    ``Geometry``."""
+    table.fetch_packed = partial(fetch_geometry_reference, table)
+    table.scan_bounds = partial(scan_bounds_reference, table)
+    for index in indexes:
+        index._geom_cache = ObjectRowCache(index.GEOMETRY_CACHE_ROWS)
+    return table
 
 
 def scan_bounds_reference(table, column_index):

@@ -198,6 +198,34 @@ class TestPutIsNeverResent:
         finally:
             peer.close()
 
+    def test_sql_start_lost_after_sending_is_ambiguous(self):
+        """A ``sql`` start executes its statement on admission: a write."""
+        peer = _Listener(read_lines=1)
+        try:
+            client = QueryClient(port=peer.port, retries=3, backoff=0.0)
+            with pytest.raises(RetriableError) as excinfo:
+                client.start("sql", {"statement": "insert into shapes values (1, null)"})
+            assert excinfo.value.code == "AMBIGUOUS"
+            assert len(peer.requests) == 1  # sent once, not re-sent
+            client.close()
+        finally:
+            peer.close()
+
+    def test_refused_sql_start_is_retried(self):
+        """Nothing reached a server that refused the connection: the start
+        is tried again, up to the client's retries."""
+        peer = _Listener(read_lines=0)
+        try:
+            client = QueryClient(port=peer.port, retries=3, backoff=0.0)
+            assert peer.closed.wait(5.0)
+            peer.close()
+            with pytest.raises(ConnectionRefusedError):
+                client.start("sql", {"statement": "insert into shapes values (1, null)"})
+            assert client.retry_count == 2
+            assert peer.requests == []
+        finally:
+            peer.close()
+
     def test_connection_the_server_already_closed_is_replaced(self):
         """Nothing written to a connection the server had closed can have
         been read: the put reconnects instead of calling it ambiguous."""

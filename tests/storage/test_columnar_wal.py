@@ -218,7 +218,7 @@ class TestOverflowChains:
         t.update(rid, (0, big_ring(9, verts=200)))  # grow the overflow chain
         seg = db.table("rings").columnar
         assert rid in seg.stale
-        assert t.fetch_geometry(rid, 1).num_vertices == 200
+        assert t.fetch_packed(rid, 1).num_vertices == 200
         db.compact_table("rings", chunk_rows=2)
         seg = db.table("rings").columnar
         assert seg.journal_empty()

@@ -14,6 +14,7 @@ import struct
 import pytest
 
 from repro import Database, Geometry
+from repro.geometry.packed import as_geometry
 from repro.geometry.sdo import to_sdo
 from repro.storage.codec import BOUNDS_BATCH, decode_row, encode_value
 from tests.oracles import scan_bounds_reference
@@ -152,7 +153,7 @@ def assert_matches_reference(table, col=1):
         if mbr is None:
             assert geometry is None and decoded[rowid] is None
         else:
-            assert to_sdo(geometry()) == to_sdo(decoded[rowid])
+            assert to_sdo(as_geometry(geometry())) == to_sdo(decoded[rowid])
     return got
 
 
