@@ -26,7 +26,7 @@ def main() -> None:
 
 
 def run(path: str) -> None:
-    db = Database.open(path, durability="wal")
+    db = Database.open(path)
     db.sql("create table parcels (id number, geom sdo_geometry)")
 
     # ------------------------------------------------------------------
@@ -77,7 +77,7 @@ def run(path: str) -> None:
     size_kb = os.path.getsize(path) / 1024
     print(f"closed the store ({size_kb:.0f} KiB on disk)")
 
-    reopened = Database.open(path, durability="wal")
+    reopened = Database.open(path)
     try:
         print(f"reopened {reopened.table('parcels').row_count} rows + "
               f"{len(reopened.catalog.indexes())} index(es)")

@@ -29,14 +29,13 @@ duplicates and no dedup pass.
 """
 
 from repro.cluster.local import LocalCluster, ShardProcess
-from repro.cluster.partition import ClusterError, GridPartitioner, HashPartitioner
+from repro.cluster.partition import ClusterError, GridPartitioner
 from repro.cluster.replication import ReplicationError, WalFollower
 from repro.cluster.router import RouterServer, RouterService, ShardFailed
 
 __all__ = [
     "ClusterError",
     "GridPartitioner",
-    "HashPartitioner",
     "LocalCluster",
     "ReplicationError",
     "RouterServer",

@@ -83,7 +83,7 @@ def _shard_main(conn, shard_id: int, path: Optional[str], server_kwargs) -> None
     # the first question a wedged-shard investigation asks.
     faulthandler.register(signal.SIGUSR1)
 
-    db = Database() if path is None else Database.open(path, durability="wal")
+    db = Database() if path is None else Database.open(path)
 
     async def main() -> None:
         server = SpatialQueryServer(db, shard_id=shard_id, **server_kwargs)
@@ -484,7 +484,7 @@ class LocalCluster:
 
             self._event("failover_started", shard=self.leader)
             path = self.follower.promote()
-            db = Database.open(path, durability="wal")
+            db = Database.open(path)
             promoted = BackgroundServer(db, shard_id=self.leader).start()
             self._promoted.append((promoted, db))
             port = promoted.port

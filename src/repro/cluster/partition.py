@@ -23,7 +23,6 @@ Batches (a ``put``'s rows, a shard's window candidates) bin in one call.
 
 from __future__ import annotations
 
-import zlib
 from array import array
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
@@ -36,30 +35,11 @@ from repro.geometry.mbr import MBR
 __all__ = [
     "ClusterError",
     "GridPartitioner",
-    "HashPartitioner",
-    "stable_hash",
 ]
 
 
 class ClusterError(ServerError):
     """A cluster-level configuration or routing failure."""
-
-
-def stable_hash(key: Any) -> int:
-    """Deterministic cross-process hash (``hash()`` is salted per process)."""
-    return zlib.crc32(repr(key).encode("utf-8"))
-
-
-class HashPartitioner:
-    """Round-robin-by-content placement for non-spatial keys."""
-
-    def __init__(self, nshards: int):
-        if nshards < 1:
-            raise ClusterError(f"nshards must be >= 1, got {nshards}")
-        self.nshards = nshards
-
-    def shard_of(self, key: Any) -> int:
-        return stable_hash(key) % self.nshards
 
 
 class GridPartitioner:

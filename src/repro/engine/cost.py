@@ -29,7 +29,6 @@ __all__ = [
     "WorkMeter",
     "DEFAULT_COST_MODEL",
     "pick_grid_shape",
-    "pick_shard_count",
 ]
 
 
@@ -144,34 +143,6 @@ def pick_grid_shape(
     nx = max(1, int(math.isqrt(total)))
     ny = max(1, (total + nx - 1) // nx)
     return nx, ny
-
-
-# Cluster shard-count heuristic knobs (see :func:`pick_shard_count`).
-CLUSTER_TARGET_ENTRIES_PER_SHARD = 50_000  # a shard comfortably sweeps
-# this many entries through its owned tiles before scatter latency (one
-# wire round-trip per shard per page) stops paying for the extra process
-CLUSTER_MAX_SHARDS = 8  # failure domains and follower processes per shard
-# both scale linearly; past 8 the router's fan-out bookkeeping dominates
-
-
-def pick_shard_count(
-    n_entries: int,
-    max_shards: int = CLUSTER_MAX_SHARDS,
-    target_entries_per_shard: int = CLUSTER_TARGET_ENTRIES_PER_SHARD,
-) -> int:
-    """Choose how many shard processes a dataset of ``n_entries`` wants.
-
-    The cluster analogue of :func:`pick_grid_shape`, one level up: tiles
-    balance skew *within* a process, shards spread work *across*
-    processes.  Small datasets stay on one shard (the router's fan-out
-    and the follower's replication stream are pure overhead below the
-    target), and the count is capped so each shard still owns a
-    contiguous run of enough grid tiles for its local join to balance.
-    """
-    if max_shards < 1:
-        raise EngineError(f"max_shards must be >= 1, got {max_shards}")
-    want = math.ceil(max(0, n_entries) / max(1, target_entries_per_shard))
-    return max(1, min(want, max_shards))
 
 
 class WorkMeter:

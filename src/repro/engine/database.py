@@ -13,7 +13,6 @@ exposes the paper's operations at one call depth:
 
 from __future__ import annotations
 
-import os
 import struct
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -73,7 +72,7 @@ class Database:
         self._indexes: Dict[str, DomainIndex] = {}
         self._stats: Dict[str, Any] = {}
         self.indextypes = IndexTypeRegistry()
-        self.durability = "memory"  # "memory" | "none" | "wal"
+        self.durability = "memory"  # "memory" | "wal" (after open)
         self.path: Optional[str] = None
         self._meta_pages: List[int] = []
         self._register_builtin_indextypes()
@@ -471,7 +470,7 @@ class Database:
     def open(
         cls,
         path: str,
-        durability: str = "none",
+        durability: str = "wal",
         page_size: int = PAGE_SIZE,
         buffer_capacity: int = 1024,
         cost_model: CostModel = DEFAULT_COST_MODEL,
@@ -479,46 +478,27 @@ class Database:
     ) -> "Database":
         """Open (or create) a file-backed database at ``path``.
 
-        ``durability`` selects the failure model:
-
-        * ``"none"`` — a plain :class:`~repro.storage.pager.FilePager`;
-          a clean :meth:`close` persists everything, a crash mid-write
-          can corrupt the file (the pre-WAL behaviour).  A store that has
-          a write-ahead log (``path + ".wal"``) is refused with an
-          ``EngineError``: its main file can lag the log, and writes that
-          bypass the log would be lost or corrupt the store on the next
-          ``"wal"`` open.
-        * ``"wal"`` — the file is wrapped in a
-          :class:`~repro.storage.wal.WalPager`: page writes go through a
-          checksummed write-ahead log, :meth:`checkpoint`/:meth:`close`
-          are atomic durability points, and reopening after a crash at
-          *any* instant recovers the last checkpointed state (replaying
-          the log and repairing torn pages).
+        The file is wrapped in a :class:`~repro.storage.wal.WalPager`:
+        page writes go through a checksummed write-ahead log,
+        :meth:`checkpoint`/:meth:`close` are atomic durability points, and
+        reopening after a crash at *any* instant recovers the last
+        checkpointed state (replaying the log and repairing torn pages).
+        ``durability`` names that failure model; ``"wal"`` is its only
+        value, and any other raises ``EngineError``.
 
         ``fault_plan`` (tests only) threads a
         :class:`~repro.storage.fault.FaultPlan` through every file the
         store opens, so crash tests can kill the simulated process at
         arbitrary write offsets and named sites.
         """
-        durability = durability.lower()
-        if durability not in ("none", "wal"):
-            raise EngineError(
-                f"unknown durability mode {durability!r} (use 'none' or 'wal')"
-            )
-        if durability == "none" and os.path.exists(path + ".wal"):
-            raise EngineError(
-                f"durability 'none' cannot open {path!r}: it has the "
-                f"write-ahead log {path + '.wal'!r}; open it with 'wal'"
-            )
+        if not isinstance(durability, str) or durability.lower() != "wal":
+            raise EngineError(f"unknown durability mode {durability!r} (use 'wal')")
         opener = fault_plan.opener() if fault_plan is not None else None
-        pager: Pager = FilePager(
-            path, page_size=page_size, strict=durability == "none", opener=opener
-        )
+        pager: Pager = FilePager(path, page_size=page_size, strict=False, opener=opener)
         try:
-            if durability == "wal":
-                pager = WalPager(pager, path + ".wal", opener=opener, fault_plan=fault_plan)
+            pager = WalPager(pager, path + ".wal", opener=opener, fault_plan=fault_plan)
             db = cls(pager=pager, buffer_capacity=buffer_capacity, cost_model=cost_model)
-            db.durability = durability
+            db.durability = "wal"
             db.path = path
             if pager.num_pages > 0:
                 db._load_snapshot()
@@ -535,13 +515,13 @@ class Database:
             raise
         return db
 
-    def commit(self) -> Optional[int]:
-        """Durable commit; returns the commit LSN under WAL, else ``None``.
+    def commit(self) -> int:
+        """Durable commit; returns the commit LSN.
 
         Writes the meta snapshot (catalog, heap page lists, columnar
         directories and index definitions) into the page-0 chain and
-        flushes the buffer pool's dirty pages.  Under WAL the log is
-        committed but not truncated, so a replication follower tailing it
+        flushes the buffer pool's dirty pages.  The log is committed but
+        not truncated, so a replication follower tailing it
         still sees every record up to this commit (the LSN is what a router
         waits for its follower to ack).  Nothing written depends on index
         size: indexes are rebuilt from their tables when the store opens.
@@ -554,19 +534,13 @@ class Database:
             )
         self._write_meta_chain(encode_row(self._build_snapshot()))
         self.pool.flush()
-        if isinstance(self.pager, WalPager):
-            return self.pager.commit()
-        flush = getattr(self.pager, "flush", None)
-        if flush is not None:
-            flush()
-        return None
+        return self.pager.commit()
 
     def checkpoint(self) -> None:
-        """:meth:`commit`, then under WAL write the log back into the main
-        file and truncate it, so the main file holds exactly this state."""
+        """:meth:`commit`, then write the log back into the main file and
+        truncate it, so the main file holds exactly this state."""
         self.commit()
-        if isinstance(self.pager, WalPager):
-            self.pager.checkpoint()
+        self.pager.checkpoint()
 
     def close(self, checkpoint: bool = True) -> None:
         """Close the database, checkpointing first if file-backed."""

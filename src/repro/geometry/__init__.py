@@ -10,12 +10,7 @@ Public surface:
 """
 
 from repro.geometry.distance import distance, within_distance
-from repro.geometry.geojson import (
-    from_geojson,
-    from_geojson_str,
-    to_geojson,
-    to_geojson_str,
-)
+from repro.geometry.geojson import from_geojson, to_geojson, to_geojson_str
 from repro.geometry.geometry import Geometry, GeometryType, Ring
 from repro.geometry.mbr import EMPTY_MBR, MBR, mbr_of_points, union_all
 from repro.geometry.predicates import (
@@ -29,7 +24,6 @@ from repro.geometry.predicates import (
     touches,
 )
 from repro.geometry.sdo import SdoGeometry, from_sdo, to_sdo
-from repro.geometry.validation import is_valid, validate
 from repro.geometry.wkt import from_wkt, to_wkt
 
 __all__ = [
@@ -58,7 +52,4 @@ __all__ = [
     "to_geojson",
     "from_geojson",
     "to_geojson_str",
-    "from_geojson_str",
-    "validate",
-    "is_valid",
 ]

@@ -17,7 +17,7 @@ from typing import Any, Dict, List, Sequence, Tuple
 from repro.errors import GeometryError
 from repro.geometry.geometry import Geometry, GeometryType
 
-__all__ = ["to_geojson", "from_geojson", "to_geojson_str", "from_geojson_str"]
+__all__ = ["to_geojson", "from_geojson", "to_geojson_str"]
 
 Coord = Tuple[float, float]
 
@@ -130,12 +130,3 @@ def _polygon_from_rings(rings: Sequence[Sequence[Sequence[float]]]) -> Geometry:
 def to_geojson_str(geom: Geometry, **json_kwargs: Any) -> str:
     """Encode a geometry as GeoJSON text."""
     return json.dumps(to_geojson(geom), **json_kwargs)
-
-
-def from_geojson_str(text: str) -> Geometry:
-    """Parse GeoJSON text into a geometry."""
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise GeometryError(f"invalid GeoJSON text: {exc}") from exc
-    return from_geojson(obj)

@@ -9,18 +9,14 @@ policy lives in one place.
 
 from __future__ import annotations
 
-import math
-from typing import Optional, Tuple
+from typing import Tuple
 
 __all__ = [
     "EPSILON",
     "orientation",
     "on_segment",
     "segments_intersect",
-    "segment_intersection_point",
-    "point_segment_distance",
     "point_segment_distance_sq",
-    "segment_segment_distance",
     "segment_segment_distance_sq",
 ]
 
@@ -103,26 +99,6 @@ def segments_intersect(
     return False
 
 
-def segment_intersection_point(
-    a: Point, b: Point, c: Point, d: Point, eps: float = EPSILON
-) -> Optional[Point]:
-    """Intersection point of two *properly* crossing segments.
-
-    Returns ``None`` for parallel, collinear-overlapping, or disjoint pairs.
-    Touching at an endpoint counts as an intersection and returns that point.
-    """
-    r_x, r_y = b[0] - a[0], b[1] - a[1]
-    s_x, s_y = d[0] - c[0], d[1] - c[1]
-    denom = r_x * s_y - r_y * s_x
-    if abs(denom) <= eps * max(abs(r_x) + abs(r_y) + abs(s_x) + abs(s_y), 1.0):
-        return None
-    t = ((c[0] - a[0]) * s_y - (c[1] - a[1]) * s_x) / denom
-    u = ((c[0] - a[0]) * r_y - (c[1] - a[1]) * r_x) / denom
-    if -eps <= t <= 1.0 + eps and -eps <= u <= 1.0 + eps:
-        return (a[0] + t * r_x, a[1] + t * r_y)
-    return None
-
-
 def point_segment_distance_sq(p: Point, a: Point, b: Point) -> float:
     """Squared Euclidean distance from point ``p`` to closed segment ``ab``.
 
@@ -144,11 +120,6 @@ def point_segment_distance_sq(p: Point, a: Point, b: Point) -> float:
     return dx * dx + dy * dy
 
 
-def point_segment_distance(p: Point, a: Point, b: Point) -> float:
-    """Euclidean distance from point ``p`` to closed segment ``ab``."""
-    return math.sqrt(point_segment_distance_sq(p, a, b))
-
-
 def segment_segment_distance_sq(a: Point, b: Point, c: Point, d: Point) -> float:
     """Squared minimum distance between closed segments ``ab`` and ``cd``."""
     if segments_intersect(a, b, c, d):
@@ -159,8 +130,3 @@ def segment_segment_distance_sq(a: Point, b: Point, c: Point, d: Point) -> float
         point_segment_distance_sq(c, a, b),
         point_segment_distance_sq(d, a, b),
     )
-
-
-def segment_segment_distance(a: Point, b: Point, c: Point, d: Point) -> float:
-    """Minimum distance between closed segments ``ab`` and ``cd``."""
-    return math.sqrt(segment_segment_distance_sq(a, b, c, d))

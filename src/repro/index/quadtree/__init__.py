@@ -2,7 +2,6 @@
 
 from repro.index.quadtree.codes import (
     TileGrid,
-    descendant_range,
     morton_decode,
     morton_encode,
 )
@@ -13,7 +12,6 @@ from repro.index.quadtree.tessellate import Tile, tessellate
 __all__ = [
     "morton_encode",
     "morton_decode",
-    "descendant_range",
     "TileGrid",
     "Tile",
     "tessellate",

@@ -22,7 +22,6 @@ from repro.geometry.mbr import MBR
 __all__ = [
     "morton_encode",
     "morton_decode",
-    "descendant_range",
     "TileGrid",
 ]
 
@@ -57,17 +56,6 @@ def morton_decode(code: int) -> Tuple[int, int]:
     if code < 0:
         raise IndexBuildError(f"negative tile code {code}")
     return _squash_bits(code), _squash_bits(code >> 1)
-
-
-def descendant_range(code: int, levels_down: int) -> Tuple[int, int]:
-    """Inclusive code range covered by a tile ``levels_down`` levels deeper.
-
-    Every level-(l+k) descendant of a level-l tile with code c has a code
-    in [c << 2k, ((c+1) << 2k) - 1] — the property quadrant range scans use.
-    """
-    lo = code << (2 * levels_down)
-    hi = ((code + 1) << (2 * levels_down)) - 1
-    return lo, hi
 
 
 @dataclass(frozen=True)

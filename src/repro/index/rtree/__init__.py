@@ -1,8 +1,8 @@
 """R-tree spatial index: dynamic tree, STR bulk load, join cursor, kNN."""
 
-from repro.index.rtree.bulkload import build_parallel, merge_subtrees, str_pack
+from repro.index.rtree.bulkload import merge_subtrees, str_pack
 from repro.index.rtree.join import CandidatePair, RTreeJoinCursor
-from repro.index.rtree.knn import incremental_nearest, nearest_neighbors
+from repro.index.rtree.knn import incremental_nearest
 from repro.index.rtree.node import Entry, RTreeNode
 from repro.index.rtree.rtree import DEFAULT_FANOUT, RTree
 from repro.index.rtree.spatial_index import RTreeIndex
@@ -14,10 +14,8 @@ __all__ = [
     "DEFAULT_FANOUT",
     "str_pack",
     "merge_subtrees",
-    "build_parallel",
     "RTreeJoinCursor",
     "CandidatePair",
-    "nearest_neighbors",
     "incremental_nearest",
     "RTreeIndex",
 ]

@@ -1,25 +1,25 @@
-"""R-tree bulk loading: STR packing and the parallel subtree build.
+"""R-tree bulk loading: STR packing and the subtree merge.
 
 ``str_pack`` is Sort-Tile-Recursive (Leutenegger et al.), the clustering
-step the paper's parallel R-tree creation uses on each data partition.
-``build_parallel`` reproduces §5's recipe: parallel table-function workers
-(1) load geometries and compute MBRs, (2) cluster subtrees on their
-partitions, and a final serial step merges the subtrees into one tree.
+step the paper's parallel R-tree creation uses on each data partition;
+``merge_subtrees`` is its final serial step.  The recipe that drives both
+(§5: parallel table-function workers load MBRs and cluster a subtree per
+partition) is :func:`repro.core.index_build.create_rtree_parallel`.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.errors import IndexBuildError
-from repro.engine.parallel import ParallelExecutor, WorkerContext
+from repro.engine.parallel import WorkerContext
 from repro.geometry.mbr import MBR, union_all
 from repro.index.rtree.node import Entry, RTreeNode, entry_coords
 from repro.index.rtree.rtree import DEFAULT_FANOUT, RTree
 from repro.storage.heap import RowId
 
-__all__ = ["str_pack", "merge_subtrees", "build_parallel"]
+__all__ = ["str_pack", "merge_subtrees"]
 
 LoadedEntry = Tuple[MBR, RowId]
 
@@ -188,37 +188,3 @@ def merge_subtrees(
     merged.root = level_nodes[0]
     merged._size = sum(len(t) for t in nonempty)  # noqa: SLF001
     return merged
-
-
-def build_parallel(
-    load_partitions: Sequence[Callable[[WorkerContext], List[LoadedEntry]]],
-    executor: ParallelExecutor,
-    fanout: int = DEFAULT_FANOUT,
-    fill: float = 0.7,
-) -> Tuple[RTree, "ParallelRunLike"]:
-    """Parallel R-tree creation over pre-partitioned loader tasks.
-
-    Each element of ``load_partitions`` is a worker task that loads its
-    partition's (MBR, rowid) pairs — computing MBRs from geometry, which is
-    step (1) of §5 — and this function packs a subtree per partition (step
-    2) on the same worker, then merges serially.
-
-    Returns ``(tree, run)`` where ``run`` carries per-worker meters.
-    """
-
-    def make_task(
-        loader: Callable[[WorkerContext], List[LoadedEntry]]
-    ) -> Callable[[WorkerContext], RTree]:
-        def task(ctx: WorkerContext) -> RTree:
-            entries = loader(ctx)
-            return str_pack(entries, fanout=fanout, fill=fill, ctx=ctx)
-
-        return task
-
-    run = executor.run([make_task(loader) for loader in load_partitions])
-    merged = merge_subtrees(run.results, fanout=fanout, fill=fill)
-    return merged, run
-
-
-# typing helper for the docstring above (the concrete type is ParallelRun)
-ParallelRunLike = object

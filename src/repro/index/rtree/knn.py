@@ -15,7 +15,7 @@ from repro.engine.parallel import WorkerContext
 from repro.index.rtree.rtree import RTree
 from repro.storage.heap import RowId
 
-__all__ = ["nearest_neighbors", "incremental_nearest"]
+__all__ = ["incremental_nearest"]
 
 
 def incremental_nearest(
@@ -52,19 +52,3 @@ def incremental_nearest(
                 heapq.heappush(heap, (d, next(counter), entry.child))
             else:
                 heapq.heappush(heap, (d, next(counter), ("leaf", entry.rowid)))
-
-
-def nearest_neighbors(
-    tree: RTree,
-    x: float,
-    y: float,
-    k: int,
-    ctx: Optional[WorkerContext] = None,
-) -> List[Tuple[float, RowId]]:
-    """The k nearest leaf entries to (x, y) by MBR distance."""
-    result: List[Tuple[float, RowId]] = []
-    for dist, rowid in incremental_nearest(tree, x, y, ctx):
-        result.append((dist, rowid))
-        if len(result) >= k:
-            break
-    return result

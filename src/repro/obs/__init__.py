@@ -5,8 +5,8 @@ Three parts:
 * :mod:`repro.obs.trace` — hierarchical spans with ``WorkMeter`` deltas,
   a zero-overhead disabled path, wire-propagated trace contexts, and
   ``REPRO_TRACE`` gating.
-* :mod:`repro.obs.exporters` — Chrome trace-event JSON (Perfetto),
-  JSON-lines, and the Prometheus text exposition (+ lint) of a
+* :mod:`repro.obs.exporters` — Chrome trace-event JSON (Perfetto) and
+  the Prometheus text exposition of a
   :class:`~repro.server.metrics.ServerMetrics` registry.
 * :mod:`repro.obs.plane` — the in-process ring-buffer TSDB
   (:class:`~repro.obs.plane.MetricStore`), scrape-loop
@@ -43,11 +43,8 @@ from repro.obs.trace import (
 _EXPORTER_NAMES = (
     "aggregate_spans",
     "chrome_trace",
-    "lint_prometheus",
     "prometheus_text",
-    "spans_to_jsonl",
     "write_chrome_trace",
-    "write_jsonl",
 )
 
 _PLANE_NAMES = (

@@ -4,11 +4,8 @@
   format Perfetto and ``chrome://tracing`` load): one complete-event
   (``ph:"X"``) per span with wall-clock ``ts``/``dur`` in microseconds
   and the span's simulated-seconds / meter-delta attached as ``args``.
-* :func:`spans_to_jsonl` — one JSON object per span, for ad-hoc
-  ``jq``-style analysis.
 * :func:`prometheus_text` — Prometheus text exposition (version 0.0.4)
-  of a :class:`~repro.server.metrics.ServerMetrics` registry;
-  :func:`lint_prometheus` validates the line format.
+  of a :class:`~repro.server.metrics.ServerMetrics` registry.
 * :func:`aggregate_spans` — per-span-name rollup (count, meter delta,
   simulated seconds) used by ``EXPLAIN ANALYZE``.
 """
@@ -16,7 +13,6 @@
 from __future__ import annotations
 
 import json
-import re
 from typing import Any, Dict, Iterable, List, Sequence, Union
 
 from repro.engine.cost import CostModel, DEFAULT_COST_MODEL
@@ -25,11 +21,8 @@ from repro.obs.trace import Span, Tracer
 __all__ = [
     "aggregate_spans",
     "chrome_trace",
-    "lint_prometheus",
     "prometheus_text",
-    "spans_to_jsonl",
     "write_chrome_trace",
-    "write_jsonl",
 ]
 
 
@@ -122,38 +115,6 @@ def write_chrome_trace(
 
 
 # ---------------------------------------------------------------------------
-# JSON-lines
-# ---------------------------------------------------------------------------
-
-def spans_to_jsonl(
-    source: Union[Tracer, Sequence[Span]],
-    model: CostModel = DEFAULT_COST_MODEL,
-) -> str:
-    """One JSON object per span (and per instant event), newline-separated."""
-    spans, events = _spans_and_events(source)
-    lines = []
-    for s in spans:
-        d = s.to_dict()
-        d["wall_seconds"] = s.wall_seconds
-        if s.meter_delta:
-            d["simulated_seconds"] = s.simulated_seconds(model)
-        lines.append(json.dumps(d, sort_keys=True, default=str))
-    for e in events:
-        lines.append(json.dumps(dict(e, kind="event"), sort_keys=True, default=str))
-    return "\n".join(lines) + ("\n" if lines else "")
-
-
-def write_jsonl(
-    path: str,
-    source: Union[Tracer, Sequence[Span]],
-    model: CostModel = DEFAULT_COST_MODEL,
-) -> str:
-    with open(path, "w") as fh:
-        fh.write(spans_to_jsonl(source, model))
-    return path
-
-
-# ---------------------------------------------------------------------------
 # Per-operator rollup (EXPLAIN ANALYZE)
 # ---------------------------------------------------------------------------
 
@@ -228,117 +189,3 @@ def prometheus_text(metrics) -> str:
             lines.append(f"{name}{_fmt_labels(labels)} {_fmt_value(value)}")
     return "\n".join(lines) + "\n"
 
-
-# -- exposition lint --------------------------------------------------------
-
-_METRIC_NAME_RE = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
-_LABEL_NAME_RE = re.compile(r"^[a-zA-Z_][a-zA-Z0-9_]*$")
-_SAMPLE_RE = re.compile(
-    r"^(?P<name>[a-zA-Z_:][a-zA-Z0-9_:]*)"
-    r"(?:\{(?P<labels>[^}]*)\})?"
-    r" (?P<value>[-+]?(?:[0-9]*\.)?[0-9]+(?:[eE][-+]?[0-9]+)?|NaN|[-+]?Inf)"
-    r"(?: [0-9]+)?$"
-)
-_LABEL_PAIR_RE = re.compile(
-    r'^(?P<label>[a-zA-Z_][a-zA-Z0-9_]*)="(?P<value>(?:[^"\\]|\\.)*)"$'
-)
-_VALID_TYPES = ("counter", "gauge", "histogram", "summary", "untyped")
-
-
-def lint_prometheus(text: str) -> List[str]:
-    """Validate Prometheus text-format exposition; return error strings.
-
-    Checks: line syntax (HELP/TYPE comments and samples), metric/label
-    name charsets, TYPE declared before its samples, valid TYPE values,
-    duplicate (name, labelset) samples, and a trailing newline.
-    """
-    errors: List[str] = []
-    if text and not text.endswith("\n"):
-        errors.append("exposition must end with a newline")
-    typed: Dict[str, str] = {}
-    seen_samples: set = set()
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        if line.startswith("#"):
-            parts = line.split(None, 3)
-            if len(parts) < 3 or parts[1] not in ("HELP", "TYPE"):
-                errors.append(f"line {lineno}: malformed comment {line!r}")
-                continue
-            if not _METRIC_NAME_RE.match(parts[2]):
-                errors.append(f"line {lineno}: bad metric name {parts[2]!r}")
-            if parts[1] == "TYPE":
-                mtype = parts[3].strip() if len(parts) > 3 else ""
-                if mtype not in _VALID_TYPES:
-                    errors.append(f"line {lineno}: bad TYPE {mtype!r}")
-                if parts[2] in typed:
-                    errors.append(
-                        f"line {lineno}: duplicate TYPE for {parts[2]!r}"
-                    )
-                typed[parts[2]] = mtype
-            continue
-        match = _SAMPLE_RE.match(line)
-        if not match:
-            errors.append(f"line {lineno}: malformed sample {line!r}")
-            continue
-        name = match.group("name")
-        base = name
-        for suffix in ("_bucket", "_sum", "_count"):
-            if name.endswith(suffix) and name[: -len(suffix)] in typed:
-                base = name[: -len(suffix)]
-                break
-        if base not in typed:
-            errors.append(
-                f"line {lineno}: sample {name!r} has no preceding TYPE"
-            )
-        labels = match.group("labels")
-        labelset = ()
-        if labels is not None and labels != "":
-            pairs = []
-            for pair in _split_label_pairs(labels):
-                pm = _LABEL_PAIR_RE.match(pair)
-                if not pm:
-                    errors.append(
-                        f"line {lineno}: malformed label pair {pair!r}"
-                    )
-                    continue
-                if not _LABEL_NAME_RE.match(pm.group("label")):
-                    errors.append(
-                        f"line {lineno}: bad label name {pm.group('label')!r}"
-                    )
-                pairs.append((pm.group("label"), pm.group("value")))
-            labelset = tuple(sorted(pairs))
-        key = (name, labelset)
-        if key in seen_samples:
-            errors.append(f"line {lineno}: duplicate sample {line!r}")
-        seen_samples.add(key)
-    return errors
-
-
-def _split_label_pairs(labels: str) -> List[str]:
-    """Split ``a="x",b="y"`` on commas outside quoted values."""
-    pairs: List[str] = []
-    current: List[str] = []
-    in_quotes = False
-    escaped = False
-    for ch in labels:
-        if escaped:
-            current.append(ch)
-            escaped = False
-            continue
-        if ch == "\\":
-            current.append(ch)
-            escaped = True
-            continue
-        if ch == '"':
-            in_quotes = not in_quotes
-            current.append(ch)
-            continue
-        if ch == "," and not in_quotes:
-            pairs.append("".join(current))
-            current = []
-            continue
-        current.append(ch)
-    if current:
-        pairs.append("".join(current))
-    return pairs

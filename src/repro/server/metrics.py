@@ -39,9 +39,10 @@ def _bucket_bounds() -> List[float]:
 
 _BOUNDS = _bucket_bounds()
 
-#: keys every snapshot's ``storage`` section carries, zeroed when the
-#: database runs without a durable pager (``durability="none"``) so
-#: scrapers see a stable schema regardless of deployment mode.
+#: keys every snapshot's ``storage`` section carries, zeroed where the
+#: server has no storage stats to report (its ``storage`` callback gives
+#: none, or fails), so scrapers see a stable schema; ``"durability":
+#: "none"`` then means "no storage stats", not a kind of store.
 _STORAGE_ZERO: Dict[str, Any] = {
     "durability": "none",
     "num_pages": 0,

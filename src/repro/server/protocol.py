@@ -60,7 +60,7 @@ returns the metrics/SLO plane snapshot when one is attached.
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
 from repro.errors import ProtocolError
 
@@ -89,7 +89,6 @@ __all__ = [
     "jsonify_value",
     "jsonify_row",
     "rowid_to_wire",
-    "rowid_from_wire",
 ]
 
 #: one wire message must fit in this many bytes (also the asyncio limit)
@@ -169,12 +168,6 @@ def error_response(request_id: Any, code: str, message: str) -> Dict[str, Any]:
 def rowid_to_wire(rowid) -> List[int]:
     """A rowid travels as ``[page, slot]``."""
     return [rowid.page, rowid.slot]
-
-
-def rowid_from_wire(value) -> Tuple[int, int]:
-    """Decode a wire rowid into a ``(page, slot)`` tuple."""
-    page, slot = value
-    return (int(page), int(slot))
 
 
 def jsonify_value(value: Any) -> Any:

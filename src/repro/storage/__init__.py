@@ -3,13 +3,12 @@
 from repro.storage.btree import BPlusTree
 from repro.storage.buffer import BufferPool, BufferStats
 from repro.storage.catalog import Catalog, ColumnMeta, IndexMeta, TableMeta
-from repro.storage.checksum import crc32c, mask_crc, unmask_crc
-from repro.storage.codec import decode_row, decode_value, encode_row, encode_value
+from repro.storage.checksum import crc32c, mask_crc
+from repro.storage.codec import decode_row, encode_row
 from repro.storage.fault import (
     CrashPoint,
     FaultPlan,
     FaultyFile,
-    FaultyPager,
     InjectedIOError,
 )
 from repro.storage.heap import HeapFile, RowId
@@ -37,15 +36,12 @@ __all__ = [
     "BPlusTree",
     "encode_row",
     "decode_row",
-    "encode_value",
-    "decode_value",
     "Catalog",
     "ColumnMeta",
     "TableMeta",
     "IndexMeta",
     "crc32c",
     "mask_crc",
-    "unmask_crc",
     "WriteAheadLog",
     "WalPager",
     "RecoveryInfo",
@@ -53,5 +49,4 @@ __all__ = [
     "InjectedIOError",
     "FaultPlan",
     "FaultyFile",
-    "FaultyPager",
 ]

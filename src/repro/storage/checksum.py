@@ -24,7 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-__all__ = ["crc32c", "mask_crc", "unmask_crc"]
+__all__ = ["crc32c", "mask_crc"]
 
 _POLY = 0x82F63B78  # reflected CRC-32C polynomial
 
@@ -106,8 +106,3 @@ _MASK_DELTA = 0xA282EAD8
 
 def mask_crc(crc: int) -> int:
     return (((crc >> 15) | (crc << 17)) + _MASK_DELTA) & 0xFFFFFFFF
-
-
-def unmask_crc(masked: int) -> int:
-    rot = (masked - _MASK_DELTA) & 0xFFFFFFFF
-    return ((rot >> 17) | (rot << 15)) & 0xFFFFFFFF

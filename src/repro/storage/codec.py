@@ -40,8 +40,6 @@ __all__ = [
     "decode_ring_column",
     "column_bounds",
     "BOUNDS_BATCH",
-    "encode_value",
-    "decode_value",
     "encode_f64_array",
     "decode_f64_array",
     "encode_u32_array",
@@ -261,21 +259,6 @@ def _ring_span(data: bytes, index: int) -> Optional[Tuple[int, int]]:
 
 def _constant(value: Any) -> Callable[[], Any]:
     return lambda: value
-
-
-def encode_value(value: Any) -> bytes:
-    """Encode a single value (used for index keys stored out-of-line)."""
-    out = bytearray()
-    _encode_into(out, value)
-    return bytes(out)
-
-
-def decode_value(data: bytes) -> Any:
-    """Decode bytes produced by :func:`encode_value`."""
-    value, offset = _decode_from(data, 0)
-    if offset != len(data):
-        raise StorageError("trailing bytes after value decode")
-    return value
 
 
 # ----------------------------------------------------------------------

@@ -32,17 +32,15 @@ from __future__ import annotations
 
 import os
 import random
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.errors import FaultError
-from repro.storage.pager import Pager
 
 __all__ = [
     "CrashPoint",
     "InjectedIOError",
     "FaultPlan",
     "FaultyFile",
-    "FaultyPager",
     "classify_path",
 ]
 
@@ -317,64 +315,3 @@ class FaultyFile:
 
     def fileno(self) -> int:
         return self._inner.fileno()
-
-
-class FaultyPager(Pager):
-    """Page-level fault wrapper: EIO on chosen pages, crash after N writes.
-
-    Used where the file-level harness is too low-level — e.g. asserting
-    :class:`~repro.storage.buffer.BufferPool` flushes deterministically,
-    or that heap code surfaces an injected read error instead of
-    swallowing it.
-    """
-
-    def __init__(
-        self,
-        inner: Pager,
-        *,
-        eio_pages: Set[int] = frozenset(),
-        crash_after_writes: Optional[int] = None,
-    ):
-        super().__init__(inner.page_size)
-        self._inner = inner
-        self.eio_pages = set(eio_pages)
-        self.crash_after_writes = crash_after_writes
-        self.write_log: List[int] = []
-        self.dead = False
-
-    def _alive(self) -> None:
-        if self.dead:
-            raise CrashPoint("pager is dead (previous crash)")
-
-    def allocate(self) -> int:
-        self._alive()
-        self.stats.allocations += 1
-        return self._inner.allocate()
-
-    def read(self, page_id: int) -> bytes:
-        self._alive()
-        if page_id in self.eio_pages:
-            raise InjectedIOError(f"injected EIO reading page {page_id}")
-        self.stats.reads += 1
-        return self._inner.read(page_id)
-
-    def write(self, page_id: int, data: bytes) -> None:
-        self._alive()
-        if (
-            self.crash_after_writes is not None
-            and len(self.write_log) >= self.crash_after_writes
-        ):
-            self.dead = True
-            raise CrashPoint(
-                f"killed before write {len(self.write_log)} (page {page_id})"
-            )
-        self.write_log.append(page_id)
-        self.stats.writes += 1
-        self._inner.write(page_id, data)
-
-    @property
-    def num_pages(self) -> int:
-        return self._inner.num_pages
-
-    def close(self) -> None:
-        self._inner.close()

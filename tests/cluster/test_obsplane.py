@@ -14,8 +14,8 @@ from repro.cluster.local import LocalCluster
 from repro.geometry.mbr import MBR
 from repro.geometry.wkt import to_wkt
 from repro.obs import trace
-from repro.obs.exporters import lint_prometheus
 from repro.obs.trace import build_tree
+from tests.oracles import lint_prometheus
 
 BOX = MBR(0.0, 0.0, 100.0, 100.0)
 FULL_WINDOW = "POLYGON ((0 0, 100 0, 100 100, 0 100, 0 0))"

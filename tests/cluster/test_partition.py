@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cluster.partition import ClusterError, GridPartitioner, HashPartitioner, stable_hash
+from repro.cluster.partition import ClusterError, GridPartitioner
 from repro.geometry.mbr import MBR
 
 BOX = MBR(0.0, 0.0, 100.0, 100.0)
@@ -10,20 +10,6 @@ BOX = MBR(0.0, 0.0, 100.0, 100.0)
 
 def build(nshards, halo=0.0, n_entries=1000):
     return GridPartitioner.build(BOX, nshards, n_entries, halo)
-
-
-class TestHashPartitioner:
-    def test_deterministic_across_processes(self):
-        # crc32 of repr, NOT builtin hash(): immune to PYTHONHASHSEED.
-        assert stable_hash("shapes") == stable_hash("shapes")
-        part = HashPartitioner(4)
-        assert part.shard_of("k1") == HashPartitioner(4).shard_of("k1")
-        assert 0 <= part.shard_of(12345) < 4
-
-    def test_spreads_keys(self):
-        part = HashPartitioner(4)
-        hit = {part.shard_of(f"key-{i}") for i in range(200)}
-        assert hit == {0, 1, 2, 3}
 
 
 class TestTileOwnership:

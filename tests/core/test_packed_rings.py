@@ -31,8 +31,8 @@ from repro.errors import GeometryError, StorageError
 from repro.geometry import kernels
 from repro.geometry.geometry import Geometry
 from repro.geometry.packed import PackedRing, pack_ring
-from repro.storage.codec import decode_ring_column, decode_row, encode_row, encode_value
-from tests.oracles import fetch_geometry_reference, secondary_filter_reference
+from repro.storage.codec import decode_ring_column, decode_row, encode_row
+from tests.oracles import encode_value, fetch_geometry_reference, secondary_filter_reference
 
 
 def adversarial_geometries():

@@ -14,7 +14,7 @@ from repro.datasets import (
 )
 from repro.errors import DatasetError
 from repro.geometry.predicates import intersects, touches
-from repro.geometry.validation import is_valid
+from tests.oracles import validate
 
 
 class TestCounties:
@@ -29,7 +29,7 @@ class TestCounties:
 
     def test_all_valid(self):
         for geom in counties(150, seed=4):
-            assert is_valid(geom)
+            assert validate(geom) == []
 
     def test_tessellation_is_contiguous(self):
         """Adjacent counties share boundary: intersect without overlap."""
@@ -65,7 +65,7 @@ class TestStars:
 
     def test_stars_are_small_valid_polygons(self):
         for star in stars(100, seed=10):
-            assert is_valid(star)
+            assert validate(star) == []
             assert star.mbr.width < 5.0
 
     def test_clustering_produces_overlaps(self):
@@ -102,7 +102,7 @@ class TestBlockgroups:
 
     def test_all_valid_sample(self):
         for geom in blockgroups(120, seed=15):
-            assert is_valid(geom)
+            assert validate(geom) == []
 
     def test_complexity_correlates_with_size(self):
         polys = blockgroups(400, seed=16)
@@ -124,7 +124,7 @@ class TestHelpers:
         import random
 
         poly = radial_polygon(random.Random(1), 5, 5, 2.0, 50)
-        assert is_valid(poly)
+        assert validate(poly) == []
         assert poly.contains_point(5, 5)  # centre is inside (star-convex)
 
     def test_bad_parameters(self):

@@ -11,9 +11,8 @@ from repro.geometry.segments import (
     EPSILON,
     on_segment,
     orientation,
-    point_segment_distance,
-    segment_intersection_point,
-    segment_segment_distance,
+    point_segment_distance_sq,
+    segment_segment_distance_sq,
     segments_intersect,
 )
 
@@ -70,41 +69,25 @@ class TestSegmentsIntersect:
         assert not segments_intersect((0, 0), (2, 0), (0, 1), (2, 1))
 
 
-class TestIntersectionPoint:
-    def test_simple_cross(self):
-        p = segment_intersection_point((0, 0), (2, 2), (0, 2), (2, 0))
-        assert p == pytest.approx((1, 1))
-
-    def test_parallel_returns_none(self):
-        assert segment_intersection_point((0, 0), (1, 0), (0, 1), (1, 1)) is None
-
-    def test_lines_cross_outside_segments(self):
-        assert segment_intersection_point((0, 0), (1, 1), (3, 0), (4, -1)) is None
-
-    def test_endpoint_touch(self):
-        p = segment_intersection_point((0, 0), (1, 1), (1, 1), (2, 0))
-        assert p == pytest.approx((1, 1))
-
-
 class TestDistances:
     def test_point_to_segment_perpendicular(self):
-        assert point_segment_distance((1, 1), (0, 0), (2, 0)) == 1.0
+        assert point_segment_distance_sq((1, 1), (0, 0), (2, 0)) == 1.0
 
     def test_point_to_segment_beyond_endpoint(self):
-        assert point_segment_distance((4, 0), (0, 0), (2, 0)) == 2.0
+        assert point_segment_distance_sq((4, 0), (0, 0), (2, 0)) == 4.0
 
     def test_point_to_degenerate_segment(self):
-        assert point_segment_distance((3, 4), (0, 0), (0, 0)) == 5.0
+        assert point_segment_distance_sq((3, 4), (0, 0), (0, 0)) == 25.0
 
     def test_segment_distance_intersecting_is_zero(self):
-        assert segment_segment_distance((0, 0), (2, 2), (0, 2), (2, 0)) == 0.0
+        assert segment_segment_distance_sq((0, 0), (2, 2), (0, 2), (2, 0)) == 0.0
 
     def test_segment_distance_parallel(self):
-        assert segment_segment_distance((0, 0), (2, 0), (0, 3), (2, 3)) == 3.0
+        assert segment_segment_distance_sq((0, 0), (2, 0), (0, 3), (2, 3)) == 9.0
 
     def test_segment_distance_skew(self):
-        d = segment_segment_distance((0, 0), (1, 0), (3, 1), (3, 4))
-        assert d == pytest.approx(math.hypot(2, 1))
+        d = segment_segment_distance_sq((0, 0), (1, 0), (3, 1), (3, 4))
+        assert d == pytest.approx(math.hypot(2, 1) ** 2)
 
 
 # ----------------------------------------------------------------------
@@ -183,7 +166,7 @@ class TestBoundingBoxReject:
         assert _tolerance_only_intersect(a, b, c, d)  # the old false positive
         assert not segments_intersect(a, b, c, d)
         assert not segments_intersect(c, d, a, b)
-        assert segment_segment_distance(a, b, c, d) == pytest.approx(
+        assert math.sqrt(segment_segment_distance_sq(a, b, c, d)) == pytest.approx(
             math.hypot(c[0] - b[0], c[1] - b[1])
         )
 

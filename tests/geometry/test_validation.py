@@ -1,14 +1,14 @@
-"""Unit tests for geometry validation."""
+"""Unit tests for the geometry validity oracle."""
 
 from repro.geometry.geometry import Geometry
-from repro.geometry.validation import is_valid, validate
+from tests.oracles import validate
 
 
 class TestValidGeometries:
     def test_simple_shapes_are_valid(self):
-        assert is_valid(Geometry.point(1, 2))
-        assert is_valid(Geometry.linestring([(0, 0), (1, 1)]))
-        assert is_valid(Geometry.rectangle(0, 0, 2, 2))
+        assert validate(Geometry.point(1, 2)) == []
+        assert validate(Geometry.linestring([(0, 0), (1, 1)])) == []
+        assert validate(Geometry.rectangle(0, 0, 2, 2)) == []
 
     def test_polygon_with_hole_valid(self):
         poly = Geometry.polygon(

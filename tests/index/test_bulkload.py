@@ -4,10 +4,14 @@ import random
 
 import pytest
 
+from repro import Database, Geometry
+from repro.core.index_build import create_rtree_parallel
+from repro.datasets import load_geometries
 from repro.engine.parallel import SerialExecutor, SimulatedExecutor
 from repro.geometry.mbr import MBR
-from repro.index.rtree.bulkload import build_parallel, merge_subtrees, str_pack
+from repro.index.rtree.bulkload import merge_subtrees, str_pack
 from repro.index.rtree.rtree import RTree
+from repro.index.rtree.spatial_index import RTreeIndex
 from repro.storage.heap import RowId
 
 
@@ -109,40 +113,37 @@ class TestMergeSubtrees:
 
 
 class TestBuildParallel:
-    def _loaders(self, entries, k):
-        chunks = [entries[i::k] for i in range(k)]
-        return [lambda ctx, c=chunk: list(c) for chunk in chunks]
+    """§5's recipe, partitions packed on the workers and merged serially,
+    through the engine's parallel R-tree creation."""
+
+    def _index(self, entries):
+        db = Database()
+        load_geometries(db, "shapes", [Geometry.from_mbr(m) for m, _r in entries])
+        return RTreeIndex("shapes_sidx", db.table("shapes"), "geom", fanout=8)
 
     def test_parallel_build_equals_serial_content(self):
-        entries = random_entries(400, seed=9)
-        tree, run = build_parallel(
-            self._loaders(entries, 4), SimulatedExecutor(4), fanout=8
-        )
+        index = self._index(random_entries(400, seed=9))
+        report = create_rtree_parallel(index, SimulatedExecutor(4))
+        tree = index.tree
         assert len(tree) == 400
         assert sorted(r for _m, r in tree.leaf_entries()) == sorted(
-            r for _m, r in entries
+            r for r, _row in index.table.scan()
         )
         tree.check_invariants()
-        assert run.degree == 4
+        assert report.run.degree == 4
 
     def test_parallel_makespan_below_serial(self):
         from repro.engine.cost import CostModel
 
         model = CostModel(worker_startup=0.0)
         entries = random_entries(2000, seed=10)
-        _tree1, run1 = build_parallel(
-            self._loaders(entries, 1), SerialExecutor(model), fanout=8
-        )
-        _tree4, run4 = build_parallel(
-            self._loaders(entries, 4), SimulatedExecutor(4, model), fanout=8
-        )
+        run1 = create_rtree_parallel(self._index(entries), SerialExecutor(model))
+        run4 = create_rtree_parallel(self._index(entries), SimulatedExecutor(4, model))
         assert run4.makespan_seconds < run1.makespan_seconds
 
     def test_search_correct_after_parallel_build(self):
-        entries = random_entries(300, seed=11)
-        tree, _run = build_parallel(
-            self._loaders(entries, 3), SimulatedExecutor(3), fanout=8
-        )
+        index = self._index(random_entries(300, seed=11))
+        create_rtree_parallel(index, SimulatedExecutor(3))
         q = MBR(0, 0, 500, 500)
-        expected = sorted(r for m, r in entries if m.intersects(q))
-        assert sorted(r for _m, r in tree.search(q)) == expected
+        expected = sorted(r for r, row in index.table.scan() if row[1].mbr.intersects(q))
+        assert sorted(r for _m, r in index.tree.search(q)) == expected

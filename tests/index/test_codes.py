@@ -6,11 +6,10 @@ from repro.errors import IndexBuildError
 from repro.geometry.mbr import MBR
 from repro.index.quadtree.codes import (
     TileGrid,
-    descendant_range,
     morton_decode,
     morton_encode,
 )
-from tests.oracles import child_codes, parent_code
+from tests.oracles import child_codes, descendant_range, parent_code
 
 
 class TestMorton:

@@ -1,4 +1,4 @@
-"""Exporter tests: Chrome trace JSON, JSON-lines, rollups, Prometheus."""
+"""Exporter tests: Chrome trace JSON, rollups, Prometheus."""
 
 import json
 
@@ -9,13 +9,11 @@ from repro.obs import trace
 from repro.obs.exporters import (
     aggregate_spans,
     chrome_trace,
-    lint_prometheus,
     prometheus_text,
-    spans_to_jsonl,
     write_chrome_trace,
-    write_jsonl,
 )
 from repro.server.metrics import ServerMetrics
+from tests.oracles import lint_prometheus
 
 
 @pytest.fixture
@@ -72,20 +70,6 @@ class TestChromeTrace:
         assert chrome_trace([]) == {"traceEvents": [], "displayTimeUnit": "ms"}
 
 
-class TestJsonl:
-    def test_one_object_per_span_plus_events(self, sample_tracer, tmp_path):
-        path = write_jsonl(str(tmp_path / "spans.jsonl"), sample_tracer)
-        with open(path) as fh:
-            objects = [json.loads(line) for line in fh]
-        names = {o.get("name") for o in objects}
-        assert {"outer", "inner", "tick"} <= names
-        kinds = [o.get("kind") for o in objects if "kind" in o]
-        assert kinds == ["event"]
-
-    def test_empty_is_empty_string(self):
-        assert spans_to_jsonl([]) == ""
-
-
 class TestAggregate:
     def test_rollup_sums_meters_and_counts(self, sample_tracer):
         rollup = aggregate_spans(sample_tracer.spans)
@@ -130,7 +114,7 @@ class TestPrometheus:
 
     def test_storage_zeros_without_durability(self):
         # the registry must expose a stable zeroed storage schema even
-        # when the database runs with durability="none"
+        # when the server has no storage stats to report
         text = prometheus_text(ServerMetrics())
         assert 'repro_storage_info{durability="none"} 1' in text
         assert 'repro_storage{stat="wal_bytes"} 0' in text

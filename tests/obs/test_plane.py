@@ -17,8 +17,9 @@ from repro.obs.plane import (
     series_key,
 )
 from repro.obs.dashboard import render_top
-from repro.obs.exporters import lint_prometheus, prometheus_text
+from repro.obs.exporters import prometheus_text
 from repro.server.metrics import ServerMetrics
+from tests.oracles import lint_prometheus
 
 
 class FakeClock:

@@ -8,8 +8,8 @@ and ``JoinPredicate.evaluate`` pair by pair.  Likewise
 :func:`tessellate_reference` is quadtree tessellation straight from its
 definition — every quadrant against every edge of the geometry — which
 ``repro.index.quadtree.tessellate`` must equal in tiles and in charges
-(:func:`parent_code` / :func:`child_codes` spell out the Morton parent /
-child relation the tile-code tests check).
+(:func:`parent_code` / :func:`child_codes` / :func:`descendant_range`
+spell out the Morton parent / child relation the tile-code tests check).
   :func:`index_fetch_reference` is ``DomainIndex.fetch``
 one candidate at a time — fetch, charge, scalar operator — which the
 array-at-a-time ``fetch`` must equal in rowids, order and charges, and
@@ -19,7 +19,11 @@ row fetch took before heap rings were read packed (``decode_row``, a
 ``Geometry`` always), and :class:`ObjectRowCache` the index operators'
 row cache of that time; :func:`use_object_path` puts a table and its
 indexes on them, so a twin database can run the old fetch beside the
-shipped one.
+shipped one.  The smaller references check one live function each:
+:func:`unmask_crc` inverts ``mask_crc``, :func:`encode_value` /
+:func:`decode_value` run the row codec's field coder on one value,
+:func:`lint_prometheus` checks ``prometheus_text``'s line format, and
+:func:`validate` is what every generated dataset geometry satisfies.
 
 Tests use the oracles two ways.  Kernel-level tests call both and compare
 the results directly.  System-level tests that are parametrised
@@ -34,26 +38,29 @@ processes inherit the substitution, like any other module state.)
 from __future__ import annotations
 
 import math
+import re
 from collections import OrderedDict
 from contextlib import contextmanager
 from functools import partial
-from typing import Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 from unittest import mock
 
 from repro.core.secondary_filter import FetchOrder, JoinPredicate
 from repro.engine.indextype import OPERATORS
-from repro.errors import OperatorError
+from repro.errors import OperatorError, StorageError
 from repro.geometry import kernels
-from repro.geometry.geometry import Geometry, GeometryType
+from repro.geometry.geometry import Geometry, GeometryType, Ring
 from repro.geometry.mbr import MBR
 from repro.geometry.predicates import contains, intersects
+from repro.geometry.segments import segments_intersect
 from repro.index.quadtree.codes import TileGrid, morton_encode
 from repro.engine.parallel import WorkerContext
 from repro.index.quadtree.quadtree import QuadtreeIndex
 from repro.index.quadtree.tessellate import Tile, tessellate
 from repro.index.rtree.node import RTreeNode
 from repro.index.rtree.rtree import RTree
-from repro.storage.codec import decode_row
+from repro.storage.checksum import _MASK_DELTA
+from repro.storage.codec import _decode_from, _encode_into, decode_row
 from repro.storage.columnar import MISSING
 
 IMPLS = ("numpy", "python")
@@ -165,6 +172,17 @@ def child_codes(code: int) -> Tuple[int, int, int, int]:
     """Codes of the four child tiles, one level down (SW, SE, NW, NE)."""
     base = code << 2
     return (base, base + 1, base + 2, base + 3)
+
+
+def descendant_range(code: int, levels_down: int) -> Tuple[int, int]:
+    """Inclusive code range covered by a tile ``levels_down`` levels deeper.
+
+    Every level-(l+k) descendant of a level-l tile with code c has a code
+    in [c << 2k, ((c+1) << 2k) - 1] — the property quadrant range scans use.
+    """
+    lo = code << (2 * levels_down)
+    hi = ((code + 1) << (2 * levels_down)) - 1
+    return lo, hi
 
 
 def tessellate_reference(geom: Geometry, grid: TileGrid, ctx=None) -> List[Tile]:
@@ -546,3 +564,221 @@ def crc32c_reference(data: bytes, crc: int = 0) -> int:
     for byte in data:
         crc = _CRC32C_TABLE[(crc ^ byte) & 0xFF] ^ (crc >> 8)
     return crc ^ 0xFFFFFFFF
+
+
+def unmask_crc(masked: int) -> int:
+    """The inverse of ``storage.checksum.mask_crc``: masking loses nothing."""
+    rot = (masked - _MASK_DELTA) & 0xFFFFFFFF
+    return ((rot >> 17) | (rot << 15)) & 0xFFFFFFFF
+
+
+# ----------------------------------------------------------------------
+# Record codec: one value, through the row codec's own field coder.
+# ----------------------------------------------------------------------
+def encode_value(value) -> bytes:
+    """One field as ``encode_row`` lays it out inside a record."""
+    out = bytearray()
+    _encode_into(out, value)
+    return bytes(out)
+
+
+def decode_value(data: bytes):
+    """Decode bytes produced by :func:`encode_value`."""
+    value, offset = _decode_from(data, 0)
+    if offset != len(data):
+        raise StorageError("trailing bytes after value decode")
+    return value
+
+
+# ----------------------------------------------------------------------
+# Prometheus text format (0.0.4): a line-by-line lint of what
+# ``obs.exporters.prometheus_text`` renders.
+# ----------------------------------------------------------------------
+_METRIC_NAME_RE = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
+_LABEL_NAME_RE = re.compile(r"^[a-zA-Z_][a-zA-Z0-9_]*$")
+_SAMPLE_RE = re.compile(
+    r"^(?P<name>[a-zA-Z_:][a-zA-Z0-9_:]*)"
+    r"(?:\{(?P<labels>[^}]*)\})?"
+    r" (?P<value>[-+]?(?:[0-9]*\.)?[0-9]+(?:[eE][-+]?[0-9]+)?|NaN|[-+]?Inf)"
+    r"(?: [0-9]+)?$"
+)
+_LABEL_PAIR_RE = re.compile(
+    r'^(?P<label>[a-zA-Z_][a-zA-Z0-9_]*)="(?P<value>(?:[^"\\]|\\.)*)"$'
+)
+_VALID_TYPES = ("counter", "gauge", "histogram", "summary", "untyped")
+
+
+def lint_prometheus(text: str) -> List[str]:
+    """Validate Prometheus text-format exposition; return error strings.
+
+    Checks: line syntax (HELP/TYPE comments and samples), metric/label
+    name charsets, TYPE declared before its samples, valid TYPE values,
+    duplicate (name, labelset) samples, and a trailing newline.
+    """
+    errors: List[str] = []
+    if text and not text.endswith("\n"):
+        errors.append("exposition must end with a newline")
+    typed: Dict[str, str] = {}
+    seen_samples: set = set()
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if not line.strip():
+            continue
+        if line.startswith("#"):
+            parts = line.split(None, 3)
+            if len(parts) < 3 or parts[1] not in ("HELP", "TYPE"):
+                errors.append(f"line {lineno}: malformed comment {line!r}")
+                continue
+            if not _METRIC_NAME_RE.match(parts[2]):
+                errors.append(f"line {lineno}: bad metric name {parts[2]!r}")
+            if parts[1] == "TYPE":
+                mtype = parts[3].strip() if len(parts) > 3 else ""
+                if mtype not in _VALID_TYPES:
+                    errors.append(f"line {lineno}: bad TYPE {mtype!r}")
+                if parts[2] in typed:
+                    errors.append(
+                        f"line {lineno}: duplicate TYPE for {parts[2]!r}"
+                    )
+                typed[parts[2]] = mtype
+            continue
+        match = _SAMPLE_RE.match(line)
+        if not match:
+            errors.append(f"line {lineno}: malformed sample {line!r}")
+            continue
+        name = match.group("name")
+        base = name
+        for suffix in ("_bucket", "_sum", "_count"):
+            if name.endswith(suffix) and name[: -len(suffix)] in typed:
+                base = name[: -len(suffix)]
+                break
+        if base not in typed:
+            errors.append(
+                f"line {lineno}: sample {name!r} has no preceding TYPE"
+            )
+        labels = match.group("labels")
+        labelset = ()
+        if labels is not None and labels != "":
+            pairs = []
+            for pair in _split_label_pairs(labels):
+                pm = _LABEL_PAIR_RE.match(pair)
+                if not pm:
+                    errors.append(
+                        f"line {lineno}: malformed label pair {pair!r}"
+                    )
+                    continue
+                if not _LABEL_NAME_RE.match(pm.group("label")):
+                    errors.append(
+                        f"line {lineno}: bad label name {pm.group('label')!r}"
+                    )
+                pairs.append((pm.group("label"), pm.group("value")))
+            labelset = tuple(sorted(pairs))
+        key = (name, labelset)
+        if key in seen_samples:
+            errors.append(f"line {lineno}: duplicate sample {line!r}")
+        seen_samples.add(key)
+    return errors
+
+
+def _split_label_pairs(labels: str) -> List[str]:
+    """Split ``a="x",b="y"`` on commas outside quoted values."""
+    pairs: List[str] = []
+    current: List[str] = []
+    in_quotes = False
+    escaped = False
+    for ch in labels:
+        if escaped:
+            current.append(ch)
+            escaped = False
+            continue
+        if ch == "\\":
+            current.append(ch)
+            escaped = True
+            continue
+        if ch == '"':
+            in_quotes = not in_quotes
+            current.append(ch)
+            continue
+        if ch == "," and not in_quotes:
+            pairs.append("".join(current))
+            current = []
+            continue
+        current.append(ch)
+    if current:
+        pairs.append("".join(current))
+    return pairs
+
+
+# ----------------------------------------------------------------------
+# Geometry validity: what every generated dataset geometry must satisfy.
+# ----------------------------------------------------------------------
+def validate(geom: Geometry) -> List[str]:
+    """Return a list of validity problems (empty list means valid)."""
+    problems: List[str] = []
+    for part in geom.simple_parts():
+        if part.geom_type is GeometryType.POINT:
+            _check_finite(part, problems)
+        elif part.geom_type is GeometryType.LINESTRING:
+            _check_finite(part, problems)
+            _check_no_repeated_consecutive(part, problems)
+        elif part.geom_type is GeometryType.POLYGON:
+            _check_polygon(part, problems)
+    return problems
+
+
+def _check_finite(part: Geometry, problems: List[str]) -> None:
+    for x, y in part.vertices():
+        if not (math.isfinite(x) and math.isfinite(y)):
+            problems.append(f"non-finite vertex ({x}, {y})")
+            return
+
+
+def _check_no_repeated_consecutive(part: Geometry, problems: List[str]) -> None:
+    prev = None
+    for pt in part.coords:
+        if prev is not None and pt == prev:
+            problems.append(f"repeated consecutive vertex {pt}")
+            return
+        prev = pt
+
+
+def _check_polygon(part: Geometry, problems: List[str]) -> None:
+    assert part.exterior is not None
+    _check_finite(part, problems)
+    if part.exterior.area == 0.0:
+        problems.append("exterior ring has zero area")
+    if _ring_self_intersects(part.exterior):
+        problems.append("exterior ring self-intersects")
+    if not part.exterior.is_ccw:
+        problems.append("exterior ring is not counter-clockwise")
+    for i, hole in enumerate(part.holes):
+        if hole.area == 0.0:
+            problems.append(f"hole {i} has zero area")
+        if _ring_self_intersects(hole):
+            problems.append(f"hole {i} self-intersects")
+        if hole.is_ccw:
+            problems.append(f"hole {i} is not clockwise")
+        # Hole vertices must lie inside (or on) the exterior ring.
+        for x, y in hole.coords:
+            if not part.exterior.contains_point(x, y):
+                problems.append(f"hole {i} vertex ({x}, {y}) outside exterior")
+                break
+
+
+def _ring_self_intersects(ring: Ring) -> bool:
+    """O(n^2) self-intersection check between non-adjacent edges.
+
+    Adequate for validation of the synthetic datasets (rings are small);
+    adjacency (shared endpoints) is excluded from the test.
+    """
+    edges = list(ring.edges())
+    n = len(edges)
+    for i in range(n):
+        a1, a2 = edges[i]
+        for j in range(i + 1, n):
+            if j == i or (i == 0 and j == n - 1):
+                continue
+            if j == i + 1:
+                continue
+            b1, b2 = edges[j]
+            if segments_intersect(a1, a2, b1, b2):
+                return True
+    return False

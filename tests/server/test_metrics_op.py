@@ -3,9 +3,9 @@
 import io
 
 from repro import Database
-from repro.obs.exporters import lint_prometheus
 from repro.server import BackgroundServer, QueryClient
 from repro.shell import main as shell_main
+from tests.oracles import lint_prometheus
 
 
 def _seeded_db():

@@ -14,9 +14,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.engine.cost import WorkMeter
-from repro.obs.exporters import lint_prometheus, prometheus_text
+from repro.obs.exporters import prometheus_text
 from repro.obs.plane import ObservabilityPlane, registry_collector
 from repro.server.metrics import ServerMetrics
+from tests.oracles import lint_prometheus
 
 OPS = ("start", "fetch", "close", 'we"ird\\op')
 KINDS = ("window", "knn", "sql")

@@ -46,7 +46,7 @@ class TestRowSerialisation:
         rowid = RowId(page=12, slot=3)
         wire = protocol.rowid_to_wire(rowid)
         assert wire == [12, 3]
-        assert protocol.rowid_from_wire(wire) == (12, 3)
+        assert RowId(*wire) == rowid
 
     def test_jsonify_scalars_pass_through(self):
         assert protocol.jsonify_row((1, 2.5, "x", None, True)) == [

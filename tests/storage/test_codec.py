@@ -5,14 +5,9 @@ import pytest
 from repro.errors import StorageError
 from repro.geometry.geometry import Geometry
 from repro.geometry.mbr import MBR
-from repro.storage.codec import (
-    decode_column,
-    decode_row,
-    decode_value,
-    encode_row,
-    encode_value,
-)
+from repro.storage.codec import decode_column, decode_row, encode_row
 from repro.storage.heap import RowId
+from tests.oracles import decode_value, encode_value
 
 
 class TestScalars:

@@ -16,8 +16,8 @@ import pytest
 from repro import Database, Geometry
 from repro.geometry.packed import as_geometry
 from repro.geometry.sdo import to_sdo
-from repro.storage.codec import BOUNDS_BATCH, decode_row, encode_value
-from tests.oracles import scan_bounds_reference
+from repro.storage.codec import BOUNDS_BATCH, decode_row
+from tests.oracles import encode_value, scan_bounds_reference
 
 NAN, INF = math.nan, math.inf
 

@@ -5,10 +5,10 @@ import os
 import pytest
 
 from repro.errors import ChecksumError, WalError
-from repro.storage.checksum import crc32c, mask_crc, unmask_crc
+from repro.storage.checksum import crc32c, mask_crc
 from repro.storage.pager import FilePager, MemoryPager
 from repro.storage.wal import WalPager, WriteAheadLog
-from tests.oracles import crc32c_reference
+from tests.oracles import crc32c_reference, unmask_crc
 
 PAGE = 512
 
